@@ -6,19 +6,34 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build test stress crash chaos scenarios bench bench-json publish-bench delta-bench snapshot-bench serve-bench robust-bench clippy fmt fmt-check
+.PHONY: check build test bench-test stress crash chaos scenarios bench bench-quick bench-json publish-bench delta-bench snapshot-bench serve-bench robust-bench clippy fmt fmt-check
+
+# The end-to-end benchmark is a package of its own (outside the
+# workspace), so its tests and runs go through its manifest.
+BENCH_MANIFEST := crates/bench/src/bin/bcast_bench/Cargo.toml
 
 # The tier-1 gate: formatting, lints, release build, the full default
-# suite, then the #[ignore]-gated stress tests in release mode (the
+# suite (the root package and every crate under crates/), the benchmark's
+# own tests, then the #[ignore]-gated stress tests in release mode (the
 # parallel-search runs and the 1M-item delta-republish chain — the
 # `stress` filter matches `million_item_delta_stress` too).
-check: fmt-check clippy build test stress
+check: fmt-check clippy build test bench-test stress
 
 build:
 	$(CARGO) build --release $(OFFLINE)
 
 test:
 	$(CARGO) test -q $(OFFLINE)
+
+# Every benchmark workload at 1/100 scale, with its correctness checks.
+bench-test:
+	$(CARGO) test -q $(OFFLINE) --manifest-path $(BENCH_MANIFEST)
+
+# A quick pass of the end-to-end benchmark (BENCHMARK.json): its tests,
+# then every workload for 3 timed seconds each — about a minute in all.
+bench-quick: bench-test
+	$(CARGO) run --release $(OFFLINE) --quiet --manifest-path $(BENCH_MANIFEST) -- \
+		--workload all --seconds 3
 
 stress:
 	$(CARGO) test --release $(OFFLINE) -- --ignored stress

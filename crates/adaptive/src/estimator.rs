@@ -91,7 +91,44 @@ impl EmaEstimator {
     /// the epoch roll already walks all items, so dirty tracking rides
     /// along for free and [`drain_changed`](EmaEstimator::drain_changed)
     /// stays O(changed).
+    ///
+    /// One pass over the catalog, so at a million items this is the
+    /// largest per-slice cost after serving itself. The loop is written to
+    /// stream as little memory as it can: every column is re-sliced to
+    /// one length up front (no bounds checks inside), and the dirty flag
+    /// is read *before* the published weight — an item already marked
+    /// dirty reads item 0's published weight (one word that stays in
+    /// cache) instead of its own, so it streams only its estimate and
+    /// count, and the index select leaves no branch on the flag to
+    /// mispredict where dirty and clean items interleave. The float ops
+    /// and their order are the original ones, so estimates, dirty marks
+    /// and their order are bit-identical (a twin proptest pins this
+    /// against the original loop).
     pub fn roll_epoch(&mut self) {
+        let n = self.counts.len();
+        let (alpha, keep) = (self.alpha, 1.0 - self.alpha);
+        let counts = &mut self.counts[..n];
+        let estimate = &mut self.estimate[..n];
+        let published = &self.published[..n];
+        let dirty_flag = &mut self.dirty_flag[..n];
+        for i in 0..n {
+            let est = alpha * (counts[i] as f64) + keep * estimate[i];
+            estimate[i] = est;
+            counts[i] = 0;
+            let dirty = dirty_flag[i];
+            let seen = published[if dirty { 0 } else { i }];
+            if !dirty & (est.max(1e-6).to_bits() != seen.to_bits()) {
+                dirty_flag[i] = true;
+                self.dirty.push(i as u32);
+            }
+        }
+        self.epochs += 1;
+    }
+
+    /// The original [`roll_epoch`](EmaEstimator::roll_epoch) loop, kept
+    /// verbatim as the oracle the fast loop is pinned against.
+    #[cfg(test)]
+    fn roll_epoch_oracle(&mut self) {
         for (i, (est, cnt)) in self.estimate.iter_mut().zip(&mut self.counts).enumerate() {
             *est = self.alpha * (*cnt as f64) + (1.0 - self.alpha) * *est;
             *cnt = 0;
@@ -485,6 +522,60 @@ mod tests {
                 prop_assert!(e.estimate(i) <= max_per_epoch as f64 + 1e-9);
                 prop_assert!(e.estimate(i) >= 0.0);
             }
+        }
+
+        /// The fast roll against the original loop. Random per-epoch
+        /// counts, drains at random epochs (rolls before the first one run
+        /// against the all-NaN "nothing published" snapshot), and a quiet
+        /// tail long enough that every requested item decays across the
+        /// `1e-6` floor. After every roll the two must agree bit for bit.
+        #[test]
+        fn roll_matches_the_original_loop_bit_for_bit(
+            items in 1usize..10,
+            alpha in 0.3f64..1.0,
+            draws in prop::collection::vec(0u32..24, 1..400),
+            drain_mask in any::<u64>(),
+        ) {
+            let mut fast = EmaEstimator::new(items, alpha);
+            let mut oracle = EmaEstimator::new(items, alpha);
+            let (mut out_fast, mut out_oracle) = (Vec::new(), Vec::new());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut crossed = false;
+            for epoch in 0..draws.len().div_ceil(items) + 60 {
+                for item in 0..items {
+                    // Three in four draws request nothing; past the drawn
+                    // epochs every item is quiet.
+                    let d = draws.get(epoch * items + item).copied().unwrap_or(0);
+                    for _ in 0..d.saturating_sub(17) {
+                        fast.observe(item);
+                        oracle.observe(item);
+                    }
+                }
+                let above: Vec<bool> = (0..items).map(|i| oracle.estimate(i) >= 1e-6).collect();
+                fast.roll_epoch();
+                oracle.roll_epoch_oracle();
+                crossed |= (0..items).any(|i| above[i] && oracle.estimate(i) < 1e-6);
+                prop_assert_eq!(bits(&fast.estimate), bits(&oracle.estimate));
+                prop_assert_eq!(bits(&fast.published), bits(&oracle.published));
+                prop_assert_eq!(fast.changed(), oracle.changed());
+                prop_assert_eq!(&fast.dirty_flag, &oracle.dirty_flag);
+                prop_assert_eq!(&fast.counts, &oracle.counts);
+                prop_assert_eq!(fast.epochs(), oracle.epochs());
+                prop_assert_eq!(
+                    fast.drift_since_publish().to_bits(),
+                    oracle.drift_since_publish().to_bits()
+                );
+                if drain_mask >> (epoch % 64) & 1 == 1 {
+                    fast.drain_changed(&mut out_fast);
+                    oracle.drain_changed(&mut out_oracle);
+                    prop_assert_eq!(out_fast.len(), out_oracle.len());
+                    for (a, b) in out_fast.iter().zip(&out_oracle) {
+                        prop_assert_eq!(a.0, b.0);
+                        prop_assert_eq!(a.1.get().to_bits(), b.1.get().to_bits());
+                    }
+                }
+            }
+            prop_assert!(crossed || draws.iter().all(|&d| d <= 17), "no item crossed the floor");
         }
     }
 }

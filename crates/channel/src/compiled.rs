@@ -511,26 +511,49 @@ impl CompiledProgram {
         // fault-free trace. Recovery can add many cycles of wait, so the
         // histogram bound gets headroom (values beyond it clamp in
         // percentile queries; the mean stays exact).
-        let mut shard = Shard::new(LOSSY_HIST_CYCLES * self.cycle_len);
-        self.serve_lossy_into(&mut shard, targets, start, opts, root_gaps)?;
+        let mut shard = Shard::new(self.hist_bound(true));
+        self.serve_lossy_into(
+            &mut shard.tally,
+            &mut shard.hist,
+            targets,
+            start,
+            opts,
+            root_gaps,
+        )?;
         Ok(shard)
     }
 
-    /// Lossy per-request loop, accumulating into a caller-owned shard —
-    /// shared by [`serve_shard`](Self::serve_shard) and the streaming
-    /// [`serve_chunk`](Self::serve_chunk) path. `start` is the global
-    /// index of `targets[0]`, which keys both the tune-in draw and the
-    /// fault link, so feeding any chunking of a batch through this loop
-    /// is bit-identical to one pass over the whole batch.
+    /// Upper bound of a batch's access-time histogram: exactly the
+    /// fault-free worst case (probe ≤ cycle, data wait < cycle), or
+    /// [`LOSSY_HIST_CYCLES`] cycles under faults, where a longer recovery
+    /// wait clamps into the top bucket.
+    #[inline]
+    fn hist_bound(&self, lossy: bool) -> u32 {
+        if lossy {
+            LOSSY_HIST_CYCLES * self.cycle_len
+        } else {
+            2 * self.cycle_len
+        }
+    }
+
+    /// Lossy per-request loop, accumulating into a caller-owned tally and
+    /// histogram — shared by [`serve_shard`](Self::serve_shard) and the
+    /// streaming [`serve_chunk`](Self::serve_chunk) path. `start` is the
+    /// global index of `targets[0]`, which keys both the tune-in draw and
+    /// the fault link, so feeding any chunking of a batch through this
+    /// loop is bit-identical to one pass over the whole batch. Access
+    /// times clamp at the lossy bound whatever `hist`'s own bound is.
     fn serve_lossy_into(
         &self,
-        shard: &mut Shard,
+        tally: &mut Tally,
+        hist: &mut LatencyHistogram,
         targets: &[NodeId],
         start: u64,
         opts: &ServeOptions,
         root_gaps: &[u64],
     ) -> Result<(), SimError> {
         let cycle = u64::from(self.cycle_len);
+        let cap = self.hist_bound(true);
         for (j, &target) in targets.iter().enumerate() {
             let i = target.index();
             let slot = self.slot.get(i).copied().unwrap_or(0);
@@ -557,17 +580,17 @@ impl CompiledProgram {
             match outcome {
                 RequestOutcome::Delivered(d) => {
                     let total = u32::try_from(d.total_access_time()).unwrap_or(u32::MAX);
-                    shard.hist.record(total);
-                    shard.wait_sum += u64::from(d.trace.data_wait);
-                    shard.tune_sum += u64::from(d.trace.tuning_time);
-                    shard.switch_sum += u64::from(d.trace.channel_switches);
-                    shard.extra_sum += d.extra_wait;
-                    shard.retries += u64::from(d.retries);
-                    shard.delivered += 1;
+                    hist.record_clamped(total, cap);
+                    tally.wait_sum += u64::from(d.trace.data_wait);
+                    tally.tune_sum += u64::from(d.trace.tuning_time);
+                    tally.switch_sum += u64::from(d.trace.channel_switches);
+                    tally.extra_sum += d.extra_wait;
+                    tally.retries += u64::from(d.retries);
+                    tally.delivered += 1;
                 }
                 RequestOutcome::Failed(f) => {
-                    shard.retries += u64::from(f.retries);
-                    shard.failed += 1;
+                    tally.retries += u64::from(f.retries);
+                    tally.failed += 1;
                 }
             }
         }
@@ -583,7 +606,7 @@ impl CompiledProgram {
         opts: &ServeOptions,
     ) -> Result<Shard, SimError> {
         let cycle = u64::from(self.cycle_len);
-        let mut shard = Shard::new(2 * self.cycle_len);
+        let mut shard = Shard::new(self.hist_bound(false));
         for (j, &target) in targets.iter().enumerate() {
             let i = target.index();
             let slot = self.slot.get(i).copied().unwrap_or(0);
@@ -593,10 +616,10 @@ impl CompiledProgram {
             let probe = self.cycle_len - (mix64(opts.seed, start + j as u64) % cycle) as u32;
             let wait = slot - 1;
             shard.hist.record(probe + wait);
-            shard.wait_sum += u64::from(wait);
-            shard.tune_sum += u64::from(self.path_len[i] + 1);
-            shard.switch_sum += u64::from(self.switches[i]);
-            shard.delivered += 1;
+            shard.tally.wait_sum += u64::from(wait);
+            shard.tally.tune_sum += u64::from(self.path_len[i] + 1);
+            shard.tally.switch_sum += u64::from(self.switches[i]);
+            shard.tally.delivered += 1;
         }
         Ok(shard)
     }
@@ -618,23 +641,26 @@ impl CompiledProgram {
         start: u64,
         opts: &ServeOptions,
     ) -> Result<Shard, SimError> {
-        let mut shard = Shard::new(2 * self.cycle_len);
-        self.serve_chunks_into(&mut shard, targets, start, opts.seed)?;
+        let mut shard = Shard::new(self.hist_bound(false));
+        self.serve_chunks_into(&mut shard.tally, &mut shard.hist, targets, start, opts.seed)?;
         Ok(shard)
     }
 
     /// Chunked fault-free kernel body, accumulating into a caller-owned
-    /// shard — shared by [`serve_shard_chunked`] and the streaming
-    /// [`serve_chunk`](Self::serve_chunk) path. `start` is the global
-    /// index of `targets[0]`. Every per-request quantity depends only on
-    /// that global index and the target, and every accumulation is
-    /// commutative exact integer arithmetic, so feeding a batch through
-    /// this body in *any* chunking produces a bit-identical shard.
+    /// tally and histogram — shared by [`serve_shard_chunked`] and the
+    /// streaming [`serve_chunk`](Self::serve_chunk) path. `start` is the
+    /// global index of `targets[0]`. Every per-request quantity depends
+    /// only on that global index and the target, and every accumulation
+    /// is commutative exact integer arithmetic, so feeding a batch
+    /// through this body in *any* chunking produces a bit-identical
+    /// result. Access times clamp at the fault-free bound whatever
+    /// `hist`'s own bound is (they never exceed it).
     ///
     /// [`serve_shard_chunked`]: CompiledProgram::serve_shard_chunked
     fn serve_chunks_into(
         &self,
-        shard: &mut Shard,
+        tally: &mut Tally,
+        hist: &mut LatencyHistogram,
         targets: &[NodeId],
         start: u64,
         seed: u64,
@@ -646,6 +672,7 @@ impl CompiledProgram {
         if n == 0 {
             return Err(SimError::NotADataNode(targets[0]));
         }
+        let cap = self.hist_bound(false);
         let fm = FastMod::new(u64::from(self.cycle_len));
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         let use_avx2 = std::arch::is_x86_feature_detected!("avx2") && n <= i32::MAX as usize / 4;
@@ -659,13 +686,13 @@ impl CompiledProgram {
             if use_avx2 && chunk.len() == SERVE_CHUNK {
                 // SAFETY: AVX2 availability was checked once up front.
                 let ok = unsafe {
-                    self.gather_chunk_avx2(chunk, start + base as u64, fm, seed, &mut totals, shard)
+                    self.gather_chunk_avx2(chunk, start + base as u64, fm, seed, &mut totals, tally)
                 };
                 if !ok {
                     return Err(self.first_unrouted(chunk));
                 }
-                shard.hist.record_batch(&totals[..chunk.len()]);
-                shard.delivered += chunk.len() as u64;
+                hist.record_batch_clamped(&totals[..chunk.len()], cap);
+                tally.delivered += chunk.len() as u64;
                 continue;
             }
             // One fused pass per chunk: draw the tune-in residue with the
@@ -692,11 +719,11 @@ impl CompiledProgram {
             if bad {
                 return Err(self.first_unrouted(chunk));
             }
-            shard.hist.record_batch(&totals[..chunk.len()]);
-            shard.wait_sum += wait_sum;
-            shard.tune_sum += tune_sum;
-            shard.switch_sum += switch_sum;
-            shard.delivered += chunk.len() as u64;
+            hist.record_batch_clamped(&totals[..chunk.len()], cap);
+            tally.wait_sum += wait_sum;
+            tally.tune_sum += tune_sum;
+            tally.switch_sum += switch_sum;
+            tally.delivered += chunk.len() as u64;
         }
         Ok(())
     }
@@ -761,7 +788,7 @@ impl CompiledProgram {
         fm: FastMod,
         seed: u64,
         totals: &mut [u32; SERVE_CHUNK],
-        shard: &mut Shard,
+        tally: &mut Tally,
     ) -> bool {
         use std::arch::x86_64::*;
         let n = self.packed.len();
@@ -811,9 +838,9 @@ impl CompiledProgram {
         }
         let mut lanes64 = [0u64; 4];
         for (acc, sum) in [
-            (wait_acc, &mut shard.wait_sum),
-            (tune_acc, &mut shard.tune_sum),
-            (switch_acc, &mut shard.switch_sum),
+            (wait_acc, &mut tally.wait_sum),
+            (tune_acc, &mut tally.tune_sum),
+            (switch_acc, &mut tally.switch_sum),
         ] {
             _mm256_storeu_si256(lanes64.as_mut_ptr().cast::<__m256i>(), acc);
             *sum += lanes64.iter().sum::<u64>();
@@ -851,30 +878,27 @@ impl CompiledProgram {
     }
 
     /// Arms `session` to stream one logical batch through this program,
-    /// reusing all of the session's buffers — allocation-free on the
-    /// fault-free path once the histogram has grown to this program's
-    /// bound. The result of feeding any chunking of a batch through
+    /// reusing all of the session's buffers — allocation-free once the
+    /// histogram has grown to this program's bound and, on the lossy
+    /// path, once the replica gaps are derived for this cycle length and
+    /// replica count (they are recomputed only when either changes). The
+    /// result of feeding any chunking of a batch through
     /// [`serve_chunk`](Self::serve_chunk) is bit-identical to one
     /// [`serve_batch`](Self::serve_batch) call over the concatenation, at
     /// any thread count (the batch kernel is itself sharding-invariant).
     pub fn begin_session(&self, session: &mut ServeSession, opts: &ServeOptions) {
         let lossy = !opts.faults.is_none();
-        let bound = if lossy {
-            LOSSY_HIST_CYCLES * self.cycle_len
-        } else {
-            2 * self.cycle_len
-        };
-        session.shard.reset(bound);
+        session.shard.reset(self.hist_bound(lossy));
         session.opts = *opts;
         session.lossy = lossy;
-        if lossy {
+        let gaps_for = (self.cycle_len, opts.recovery.root_replicas);
+        if lossy && session.root_gaps_for != Some(gaps_for) {
             faults::root_occurrence_gaps_into(
                 self.cycle_len(),
                 opts.recovery.root_replicas,
                 &mut session.root_gaps,
             );
-        } else {
-            session.root_gaps.clear();
+            session.root_gaps_for = Some(gaps_for);
         }
         session.next_index = 0;
         session.requests = 0;
@@ -895,26 +919,65 @@ impl CompiledProgram {
         session: &mut ServeSession,
         targets: &[NodeId],
     ) -> Result<(), SimError> {
+        self.feed(session, targets, None)
+    }
+
+    /// [`serve_chunk`](Self::serve_chunk), except that access times are
+    /// recorded straight into `hist` instead of the session's own
+    /// histogram, which stays empty. Each value lands in bucket
+    /// `min(value, session bound, hist bound)` with its true value in the
+    /// sum, min and max — exactly where recording into the session and
+    /// then [`LatencyHistogram::absorb`]ing the session's histogram into
+    /// `hist` would put it, without zeroing and walking a session
+    /// histogram of `2 × cycle_len` (lossy: 8 cycles) buckets per batch.
+    /// Every other session aggregate accumulates as usual.
+    ///
+    /// # Errors
+    /// As [`serve_chunk`](Self::serve_chunk). A refused clean chunk
+    /// records nothing; on the lossy path the requests before the first
+    /// unrouted target are recorded, as they are by `serve_chunk`.
+    pub fn serve_chunk_into(
+        &self,
+        session: &mut ServeSession,
+        targets: &[NodeId],
+        hist: &mut LatencyHistogram,
+    ) -> Result<(), SimError> {
+        self.feed(session, targets, Some(hist))
+    }
+
+    /// Shared body of [`serve_chunk`](Self::serve_chunk) and
+    /// [`serve_chunk_into`](Self::serve_chunk_into): `hist` overrides the
+    /// session's own histogram as the recording target.
+    fn feed(
+        &self,
+        session: &mut ServeSession,
+        targets: &[NodeId],
+        hist: Option<&mut LatencyHistogram>,
+    ) -> Result<(), SimError> {
         let start = session.next_index;
         session.next_index += targets.len() as u64;
         session.requests += targets.len() as u64;
-        if session.lossy {
-            let ServeSession {
-                shard,
-                opts,
-                root_gaps,
-                ..
-            } = session;
-            self.serve_lossy_into(shard, targets, start, opts, root_gaps)
+        let ServeSession {
+            shard,
+            opts,
+            root_gaps,
+            lossy,
+            ..
+        } = session;
+        let hist = hist.unwrap_or(&mut shard.hist);
+        if *lossy {
+            self.serve_lossy_into(&mut shard.tally, hist, targets, start, opts, root_gaps)
         } else {
-            self.serve_chunks_into(&mut session.shard, targets, start, session.opts.seed)
+            self.serve_chunks_into(&mut shard.tally, hist, targets, start, opts.seed)
         }
     }
 }
 
 /// Histogram headroom for lossy serving, in multiples of the cycle length
 /// (fault-free serving needs exactly 2 — probe ≤ cycle, data wait <
-/// cycle; recovery waits can add several more).
+/// cycle; recovery waits can add several more). A longer lossy access
+/// time is counted at this bound, wherever it is recorded, so lossy
+/// quantiles saturate at 8 cycles; the mean stays exact.
 const LOSSY_HIST_CYCLES: u32 = 8;
 
 /// Which fault-free shard body to run — the production chunked kernel or
@@ -973,6 +1036,8 @@ pub struct ServeSession {
     shard: Shard,
     opts: ServeOptions,
     root_gaps: Vec<u64>,
+    /// The `(cycle_len, root_replicas)` that `root_gaps` was derived for.
+    root_gaps_for: Option<(u32, u32)>,
     lossy: bool,
     next_index: u64,
     requests: u64,
@@ -986,6 +1051,7 @@ impl ServeSession {
             shard: Shard::new(0),
             opts: ServeOptions::default(),
             root_gaps: Vec::new(),
+            root_gaps_for: None,
             lossy: false,
             next_index: 0,
             requests: 0,
@@ -1001,19 +1067,19 @@ impl ServeSession {
     /// Requests delivered so far.
     #[inline]
     pub fn delivered(&self) -> u64 {
-        self.shard.delivered
+        self.shard.tally.delivered
     }
 
     /// Requests failed so far (always 0 on the fault-free path).
     #[inline]
     pub fn failed(&self) -> u64 {
-        self.shard.failed
+        self.shard.tally.failed
     }
 
     /// Failed reads recovered from (or charged by failed requests).
     #[inline]
     pub fn retries(&self) -> u64 {
-        self.shard.retries
+        self.shard.tally.retries
     }
 
     /// Fraction of fed requests delivered (`1.0` before any are fed).
@@ -1022,11 +1088,13 @@ impl ServeSession {
         if self.requests == 0 {
             1.0
         } else {
-            self.shard.delivered as f64 / self.requests as f64
+            self.shard.tally.delivered as f64 / self.requests as f64
         }
     }
 
-    /// The access-time histogram accumulated so far.
+    /// The access-time histogram accumulated so far by
+    /// [`CompiledProgram::serve_chunk`] (chunks served with
+    /// [`CompiledProgram::serve_chunk_into`] record elsewhere).
     #[inline]
     pub fn histogram(&self) -> &LatencyHistogram {
         &self.shard.hist
@@ -1049,11 +1117,18 @@ impl Default for ServeSession {
     }
 }
 
-/// Per-thread accumulator: integer sums (exact, order independent) plus a
-/// histogram shard.
+/// Per-thread accumulator: a histogram shard plus the integer sums.
 #[derive(Debug, Clone)]
 struct Shard {
     hist: LatencyHistogram,
+    tally: Tally,
+}
+
+/// The exact, order-independent integer sums of a kernel pass — kept
+/// apart from the histogram so a pass can record access times into a
+/// histogram the shard does not own.
+#[derive(Debug, Clone, Default)]
+struct Tally {
     wait_sum: u64,
     tune_sum: u64,
     switch_sum: u64,
@@ -1067,13 +1142,7 @@ impl Shard {
     fn new(bound: u32) -> Self {
         Shard {
             hist: LatencyHistogram::with_bound(bound),
-            wait_sum: 0,
-            tune_sum: 0,
-            switch_sum: 0,
-            extra_sum: 0,
-            retries: 0,
-            delivered: 0,
-            failed: 0,
+            tally: Tally::default(),
         }
     }
 
@@ -1082,60 +1151,56 @@ impl Shard {
     /// [`Shard::new`], without the allocation.
     fn reset(&mut self, bound: u32) {
         self.hist.reset(bound);
-        self.wait_sum = 0;
-        self.tune_sum = 0;
-        self.switch_sum = 0;
-        self.extra_sum = 0;
-        self.retries = 0;
-        self.delivered = 0;
-        self.failed = 0;
+        self.tally = Tally::default();
     }
 
     fn merge(&mut self, other: &Shard) {
         self.hist.merge(&other.hist);
-        self.wait_sum += other.wait_sum;
-        self.tune_sum += other.tune_sum;
-        self.switch_sum += other.switch_sum;
-        self.extra_sum += other.extra_sum;
-        self.retries += other.retries;
-        self.delivered += other.delivered;
-        self.failed += other.failed;
+        let (t, o) = (&mut self.tally, &other.tally);
+        t.wait_sum += o.wait_sum;
+        t.tune_sum += o.tune_sum;
+        t.switch_sum += o.switch_sum;
+        t.extra_sum += o.extra_sum;
+        t.retries += o.retries;
+        t.delivered += o.delivered;
+        t.failed += o.failed;
     }
 
     fn into_metrics(self, requests: usize) -> BatchMetrics {
         // Means are over *delivered* requests; failed ones contribute only
         // to the failure/retry columns.
-        let n = self.delivered as f64;
+        let t = &self.tally;
+        let n = t.delivered as f64;
         BatchMetrics {
             requests,
-            mean_access_time: if self.delivered == 0 {
+            mean_access_time: if t.delivered == 0 {
                 0.0
             } else {
                 self.hist.mean()
             },
-            mean_data_wait: if self.delivered == 0 {
+            mean_data_wait: if t.delivered == 0 {
                 0.0
             } else {
-                self.wait_sum as f64 / n
+                t.wait_sum as f64 / n
             },
-            mean_tuning_time: if self.delivered == 0 {
+            mean_tuning_time: if t.delivered == 0 {
                 0.0
             } else {
-                self.tune_sum as f64 / n
+                t.tune_sum as f64 / n
             },
-            mean_channel_switches: if self.delivered == 0 {
+            mean_channel_switches: if t.delivered == 0 {
                 0.0
             } else {
-                self.switch_sum as f64 / n
+                t.switch_sum as f64 / n
             },
-            mean_extra_wait: if self.delivered == 0 {
+            mean_extra_wait: if t.delivered == 0 {
                 0.0
             } else {
-                self.extra_sum as f64 / n
+                t.extra_sum as f64 / n
             },
-            delivered: self.delivered,
-            failed: self.failed,
-            retries: self.retries,
+            delivered: t.delivered,
+            failed: t.failed,
+            retries: t.retries,
             histogram: self.hist,
         }
     }
@@ -1518,6 +1583,21 @@ mod tests {
                 assert_eq!(session.retries(), oracle.retries);
                 assert_eq!(session.delivery_rate(), oracle.delivery_rate());
                 assert_eq!(session.histogram(), &oracle.histogram);
+                // Recorded straight into a 3-cycle window instead (wider
+                // than the clean session, narrower than the lossy one):
+                // the window equals one that absorbed the batch's
+                // histogram, and the session's own histogram stays empty.
+                let mut direct = LatencyHistogram::with_bound(3 * c.cycle_len() as u32);
+                let mut absorbed = direct.clone();
+                absorbed.absorb(&oracle.histogram);
+                c.begin_session(&mut session, opts);
+                for part in targets.chunks(chunk) {
+                    c.serve_chunk_into(&mut session, part, &mut direct).unwrap();
+                }
+                assert_eq!(direct, absorbed, "chunk {chunk}");
+                assert!(session.histogram().is_empty());
+                assert_eq!(session.delivered(), oracle.delivered);
+                assert_eq!(session.retries(), oracle.retries);
             }
         }
     }

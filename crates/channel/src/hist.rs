@@ -11,12 +11,24 @@
 ///
 /// Values above the bound are clamped into the top bucket for counting
 /// purposes (quantiles then saturate at `bound`), but [`max`](Self::max)
-/// always reports the true maximum observed value. Callers that size the
-/// bound from a known worst case (the serving engine uses `2 × cycle_len`)
-/// never clamp.
+/// always reports the true maximum observed value. Fault-free serving
+/// sizes the bound from its worst case (`2 × cycle_len`: probe ≤ cycle,
+/// data wait < cycle) and never clamps. Lossy serving does clamp: its
+/// bound is 8 cycles, and a recovery that waits longer counts in the top
+/// bucket, so its quantiles saturate at 8 cycles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
+    total: u64,
+    sum: u64,
+    min: u32,
+    max: u32,
+}
+
+/// A restore point for [`LatencyHistogram::rollback`]: the histogram's
+/// exact moments when [`LatencyHistogram::mark`] was taken.
+#[derive(Debug, Clone, Copy)]
+pub struct HistMark {
     total: u64,
     sum: u64,
     min: u32,
@@ -46,8 +58,16 @@ impl LatencyHistogram {
     /// (allocation-free once the buffer has grown to the largest bound
     /// seen). The result is indistinguishable from a fresh
     /// [`with_bound`](Self::with_bound).
+    ///
+    /// An empty histogram skips the zero fill: the counts always sum to
+    /// the total, so every bucket is already zero and only buckets the
+    /// new bound adds get written. A session whose histogram is never fed
+    /// (its values go straight into another histogram) resets in O(1).
     pub fn reset(&mut self, bound: u32) {
-        self.counts.clear();
+        if self.total != 0 {
+            self.counts.clear();
+        }
+        self.counts.truncate(bound as usize + 1);
         self.counts.resize(bound as usize + 1, 0);
         self.total = 0;
         self.sum = 0;
@@ -58,7 +78,17 @@ impl LatencyHistogram {
     /// Records one observation. O(1), allocation-free.
     #[inline]
     pub fn record(&mut self, value: u32) {
-        let idx = (value as usize).min(self.counts.len() - 1);
+        self.record_clamped(value, u32::MAX);
+    }
+
+    /// Records one observation into bucket `min(value, cap, bound)`,
+    /// keeping the true value in the sum, min and max. With `cap` the
+    /// bound of a histogram the value would otherwise pass through first,
+    /// this lands exactly where recording there and then
+    /// [`absorb`](Self::absorb)ing that histogram into this one would.
+    #[inline]
+    pub fn record_clamped(&mut self, value: u32, cap: u32) {
+        let idx = (value.min(cap) as usize).min(self.counts.len() - 1);
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += u64::from(value);
@@ -73,7 +103,15 @@ impl LatencyHistogram {
     /// registers across the whole batch.
     #[inline]
     pub fn record_batch(&mut self, values: &[u32]) {
-        let top = self.counts.len() - 1;
+        self.record_batch_clamped(values, u32::MAX);
+    }
+
+    /// [`record_batch`](Self::record_batch) with every bucket index
+    /// clamped at `cap` as well as at the bound — the batch form of
+    /// [`record_clamped`](Self::record_clamped).
+    #[inline]
+    pub fn record_batch_clamped(&mut self, values: &[u32], cap: u32) {
+        let top = (cap as usize).min(self.counts.len() - 1);
         let mut min = self.min;
         let mut max = self.max;
         let mut sum = self.sum;
@@ -125,6 +163,41 @@ impl LatencyHistogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// The restore point [`rollback`](Self::rollback) returns to.
+    pub fn mark(&self) -> HistMark {
+        HistMark {
+            total: self.total,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+        }
+    }
+
+    /// Takes back everything recorded since `mark`, given `recorded`: a
+    /// histogram holding exactly those values (at any bound — its buckets
+    /// are subtracted clamped as [`absorb`](Self::absorb) adds them).
+    /// Afterwards `self` equals what it was at the mark. The cold path of
+    /// a slice that fails after recording straight into its window.
+    ///
+    /// # Panics
+    /// Panics, changing nothing, if `recorded` does not hold as many
+    /// values as were recorded since the mark.
+    pub fn rollback(&mut self, mark: HistMark, recorded: &LatencyHistogram) {
+        assert_eq!(
+            self.total.checked_sub(recorded.total),
+            Some(mark.total),
+            "rollback must take back exactly what was recorded since the mark"
+        );
+        let top = self.counts.len() - 1;
+        for (value, &c) in recorded.counts.iter().enumerate() {
+            self.counts[value.min(top)] -= c;
+        }
+        self.total = mark.total;
+        self.sum = mark.sum;
+        self.min = mark.min;
+        self.max = mark.max;
     }
 
     /// Number of recorded observations.
@@ -377,6 +450,69 @@ mod tests {
             reused.record(2);
             reused.record(bound + 5);
         }
+        // An emptied histogram skips the zero fill: resetting it to a
+        // larger and then a smaller bound must still give a fresh one,
+        // whether a reset or a rollback emptied it.
+        reused.reset(60);
+        for bound in [300u32, 10, 60] {
+            reused.reset(bound);
+            assert_eq!(reused, LatencyHistogram::with_bound(bound));
+        }
+        let mark = reused.mark();
+        let mut recorded = LatencyHistogram::with_bound(80);
+        for v in [0u32, 59, 75] {
+            reused.record(v);
+            recorded.record(v);
+        }
+        reused.rollback(mark, &recorded);
+        assert_eq!(reused, LatencyHistogram::with_bound(60));
+        for bound in [500u32, 3] {
+            reused.reset(bound);
+            assert_eq!(reused, LatencyHistogram::with_bound(bound));
+        }
+    }
+
+    #[test]
+    fn clamped_recording_equals_record_then_absorb() {
+        // A session of bound 8 folded into a wider window (12) and into a
+        // narrower one (5): recording each value straight into the window
+        // with cap 8 must give the same histogram, batched or one by one.
+        let values: Vec<u32> = (0..200u32).map(|i| (i * 7) % 30).collect();
+        for window_bound in [12u32, 5] {
+            let mut session = LatencyHistogram::with_bound(8);
+            session.record_batch(&values);
+            let mut via_absorb = LatencyHistogram::with_bound(window_bound);
+            via_absorb.absorb(&session);
+            let mut batched = LatencyHistogram::with_bound(window_bound);
+            batched.record_batch_clamped(&values[..100], 8);
+            batched.record_batch_clamped(&values[100..], 8);
+            let mut single = LatencyHistogram::with_bound(window_bound);
+            for &v in &values {
+                single.record_clamped(v, 8);
+            }
+            assert_eq!(batched, via_absorb, "window bound {window_bound}");
+            assert_eq!(single, via_absorb, "window bound {window_bound}");
+        }
+    }
+
+    #[test]
+    fn rollback_returns_to_the_mark() {
+        let mut window = LatencyHistogram::with_bound(12);
+        for v in [1u32, 4, 11] {
+            window.record(v);
+        }
+        let before = window.clone();
+        let mark = window.mark();
+        // Values recorded clamped at a session bound of 8, some past the
+        // window's own bound, replayed into a histogram of that bound.
+        let mut replay = LatencyHistogram::with_bound(8);
+        for v in [0u32, 9, 30, 3] {
+            window.record_clamped(v, 8);
+            replay.record(v);
+        }
+        assert_ne!(window, before);
+        window.rollback(mark, &replay);
+        assert_eq!(window, before);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use faults::{
     ClientLink, DeliveredTrace, FailReason, FaultError, FaultPlan, GilbertElliott, RecoveryFailure,
     RecoveryPolicy, RequestOutcome,
 };
-pub use hist::LatencyHistogram;
+pub use hist::{HistMark, LatencyHistogram};
 pub use program::{BroadcastProgram, Bucket, Pointer, ProgramError};
 pub use publish::{PublishPipeline, SlotPlan};
 pub use simulator::SimError;
