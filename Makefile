@@ -148,8 +148,10 @@ robust-bench:
 	$(CARGO) run --release $(OFFLINE) -p bcast-bench \
 		--bin bench_json -- --robust-into BENCH_PR10.json
 
+# --all-features so feature-gated code (e.g. the alloc-count allocator)
+# is compiled and linted too, not only the default build.
 clippy:
-	$(CARGO) clippy $(OFFLINE) --workspace --all-targets -- -D warnings
+	$(CARGO) clippy $(OFFLINE) --workspace --all-targets --all-features -- -D warnings
 
 fmt:
 	$(CARGO) fmt --all

@@ -55,6 +55,10 @@ pub enum FeasibilityError {
         /// Nodes in the tree.
         tree: usize,
     },
+    /// The tree (of this depth) is deeper than a compiled route record can
+    /// count ([`MAX_ROUTE_DEPTH`](crate::compiled::MAX_ROUTE_DEPTH)), so
+    /// no program over it can be published.
+    TreeTooDeep(u32),
 }
 
 impl fmt::Display for FeasibilityError {
@@ -76,6 +80,11 @@ impl fmt::Display for FeasibilityError {
                     "allocation for {allocation} nodes used with {tree}-node tree"
                 )
             }
+            FeasibilityError::TreeTooDeep(depth) => write!(
+                f,
+                "tree depth {depth} exceeds the route record limit of {}",
+                crate::compiled::MAX_ROUTE_DEPTH
+            ),
         }
     }
 }

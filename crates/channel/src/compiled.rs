@@ -12,37 +12,40 @@
 //!
 //! [`CompiledProgram::compile`] therefore walks the pointer graph **once**
 //! (each bucket is visited exactly once — O(buckets)), validating every
-//! pointer on the way, and stores per-node route records in flat
-//! structure-of-arrays tables. A single access becomes three array reads
-//! and one subtraction; [`CompiledProgram::serve_batch`] feeds millions of
-//! requests through those tables with per-thread sharding and a streaming
-//! [`LatencyHistogram`], never allocating per request. The pointer-chasing
-//! simulator remains the oracle the tables are property-tested against.
+//! pointer on the way, and stores one flat route record per node. A single
+//! access becomes one record read and one subtraction;
+//! [`CompiledProgram::serve_batch`] feeds millions of requests through the
+//! records with per-thread sharding and a streaming [`LatencyHistogram`],
+//! never allocating per request. The pointer-chasing simulator remains the
+//! oracle the tables are property-tested against.
 //!
 //! # Kernel layout
 //!
-//! The route tables are three dense `u32` columns (`slot`, `path_len`,
-//! `switches`). Slots are 1-based, so `slot == 0` doubles as the
+//! Each node owns one 8-byte record `[slot, route]`, stored once and read
+//! by every path: compile, the fused publish, the delta lane's patches and
+//! journal replay, snapshot capture and install, and all three kernel
+//! bodies. `slot` is `T(Di)`, 1-based, so `slot == 0` doubles as the
 //! "unrouted" sentinel — there is no separate `routed` bitmap to load per
-//! request. The columns remain the canonical representation (the oracle
-//! path, the delta patch lanes and the snapshot format all read them), but
-//! the batch engine serves from an interleaved mirror: one 16-byte record
-//! `[slot, path_len, switches, 0]` per node, so a request's entire route
-//! costs **one** cache-line touch instead of three — on a Zipf workload
-//! whose tables exceed L1 that is the dominant cost, not arithmetic.
+//! request. `route` packs the pointer-path length into its low 16 bits and
+//! the channel switches into its high 16, exactly the snapshot format's
+//! route word, so a snapshot's two columns zip into the records. Both
+//! fields fit because a path length is its data node's level and a switch
+//! count is always smaller: [`MAX_ROUTE_DEPTH`] bounds the tree, checked
+//! once by each record producer. A request's entire route is one 8-byte
+//! load, so on a Zipf workload whose tables exceed L1 a request costs one
+//! cache-line touch.
 //!
 //! [`serve_batch`](CompiledProgram::serve_batch) processes requests in
-//! fixed-size chunks: per chunk it draws all tune-in residues, gathers the
-//! packed records (with an explicit AVX2 gather under the `simd` cargo
-//! feature, or an autovectorization-friendly scalar loop by default),
-//! validates the chunk with a folded sentinel flag (re-scanned in order
-//! only on failure, so the reported error is identical to the reference
-//! loop's), prefetches the next chunk's records, and records access times
-//! into the histogram in one [`LatencyHistogram::record_batch`] call. The
-//! original per-request loop over the SoA columns survives as
-//! [`serve_batch_scalar`](CompiledProgram::serve_batch_scalar) — the
-//! oracle the chunked kernel is pinned bit-identical to at any thread
-//! count.
+//! fixed-size chunks: per chunk it draws all tune-in residues, loads the
+//! records, sums the route word's two halves in exact per-chunk `u32`
+//! lanes, validates the chunk with a folded sentinel flag (re-scanned in
+//! order only on failure, so the reported error is identical to the
+//! reference loop's), prefetches the next chunk's records, and records
+//! access times into the histogram in one
+//! [`LatencyHistogram::record_batch`] call. The original per-request loop
+//! survives as [`serve_batch_scalar`](CompiledProgram::serve_batch_scalar)
+//! — the oracle the chunked kernel is pinned bit-identical to at any
+//! thread count.
 
 use crate::faults::{self, FaultPlan, RecoveryPolicy, RequestOutcome};
 use crate::hist::LatencyHistogram;
@@ -110,6 +113,36 @@ impl FastMod {
 /// kernel whole chunks.
 pub const SERVE_CHUNK: usize = 256;
 
+/// Deepest index tree a program can route: a data node's pointer-path
+/// length is its level, and it must fit the low 16 bits of its route word
+/// (its channel-switch count, always smaller, fits the high 16).
+pub const MAX_ROUTE_DEPTH: u32 = 0xFFFF;
+
+/// Packs a data node's pointer-path length and channel switches into its
+/// route word, `path_len | switches << 16` — the snapshot format's
+/// encoding, so a program's records are its snapshot columns zipped.
+#[inline]
+fn route_word(path_len: u32, switches: u32) -> u32 {
+    debug_assert!(
+        path_len <= MAX_ROUTE_DEPTH && switches < path_len,
+        "route fields fit 16 bits (path_len {path_len}, switches {switches})"
+    );
+    path_len | switches << 16
+}
+
+/// Buckets read on the pointer path root..=data (tuning time minus the
+/// initial probe bucket): the route word's low half.
+#[inline]
+fn path_len(route: u32) -> u32 {
+    route & 0xFFFF
+}
+
+/// Channel switches performed after the probe: the route word's high half.
+#[inline]
+fn switches(route: u32) -> u32 {
+    route >> 16
+}
+
 /// Per-node route tables compiled from a [`BroadcastProgram`].
 ///
 /// Construction validates the whole pointer graph (every child reachable,
@@ -119,19 +152,11 @@ pub const SERVE_CHUNK: usize = 256;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompiledProgram {
     cycle_len: u32,
-    /// `T(Di)`: absolute 1-based slot of the node's data bucket, or `0`
-    /// for unrouted nodes — the sentinel doubles as the lookup guard, so
-    /// the hot columns stay three cache-dense `u32` lanes.
-    slot: Vec<u32>,
-    /// Buckets read on the pointer path root..=data (tuning time minus the
-    /// initial probe bucket).
-    path_len: Vec<u32>,
-    /// Channel switches performed after the probe.
-    switches: Vec<u32>,
-    /// Interleaved serve-kernel mirror of the columns: one 16-byte record
-    /// `[slot, path_len, switches, 0]` per node, kept in sync by every
-    /// mutation path, so a request's whole route is one cache-line touch.
-    packed: Vec<[u32; 4]>,
+    /// One 8-byte record `[slot, route]` per node. `slot` is `T(Di)`, the
+    /// absolute 1-based slot of the node's data bucket, or `0` for
+    /// unrouted nodes (whose whole record is zero); `route` is the
+    /// [`route_word`] of its path length and channel switches.
+    routes: Vec<[u32; 2]>,
     num_data: usize,
 }
 
@@ -140,19 +165,20 @@ impl CompiledProgram {
     /// pass over the pointer graph.
     ///
     /// # Errors
-    /// Surfaces the same corruption classes the walking simulator would hit
-    /// at request time, but eagerly: [`SimError::NoRoute`] if an index
-    /// bucket lacks a pointer to one of its children, and
-    /// [`SimError::BrokenPointer`] if a pointer leads outside the grid or
-    /// to a bucket not holding the promised node.
+    /// [`SimError::TreeTooDeep`] if `tree` is deeper than
+    /// [`MAX_ROUTE_DEPTH`], before any work. Otherwise surfaces the same
+    /// corruption classes the walking simulator would hit at request time,
+    /// but eagerly: [`SimError::NoRoute`] if an index bucket lacks a
+    /// pointer to one of its children, and [`SimError::BrokenPointer`] if
+    /// a pointer leads outside the grid or to a bucket not holding the
+    /// promised node.
     pub fn compile(program: &BroadcastProgram, tree: &IndexTree) -> Result<Self, SimError> {
-        let n = tree.len();
+        if tree.depth() > MAX_ROUTE_DEPTH {
+            return Err(SimError::TreeTooDeep(tree.depth()));
+        }
         let mut this = CompiledProgram {
             cycle_len: program.cycle_len() as u32,
-            slot: vec![0; n],
-            path_len: vec![0; n],
-            switches: vec![0; n],
-            packed: vec![[0; 4]; n],
+            routes: vec![[0; 2]; tree.len()],
             num_data: 0,
         };
         // Depth-first over the pointer graph; the tree structure guarantees
@@ -175,13 +201,7 @@ impl CompiledProgram {
             }
             match program.bucket(at) {
                 Bucket::Data { node } if *node == expect && tree.is_data(expect) => {
-                    let i = expect.index();
-                    debug_assert!(at.slot.0 != 0, "slots are 1-based");
-                    this.slot[i] = at.slot.0;
-                    this.path_len[i] = path_len;
-                    this.switches[i] = switches;
-                    this.packed[i] = [at.slot.0, path_len, switches, 0];
-                    this.num_data += 1;
+                    this.record_data(expect, at.slot.0, path_len, switches);
                 }
                 Bucket::Index { node, pointers } if *node == expect => {
                     for &child in tree.children(expect) {
@@ -217,32 +237,23 @@ impl CompiledProgram {
 
     /// Resets the tables for `n` nodes and `cycle_len` slots, keeping the
     /// backing capacity — the fused pipeline's rebuild entry point
-    /// (`clear` + `resize` never reallocates once the buffers have grown
+    /// (`clear` + `resize` never reallocates once the buffer has grown
     /// to steady-state size).
     pub(crate) fn reset(&mut self, n: usize, cycle_len: u32) {
         self.cycle_len = cycle_len;
-        self.slot.clear();
-        self.slot.resize(n, 0);
-        self.path_len.clear();
-        self.path_len.resize(n, 0);
-        self.switches.clear();
-        self.switches.resize(n, 0);
-        self.packed.clear();
-        self.packed.resize(n, [0; 4]);
+        self.routes.clear();
+        self.routes.resize(n, [0; 2]);
         self.num_data = 0;
     }
 
-    /// Writes one data node's route record — the fused pipeline's
-    /// equivalent of the DFS leaf case in [`CompiledProgram::compile`].
+    /// Writes one data node's route record — the DFS leaf case of
+    /// [`CompiledProgram::compile`] and its fused-pipeline equivalent.
     #[inline]
     pub(crate) fn record_data(&mut self, node: NodeId, slot: u32, path_len: u32, switches: u32) {
-        let i = node.index();
-        debug_assert!(self.slot[i] == 0, "data node recorded twice");
+        let rec = &mut self.routes[node.index()];
+        debug_assert!(rec[0] == 0, "data node recorded twice");
         debug_assert!(slot != 0, "slots are 1-based");
-        self.slot[i] = slot;
-        self.path_len[i] = path_len;
-        self.switches[i] = switches;
-        self.packed[i] = [slot, path_len, switches, 0];
+        *rec = [slot, route_word(path_len, switches)];
         self.num_data += 1;
     }
 
@@ -254,38 +265,36 @@ impl CompiledProgram {
     /// [`record_data`]: CompiledProgram::record_data
     #[inline]
     pub(crate) fn patch_data(&mut self, node: NodeId, slot: u32, switches: u32) {
-        let i = node.index();
-        debug_assert!(self.slot[i] != 0, "patch_data targets an existing record");
+        let rec = &mut self.routes[node.index()];
+        debug_assert!(rec[0] != 0, "patch_data targets an existing record");
         debug_assert!(slot != 0, "slots are 1-based");
-        self.slot[i] = slot;
-        self.switches[i] = switches;
-        self.packed[i][0] = slot;
-        self.packed[i][2] = switches;
+        *rec = [slot, route_word(path_len(rec[1]), switches)];
     }
 
     /// Reconciles one node's route record from `other` — the delta lane's
-    /// journal replay. Only `slot` and `switches` can differ between the
-    /// double-buffer halves after an in-place patch: `path_len`,
-    /// `num_data` and the cycle length are all repack-invariant.
+    /// journal replay. `num_data` and the cycle length are
+    /// repack-invariant, so the record is all that can differ.
     #[inline]
     pub(crate) fn copy_record_from(&mut self, other: &CompiledProgram, node: NodeId) {
         let i = node.index();
-        self.slot[i] = other.slot[i];
-        self.switches[i] = other.switches[i];
-        self.packed[i] = other.packed[i];
+        self.routes[i] = other.routes[i];
     }
 
     /// Makes `self` a bit-identical copy of `other`, reusing this buffer's
-    /// capacity (`Vec::clone_from` per column — memcpy-grade, no
-    /// allocation once capacities match). The delta lane seeds the back
-    /// buffer from the served front program before patching dirty records.
+    /// capacity (`Vec::clone_from` — memcpy-grade, no allocation once
+    /// capacities match). The delta lane seeds the back buffer from the
+    /// served front program before patching dirty records.
     pub(crate) fn copy_from(&mut self, other: &CompiledProgram) {
         self.cycle_len = other.cycle_len;
-        self.slot.clone_from(&other.slot);
-        self.path_len.clone_from(&other.path_len);
-        self.switches.clone_from(&other.switches);
-        self.packed.clone_from(&other.packed);
+        self.routes.clone_from(&other.routes);
         self.num_data = other.num_data;
+    }
+
+    /// The route record of `node`, or the zero record (`slot == 0`:
+    /// unrouted) for index nodes and foreign ids.
+    #[inline]
+    fn record(&self, node: NodeId) -> [u32; 2] {
+        self.routes.get(node.index()).copied().unwrap_or([0; 2])
     }
 
     /// Cycle length in slots.
@@ -304,49 +313,36 @@ impl CompiledProgram {
     /// index nodes / foreign ids.
     #[inline]
     pub fn data_slot(&self, node: NodeId) -> Option<Slot> {
-        self.slot
-            .get(node.index())
-            .copied()
-            .filter(|&s| s != 0)
-            .map(Slot)
+        Some(self.record(node)[0]).filter(|&s| s != 0).map(Slot)
     }
 
-    /// Number of nodes the route tables cover (data and index alike) —
-    /// the length of every column.
+    /// Number of nodes the route tables cover (data and index alike).
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.slot.len()
+        self.routes.len()
     }
 
     /// Every routed data node, in node-id order — lets snapshot consumers
     /// build request batches without the source tree.
     pub fn routed_nodes(&self) -> Vec<NodeId> {
-        self.slot
+        self.routes
             .iter()
             .enumerate()
-            .filter(|&(_, &s)| s != 0)
+            .filter(|&(_, r)| r[0] != 0)
             .map(|(i, _)| NodeId::from_index(i))
             .collect()
     }
 
-    /// Borrows the raw SoA columns `(cycle_len, slot, path_len, switches,
-    /// num_data)` for the snapshot writer.
-    pub(crate) fn columns(&self) -> (u32, &[u32], &[u32], &[u32], usize) {
-        (
-            self.cycle_len,
-            &self.slot,
-            &self.path_len,
-            &self.switches,
-            self.num_data,
-        )
+    /// Borrows the `[slot, route]` records for the snapshot writer.
+    pub(crate) fn records(&self) -> &[[u32; 2]] {
+        &self.routes
     }
 
-    /// Rebuilds a program from validated snapshot columns: one slot
-    /// memcpy plus a single fused pass that widens each packed route
-    /// word (`path_len | switches << 16`) into the two metric columns
-    /// and the packed mirror. The caller (the snapshot loader) has
-    /// already checked the sentinel invariants (`count(slot != 0) ==
-    /// num_data`, `max(slot) ≤ cycle_len`), so this is infallible.
+    /// Rebuilds a program from validated snapshot columns by zipping the
+    /// slot and route columns into records. The caller (the snapshot
+    /// loader) has already checked the sentinel invariants (`count(slot
+    /// != 0) == num_data`, `max(slot) ≤ cycle_len`), so this is
+    /// infallible.
     pub(crate) fn from_columns(
         cycle_len: u32,
         slot: &[u32],
@@ -354,23 +350,9 @@ impl CompiledProgram {
         num_data: usize,
     ) -> Self {
         debug_assert_eq!(slot.len(), route.len());
-        let n = slot.len();
-        let mut path_len = Vec::with_capacity(n);
-        let mut switches = Vec::with_capacity(n);
-        let mut packed = Vec::with_capacity(n);
-        for (&s, &r) in slot.iter().zip(route) {
-            let p = r & 0xFFFF;
-            let w = r >> 16;
-            path_len.push(p);
-            switches.push(w);
-            packed.push([s, p, w, 0]);
-        }
         CompiledProgram {
             cycle_len,
-            slot: slot.to_vec(),
-            path_len,
-            switches,
-            packed,
+            routes: slot.iter().zip(route).map(|(&s, &r)| [s, r]).collect(),
             num_data,
         }
     }
@@ -384,23 +366,22 @@ impl CompiledProgram {
     }
 
     /// O(1) equivalent of [`simulator::access`](crate::simulator::access):
-    /// three table reads and the probe-wait subtraction.
+    /// one 8-byte record read and the probe-wait subtraction.
     ///
     /// # Errors
     /// [`SimError::NotADataNode`] for index nodes or foreign ids; routing
     /// errors cannot occur here because compilation validated every route.
     #[inline]
     pub fn access(&self, target: NodeId, tune_in: Slot) -> Result<AccessTrace, SimError> {
-        let i = target.index();
-        let slot = self.slot.get(i).copied().unwrap_or(0);
+        let [slot, route] = self.record(target);
         if slot == 0 {
             return Err(SimError::NotADataNode(target));
         }
         Ok(AccessTrace {
             probe_wait: self.probe_wait(tune_in),
             data_wait: slot - 1,
-            tuning_time: self.path_len[i] + 1,
-            channel_switches: self.switches[i],
+            tuning_time: path_len(route) + 1,
+            channel_switches: switches(route),
         })
     }
 
@@ -430,7 +411,7 @@ impl CompiledProgram {
     }
 
     /// [`serve_batch`](Self::serve_batch) through the original per-request
-    /// scalar loop — the bit-identity oracle for the chunked/SIMD kernel.
+    /// scalar loop — the bit-identity oracle for the chunked kernel.
     /// Results are pinned equal to `serve_batch` for every input and
     /// thread count (property-tested); the only difference is speed.
     ///
@@ -555,8 +536,7 @@ impl CompiledProgram {
         let cycle = u64::from(self.cycle_len);
         let cap = self.hist_bound(true);
         for (j, &target) in targets.iter().enumerate() {
-            let i = target.index();
-            let slot = self.slot.get(i).copied().unwrap_or(0);
+            let [slot, route] = self.record(target);
             if slot == 0 {
                 return Err(SimError::NotADataNode(target));
             }
@@ -565,8 +545,8 @@ impl CompiledProgram {
             let base = AccessTrace {
                 probe_wait: self.cycle_len - (s - 1),
                 data_wait: slot - 1,
-                tuning_time: self.path_len[i] + 1,
-                channel_switches: self.switches[i],
+                tuning_time: path_len(route) + 1,
+                channel_switches: switches(route),
             };
             let mut link = opts.faults.link(index);
             let outcome = faults::recover_access(
@@ -608,8 +588,7 @@ impl CompiledProgram {
         let cycle = u64::from(self.cycle_len);
         let mut shard = Shard::new(self.hist_bound(false));
         for (j, &target) in targets.iter().enumerate() {
-            let i = target.index();
-            let slot = self.slot.get(i).copied().unwrap_or(0);
+            let [slot, route] = self.record(target);
             if slot == 0 {
                 return Err(SimError::NotADataNode(target));
             }
@@ -617,8 +596,8 @@ impl CompiledProgram {
             let wait = slot - 1;
             shard.hist.record(probe + wait);
             shard.tally.wait_sum += u64::from(wait);
-            shard.tally.tune_sum += u64::from(self.path_len[i] + 1);
-            shard.tally.switch_sum += u64::from(self.switches[i]);
+            shard.tally.tune_sum += u64::from(path_len(route) + 1);
+            shard.tally.switch_sum += u64::from(switches(route));
             shard.tally.delivered += 1;
         }
         Ok(shard)
@@ -626,13 +605,13 @@ impl CompiledProgram {
 
     /// Fault-free serving in [`SERVE_CHUNK`]-request chunks: division-free
     /// tune-in draws, a folded sentinel validation (re-scanned in order
-    /// only on failure so the error matches the reference loop's), column
-    /// gathers (AVX2 under the `simd` feature), batched histogram flush,
-    /// and a prefetch of the next chunk's `slot` records.
+    /// only on failure so the error matches the reference loop's), one
+    /// record load per request, batched histogram flush, and a prefetch of
+    /// the next chunk's records.
     ///
     /// Every arithmetic step is exact integer work in the same order as
-    /// the reference loop (sums are commutative u64 adds), so the shard it
-    /// produces is bit-identical to [`serve_shard_reference`]'s.
+    /// the reference loop (sums are commutative integer adds), so the
+    /// shard it produces is bit-identical to [`serve_shard_reference`]'s.
     ///
     /// [`serve_shard_reference`]: CompiledProgram::serve_shard_reference
     fn serve_shard_chunked(
@@ -668,61 +647,44 @@ impl CompiledProgram {
         if targets.is_empty() {
             return Ok(());
         }
-        let n = self.slot.len();
-        if n == 0 {
-            return Err(SimError::NotADataNode(targets[0]));
-        }
         let cap = self.hist_bound(false);
         let fm = FastMod::new(u64::from(self.cycle_len));
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        let use_avx2 = std::arch::is_x86_feature_detected!("avx2") && n <= i32::MAX as usize / 4;
         let mut totals = [0u32; SERVE_CHUNK];
         for (chunk_no, chunk) in targets.chunks(SERVE_CHUNK).enumerate() {
             let base = chunk_no * SERVE_CHUNK;
             // Hint the next chunk's route records first, so the prefetches
             // land while this whole chunk is processed and flushed.
-            self.prefetch_slots(targets, base + SERVE_CHUNK);
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if use_avx2 && chunk.len() == SERVE_CHUNK {
-                // SAFETY: AVX2 availability was checked once up front.
-                let ok = unsafe {
-                    self.gather_chunk_avx2(chunk, start + base as u64, fm, seed, &mut totals, tally)
-                };
-                if !ok {
-                    return Err(self.first_unrouted(chunk));
-                }
-                hist.record_batch_clamped(&totals[..chunk.len()], cap);
-                tally.delivered += chunk.len() as u64;
-                continue;
-            }
+            self.prefetch_records(targets, base + SERVE_CHUNK);
             // One fused pass per chunk: draw the tune-in residue with the
-            // division-free reduction, read the node's packed route record
-            // (one 16-byte load), fold the sentinel check into one flag
-            // (a bad lane yields the zero record; the chunk is rejected
-            // before anything is recorded, so its garbage never escapes),
-            // and buffer the access totals for one batched histogram
-            // flush.
+            // division-free reduction, read the node's 8-byte record, fold
+            // the sentinel check into one flag (a bad lane yields the zero
+            // record; the chunk is rejected before anything is recorded,
+            // so its garbage never escapes), and buffer the access totals
+            // for one batched histogram flush. The route word's two 16-bit
+            // halves sum in `u32` lanes: a chunk adds at most 256 · 0xFFFF
+            // < 2^24 to each, so the per-chunk sums are exact.
             let mut bad = false;
             let mut wait_sum = 0u64;
-            let mut tune_sum = 0u64;
-            let mut switch_sum = 0u64;
+            let mut path_sum = 0u32;
+            let mut switch_sum = 0u32;
             for (c, &target) in chunk.iter().enumerate() {
-                let rec = self.packed.get(target.index()).copied().unwrap_or([0; 4]);
-                bad |= rec[0] == 0;
+                let [slot, route] = self.record(target);
+                bad |= slot == 0;
                 let probe = self.cycle_len - fm.rem(mix64(seed, start + (base + c) as u64)) as u32;
-                let wait = rec[0].wrapping_sub(1);
+                let wait = slot.wrapping_sub(1);
                 totals[c] = probe.wrapping_add(wait);
                 wait_sum += u64::from(wait);
-                tune_sum += u64::from(rec[1] + 1);
-                switch_sum += u64::from(rec[2]);
+                path_sum += path_len(route);
+                switch_sum += switches(route);
             }
             if bad {
                 return Err(self.first_unrouted(chunk));
             }
             hist.record_batch_clamped(&totals[..chunk.len()], cap);
             tally.wait_sum += wait_sum;
-            tally.tune_sum += tune_sum;
-            tally.switch_sum += switch_sum;
+            // Tuning time is path length plus the probe bucket, per request.
+            tally.tune_sum += u64::from(path_sum) + chunk.len() as u64;
+            tally.switch_sum += u64::from(switch_sum);
             tally.delivered += chunk.len() as u64;
         }
         Ok(())
@@ -733,21 +695,21 @@ impl CompiledProgram {
     #[cold]
     fn first_unrouted(&self, chunk: &[NodeId]) -> SimError {
         for &target in chunk {
-            if self.slot.get(target.index()).copied().unwrap_or(0) == 0 {
+            if self.record(target)[0] == 0 {
                 return SimError::NotADataNode(target);
             }
         }
         unreachable!("rejected chunk contains an unrouted target")
     }
 
-    /// Prefetches the packed route records of the next chunk's targets
-    /// (x86_64; a no-op elsewhere). One 16-byte record per node means one
-    /// hint per target covers everything the fused loop will load.
+    /// Prefetches the route records of the next chunk's targets (x86_64;
+    /// a no-op elsewhere). One 8-byte record per node means one hint per
+    /// target covers everything the fused loop will load.
     #[inline]
-    fn prefetch_slots(&self, targets: &[NodeId], from: usize) {
+    fn prefetch_records(&self, targets: &[NodeId], from: usize) {
         #[cfg(target_arch = "x86_64")]
         {
-            let n = self.packed.len();
+            let n = self.routes.len();
             let upto = (from + SERVE_CHUNK).min(targets.len());
             for &t in targets.get(from..upto).unwrap_or(&[]) {
                 let i = t.index();
@@ -756,7 +718,7 @@ impl CompiledProgram {
                     // prefetch has no other safety requirements.
                     unsafe {
                         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                        _mm_prefetch(self.packed.as_ptr().add(i).cast::<i8>(), _MM_HINT_T0);
+                        _mm_prefetch(self.routes.as_ptr().add(i).cast::<i8>(), _MM_HINT_T0);
                     }
                 }
             }
@@ -765,87 +727,6 @@ impl CompiledProgram {
         {
             let _ = (targets, from);
         }
-    }
-
-    /// AVX2 chunk body for a **full** chunk: draws the residues scalar
-    /// (the 64-bit mixes and the 128-bit fastmod multiply have no AVX2
-    /// equivalent), then gathers the three route columns eight lanes at a
-    /// time, computes `total = probe + (slot − 1)` per lane, stores the
-    /// totals for the batched histogram flush, and accumulates the wait /
-    /// tune / switch sums in 64-bit lanes. Exact integer arithmetic —
-    /// bit-identical to the scalar chunk body by construction. Returns
-    /// `false` (recording nothing) if any target is unrouted.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2 is available, `chunk.len() == SERVE_CHUNK`,
-    /// the route columns are non-empty, and their length fits `i32`.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn gather_chunk_avx2(
-        &self,
-        chunk: &[NodeId],
-        global_start: u64,
-        fm: FastMod,
-        seed: u64,
-        totals: &mut [u32; SERVE_CHUNK],
-        tally: &mut Tally,
-    ) -> bool {
-        use std::arch::x86_64::*;
-        let n = self.packed.len();
-        let mut probes = [0u32; SERVE_CHUNK];
-        let mut idx = [0i32; SERVE_CHUNK];
-        let mut bad = false;
-        for (c, &target) in chunk.iter().take(SERVE_CHUNK).enumerate() {
-            let i = target.index();
-            let slot = self.packed.get(i).map_or(0, |r| r[0]);
-            bad |= slot == 0;
-            // Clamped lane index keeps the gather in bounds; a bad chunk
-            // is rejected before anything is recorded. Scaled by 4: the
-            // gathers index u32 lanes of the packed records.
-            idx[c] = (i.min(n - 1) * 4) as i32;
-            probes[c] = self.cycle_len - fm.rem(mix64(seed, global_start + c as u64)) as u32;
-        }
-        if bad {
-            return false;
-        }
-        let base_ptr = self.packed.as_ptr().cast::<i32>();
-        let ones = _mm256_set1_epi32(1);
-        let mut wait_acc = _mm256_setzero_si256();
-        let mut tune_acc = _mm256_setzero_si256();
-        let mut switch_acc = _mm256_setzero_si256();
-        // Widens 8 u32 lanes into two 4×u64 halves and adds both into acc.
-        #[inline]
-        unsafe fn accumulate(acc: __m256i, v: __m256i) -> __m256i {
-            let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v));
-            let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(v, 1));
-            _mm256_add_epi64(_mm256_add_epi64(acc, lo), hi)
-        }
-        let mut c = 0;
-        while c < SERVE_CHUNK {
-            let vi = _mm256_loadu_si256(idx.as_ptr().add(c).cast::<__m256i>());
-            let vslot = _mm256_i32gather_epi32(base_ptr, vi, 4);
-            let vpath = _mm256_i32gather_epi32(base_ptr, _mm256_add_epi32(vi, ones), 4);
-            let vswitch =
-                _mm256_i32gather_epi32(base_ptr, _mm256_add_epi32(vi, _mm256_set1_epi32(2)), 4);
-            let vprobe = _mm256_loadu_si256(probes.as_ptr().add(c).cast::<__m256i>());
-            let vwait = _mm256_sub_epi32(vslot, ones);
-            let vtotal = _mm256_add_epi32(vprobe, vwait);
-            _mm256_storeu_si256(totals.as_mut_ptr().add(c).cast::<__m256i>(), vtotal);
-            wait_acc = accumulate(wait_acc, vwait);
-            tune_acc = accumulate(tune_acc, _mm256_add_epi32(vpath, ones));
-            switch_acc = accumulate(switch_acc, vswitch);
-            c += 8;
-        }
-        let mut lanes64 = [0u64; 4];
-        for (acc, sum) in [
-            (wait_acc, &mut tally.wait_sum),
-            (tune_acc, &mut tally.tune_sum),
-            (switch_acc, &mut tally.switch_sum),
-        ] {
-            _mm256_storeu_si256(lanes64.as_mut_ptr().cast::<__m256i>(), acc);
-            *sum += lanes64.iter().sum::<u64>();
-        }
-        true
     }
 
     /// Single lossy access through the route tables: the compiled
@@ -1620,6 +1501,85 @@ mod tests {
         c.begin_session(&mut session, &ServeOptions::default());
         assert_eq!(session.delivery_rate(), 1.0);
         assert_eq!(session.requests(), 0);
+    }
+
+    #[test]
+    fn too_deep_a_tree_is_refused_before_compiling() {
+        // A chain of 65,535 items is 65,536 levels deep: its deepest path
+        // length would overflow the route word's 16-bit half.
+        let t = builders::chain(&vec![bcast_types::Weight::from(1u32); 65_535]).unwrap();
+        assert_eq!(t.depth(), MAX_ROUTE_DEPTH + 1);
+        let a = Allocation::from_sequence(t.preorder(), &t).unwrap();
+        let p = BroadcastProgram::build(&a, &t).unwrap();
+        let err = CompiledProgram::compile(&p, &t).unwrap_err();
+        assert_eq!(err, SimError::TreeTooDeep(65_536));
+        assert!(err.to_string().contains("65536"), "{err}");
+    }
+
+    #[test]
+    fn maximal_route_words_are_exact_in_every_kernel() {
+        // Both 16-bit route fields at their maximum and slots reaching the
+        // cycle length — values no proptest tree produces, and the ones
+        // the chunked kernel's per-chunk `u32` route sums must survive.
+        let cycle_len = 1000u32;
+        let slot: Vec<u32> = (0..64u32)
+            .map(|i| match i % 4 {
+                0 => 0, // unrouted, like an index node
+                1 => cycle_len,
+                2 => 1,
+                _ => cycle_len - i,
+            })
+            .collect();
+        let route: Vec<u32> = slot
+            .iter()
+            .map(|&s| if s == 0 { 0 } else { u32::MAX })
+            .collect();
+        let routed = slot.iter().filter(|&&s| s != 0).count();
+        let c = CompiledProgram::from_columns(cycle_len, &slot, &route, routed);
+        let data = c.routed_nodes();
+        assert_eq!(data.len(), routed);
+        // Three full chunks plus a ragged tail.
+        let targets: Vec<NodeId> = (0..3 * SERVE_CHUNK + 37)
+            .map(|i| data[(i * 7) % data.len()])
+            .collect();
+        let clean = ServeOptions {
+            seed: 0xED6E,
+            ..ServeOptions::default()
+        };
+        let lossy = ServeOptions {
+            faults: FaultPlan::erasure(0.2, 0xFA11).unwrap(),
+            ..clean
+        };
+        let mut session = ServeSession::new();
+        for opts in [clean, lossy] {
+            let batch = c.serve_batch(&targets, &opts).unwrap();
+            assert_eq!(batch, c.serve_batch_scalar(&targets, &opts).unwrap());
+            assert_eq!(
+                batch,
+                c.serve_batch(&targets, &ServeOptions { threads: 3, ..opts })
+                    .unwrap()
+            );
+            if opts.faults.is_none() {
+                assert_eq!(batch.mean_tuning_time, f64::from(0xFFFF + 1));
+                assert_eq!(batch.mean_channel_switches, f64::from(0xFFFF));
+            }
+            // A session fed chunk by chunk, recording into its own
+            // histogram and straight into a window.
+            c.begin_session(&mut session, &opts);
+            for part in targets.chunks(SERVE_CHUNK) {
+                c.serve_chunk(&mut session, part).unwrap();
+            }
+            assert_eq!(session.to_metrics(), batch);
+            let mut window = LatencyHistogram::with_bound(batch.histogram.bound());
+            c.begin_session(&mut session, &opts);
+            for part in targets.chunks(SERVE_CHUNK) {
+                c.serve_chunk_into(&mut session, part, &mut window).unwrap();
+            }
+            assert_eq!(window, batch.histogram);
+            assert_eq!(session.delivered(), batch.delivered);
+            assert_eq!(session.failed(), batch.failed);
+            assert_eq!(session.retries(), batch.retries);
+        }
     }
 
     #[test]

@@ -53,7 +53,9 @@ pub mod snapshot;
 pub mod wire;
 
 pub use allocation::{Allocation, FeasibilityError};
-pub use compiled::{BatchMetrics, CompiledProgram, ServeOptions, ServeSession, SERVE_CHUNK};
+pub use compiled::{
+    BatchMetrics, CompiledProgram, ServeOptions, ServeSession, MAX_ROUTE_DEPTH, SERVE_CHUNK,
+};
 pub use faults::{
     ClientLink, DeliveredTrace, FailReason, FaultError, FaultPlan, GilbertElliott, RecoveryFailure,
     RecoveryPolicy, RequestOutcome,

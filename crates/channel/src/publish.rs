@@ -41,7 +41,7 @@
 //! reuses this exact pipeline.
 
 use crate::allocation::FeasibilityError;
-use crate::compiled::CompiledProgram;
+use crate::compiled::{CompiledProgram, MAX_ROUTE_DEPTH};
 use crate::program::{Bucket, Pointer};
 use crate::BroadcastProgram;
 use bcast_index_tree::IndexTree;
@@ -257,7 +257,9 @@ impl PublishPipeline {
     /// `tests/publish_pipeline.rs`).
     ///
     /// # Errors
-    /// The same feasibility classes the three-pass path surfaces:
+    /// [`FeasibilityError::TreeTooDeep`] if `tree` is deeper than
+    /// [`MAX_ROUTE_DEPTH`], before any state is touched. Otherwise the
+    /// same feasibility classes the three-pass path surfaces:
     /// [`FeasibilityError::BucketCollision`] when a slot holds more members
     /// than channels, [`FeasibilityError::NodePlacedTwice`] /
     /// [`FeasibilityError::NodeUnplaced`] when the plan is not a partition
@@ -278,6 +280,9 @@ impl PublishPipeline {
         num_channels: usize,
     ) -> Result<&CompiledProgram, FeasibilityError> {
         assert!(num_channels > 0, "need at least one channel");
+        if tree.depth() > MAX_ROUTE_DEPTH {
+            return Err(FeasibilityError::TreeTooDeep(tree.depth()));
+        }
         let n = tree.len();
         let k = num_channels;
 
@@ -796,6 +801,56 @@ mod tests {
         let mut pipe = PublishPipeline::new();
         let err = pipe.publish(&t, &plan, 2).unwrap_err();
         assert!(matches!(err, FeasibilityError::NodeUnplaced(_)));
+    }
+
+    /// A chain of `items` data nodes on two channels, each slot airing
+    /// one spine node's data child on the parent's channel and its index
+    /// child on the other, so the deepest item's route maxes out both
+    /// fields: path length `items + 1`, `items − 1` channel switches.
+    fn zigzag_chain(items: usize) -> (IndexTree, SlotPlan) {
+        let t = builders::chain(&vec![bcast_types::Weight::from(1u32); items]).unwrap();
+        let mut plan = SlotPlan::new();
+        plan.push(t.root());
+        plan.commit_slot();
+        let mut spine = t.root();
+        loop {
+            let children = t.children(spine);
+            for &c in children {
+                plan.push(c);
+            }
+            plan.commit_slot();
+            match children.iter().find(|&&c| !t.is_data(c)) {
+                Some(&next) => spine = next,
+                None => break,
+            }
+        }
+        (t, plan)
+    }
+
+    #[test]
+    fn too_deep_a_tree_is_refused_and_the_served_program_kept() {
+        let t = builders::paper_example();
+        let mut pipe = PublishPipeline::new();
+        pipe.publish(&t, &fig2b_plan(&t), 2).unwrap();
+        let good = pipe.current().clone();
+
+        // 65,535 items: 65,536 levels, one more than a route word counts.
+        let (deep, plan) = zigzag_chain(65_535);
+        let err = pipe.publish(&deep, &plan, 2).unwrap_err();
+        assert_eq!(err, FeasibilityError::TreeTooDeep(65_536));
+        assert_eq!(*pipe.current(), good);
+
+        // One level shallower publishes, bit-identical to the three-pass
+        // path, with both route fields at their largest real values.
+        let (t, plan) = zigzag_chain(65_534);
+        assert_eq!(t.depth(), MAX_ROUTE_DEPTH);
+        let fused = pipe.publish(&t, &plan, 2).unwrap().clone();
+        let program = pipe.materialize_program(&t);
+        assert_eq!(fused, CompiledProgram::compile(&program, &t).unwrap());
+        let last = *t.data_nodes().last().unwrap();
+        let trace = fused.access(last, Slot::FIRST).unwrap();
+        assert_eq!(trace.tuning_time, MAX_ROUTE_DEPTH + 1);
+        assert_eq!(trace.channel_switches, MAX_ROUTE_DEPTH - 2);
     }
 
     #[test]

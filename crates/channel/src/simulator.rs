@@ -62,6 +62,9 @@ pub enum SimError {
         /// The unreachable target.
         target: NodeId,
     },
+    /// The tree (of this depth) is deeper than a compiled route record can
+    /// count ([`MAX_ROUTE_DEPTH`](crate::compiled::MAX_ROUTE_DEPTH)).
+    TreeTooDeep(u32),
 }
 
 impl fmt::Display for SimError {
@@ -74,6 +77,11 @@ impl fmt::Display for SimError {
             SimError::NoRoute { at, target } => {
                 write!(f, "no pointer from {at} toward {target}")
             }
+            SimError::TreeTooDeep(depth) => write!(
+                f,
+                "tree depth {depth} exceeds the route record limit of {}",
+                crate::compiled::MAX_ROUTE_DEPTH
+            ),
         }
     }
 }

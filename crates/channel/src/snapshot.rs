@@ -6,7 +6,7 @@
 //! feasibility sweep, route compilation — which is ~0.4 s warm at one
 //! million items. Everything that publish produces, though, is a few
 //! flat `u32` arrays; persisting them turns the next boot into a file
-//! map, a checksum, and a column widen. The image is *fixed-layout by
+//! map, a checksum, and a column zip. The image is *fixed-layout by
 //! construction*: loading is a bounds-check-and-cast, never a parse, and
 //! [`MappedSnapshot`] validates the page cache's copy in place without
 //! ever materializing a second one.
@@ -26,9 +26,9 @@
 //! word  7   reserved     0
 //! then      slot[n]      T(Di) column (1-based; 0 = unrouted)
 //! then      route[n]     path_len in the low 16 bits, channel switches
-//!                        in the high 16 (both are per-access counters
-//!                        bounded by the tree height, so 16 bits each is
-//!                        generous — capture asserts the bound)
+//!                        in the high 16 (a program's own route word:
+//!                        its producers reject trees deeper than
+//!                        MAX_ROUTE_DEPTH, so both fields always fit)
 //! then      data[num_data] data-node ids, item order (the tenant's
 //!                          item → node map)
 //! last      crc          CRC-32C over every preceding word's LE bytes
@@ -170,37 +170,29 @@ impl SnapshotImage {
     /// # Panics
     /// Panics if `data_nodes` disagrees with the program's routed-node
     /// count — the caller hands in the catalog of the publish that
-    /// produced `program`, so a mismatch is a programming error — or if
-    /// a per-node metric overflows the packed route word's 16 bits
-    /// (both counters are bounded by the tree height; every real tree
-    /// is orders of magnitude below the bound).
+    /// produced `program`, so a mismatch is a programming error.
     pub fn capture(program: &CompiledProgram, channels: usize, data_nodes: &[NodeId]) -> Self {
-        let (cycle_len, slot, path_len, switches, num_data) = program.columns();
+        let num_data = program.num_data_nodes();
         assert_eq!(
             data_nodes.len(),
             num_data,
             "catalog size must match the program's routed nodes"
         );
-        let n = slot.len();
+        let records = program.records();
+        let n = records.len();
         let mut words = Vec::with_capacity(HEADER_WORDS + 2 * n + num_data + 1);
         words.extend_from_slice(&[
             SNAPSHOT_MAGIC,
             SNAPSHOT_VERSION,
             ENDIAN_MARK,
             u32::try_from(channels).expect("channel count fits u32"),
-            cycle_len,
+            program.cycle_len() as u32,
             u32::try_from(n).expect("node count fits u32"),
             u32::try_from(num_data).expect("data count fits u32"),
             0,
         ]);
-        words.extend_from_slice(slot);
-        words.extend(path_len.iter().zip(switches).map(|(&p, &s)| {
-            assert!(
-                p <= 0xFFFF && s <= 0xFFFF,
-                "route metrics overflow the packed word (path_len {p}, switches {s})"
-            );
-            p | (s << 16)
-        }));
+        words.extend(records.iter().map(|&[slot, _]| slot));
+        words.extend(records.iter().map(|&[_, route]| route));
         words.extend(data_nodes.iter().map(|d| d.0));
         words.push(crc32c(&words));
         SnapshotImage { words }
@@ -421,10 +413,9 @@ impl<'a> SnapshotView<'a> {
         self.data_nodes.iter().map(|&d| NodeId(d))
     }
 
-    /// Reconstructs the compiled program: one slot memcpy plus a fused
-    /// route-word widen that fills the metric columns and the packed
-    /// mirror — the entire cost of installing a snapshot beyond the
-    /// file map and checksum.
+    /// Reconstructs the compiled program by zipping the slot and route
+    /// columns into its `[slot, route]` records — the entire cost of
+    /// installing a snapshot beyond the file map and checksum.
     pub fn to_program(&self) -> CompiledProgram {
         CompiledProgram::from_columns(self.cycle_len, self.slot, self.route, self.num_data())
     }
@@ -625,6 +616,28 @@ mod tests {
         assert_eq!(view.num_data(), program.num_data_nodes());
         assert_eq!(view.data_nodes().collect::<Vec<_>>(), data);
         assert_eq!(view.to_program(), program);
+    }
+
+    #[test]
+    fn format_v1_is_pinned_word_for_word() {
+        // The Fig-2b program's version-1 image, word for word: snapshot
+        // files and the checkpoint manifests that embed them stay readable
+        // across builds only while this holds.
+        let (program, data) = compiled();
+        let image = SnapshotImage::capture(&program, 2, &data);
+        #[rustfmt::skip]
+        let v1: [u32; 32] = [
+            // magic, version, endian mark, k, cycle_len, n, num_data, 0
+            0x4243_5053, 1, 0x0102_0304, 2, 5, 9, 5, 0,
+            // slot[9]
+            0, 0, 0, 3, 3, 4, 0, 5, 5,
+            // route[9]: path_len | switches << 16
+            0, 0, 0, 3, 65_539, 65_539, 0, 131_076, 196_612,
+            // data[5], then the CRC-32C seal
+            3, 4, 5, 7, 8, 3_929_272_066,
+        ];
+        assert_eq!(image.words(), &v1[..]);
+        assert_eq!(image.view().unwrap().to_program(), program);
     }
 
     #[test]

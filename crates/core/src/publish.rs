@@ -91,10 +91,12 @@ impl Publisher {
     /// route tables, reusing every buffer from previous calls.
     ///
     /// # Errors
-    /// Propagates the pipeline's feasibility errors. The built-in
-    /// heuristics always produce feasible plans, so an error indicates a
-    /// bug — but the served program (see [`current`](Publisher::current))
-    /// is left untouched either way.
+    /// Propagates the pipeline's feasibility errors:
+    /// [`FeasibilityError::TreeTooDeep`] for a tree deeper than
+    /// [`MAX_ROUTE_DEPTH`](bcast_channel::MAX_ROUTE_DEPTH) levels.
+    /// Otherwise the built-in heuristics always produce feasible plans, so
+    /// an error indicates a bug — but the served program (see
+    /// [`current`](Publisher::current)) is left untouched either way.
     ///
     /// # Panics
     /// Panics if `k == 0`.

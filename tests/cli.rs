@@ -424,3 +424,38 @@ fn serve_checkpoints_and_restores_from_manifests() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("spec"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A tree deeper than a route record can count — a 65,535-item chain is
+/// 65,536 levels deep — is refused by `snapshot save` with the typed
+/// publish error and exit 1: no panic, and no snapshot file written.
+#[test]
+fn snapshot_save_refuses_a_too_deep_tree() {
+    let items = 65_535;
+    let mut text = String::from("index I1 -\n");
+    for i in 1..=items {
+        text.push_str(&format!("data D{i} I{i} 1\n"));
+        if i < items {
+            text.push_str(&format!("index I{} I{i}\n", i + 1));
+        }
+    }
+    let dir = std::env::temp_dir();
+    let input = dir.join(format!("bcast-cli-chain-{}.tree", std::process::id()));
+    let output = dir.join(format!("bcast-cli-chain-{}.snap", std::process::id()));
+    std::fs::write(&input, text).expect("write tree");
+    let out = bcast()
+        .args(["snapshot", "save", "--channels", "2", "--input"])
+        .arg(&input)
+        .arg("--output")
+        .arg(&output)
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&input).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.contains("tree depth 65536 exceeds the route record limit of 65535"),
+        "got: {err}"
+    );
+    assert!(!err.contains("panicked"), "must not panic: {err}");
+    assert!(!output.exists(), "a refused publish writes no snapshot");
+}
