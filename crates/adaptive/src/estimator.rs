@@ -273,6 +273,15 @@ impl EmaEstimator {
         if occupied > items {
             return None;
         }
+        // Allocate nothing the stream cannot back: the occupied pairs, the
+        // two dense runs and the dirty length must all be present first.
+        let needed = items
+            .checked_mul(2)
+            .and_then(|n| n.checked_add(occupied))
+            .and_then(|n| n.checked_add(1))?;
+        if words.len() < needed {
+            return None;
+        }
         let mut counts = vec![0u32; items];
         let mut prev: Option<usize> = None;
         for &pair in take(words, occupied)? {
@@ -501,6 +510,15 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn a_huge_item_count_fails_closed_before_allocating() {
+        // A header claiming 2^40 items over an empty body must be refused
+        // from its length, not by an allocation the input cannot back.
+        let words = [0.5f64.to_bits(), 1 << 40, 0, 0];
+        let mut cursor = &words[..];
+        assert!(EmaEstimator::import_state(&mut cursor).is_none());
     }
 
     proptest! {

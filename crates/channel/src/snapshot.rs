@@ -68,7 +68,7 @@ use crate::compiled::CompiledProgram;
 use bcast_types::crc::crc32c;
 use bcast_types::NodeId;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// First word of every snapshot image.
 pub const SNAPSHOT_MAGIC: u32 = 0x4243_5053;
@@ -228,34 +228,21 @@ impl SnapshotImage {
         out
     }
 
-    /// Writes the image to `path`.
+    /// Writes the image to `path` through [`write_word_file`]: a failed
+    /// or interrupted save leaves the previous file at `path` intact.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_bytes())?;
+        write_word_file(path.as_ref(), &self.words)?;
         Ok(())
     }
 
-    /// Reads an image from `path` (framing only; validate via
-    /// [`view`](SnapshotImage::view)). The file is read straight into
-    /// the word buffer — one copy, no intermediate byte vector. For a
-    /// boot path that never needs an owned copy at all, use
+    /// Reads an image from `path` through [`read_word_file`] (framing
+    /// only; validate via [`view`](SnapshotImage::view)). For a boot
+    /// path that never needs an owned copy at all, use
     /// [`MappedSnapshot::open`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        use std::io::Read;
-        let mut file = std::fs::File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len()).expect("snapshot fits in memory");
-        if len % 4 != 0 {
-            return Err(SnapshotError::NotWordSized(len));
-        }
-        let mut words = vec![0u32; len / 4];
-        // SAFETY: `u32` is plain old data; the byte view covers exactly
-        // the buffer we just allocated.
-        let dst = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), len) };
-        file.read_exact(dst)?;
-        #[cfg(target_endian = "big")]
-        for w in &mut words {
-            *w = u32::from_le(*w);
-        }
-        Ok(SnapshotImage { words })
+        Ok(SnapshotImage {
+            words: read_word_file(path.as_ref())?,
+        })
     }
 
     /// Size of the serialized image in bytes.
@@ -281,6 +268,71 @@ impl SnapshotImage {
     pub fn view(&self) -> Result<SnapshotView<'_>, SnapshotError> {
         SnapshotView::new(&self.words)
     }
+}
+
+/// Writes `words` to `path` as little-endian bytes, crash-safely: the
+/// bytes go to a `.tmp` sibling, which is fsynced and renamed over
+/// `path`, and then the directory is fsynced. A crash or error at any
+/// step leaves either the previous file or the complete new one at
+/// `path`, never a torn file. Snapshots and the serve crate's checkpoint
+/// manifests are both written through here.
+pub fn write_word_file(path: &Path, words: &[u32]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    // On a little-endian host the file bytes are the words' own memory,
+    // so multi-megabyte images are written without a byte-copy pass.
+    #[cfg(target_endian = "little")]
+    // SAFETY: every u32 is 4 valid initialized bytes; alignment of u8 is 1.
+    let bytes: &[u8] =
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 4) };
+    #[cfg(not(target_endian = "little"))]
+    let bytes_buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    #[cfg(not(target_endian = "little"))]
+    let bytes: &[u8] = &bytes_buf;
+    let mut tmp_path = path.as_os_str().to_owned();
+    tmp_path.push(".tmp");
+    let tmp_path = PathBuf::from(tmp_path);
+    {
+        let mut file = std::fs::File::create(&tmp_path)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp_path, path)?;
+    // Make the rename itself durable before reporting success.
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Reads a little-endian word file (as [`write_word_file`] writes it)
+/// into native words. The file is read straight into the word buffer —
+/// one copy, no intermediate byte vector — and the buffer is sized from
+/// the file's own length. Framing only: a length that is not a whole
+/// number of words is [`SnapshotError::NotWordSized`], and what the words
+/// mean is the caller's to validate.
+pub fn read_word_file(path: &Path) -> Result<Vec<u32>, SnapshotError> {
+    use std::io::Read as _;
+    let mut file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len())
+        .map_err(|_| SnapshotError::Io(std::io::ErrorKind::FileTooLarge))?;
+    if !len.is_multiple_of(4) {
+        return Err(SnapshotError::NotWordSized(len));
+    }
+    let mut words = vec![0u32; len / 4];
+    // SAFETY: `u32` is plain old data; the byte view covers exactly the
+    // buffer we just allocated.
+    let dst = unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), len) };
+    file.read_exact(dst)?;
+    #[cfg(target_endian = "big")]
+    for w in &mut words {
+        *w = u32::from_le(*w);
+    }
+    Ok(words)
 }
 
 /// A validated, zero-copy window over a snapshot's words: the column
@@ -658,6 +710,25 @@ mod tests {
         let back = SnapshotImage::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back, image);
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_snapshot() {
+        let (program, data) = compiled();
+        let image = SnapshotImage::capture(&program, 2, &data);
+        let dir = std::env::temp_dir().join(format!("bcast-snapshot-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("program.snap");
+        image.save(&path).unwrap();
+        // A directory squatting on the temp sibling makes the next save
+        // fail before it reaches `path`.
+        std::fs::create_dir_all(dir.join("program.snap.tmp")).unwrap();
+        let err = SnapshotImage::from_words(vec![0; 4])
+            .save(&path)
+            .unwrap_err();
+        assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
+        assert_eq!(SnapshotImage::load(&path).unwrap(), image);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

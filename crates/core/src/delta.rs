@@ -20,7 +20,7 @@
 //! 1. **Dirty frontier** — the changed leaves' proper ancestors are the
 //!    only nodes whose density keys move, so only their child ranges can
 //!    reorder. Each dirty range is re-sorted from a fresh CSR copy with
-//!    the *same* [`sort_range`] kernel the full path uses (the comparison
+//!    the *same* `sort_range` kernel the full path uses (the comparison
 //!    path is a total order on `(key, id)`, the radix path is stable from
 //!    ascending-id input), so the re-sorted range is bit-identical to what
 //!    a full publish would produce.
@@ -54,7 +54,7 @@
 //! back; `tests/delta_republish.rs` pins delta == full bit-identically
 //! across random trees × heuristics × `k` × churn fractions.
 //!
-//! [`sort_range`]: crate::heuristics::sorting::sort_range
+//! [`PublishPipeline::republish_delta`]: bcast_channel::PublishPipeline::republish_delta
 
 use crate::heuristics::sorting::{density_key, sort_range};
 use crate::publish::{PublishHeuristic, PublishOptions, Publisher};
@@ -127,15 +127,6 @@ impl DeltaReport {
     /// True when the in-place repair lane ran.
     pub fn is_delta(&self) -> bool {
         self.lane == DeltaLane::Patched
-    }
-
-    /// Touched fraction of the program, in `[0, 1]`.
-    pub fn touched_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.touched as f64 / self.total as f64
-        }
     }
 }
 

@@ -14,7 +14,7 @@
 //!   prunes against it at generation and again at expansion;
 //! * a **sharded seen-state table** — the dominance layer of the sequential
 //!   search (`best g per (placed-set, slots-used)`), split across
-//!   [`SEEN_SHARDS`] mutexes keyed by the placed-set hash so concurrent
+//!   `SEEN_SHARDS` mutexes keyed by the placed-set hash so concurrent
 //!   inserts rarely collide. Each shard is a flat
 //!   [`bcast_types::DominanceTable`] over shard-interned placed sets: a
 //!   probe hashes nothing (tasks carry their hash from birth) and an
@@ -65,6 +65,8 @@
 //! ties inside one fixed-point quantum re-compared exactly, so the reported
 //! optimum carries no quantization error and equals the sequential search's
 //! result (asserted by the `parallel_equivalence` property suite).
+//!
+//! [`BoundKind`]: crate::bound::BoundKind
 
 use crate::avail::PathState;
 use crate::best_first::{BestFirstOptions, BestFirstResult, NodeLimitExceeded, SearchStats};

@@ -151,7 +151,7 @@ impl IndexTree {
     /// Tree *structure* (children, levels, preorder, subtree sizes) is
     /// untouched, so every structural cache stays valid. Dirty subtree
     /// weights are recomputed with the exact accumulation order of
-    /// [`IndexTree::from_arena`] (children folded in reverse child order),
+    /// `IndexTree::from_arena` (children folded in reverse child order),
     /// so the repaired table is **bit-identical** to the one a from-scratch
     /// build over the new weights would produce — the property the delta
     /// republish lane's density keys rely on.

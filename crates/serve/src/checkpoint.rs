@@ -19,7 +19,7 @@
 //!   truncated, bit-flipped or version-skewed newest manifest means the
 //!   previous generation restores instead; only a directory with no
 //!   valid manifest at all errors. The writer keeps the last
-//!   [`KEEP_GENERATIONS`] generations to make that fallback real.
+//!   `KEEP_GENERATIONS` generations to make that fallback real.
 //! * **Bit-identical resumption.** The manifest carries every input the
 //!   slice loop consumes (see [`TenantRuntime`]'s state export), so a
 //!   run crashed at any slice boundary and restored produces the same
@@ -30,9 +30,9 @@
 //! [`TenantRuntime`]: crate::tenant::TenantRuntime
 
 use crate::service::ServeLoop;
+use bcast_channel::snapshot::{read_word_file, write_word_file};
 use bcast_types::crc::crc32c;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Manifest magic: `"BCKP"` as little-endian ASCII words.
@@ -372,36 +372,15 @@ fn manifest_name(slice: u64) -> String {
     format!("manifest-{slice:020}.bcp")
 }
 
-/// Writes a sealed manifest atomically: `.tmp` sibling → fsync → rename
-/// → directory fsync — a crash at any point leaves either the previous
-/// generation or the complete new one, never a torn file. Older
-/// generations beyond [`KEEP_GENERATIONS`] are pruned afterwards.
+/// Writes a sealed manifest atomically through [`write_word_file`]
+/// (`.tmp` sibling → fsync → rename → directory fsync): a crash at any
+/// point leaves either the previous generation or the complete new one,
+/// never a torn file. Older generations beyond [`KEEP_GENERATIONS`] are
+/// pruned afterwards.
 fn write_manifest(dir: &Path, slice: u64, payload: &[u32]) -> Result<PathBuf, CheckpointError> {
     fs::create_dir_all(dir)?;
-    let words = seal(payload);
-    // The file layout is the little-endian byte image of the word
-    // stream; on a little-endian host that is the words' own memory, so
-    // multi-megabyte manifests are written without a byte-copy pass.
-    #[cfg(target_endian = "little")]
-    // SAFETY: every u32 is 4 valid initialized bytes; alignment of u8 is 1.
-    let bytes: &[u8] =
-        unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 4) };
-    #[cfg(not(target_endian = "little"))]
-    let bytes_buf: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    #[cfg(not(target_endian = "little"))]
-    let bytes: &[u8] = &bytes_buf;
-    let name = manifest_name(slice);
-    let final_path = dir.join(&name);
-    let tmp_path = dir.join(format!("{name}.tmp"));
-    {
-        let mut file = fs::File::create(&tmp_path)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp_path, &final_path)?;
-    // Make the rename itself durable before reporting success.
-    #[cfg(unix)]
-    fs::File::open(dir)?.sync_all()?;
+    let final_path = dir.join(manifest_name(slice));
+    write_word_file(&final_path, &seal(payload))?;
     for stale in manifest_paths(dir)?.into_iter().skip(KEEP_GENERATIONS) {
         // Pruning is best-effort: a leftover old generation is harmless.
         let _ = fs::remove_file(stale);
@@ -430,38 +409,7 @@ fn manifest_paths(dir: &Path) -> Result<Vec<PathBuf>, CheckpointError> {
 /// any I/O or validation failure — the restore loop treats both as "try
 /// the next generation".
 fn decode_file(path: &Path) -> Option<Vec<u32>> {
-    // Mirror of the write path: on a little-endian host the file bytes
-    // ARE the word stream, so the file reads straight into the word
-    // buffer — no intermediate byte vector, no conversion pass. Restore
-    // wall is dominated by how many bytes move; this is the floor.
-    #[cfg(target_endian = "little")]
-    let words: Vec<u32> = {
-        use std::io::Read;
-        let mut file = fs::File::open(path).ok()?;
-        let len = file.metadata().ok()?.len();
-        if !len.is_multiple_of(4) {
-            return None;
-        }
-        let n = usize::try_from(len / 4).ok()?;
-        let mut words = vec![0u32; n];
-        // SAFETY: the destination is exactly `4 * n` initialized bytes;
-        // u8 writes need no alignment.
-        let buf: &mut [u8] =
-            unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), 4 * n) };
-        file.read_exact(buf).ok()?;
-        words
-    };
-    #[cfg(not(target_endian = "little"))]
-    let words: Vec<u32> = {
-        let bytes = fs::read(path).ok()?;
-        if !bytes.len().is_multiple_of(4) {
-            return None;
-        }
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect()
-    };
+    let words = read_word_file(path).ok()?;
     unseal(&words)?;
     Some(words)
 }

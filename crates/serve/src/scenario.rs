@@ -126,16 +126,6 @@ impl ScenarioOutcome {
             .sum()
     }
 
-    /// Worst per-tenant p99 access time (slots) across the run.
-    pub fn worst_p99_slots(&self) -> u32 {
-        self.phases
-            .iter()
-            .flat_map(|p| &p.tenants)
-            .map(|t| t.snapshot.p99_slots)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Folds every deterministic field of the outcome into one
     /// order-sensitive 64-bit FNV-1a digest (floats by bit pattern). Two
     /// runs are bit-identical iff their fingerprints match — the cheap

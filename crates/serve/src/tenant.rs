@@ -568,8 +568,8 @@ impl TenantRuntime {
     /// lane or perturb a neighbor. The panicking tenant enters
     /// quarantine: it keeps serving from its last-good double-buffered
     /// program with every rebuild path suspended, and after an
-    /// exponential backoff ([`QUARANTINE_BASE_SLICES`] slices, doubling
-    /// to [`QUARANTINE_MAX_SLICES`]) a probe slice with rebuilds
+    /// exponential backoff (`QUARANTINE_BASE_SLICES` slices, doubling
+    /// to `QUARANTINE_MAX_SLICES`) a probe slice with rebuilds
     /// re-enabled decides readmission. Both transitions are counted in
     /// the window ([`SloSnapshot::quarantined`] /
     /// [`SloSnapshot::readmitted`]) and — panics being deterministic

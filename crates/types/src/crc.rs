@@ -81,7 +81,7 @@ fn gf2_square(square: &mut [u32; 32], mat: &[u32; 32]) {
 /// Advances a raw (reflected, un-finalized) CRC-32C register across
 /// `len` zero bytes in O(log len) matrix squarings — zlib's
 /// `crc32_combine` construction with the Castagnoli polynomial. This is
-/// what lets [`crc32c_hw`] split the message into three independent
+/// what lets `crc32c_hw` split the message into three independent
 /// instruction streams and still produce the one defined checksum:
 /// `crc(A‖B) = shift(crc(A), len(B)) ^ crc0(B)` by linearity.
 pub fn crc32c_shift(crc: u32, mut len: usize) -> u32 {

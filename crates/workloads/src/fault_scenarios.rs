@@ -3,8 +3,8 @@
 //! The degradation experiments sweep the serving stack across channel
 //! conditions from clean to hostile. This module keeps the scenario
 //! *parameters* (plain numbers — no dependency on the channel crate, which
-//! constructs its seeded `FaultPlan` from them), so benches, tests and the
-//! CLI all iterate the same named grid.
+//! constructs its seeded `FaultPlan` from them), so scenario scripts,
+//! benches and tests describe a channel the same way.
 
 /// Gilbert–Elliott burst parameters of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,62 +45,6 @@ pub struct FaultScenario {
     pub burst: Option<BurstProfile>,
 }
 
-impl FaultScenario {
-    /// Long-run expected per-read loss rate of the scenario.
-    pub fn expected_loss(&self) -> f64 {
-        match self.burst {
-            Some(b) => {
-                let denom = b.p_good_to_bad + b.p_bad_to_good;
-                let pi_bad = if denom > 0.0 {
-                    b.p_good_to_bad / denom
-                } else {
-                    0.0
-                };
-                (1.0 - pi_bad) * b.loss_good + pi_bad * b.loss_bad
-            }
-            None => self.erasure_p,
-        }
-    }
-}
-
-/// The standard scenario grid used by the PR 5 benches and reports:
-/// clean, 1% / 5% / 20% independent erasure, and a bursty channel with a
-/// comparable long-run loss rate but strongly correlated failures.
-pub fn standard_scenarios() -> Vec<FaultScenario> {
-    vec![
-        FaultScenario {
-            name: "clean",
-            erasure_p: 0.0,
-            burst: None,
-        },
-        FaultScenario {
-            name: "erasure-1pct",
-            erasure_p: 0.01,
-            burst: None,
-        },
-        FaultScenario {
-            name: "erasure-5pct",
-            erasure_p: 0.05,
-            burst: None,
-        },
-        FaultScenario {
-            name: "erasure-20pct",
-            erasure_p: 0.20,
-            burst: None,
-        },
-        FaultScenario {
-            name: "bursty",
-            erasure_p: 0.0,
-            burst: Some(BurstProfile {
-                p_good_to_bad: 0.05,
-                p_bad_to_good: 0.25,
-                loss_good: 0.005,
-                loss_bad: 0.5,
-            }),
-        },
-    ]
-}
-
 /// An evenly spaced erasure-probability sweep `0 ..= max_p` with `steps`
 /// points (inclusive of both ends) — the degradation-curve x-axis.
 ///
@@ -117,20 +61,6 @@ pub fn erasure_sweep(max_p: f64, steps: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_grid_is_ordered_by_expected_loss() {
-        let grid = standard_scenarios();
-        assert_eq!(grid[0].expected_loss(), 0.0);
-        for w in grid[..4].windows(2) {
-            assert!(w[0].expected_loss() < w[1].expected_loss());
-        }
-        // The bursty scenario sits in the single-digit-percent range.
-        let bursty = grid.last().unwrap();
-        assert!(bursty.burst.is_some());
-        let loss = bursty.expected_loss();
-        assert!((0.01..0.2).contains(&loss), "bursty loss {loss}");
-    }
 
     #[test]
     fn sweep_covers_both_endpoints_monotonically() {

@@ -17,7 +17,7 @@ pub mod rng;
 pub mod scenario;
 pub mod shapes;
 
-pub use fault_scenarios::{erasure_sweep, standard_scenarios, BurstProfile, FaultScenario};
+pub use fault_scenarios::{erasure_sweep, BurstProfile, FaultScenario};
 pub use freq::FrequencyDist;
 pub use requests::{AliasTable, RequestStream, TaggedAliasTable};
 pub use scenario::{

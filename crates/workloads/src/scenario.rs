@@ -714,7 +714,10 @@ mod tests {
 
     #[test]
     fn brownout_channel_loses_about_a_fifth() {
-        let loss = brownout_channel().expected_loss();
+        let burst = brownout_channel()
+            .burst
+            .expect("the brownout channel is bursty");
+        let loss = burst.expected_loss();
         assert!((0.15..0.30).contains(&loss), "expected ~20% loss: {loss}");
     }
 }

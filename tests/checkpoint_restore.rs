@@ -89,7 +89,9 @@ fn crash_at_every_slice_boundary_is_bit_identical() {
 }
 
 /// A bare `ServeLoop` (no scenario driver) checkpoints and restores the
-/// same way — and an empty directory fails closed with a typed error.
+/// same way, a service that keeps checkpointing runs on exactly like one
+/// that never did — and an empty directory fails closed with a typed
+/// error.
 #[test]
 fn bare_service_checkpoint_restores_and_empty_dir_fails_closed() {
     use broadcast_alloc::types::SloSpec;
@@ -121,6 +123,8 @@ fn bare_service_checkpoint_restores_and_empty_dir_fails_closed() {
     for _ in 0..5 {
         restored.run_slice();
         uninterrupted.run_slice();
+        svc.run_slice();
+        svc.checkpoint(&dir).unwrap();
     }
     let snap = |svc: &ServeLoop| {
         svc.tenants()
@@ -129,6 +133,11 @@ fn bare_service_checkpoint_restores_and_empty_dir_fails_closed() {
             .collect::<Vec<_>>()
     };
     assert_eq!(snap(&restored), snap(&uninterrupted));
+    assert_eq!(
+        snap(&svc),
+        snap(&uninterrupted),
+        "a checkpoint is a pure read"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
