@@ -295,17 +295,21 @@ impl LatencyHistogram {
 
     /// Rebuilds a histogram from a word stream written by
     /// [`export_state`](Self::export_state), consuming exactly the words
-    /// it reads. Fails closed: a truncated stream, out-of-order or
-    /// out-of-range bucket indices, or counts that do not sum to `total`
-    /// yield `None`.
-    pub fn import_state(words: &mut &[u64]) -> Option<Self> {
+    /// it reads. The stream is sparse, so its length does not bound the
+    /// dense bucket array: the caller supplies `max_buckets` from state it
+    /// has already validated, and a larger count is refused before
+    /// anything is allocated. Fails closed: a truncated stream, a bucket
+    /// count above `max_buckets`, out-of-order or out-of-range bucket
+    /// indices, or counts that do not sum to `total` yield `None`.
+    pub fn import_state(words: &mut &[u64], max_buckets: usize) -> Option<Self> {
         if words.len() < 6 {
             return None;
         }
         let (head, rest) = words.split_at(6);
         let buckets = usize::try_from(head[0]).ok()?;
         let occupied = usize::try_from(head[5]).ok()?;
-        if buckets == 0 || occupied > buckets || rest.len() < 2 * occupied {
+        if buckets == 0 || buckets > max_buckets || occupied > buckets || rest.len() / 2 < occupied
+        {
             return None;
         }
         let (pairs, rest) = rest.split_at(2 * occupied);
@@ -531,13 +535,13 @@ mod tests {
         let mut words = Vec::new();
         h.export_state(&mut words);
         let mut cursor = &words[..];
-        let back = LatencyHistogram::import_state(&mut cursor).expect("valid stream");
+        let back = LatencyHistogram::import_state(&mut cursor, 33).expect("valid stream");
         assert!(cursor.is_empty());
         assert_eq!(back, h);
         for cut in 0..words.len() {
             let mut cursor = &words[..cut];
             assert!(
-                LatencyHistogram::import_state(&mut cursor).is_none(),
+                LatencyHistogram::import_state(&mut cursor, 33).is_none(),
                 "cut {cut}"
             );
         }
@@ -545,6 +549,23 @@ mod tests {
         let mut bad = words.clone();
         bad[1] += 1;
         let mut cursor = &bad[..];
-        assert!(LatencyHistogram::import_state(&mut cursor).is_none());
+        assert!(LatencyHistogram::import_state(&mut cursor, 33).is_none());
+        // So is a bucket count above the caller's maximum.
+        let mut cursor = &words[..];
+        assert!(LatencyHistogram::import_state(&mut cursor, 32).is_none());
+    }
+
+    #[test]
+    fn oversized_bucket_counts_fail_closed_before_allocating() {
+        // An empty histogram's header claiming 2^40 buckets (an 8 TiB
+        // array) or u64::MAX buckets must be refused, not allocated.
+        for buckets in [1u64 << 40, u64::MAX] {
+            let words = [buckets, 0, 0, 0, 0, 0];
+            let mut cursor = &words[..];
+            assert!(
+                LatencyHistogram::import_state(&mut cursor, 1 << 20).is_none(),
+                "{buckets} buckets"
+            );
+        }
     }
 }

@@ -40,8 +40,8 @@
 //!    out-of-region children via spawned follow-up regions; any spawn
 //!    that would reach back into committed slots aborts to the full lane.
 //!    Windows that touch an inner-level (pre-dump) placement, detected by
-//!    conservative per-level position guards recorded during the full
-//!    run, also abort — inner selection is a global order property.
+//!    conservative per-level position guards read off the full run's
+//!    plan, also abort — inner selection is a global order property.
 //! 4. **Route patch** — [`PublishPipeline::republish_delta`] reconciles
 //!    the back buffer with the served tables (an O(patched) journal
 //!    replay after a previous patch; a full copy only after a full
@@ -56,6 +56,7 @@
 //!
 //! [`PublishPipeline::republish_delta`]: bcast_channel::PublishPipeline::republish_delta
 
+use crate::heuristics::one_to_k;
 use crate::heuristics::sorting::{density_key, sort_range};
 use crate::publish::{PublishHeuristic, PublishOptions, Publisher};
 use bcast_channel::{FeasibilityError, SlotPlan};
@@ -160,8 +161,9 @@ pub(crate) struct DeltaState {
     /// First slot committed by the `1_To_k` dump (0 when `k == 1`).
     first_dump_slot: u32,
     /// `inner_guard[level]` = one past the max position any inner-level
-    /// step at `level` or deeper selected; positions below it may not be
-    /// reordered without consulting the inner selection.
+    /// step at `level` or deeper selected (inner slot `s` is level
+    /// `s + 1`'s); positions below it may not be reordered without
+    /// consulting the inner selection.
     inner_guard: Vec<u32>,
     /// Epoch stamps for dirty-parent dedup, keyed by node index.
     stamp: Vec<u32>,
@@ -199,15 +201,14 @@ impl DeltaState {
 
     /// Rebuilds the snapshot after a successful full `Sorting` publish:
     /// two O(n) passes over buffers whose capacity survives, so the warm
-    /// publish path stays allocation-free.
+    /// publish path stays allocation-free. The inner-level placements the
+    /// guards cover are read off the plan's slots before the dump.
     pub(crate) fn rebuild(
         &mut self,
         tree: &IndexTree,
         k: usize,
         order: &[NodeId],
         plan: &SlotPlan,
-        first_dump_slot: u32,
-        inner_log: &[(NodeId, u32, u32)],
     ) {
         let n = tree.len();
         self.seq.clear();
@@ -215,6 +216,14 @@ impl DeltaState {
         for (i, &nd) in order.iter().enumerate() {
             self.seq[nd.index()] = i as u32;
         }
+        let first_dump_slot = if k == 1 {
+            0
+        } else {
+            one_to_k::first_dump_slot(tree)
+        };
+        let depth = tree.depth() as usize;
+        self.inner_guard.clear();
+        self.inner_guard.resize(depth + 2, 0);
         self.pos_slot.clear();
         self.pos_slot.resize(n, 0);
         self.slot_positions.clear();
@@ -225,14 +234,11 @@ impl DeltaState {
                 let p = self.seq[members[idx].index()];
                 self.slot_positions[idx] = p;
                 self.pos_slot[p as usize] = s as u32;
+                if (s as u32) < first_dump_slot {
+                    let g = &mut self.inner_guard[s + 1];
+                    *g = (*g).max(p + 1);
+                }
             }
-        }
-        let depth = tree.depth() as usize;
-        self.inner_guard.clear();
-        self.inner_guard.resize(depth + 2, 0);
-        for &(nd, lvl, _slot) in inner_log {
-            let g = &mut self.inner_guard[lvl as usize];
-            *g = (*g).max(self.seq[nd.index()] + 1);
         }
         for lvl in (1..=depth).rev() {
             self.inner_guard[lvl] = self.inner_guard[lvl].max(self.inner_guard[lvl + 1]);

@@ -1,11 +1,11 @@
 //! The `1_To_k_BroadcastChannel` procedure (§4.2).
 //!
 //! Distributes a 1-channel broadcast (a sorted preorder sequence) over `k`
-//! channels: the sequence is bucketed into per-level lists (nodes of the
-//! same tree level, ascending sequence number); each level then fills one
-//! slot with up to `k` nodes, and nodes that do not fit are *merged* into
-//! the next level's list (by sequence number). The final list is dumped
-//! `k` per slot.
+//! channels. The paper buckets the sequence into per-level lists (nodes of
+//! the same tree level, ascending sequence number); each level then fills
+//! one slot with up to `k` nodes, and nodes that do not fit are *merged*
+//! into the next level's list (by sequence number). The final list is
+//! dumped `k` per slot.
 //!
 //! Two repairs over the paper's pseudocode, documented in DESIGN.md:
 //!
@@ -16,20 +16,21 @@
 //!   any node whose parent is not yet in a strictly earlier slot — it
 //!   simply stays for a later slot.
 //!
-//! ## Zero-allocation engine
+//! ## One sweep
 //!
-//! [`distribute_into`] is the million-node entry point: it emits the slot
-//! schedule straight into a reusable [`SlotPlan`], with every intermediate
-//! (the inverse permutation, the per-level lists, the carry/pending
-//! worklists) living in a [`DistributeScratch`] whose capacity survives
-//! across rebuilds. The per-level lists are built by a counting sort over
-//! tree levels — per-chunk histograms, prefix offsets, then a parallel
-//! scatter in which each worker owns a contiguous band of levels (and
-//! hence a contiguous region of the bucket array), so the result is
-//! bit-identical at every thread count. The last level's dump — where the
-//! deferral repair used to rescan the remaining list per slot, quadratic
-//! once a subtree piles up behind an unplaced ancestor — runs off an
-//! awake set ([`MinSeqSet`]) in near-linear time instead.
+//! With the second repair, every slot — an inner level's or the dump's —
+//! takes the `k` smallest-sequence nodes whose parent aired in a strictly
+//! earlier slot. Such a node is never deeper than the level being filled
+//! (slot `s` holds nodes of level at most `s + 1`, by induction from the
+//! root), so each level's merged list already holds every eligible node
+//! and the level lists decide nothing. [`distribute_into`] therefore runs
+//! the whole procedure as one sweep over an *awake set* ([`MinSeqSet`])
+//! keyed by sequence number: seed it with the root, pop up to `k` per slot,
+//! and after committing a slot wake the placed nodes' children. The sweep
+//! is near-linear, where the per-level form re-merges the unplaced carry
+//! at every level (`O(n · depth)`), and it writes the identical plan; the
+//! test module keeps the per-level form as the oracle. Every buffer lives
+//! in a [`DistributeScratch`] whose capacity survives across rebuilds.
 
 use crate::schedule::Schedule;
 use crate::seqset::MinSeqSet;
@@ -38,35 +39,15 @@ use bcast_index_tree::IndexTree;
 use bcast_types::NodeId;
 
 /// Reusable buffers for [`distribute_into`]; capacity survives across
-/// calls, so a steady-state distributor performs no heap allocation on the
-/// single-threaded path.
+/// calls, so a steady-state distributor performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct DistributeScratch {
     /// `seq[n]` = position of node `n` in the input order.
     seq: Vec<u32>,
-    /// Slot of each placed node this run; `u32::MAX` = unplaced.
-    slot_of: Vec<u32>,
-    /// Counting-sort histograms: one row of `depth + 1` level counts per
-    /// worker (a single row sequentially); the sequential row doubles as
-    /// the scatter cursors.
-    counts: Vec<u32>,
-    /// `level_starts[l] .. level_starts[l + 1]` bounds level `l`'s nodes
-    /// inside `buckets`.
-    level_starts: Vec<u32>,
-    /// All nodes bucketed by level, ascending sequence within each level.
-    buckets: Vec<NodeId>,
-    /// Merge output: the current level's list fused with the carry.
-    merged: Vec<NodeId>,
-    /// Nodes deferred past the current level.
-    carry: Vec<NodeId>,
-    /// Nodes awaiting a slot within the current level.
-    pending: Vec<NodeId>,
-    /// Nodes deferred past the current slot.
-    rest: Vec<NodeId>,
-    /// Last-level dump: awake nodes (parent aired in a strictly earlier
-    /// slot) keyed by sequence number.
+    /// Awake nodes (parent aired in a strictly earlier slot) keyed by
+    /// sequence number.
     awake: MinSeqSet,
-    /// Position-space child table for the dump:
+    /// Position-space child table:
     /// `pos_children[pos_starts[i] .. pos_starts[i + 1]]` holds the
     /// sequence numbers of the children of `order[i]`.
     pos_starts: Vec<u32>,
@@ -74,16 +55,6 @@ pub struct DistributeScratch {
     pos_children: Vec<u32>,
     /// Positions placed in the slot being filled.
     slot_pos: Vec<u32>,
-    /// Slot index of the first slot committed by the last level's dump in
-    /// the most recent run (`u32::MAX` before any run). Slots before this
-    /// were committed by inner levels; the delta lane (`crate::delta`)
-    /// only repairs dump slots in place.
-    first_dump_slot: u32,
-    /// Inner-level placements of the most recent run, in commit order:
-    /// `(node, level, slot)` for every node an inner (non-dump) level's
-    /// single slot took. At most `k · depth` entries — the delta lane
-    /// derives per-level position guards from this log.
-    inner_log: Vec<(NodeId, u32, u32)>,
 }
 
 impl DistributeScratch {
@@ -91,17 +62,16 @@ impl DistributeScratch {
     pub fn new() -> Self {
         DistributeScratch::default()
     }
+}
 
-    /// Slot index where the most recent run's last-level dump began
-    /// (`u32::MAX` before any run).
-    pub(crate) fn first_dump_slot(&self) -> u32 {
-        self.first_dump_slot
-    }
-
-    /// Inner-level placements `(node, level, slot)` of the most recent run.
-    pub(crate) fn inner_log(&self) -> &[(NodeId, u32, u32)] {
-        &self.inner_log
-    }
+/// Slot index at which the procedure's last-level dump begins on `tree`.
+/// Each of the levels `1 .. depth` commits exactly one slot (a node of the
+/// last level is still waiting, so some node is awake), hence the dump
+/// starts at slot `depth − 1`, and slot `s` before it is level `s + 1`'s.
+/// The delta lane (`crate::delta`) guards those inner-level slots and
+/// repairs only dump slots in place.
+pub(crate) fn first_dump_slot(tree: &IndexTree) -> u32 {
+    tree.depth().saturating_sub(1)
 }
 
 /// Runs the procedure on `order` (a topological, preorder-style sequence of
@@ -114,115 +84,13 @@ impl DistributeScratch {
 pub fn distribute(tree: &IndexTree, order: &[NodeId], k: usize) -> Schedule {
     let mut scratch = DistributeScratch::new();
     let mut plan = SlotPlan::new();
-    distribute_into(tree, order, k, 1, &mut scratch, &mut plan);
+    distribute_into(tree, order, k, &mut scratch, &mut plan);
     Schedule::from_plan(&plan)
-}
-
-/// Buckets `order` into per-level lists (`buckets` + `level_starts`) with
-/// a counting sort: per-chunk histograms, prefix offsets, then a scatter.
-/// With `threads > 1` the histogram chunks over the order and the scatter
-/// assigns each worker a contiguous band of levels — one contiguous region
-/// of `buckets` — while every worker scans the whole order in sequence
-/// order, so each level's list is ascending in sequence number and the
-/// output is bit-identical at any thread count.
-fn bucket_levels(
-    tree: &IndexTree,
-    order: &[NodeId],
-    threads: usize,
-    counts: &mut Vec<u32>,
-    level_starts: &mut Vec<u32>,
-    buckets: &mut Vec<NodeId>,
-) {
-    let levels = tree.level_table();
-    let num_levels = tree.depth() as usize + 1; // indexed by level; 0 unused
-    let workers = threads.max(1).min(order.len().max(1));
-
-    // Per-chunk histograms.
-    counts.clear();
-    counts.resize(workers * num_levels, 0);
-    if workers <= 1 {
-        for &n in order {
-            counts[levels[n.index()] as usize] += 1;
-        }
-    } else {
-        let chunk = order.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for (row, part) in counts.chunks_mut(num_levels).zip(order.chunks(chunk)) {
-                s.spawn(move || {
-                    for &n in part {
-                        row[levels[n.index()] as usize] += 1;
-                    }
-                });
-            }
-        });
-    }
-
-    // Prefix offsets over the level totals.
-    level_starts.clear();
-    level_starts.resize(num_levels + 1, 0);
-    for l in 0..num_levels {
-        let total: u32 = (0..workers).map(|w| counts[w * num_levels + l]).sum();
-        level_starts[l + 1] = level_starts[l] + total;
-    }
-
-    // Scatter.
-    buckets.clear();
-    buckets.resize(order.len(), NodeId(0));
-    if workers <= 1 {
-        // Reuse the histogram row as running cursors.
-        counts[..num_levels].copy_from_slice(&level_starts[..num_levels]);
-        for &n in order {
-            let l = levels[n.index()] as usize;
-            buckets[counts[l] as usize] = n;
-            counts[l] += 1;
-        }
-    } else {
-        // Contiguous level bands with roughly equal node counts; each band
-        // is one contiguous `buckets` region handed to one worker.
-        let starts: &[u32] = level_starts;
-        let mut cuts = vec![0usize; workers + 1];
-        cuts[workers] = num_levels;
-        let mut l = 0usize;
-        for (w, cut) in cuts.iter_mut().enumerate().take(workers).skip(1) {
-            let target = (w * order.len()).div_ceil(workers);
-            while l < num_levels && (starts[l] as usize) < target {
-                l += 1;
-            }
-            *cut = l;
-        }
-        std::thread::scope(|s| {
-            let mut tail: &mut [NodeId] = buckets;
-            let mut base = 0usize;
-            for w in 0..workers {
-                let (lo, hi) = (cuts[w], cuts[w + 1]);
-                let end = starts[hi] as usize;
-                let (part, rest) = tail.split_at_mut(end - base);
-                tail = rest;
-                let part_base = base;
-                base = end;
-                if lo == hi {
-                    continue;
-                }
-                s.spawn(move || {
-                    let mut cursors: Vec<usize> =
-                        (lo..hi).map(|lv| starts[lv] as usize - part_base).collect();
-                    for &n in order {
-                        let lv = levels[n.index()] as usize;
-                        if (lo..hi).contains(&lv) {
-                            part[cursors[lv - lo]] = n;
-                            cursors[lv - lo] += 1;
-                        }
-                    }
-                });
-            }
-        });
-    }
 }
 
 /// The zero-allocation twin of [`distribute`]: emits the identical slot
 /// schedule into `plan` (cleared first) using `scratch`'s reusable
-/// buffers. `threads` shards the level bucketing (see [`DistributeScratch`]
-/// docs); `threads ≤ 1` never spawns.
+/// buffers.
 ///
 /// # Panics
 /// Panics if `order` is not a permutation of the tree's nodes or `k < 2`.
@@ -230,7 +98,6 @@ pub fn distribute_into(
     tree: &IndexTree,
     order: &[NodeId],
     k: usize,
-    threads: usize,
     scratch: &mut DistributeScratch,
     plan: &mut SlotPlan,
 ) {
@@ -238,23 +105,11 @@ pub fn distribute_into(
     assert_eq!(order.len(), tree.len(), "order must cover all nodes");
     let DistributeScratch {
         seq,
-        slot_of,
-        counts,
-        level_starts,
-        buckets,
-        merged,
-        carry,
-        pending,
-        rest,
         awake,
         pos_starts,
         pos_children,
         slot_pos,
-        first_dump_slot,
-        inner_log,
     } = scratch;
-    *first_dump_slot = u32::MAX;
-    inner_log.clear();
 
     // Inverse permutation (and the duplicate check that makes it one).
     seq.clear();
@@ -268,143 +123,212 @@ pub fn distribute_into(
         seq[n.index()] = i as u32;
     }
 
-    bucket_levels(tree, order, threads, counts, level_starts, buckets);
+    // The slot loop is a serial chain of data-dependent loads, so the
+    // per-node child walk (CSR range, then each child's sequence number)
+    // is hoisted into a position-space child table built by two tight
+    // sequential passes up front — the same cache misses, but overlapped
+    // by the CPU instead of serialized behind each slot's pops.
+    pos_starts.clear();
+    pos_starts.reserve(order.len() + 1);
+    pos_starts.push(0);
+    let mut total = 0u32;
+    for &n in order {
+        total += tree.child_range(n).len() as u32;
+        pos_starts.push(total);
+    }
+    let flat = tree.flat_children();
+    pos_children.clear();
+    pos_children.reserve(total as usize);
+    for &n in order {
+        pos_children.extend(flat[tree.child_range(n)].iter().map(|c| seq[c.index()]));
+    }
 
-    slot_of.clear();
-    slot_of.resize(tree.len(), u32::MAX);
+    // The sweep: each slot pops the `k` smallest awake positions, and a
+    // placed node wakes its children for the *next* slot (strictly later
+    // than their parent).
     plan.clear();
-    carry.clear();
-    let depth = tree.depth() as usize;
-    let mut slot = 0u32;
-    for level in 1..=depth {
-        // Merge the carry into this level's list by sequence number.
-        let list = &buckets[level_starts[level] as usize..level_starts[level + 1] as usize];
-        merged.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < list.len() && j < carry.len() {
-            if seq[list[i].index()] <= seq[carry[j].index()] {
-                merged.push(list[i]);
-                i += 1;
-            } else {
-                merged.push(carry[j]);
-                j += 1;
-            }
+    awake.reset(order.len());
+    if !order.is_empty() {
+        awake.insert(seq[tree.root().index()] as usize);
+    }
+    while !awake.is_empty() {
+        slot_pos.clear();
+        while slot_pos.len() < k {
+            let Some(pos) = awake.pop_min() else {
+                break;
+            };
+            plan.push(order[pos]);
+            slot_pos.push(pos as u32);
         }
-        merged.extend_from_slice(&list[i..]);
-        merged.extend_from_slice(&carry[j..]);
-        carry.clear();
-
-        let last_level = level == depth;
-        std::mem::swap(pending, merged);
-        if last_level {
-            // Keep dumping. The final list holds every still-unplaced node
-            // (each level above placed at most `k`), and each slot takes
-            // the `k` smallest-sequence nodes whose parent aired in a
-            // strictly earlier slot. Scanning the remaining list per slot
-            // is quadratic when a subtree piles up behind an unplaced
-            // ancestor, so the dump runs off an *awake set* keyed by
-            // sequence number instead: a node enters the set once its
-            // parent has aired (strictly earlier, so placing a node wakes
-            // its children for the *next* slot), and each slot pops the
-            // first `k` — the identical selection in near-linear time
-            // (see [`MinSeqSet`]).
-            //
-            // The slot loop is a serial chain of data-dependent loads, so
-            // the per-node child walk (CSR range, then each child's
-            // sequence number) is hoisted into a *position-space* child
-            // table built by two tight sequential passes up front — the
-            // same cache misses, but overlapped by the CPU instead of
-            // serialized behind each slot's pops.
-            debug_assert!(carry.is_empty());
-            *first_dump_slot = slot;
-            pos_starts.clear();
-            pos_starts.reserve(order.len() + 1);
-            pos_starts.push(0);
-            let mut total = 0u32;
-            for &n in order {
-                total += tree.child_range(n).len() as u32;
-                pos_starts.push(total);
+        plan.commit_slot();
+        for &p in slot_pos.iter() {
+            let children = pos_starts[p as usize] as usize..pos_starts[p as usize + 1] as usize;
+            for &c in &pos_children[children] {
+                awake.insert(c as usize);
             }
-            pos_children.clear();
-            pos_children.resize(total as usize, 0);
-            for (i, &n) in order.iter().enumerate() {
-                let base = pos_starts[i] as usize;
-                for (j, &c) in tree.children(n).iter().enumerate() {
-                    pos_children[base + j] = seq[c.index()];
-                }
-            }
-            awake.reset(order.len());
-            for &n in pending.iter() {
-                let ready = tree
-                    .parent(n)
-                    .is_none_or(|p| slot_of[p.index()] != u32::MAX);
-                if ready {
-                    awake.insert(seq[n.index()] as usize);
-                }
-            }
-            let mut placed = 0usize;
-            while !awake.is_empty() {
-                slot_pos.clear();
-                while plan.open_len() < k {
-                    let Some(pos) = awake.pop_min() else {
-                        break;
-                    };
-                    plan.push(order[pos]);
-                    slot_pos.push(pos as u32);
-                }
-                placed += plan.open_len();
-                plan.commit_slot();
-                slot += 1;
-                for &p in slot_pos.iter() {
-                    let (a, b) = (
-                        pos_starts[p as usize] as usize,
-                        pos_starts[p as usize + 1] as usize,
-                    );
-                    for &cp in &pos_children[a..b] {
-                        awake.insert(cp as usize);
-                    }
-                }
-            }
-            assert_eq!(
-                placed,
-                pending.len(),
-                "topological order guarantees progress"
-            );
-            pending.clear();
-        } else {
-            // One slot per inner level; the remainder merges into the next
-            // level's list.
-            rest.clear();
-            for &n in pending.iter() {
-                let parent_ok = tree.parent(n).is_none_or(|p| slot_of[p.index()] < slot);
-                if plan.open_len() < k && parent_ok {
-                    plan.push(n);
-                } else {
-                    rest.push(n);
-                }
-            }
-            if plan.open_len() > 0 {
-                for &n in plan.open_members() {
-                    slot_of[n.index()] = slot;
-                    inner_log.push((n, level as u32, slot));
-                }
-                plan.commit_slot();
-                slot += 1;
-            }
-            std::mem::swap(carry, rest);
         }
     }
-    // The dump at the last level drains everything (asserted above), so no
-    // trickle pass is needed: the level loop always ends on `last_level`.
+    assert_eq!(
+        plan.node_count(),
+        order.len(),
+        "every node wakes once its parent airs"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heuristics::sorting::sorted_preorder;
-    use bcast_index_tree::builders;
+    use bcast_index_tree::{builders, knary};
+    use bcast_types::Weight;
     use bcast_workloads::{random_tree, FrequencyDist, RandomTreeConfig};
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+
+    /// The per-level procedure as the paper states it (with both repairs):
+    /// bucket by level, fill one slot per inner level from the level's list
+    /// merged with the carry, then dump the last list off an awake set.
+    /// Returns the plan, the first dump slot and the inner-level placements
+    /// `(node, level, slot)` in commit order — the oracle for the sweep.
+    fn distribute_oracle(
+        tree: &IndexTree,
+        order: &[NodeId],
+        k: usize,
+    ) -> (SlotPlan, u32, Vec<(NodeId, u32, u32)>) {
+        let mut plan = SlotPlan::new();
+        let mut first_dump_slot = u32::MAX;
+        let mut inner_log = Vec::new();
+
+        let mut seq = vec![u32::MAX; tree.len()];
+        for (i, &n) in order.iter().enumerate() {
+            assert_eq!(seq[n.index()], u32::MAX, "node {n} appears twice");
+            seq[n.index()] = i as u32;
+        }
+
+        // Counting sort by level, ascending sequence within each level.
+        let levels = tree.level_table();
+        let num_levels = tree.depth() as usize + 1; // indexed by level; 0 unused
+        let mut counts = vec![0u32; num_levels];
+        for &n in order {
+            counts[levels[n.index()] as usize] += 1;
+        }
+        let mut level_starts = vec![0u32; num_levels + 1];
+        for l in 0..num_levels {
+            level_starts[l + 1] = level_starts[l] + counts[l];
+        }
+        let mut buckets = vec![NodeId(0); order.len()];
+        counts.copy_from_slice(&level_starts[..num_levels]);
+        for &n in order {
+            let l = levels[n.index()] as usize;
+            buckets[counts[l] as usize] = n;
+            counts[l] += 1;
+        }
+
+        let mut slot_of = vec![u32::MAX; tree.len()];
+        let mut merged: Vec<NodeId> = Vec::new();
+        let mut carry: Vec<NodeId> = Vec::new();
+        let (mut pending, mut rest) = (Vec::new(), Vec::new());
+        let depth = tree.depth() as usize;
+        let mut slot = 0u32;
+        for level in 1..=depth {
+            // Merge the carry into this level's list by sequence number.
+            let list = &buckets[level_starts[level] as usize..level_starts[level + 1] as usize];
+            merged.clear();
+            let (mut i, mut j) = (0, 0);
+            while i < list.len() && j < carry.len() {
+                if seq[list[i].index()] <= seq[carry[j].index()] {
+                    merged.push(list[i]);
+                    i += 1;
+                } else {
+                    merged.push(carry[j]);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&list[i..]);
+            merged.extend_from_slice(&carry[j..]);
+            carry.clear();
+
+            std::mem::swap(&mut pending, &mut merged);
+            if level == depth {
+                // Dump: each slot takes the `k` smallest-sequence nodes
+                // whose parent aired in a strictly earlier slot.
+                first_dump_slot = slot;
+                let mut awake = MinSeqSet::new();
+                awake.reset(order.len());
+                for &n in &pending {
+                    let ready = tree
+                        .parent(n)
+                        .is_none_or(|p| slot_of[p.index()] != u32::MAX);
+                    if ready {
+                        awake.insert(seq[n.index()] as usize);
+                    }
+                }
+                let mut placed = 0usize;
+                let mut slot_nodes = Vec::new();
+                while !awake.is_empty() {
+                    slot_nodes.clear();
+                    while plan.open_len() < k {
+                        let Some(pos) = awake.pop_min() else {
+                            break;
+                        };
+                        plan.push(order[pos]);
+                        slot_nodes.push(order[pos]);
+                    }
+                    placed += plan.open_len();
+                    plan.commit_slot();
+                    slot += 1;
+                    for &n in &slot_nodes {
+                        for &c in tree.children(n) {
+                            awake.insert(seq[c.index()] as usize);
+                        }
+                    }
+                }
+                assert_eq!(
+                    placed,
+                    pending.len(),
+                    "topological order guarantees progress"
+                );
+            } else {
+                // One slot per inner level; the remainder merges into the
+                // next level's list.
+                rest.clear();
+                for &n in &pending {
+                    let parent_ok = tree.parent(n).is_none_or(|p| slot_of[p.index()] < slot);
+                    if plan.open_len() < k && parent_ok {
+                        plan.push(n);
+                    } else {
+                        rest.push(n);
+                    }
+                }
+                if plan.open_len() > 0 {
+                    for &n in plan.open_members() {
+                        slot_of[n.index()] = slot;
+                        inner_log.push((n, level as u32, slot));
+                    }
+                    plan.commit_slot();
+                    slot += 1;
+                }
+                std::mem::swap(&mut carry, &mut rest);
+            }
+        }
+        (plan, first_dump_slot, inner_log)
+    }
+
+    /// Runs the sweep and the oracle on one case and compares the plan,
+    /// the first dump slot and the inner placements (which the sweep's
+    /// callers read off the plan's first slots).
+    fn assert_matches_oracle(tree: &IndexTree, order: &[NodeId], k: usize) {
+        let mut plan = SlotPlan::new();
+        distribute_into(tree, order, k, &mut DistributeScratch::new(), &mut plan);
+        let (oracle, oracle_dump, oracle_inner) = distribute_oracle(tree, order, k);
+        assert_eq!(plan, oracle, "plan");
+        let dump = first_dump_slot(tree);
+        assert_eq!(dump, oracle_dump, "first dump slot");
+        let inner: Vec<(NodeId, u32, u32)> = (0..dump)
+            .flat_map(|s| plan.slot(s as usize).iter().map(move |&n| (n, s + 1, s)))
+            .collect();
+        assert_eq!(inner, oracle_inner, "inner placements");
+    }
 
     #[test]
     fn paper_walkthrough_fig13_two_channels() {
@@ -446,39 +370,79 @@ mod tests {
     fn deferred_parent_never_shares_slot_with_child() {
         // A chain stresses the merge repair: every index node's child
         // follows immediately.
-        use bcast_types::Weight;
         let w: Vec<Weight> = (1..=6u32).map(Weight::from).collect();
         let t = builders::chain(&w).unwrap();
         let order: Vec<NodeId> = t.preorder().to_vec();
         let s = distribute(&t, &order, 3);
         s.into_allocation(&t, 3).unwrap();
+        assert_matches_oracle(&t, &order, 3);
     }
 
     #[test]
-    fn scratch_reuse_and_threads_are_bit_identical() {
-        let cfg = RandomTreeConfig {
-            data_nodes: 3_000,
-            max_fanout: 5,
-            weights: FrequencyDist::Zipf {
-                theta: 0.9,
-                scale: 400.0,
-            },
-        };
+    fn scratch_reuse_is_bit_identical() {
+        // One scratch across a larger tree, then smaller ones: stale
+        // capacity from an earlier run must never leak into a later plan.
         let mut scratch = DistributeScratch::new();
         let mut plan = SlotPlan::new();
-        for seed in 0..3u64 {
+        for (seed, items) in [(0u64, 3_000usize), (1, 700), (2, 40)] {
+            let cfg = RandomTreeConfig {
+                data_nodes: items,
+                max_fanout: 5,
+                weights: FrequencyDist::Zipf {
+                    theta: 0.9,
+                    scale: 400.0,
+                },
+            };
             let t = random_tree(&cfg, seed);
             let order = sorted_preorder(&t);
-            let baseline = distribute(&t, &order, 3);
-            for threads in [1usize, 2, 4, 7] {
-                distribute_into(&t, &order, 3, threads, &mut scratch, &mut plan);
-                assert_eq!(
-                    Schedule::from_plan(&plan),
-                    baseline,
-                    "seed {seed}, threads {threads}"
-                );
-            }
+            distribute_into(&t, &order, 3, &mut scratch, &mut plan);
+            assert_eq!(
+                Schedule::from_plan(&plan),
+                distribute(&t, &order, 3),
+                "seed {seed}, {items} items"
+            );
         }
+    }
+
+    /// The 1M-item tree of `tests/publish_stress.rs`, compared against the
+    /// oracle at full size under `make stress`.
+    #[test]
+    #[ignore = "heavy: million-item oracle comparison; run with --ignored stress"]
+    fn stress_sweep_matches_the_per_level_oracle_at_million_items() {
+        let weights = FrequencyDist::SelfSimilar {
+            fraction: 0.2,
+            total: 1e9,
+        }
+        .sample(1_000_000, 0x1_000_000);
+        let t = knary::build_weight_balanced(&weights, 4).expect("items >= 1");
+        let order = sorted_preorder(&t);
+        assert_matches_oracle(&t, &order, 3);
+    }
+
+    /// A twin case's tree: `shape` 0 is deep and skewed (splits of at most
+    /// three under Zipf weights), 1 wide (fanouts over 64, uniform
+    /// weights), 2 a chain (one node per level).
+    fn twin_tree(shape: u8, size: usize, seed: u64) -> IndexTree {
+        let cfg = match shape {
+            0 => RandomTreeConfig {
+                data_nodes: 1 + size % 400,
+                max_fanout: 2 + (seed % 2) as usize,
+                weights: FrequencyDist::Zipf {
+                    theta: 1.2,
+                    scale: 1_000.0,
+                },
+            },
+            1 => RandomTreeConfig {
+                data_nodes: 65 + size,
+                max_fanout: 65 + (seed % 136) as usize,
+                weights: FrequencyDist::Uniform { lo: 0.0, hi: 50.0 },
+            },
+            _ => {
+                let w: Vec<Weight> = (1..=1 + size as u32 % 30).map(Weight::from).collect();
+                return builders::chain(&w).unwrap();
+            }
+        };
+        random_tree(&cfg, seed)
     }
 
     proptest! {
@@ -494,6 +458,30 @@ mod tests {
             let s = distribute(&t, &sorted_preorder(&t), k);
             prop_assert_eq!(s.node_count(), t.len());
             s.into_allocation(&t, k).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn sweep_matches_the_per_level_oracle(
+            shape in 0u8..3,
+            size in 0usize..600,
+            seed in 0u64..1_000,
+            order_kind in 0u8..3,
+            k in 2usize..=7,
+        ) {
+            let t = twin_tree(shape, size, seed);
+            let order = match order_kind {
+                0 => sorted_preorder(&t),
+                1 => t.preorder().to_vec(),
+                _ => {
+                    let mut order = t.preorder().to_vec();
+                    order.shuffle(&mut StdRng::seed_from_u64(seed));
+                    order
+                }
+            };
+            assert_matches_oracle(&t, &order, k);
         }
     }
 }

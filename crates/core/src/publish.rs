@@ -47,10 +47,10 @@ pub enum PublishHeuristic {
 /// Tuning knobs for a publish call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishOptions {
-    /// Worker threads for the parallel heuristic phases (key fill, range
-    /// sort, level bucketing). `1` (the default) never spawns and keeps
-    /// the hot path allocation-free; any value produces bit-identical
-    /// output.
+    /// Worker threads for the sorting heuristic's parallel phases (the
+    /// density-key fill and the child-range sort). `1` (the default) never
+    /// spawns and keeps the hot path allocation-free; any value produces
+    /// bit-identical output.
     pub threads: usize,
 }
 
@@ -116,14 +116,7 @@ impl Publisher {
                     self.plan.clear();
                     self.plan.push_sequence(&self.order);
                 } else {
-                    distribute_into(
-                        tree,
-                        &self.order,
-                        k,
-                        threads,
-                        &mut self.dist,
-                        &mut self.plan,
-                    );
+                    distribute_into(tree, &self.order, k, &mut self.dist, &mut self.plan);
                 }
             }
             PublishHeuristic::Frontier => {
@@ -142,19 +135,8 @@ impl Publisher {
         // Sorting heuristic has an incremental twin; any other publish
         // invalidates the state so `republish_delta` falls back cleanly.
         match heuristic {
-            PublishHeuristic::Sorting if k == 1 => {
-                self.delta.rebuild(tree, k, &self.order, &self.plan, 0, &[]);
-                self.pipeline.preseed_back();
-            }
             PublishHeuristic::Sorting => {
-                self.delta.rebuild(
-                    tree,
-                    k,
-                    &self.order,
-                    &self.plan,
-                    self.dist.first_dump_slot(),
-                    self.dist.inner_log(),
-                );
+                self.delta.rebuild(tree, k, &self.order, &self.plan);
                 self.pipeline.preseed_back();
             }
             _ => self.delta.invalidate(),

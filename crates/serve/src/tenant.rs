@@ -48,6 +48,17 @@ pub(crate) fn mix2(a: u64, b: u64) -> u64 {
 /// for a change of its own.
 const PHASE_HIST_CYCLES: u32 = 16;
 
+/// Most buckets a window histogram of an `items`-item tenant can hold —
+/// the restore's allocation cap. A window covers `PHASE_HIST_CYCLES`
+/// cycles plus bucket zero, and no cycle is longer than the tree it
+/// schedules: at most `2 × items` nodes, since every index node of the
+/// weight-balanced tree except a one-item root has two or more children.
+fn max_window_buckets(items: usize) -> usize {
+    (2 * PHASE_HIST_CYCLES as usize)
+        .saturating_mul(items)
+        .saturating_add(1)
+}
+
 /// First quarantine term after a caught panic, in slices.
 const QUARANTINE_BASE_SLICES: u64 = 2;
 
@@ -1284,15 +1295,24 @@ impl TenantRuntime {
         let failed = r.u64()?;
         let retries = r.u64()?;
         let hist_words = r.u64_vec()?;
-        let mut cur = &hist_words[..];
-        let hist = LatencyHistogram::import_state(&mut cur)?;
-        if !cur.is_empty() {
-            return None;
-        }
         let max_cycle_len = r.u32()?;
         let mut tail = [0u64; 14];
         for slot in &mut tail {
             *slot = r.u64()?;
+        }
+
+        let est_words = r.u64_vec()?;
+        let mut cur = &est_words[..];
+        let estimator = EmaEstimator::import_state(&mut cur)?;
+        if !cur.is_empty() || estimator.len() != items {
+            return None;
+        }
+        // The window histogram decodes only now that `items` is backed by
+        // the estimator's stream, which bounds its bucket count.
+        let mut cur = &hist_words[..];
+        let hist = LatencyHistogram::import_state(&mut cur, max_window_buckets(items))?;
+        if !cur.is_empty() {
+            return None;
         }
         let window = Window {
             requests,
@@ -1316,13 +1336,6 @@ impl TenantRuntime {
             readmitted: tail[12],
             shed: tail[13],
         };
-
-        let est_words = r.u64_vec()?;
-        let mut cur = &est_words[..];
-        let estimator = EmaEstimator::import_state(&mut cur)?;
-        if !cur.is_empty() || estimator.len() != items {
-            return None;
-        }
         let degradation = match (r.u32()?, config.degradation) {
             (0, None) => None,
             (1, Some(policy)) => {
@@ -1924,5 +1937,39 @@ mod tests {
         assert_eq!(snap.requests, 0);
         assert_eq!(snap.delivery_rate(), 1.0);
         assert!(t.phase_violations().is_empty());
+    }
+
+    #[test]
+    fn restore_refuses_a_window_histogram_larger_than_the_tree_allows() {
+        let mut t = TenantRuntime::new(TenantConfig::new(2, 48), 0x5EED);
+        t.begin_phase(demand(200), None, SloSpec::lossless(), 4);
+        t.run_slice();
+        let mut w = WordWriter::new();
+        t.export_state(&mut w, None);
+        let words = w.into_words();
+        let restore =
+            |words: &[u32]| TenantRuntime::import_state(0x5EED, &mut WordReader::new(words), &[]);
+        assert!(restore(&words).is_some(), "the untampered state restores");
+
+        // Swap the histogram's encoding for one whose header claims
+        // 2^40 buckets (an 8 TiB array) or u64::MAX: the restore must
+        // fail closed instead of aborting on the allocation.
+        let encode = |hist: &[u64]| {
+            let mut w = WordWriter::new();
+            w.u64_slice(hist);
+            w.into_words()
+        };
+        let mut hist = Vec::new();
+        t.window.hist.export_state(&mut hist);
+        let good = encode(&hist);
+        let at = words
+            .windows(good.len())
+            .position(|run| run == good)
+            .expect("the window histogram is in the stream");
+        for buckets in [1u64 << 40, u64::MAX] {
+            hist[0] = buckets;
+            let bad = [&words[..at], &encode(&hist), &words[at + good.len()..]].concat();
+            assert!(restore(&bad).is_none(), "{buckets} buckets");
+        }
     }
 }
