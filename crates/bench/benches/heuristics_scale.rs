@@ -1,9 +1,13 @@
 //! Ablation A3: heuristic throughput on large trees — the regime §4.2
 //! exists for. Measures the sorting heuristic (near-linear per the paper's
-//! O(N log m) claim), the `1_To_k` distribution, and the node-combination
+//! O(N log m) claim), the `1_To_k` distribution (the one order-to-schedule
+//! sweep, fed the sorted preorder), the frontier-greedy extension (the
+//! same sweep over a global density rank), and the node-combination
 //! shrink heuristic, on Zipf-weighted random trees of 10³–10⁴ data nodes.
 
-use bcast_core::heuristics::{one_to_k, shrink, sorting};
+use bcast_core::baselines;
+use bcast_core::heuristics::{shrink, sorting};
+use bcast_core::schedule::greedy_schedule_from_order;
 use bcast_workloads::{random_tree, FrequencyDist, RandomTreeConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -33,8 +37,11 @@ fn bench_heuristics(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("one_to_k_distribute", n),
             &(&tree, &order),
-            |b, (t, o)| b.iter(|| black_box(one_to_k::distribute(t, o, 4).len())),
+            |b, (t, o)| b.iter(|| black_box(greedy_schedule_from_order(o, t, 4).len())),
         );
+        g.bench_with_input(BenchmarkId::new("frontier_k4", n), &tree, |b, t| {
+            b.iter(|| black_box(baselines::greedy_frontier(t, 4).len()))
+        });
         g.bench_with_input(BenchmarkId::new("shrink_combine_k4", n), &tree, |b, t| {
             b.iter(|| black_box(shrink::combine_solve(t, 4, 12).data_wait))
         });

@@ -122,15 +122,6 @@ impl SlotPlan {
         self.members.truncate(self.node_count());
     }
 
-    /// Appends one single-member slot per node of `sequence` (the `k = 1`
-    /// plan shape).
-    pub fn push_sequence(&mut self, sequence: &[NodeId]) {
-        for &n in sequence {
-            self.push(n);
-            self.commit_slot();
-        }
-    }
-
     /// The members of committed slot `i` (0-based).
     #[inline]
     pub fn slot(&self, i: usize) -> &[NodeId] {
@@ -858,7 +849,10 @@ mod tests {
         let t = builders::paper_example();
         let seq = ids(&t, &["1", "3", "E", "4", "C", "D", "2", "A", "B"]);
         let mut plan = SlotPlan::new();
-        plan.push_sequence(&seq);
+        for &n in &seq {
+            plan.push(n);
+            plan.commit_slot();
+        }
         assert_eq!(plan.len(), 9);
 
         let alloc = Allocation::from_sequence(&seq, &t).unwrap();

@@ -14,12 +14,10 @@
 //!   the channel count is *forced* to the tree depth (inflexibility) and
 //!   narrow levels idle their channel (waste).
 
+use crate::heuristics::sorting::{density_rank_into, SortScratch};
 use crate::schedule::{greedy_schedule_from_order, Schedule};
-use bcast_channel::SlotPlan;
 use bcast_index_tree::IndexTree;
 use bcast_types::NodeId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Plain preorder order packed into `k` channels.
 pub fn preorder_schedule(tree: &IndexTree, k: usize) -> Schedule {
@@ -71,90 +69,15 @@ pub fn random_feasible(tree: &IndexTree, k: usize, seed: u64) -> Schedule {
 /// EXPERIMENTS.md): heavy items in later subtrees no longer wait for whole
 /// earlier subtrees to finish.
 ///
-/// O(n log n): priorities are static, so a single binary heap drives the
-/// whole schedule.
+/// O(n log n): priorities are static, so ranking every node once
+/// ([`density_rank_into`], descending density, ascending id on ties) and
+/// running the one order-to-schedule sweep on that rank gives the same
+/// slots as re-selecting the best awake nodes at every slot. The sorting
+/// heuristic feeds the same sweep the density-sorted *preorder* instead.
 pub fn greedy_frontier(tree: &IndexTree, k: usize) -> Schedule {
-    let mut scratch = FrontierScratch::new();
-    let mut plan = SlotPlan::new();
-    frontier_plan_into(tree, k, &mut scratch, &mut plan);
-    Schedule::from_plan(&plan)
-}
-
-/// Max-heap priority for the frontier policy: `(priority, Reverse(id))` —
-/// deterministic tie-break toward the lower node id.
-#[derive(Debug, PartialEq)]
-struct FrontierPriority(f64, Reverse<NodeId>);
-
-impl Eq for FrontierPriority {}
-
-impl PartialOrd for FrontierPriority {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FrontierPriority {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&other.0)
-            .then_with(|| self.1.cmp(&other.1))
-    }
-}
-
-/// Reusable frontier heap for [`frontier_plan_into`]: capacity survives
-/// across calls, so a steady-state frontier scheduler performs no heap
-/// allocation.
-#[derive(Debug, Default)]
-pub struct FrontierScratch {
-    heap: BinaryHeap<(FrontierPriority, NodeId)>,
-}
-
-impl FrontierScratch {
-    /// Empty scratch; the first run sizes the heap.
-    pub fn new() -> Self {
-        FrontierScratch::default()
-    }
-}
-
-/// The zero-allocation twin of [`greedy_frontier`]: emits the frontier
-/// schedule into `plan` (cleared first) using `scratch`'s reusable heap.
-/// Produces the identical slot structure — `greedy_frontier` is now a thin
-/// wrapper over this function.
-pub fn frontier_plan_into(
-    tree: &IndexTree,
-    k: usize,
-    scratch: &mut FrontierScratch,
-    plan: &mut SlotPlan,
-) {
-    assert!(k >= 1, "need at least one channel");
-    let priority = |n: NodeId| -> f64 {
-        if tree.is_data(n) {
-            tree.weight(n).get()
-        } else {
-            tree.subtree_weight(n).get() / f64::from(tree.subtree_size(n))
-        }
-    };
-    let heap = &mut scratch.heap;
-    heap.clear();
-    plan.clear();
-    heap.push((
-        FrontierPriority(priority(tree.root()), Reverse(tree.root())),
-        tree.root(),
-    ));
-    while !heap.is_empty() {
-        let take = k.min(heap.len());
-        for _ in 0..take {
-            let (_, n) = heap.pop().expect("len checked");
-            plan.push(n);
-        }
-        // Children join the frontier only after their parent's slot.
-        for &n in plan.open_members() {
-            for &c in tree.children(n) {
-                heap.push((FrontierPriority(priority(c), Reverse(c)), c));
-            }
-        }
-        plan.commit_slot();
-    }
+    let mut rank = Vec::new();
+    density_rank_into(tree, &mut SortScratch::new(), &mut rank);
+    greedy_schedule_from_order(&rank, tree, k)
 }
 
 /// Analytic model of the \[SV96\] per-level cyclic allocation.
@@ -210,10 +133,66 @@ pub fn sv96(tree: &IndexTree) -> Sv96Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::{greedy_pack_into, PackScratch};
     use crate::topo_tree;
-    use bcast_index_tree::builders;
+    use bcast_channel::SlotPlan;
+    use bcast_index_tree::{builders, knary};
     use bcast_types::Weight;
     use bcast_workloads::{random_tree, FrequencyDist, RandomTreeConfig};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Max-heap priority for the frontier oracle: `(priority, Reverse(id))`
+    /// — deterministic tie-break toward the lower node id.
+    #[derive(Debug, PartialEq)]
+    struct FrontierPriority(f64, Reverse<NodeId>);
+
+    impl Eq for FrontierPriority {}
+
+    impl PartialOrd for FrontierPriority {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for FrontierPriority {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0
+                .total_cmp(&other.0)
+                .then_with(|| self.1.cmp(&other.1))
+        }
+    }
+
+    /// Frontier-greedy as first written, the oracle for the rank sweep:
+    /// one binary heap over the awake nodes, popping the `k` of highest
+    /// priority per slot, children joining only after their parent's slot.
+    fn frontier_heap_oracle(tree: &IndexTree, k: usize) -> SlotPlan {
+        let priority = |n: NodeId| -> f64 {
+            if tree.is_data(n) {
+                tree.weight(n).get()
+            } else {
+                tree.subtree_weight(n).get() / f64::from(tree.subtree_size(n))
+            }
+        };
+        let mut heap = BinaryHeap::new();
+        let mut plan = SlotPlan::new();
+        let root = tree.root();
+        heap.push((FrontierPriority(priority(root), Reverse(root)), root));
+        while !heap.is_empty() {
+            for _ in 0..k.min(heap.len()) {
+                let (_, n) = heap.pop().expect("len checked");
+                plan.push(n);
+            }
+            for &n in plan.open_members() {
+                for &c in tree.children(n) {
+                    heap.push((FrontierPriority(priority(c), Reverse(c)), c));
+                }
+            }
+            plan.commit_slot();
+        }
+        plan
+    }
 
     #[test]
     fn preorder_baseline_is_feasible_and_suboptimal_or_equal() {
@@ -278,6 +257,56 @@ mod tests {
     }
 
     #[test]
+    fn frontier_and_sorting_differ_only_off_key_order() {
+        // The service's shape: the boot tree (weight-balanced over uniform
+        // weights, fanout 4) reweighted to Zipf(0.9) demand, on 3 channels.
+        // With popularity in key order the density-sorted preorder already
+        // is the global rank's schedule. Scattered across keys, the
+        // preorder makes hot items wait behind whole cold subtrees; the
+        // global rank does not.
+        const ITEMS: usize = 4_096;
+        const K: usize = 3;
+        let mut tree =
+            knary::build_weight_balanced_unlabeled(&vec![Weight::from(1u32); ITEMS], 4).unwrap();
+        let zipf = FrequencyDist::Zipf {
+            theta: 0.9,
+            scale: 1_000.0,
+        };
+        let reweight = |tree: &mut IndexTree, weights: &[Weight]| {
+            let updates: Vec<(NodeId, Weight)> = tree
+                .data_nodes()
+                .iter()
+                .copied()
+                .zip(weights.iter().copied())
+                .collect();
+            tree.reweight(&updates);
+        };
+        let access = |tree: &IndexTree, s: &Schedule| {
+            bcast_channel::cost::expected_access_time(&s.into_allocation(tree, K).unwrap(), tree)
+        };
+
+        reweight(
+            &mut tree,
+            &bcast_workloads::freq::sorted_desc(&zipf.sample(ITEMS, 0)),
+        );
+        let sorting = crate::heuristics::sorting::sorting_schedule(&tree, K);
+        assert_eq!(sorting, greedy_frontier(&tree, K), "key-ordered Zipf");
+
+        for seed in 1..=3u64 {
+            reweight(&mut tree, &zipf.sample(ITEMS, seed));
+            let sorting = access(
+                &tree,
+                &crate::heuristics::sorting::sorting_schedule(&tree, K),
+            );
+            let frontier = access(&tree, &greedy_frontier(&tree, K));
+            assert!(
+                frontier < 0.85 * sorting,
+                "seed {seed}: frontier {frontier:.1} vs sorting {sorting:.1} slots"
+            );
+        }
+    }
+
+    #[test]
     fn sv96_chain_wastes_channels() {
         // §1.1's extreme case: a chain tree. SV96 needs `depth` channels at
         // utilization far below 1 (here every level has ≤ 2 nodes but the
@@ -300,5 +329,74 @@ mod tests {
         assert!((m.expected_access_time - expect).abs() < 1e-12);
         // Utilization: 9 nodes / (4 channels × width 4).
         assert!((m.utilization - 9.0 / 16.0).abs() < 1e-12);
+    }
+
+    /// A rank-vs-heap case's tree: `shape` 0 is random with fanouts 2–7,
+    /// 1 random with fanouts of 64 or more (the radix rank path), 2 the
+    /// service's boot shape (weight-balanced, as full as the fanout
+    /// allows). `weights` 0 keeps the scattered Zipf draw, 1 makes every
+    /// weight equal, 2 every weight zero, 3 every other weight a −0.0
+    /// input (which must rank like +0.0, as the heap's `total_cmp` would
+    /// not otherwise agree with the key order).
+    fn rank_case_tree(shape: u8, weights: u8, size: usize, seed: u64) -> IndexTree {
+        let zipf = FrequencyDist::Zipf {
+            theta: 0.9,
+            scale: 1_000.0,
+        };
+        let mut t = match shape {
+            0 => random_tree(
+                &RandomTreeConfig {
+                    data_nodes: 1 + size,
+                    max_fanout: 2 + (seed % 6) as usize,
+                    weights: zipf,
+                },
+                seed,
+            ),
+            1 => random_tree(
+                &RandomTreeConfig {
+                    data_nodes: 65 + size,
+                    max_fanout: 64 + (seed % 137) as usize,
+                    weights: zipf,
+                },
+                seed,
+            ),
+            _ => knary::build_weight_balanced_unlabeled(
+                &zipf.sample(1 + size, seed),
+                2 + (seed % 6) as usize,
+            )
+            .unwrap(),
+        };
+        let updates: Vec<(NodeId, Weight)> = t
+            .data_nodes()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &d)| match weights {
+                1 => Some((d, Weight::from(7u32))),
+                2 => Some((d, Weight::ZERO)),
+                3 if i % 2 == 0 => Some((d, Weight::new(-0.0).unwrap())),
+                _ => None,
+            })
+            .collect();
+        t.reweight(&updates);
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+        #[test]
+        fn frontier_rank_matches_the_heap_oracle(
+            shape in 0u8..3,
+            weights in 0u8..4,
+            size in 0usize..500,
+            seed in 0u64..1_000,
+            k in 1usize..=7,
+        ) {
+            let t = rank_case_tree(shape, weights, size, seed);
+            let mut rank = Vec::new();
+            density_rank_into(&t, &mut SortScratch::new(), &mut rank);
+            let mut plan = SlotPlan::new();
+            greedy_pack_into(&rank, &t, k, &mut PackScratch::new(), &mut plan);
+            prop_assert_eq!(plan, frontier_heap_oracle(&t, k));
+        }
     }
 }

@@ -23,46 +23,16 @@
 //! earlier slot. Such a node is never deeper than the level being filled
 //! (slot `s` holds nodes of level at most `s + 1`, by induction from the
 //! root), so each level's merged list already holds every eligible node
-//! and the level lists decide nothing. [`distribute_into`] therefore runs
-//! the whole procedure as one sweep over an *awake set* ([`MinSeqSet`])
-//! keyed by sequence number: seed it with the root, pop up to `k` per slot,
-//! and after committing a slot wake the placed nodes' children. The sweep
+//! and the level lists decide nothing. The whole procedure is therefore
+//! the workspace's one order-to-schedule sweep,
+//! [`greedy_pack_into`](crate::schedule::greedy_pack_into), fed the sorted
+//! preorder: it seeds an awake set with the root, pops up to `k` per slot,
+//! and after committing a slot wakes the placed nodes' children. The sweep
 //! is near-linear, where the per-level form re-merges the unplaced carry
 //! at every level (`O(n · depth)`), and it writes the identical plan; the
-//! test module keeps the per-level form as the oracle. Every buffer lives
-//! in a [`DistributeScratch`] whose capacity survives across rebuilds.
+//! test module keeps the per-level form as the oracle.
 
-use crate::schedule::Schedule;
-use crate::seqset::MinSeqSet;
-use bcast_channel::SlotPlan;
 use bcast_index_tree::IndexTree;
-use bcast_types::NodeId;
-
-/// Reusable buffers for [`distribute_into`]; capacity survives across
-/// calls, so a steady-state distributor performs no heap allocation.
-#[derive(Debug, Default)]
-pub struct DistributeScratch {
-    /// `seq[n]` = position of node `n` in the input order.
-    seq: Vec<u32>,
-    /// Awake nodes (parent aired in a strictly earlier slot) keyed by
-    /// sequence number.
-    awake: MinSeqSet,
-    /// Position-space child table:
-    /// `pos_children[pos_starts[i] .. pos_starts[i + 1]]` holds the
-    /// sequence numbers of the children of `order[i]`.
-    pos_starts: Vec<u32>,
-    /// See [`DistributeScratch::pos_starts`].
-    pos_children: Vec<u32>,
-    /// Positions placed in the slot being filled.
-    slot_pos: Vec<u32>,
-}
-
-impl DistributeScratch {
-    /// Empty scratch; the first call sizes the buffers to the tree.
-    pub fn new() -> Self {
-        DistributeScratch::default()
-    }
-}
 
 /// Slot index at which the procedure's last-level dump begins on `tree`.
 /// Each of the levels `1 .. depth` commits exactly one slot (a node of the
@@ -74,113 +44,15 @@ pub(crate) fn first_dump_slot(tree: &IndexTree) -> u32 {
     tree.depth().saturating_sub(1)
 }
 
-/// Runs the procedure on `order` (a topological, preorder-style sequence of
-/// all tree nodes) producing a feasible k-channel schedule. Convenience
-/// wrapper over [`distribute_into`] with one-shot buffers.
-///
-/// # Panics
-/// Panics if `order` is not a permutation of the tree's nodes or `k < 2`
-/// (`k = 1` is the identity — callers use the sequence directly).
-pub fn distribute(tree: &IndexTree, order: &[NodeId], k: usize) -> Schedule {
-    let mut scratch = DistributeScratch::new();
-    let mut plan = SlotPlan::new();
-    distribute_into(tree, order, k, &mut scratch, &mut plan);
-    Schedule::from_plan(&plan)
-}
-
-/// The zero-allocation twin of [`distribute`]: emits the identical slot
-/// schedule into `plan` (cleared first) using `scratch`'s reusable
-/// buffers.
-///
-/// # Panics
-/// Panics if `order` is not a permutation of the tree's nodes or `k < 2`.
-pub fn distribute_into(
-    tree: &IndexTree,
-    order: &[NodeId],
-    k: usize,
-    scratch: &mut DistributeScratch,
-    plan: &mut SlotPlan,
-) {
-    assert!(k >= 2, "k = 1 needs no distribution");
-    assert_eq!(order.len(), tree.len(), "order must cover all nodes");
-    let DistributeScratch {
-        seq,
-        awake,
-        pos_starts,
-        pos_children,
-        slot_pos,
-    } = scratch;
-
-    // Inverse permutation (and the duplicate check that makes it one).
-    seq.clear();
-    seq.resize(tree.len(), u32::MAX);
-    for (i, &n) in order.iter().enumerate() {
-        assert_eq!(
-            seq[n.index()],
-            u32::MAX,
-            "order is not a permutation: node {n} appears twice"
-        );
-        seq[n.index()] = i as u32;
-    }
-
-    // The slot loop is a serial chain of data-dependent loads, so the
-    // per-node child walk (CSR range, then each child's sequence number)
-    // is hoisted into a position-space child table built by two tight
-    // sequential passes up front — the same cache misses, but overlapped
-    // by the CPU instead of serialized behind each slot's pops.
-    pos_starts.clear();
-    pos_starts.reserve(order.len() + 1);
-    pos_starts.push(0);
-    let mut total = 0u32;
-    for &n in order {
-        total += tree.child_range(n).len() as u32;
-        pos_starts.push(total);
-    }
-    let flat = tree.flat_children();
-    pos_children.clear();
-    pos_children.reserve(total as usize);
-    for &n in order {
-        pos_children.extend(flat[tree.child_range(n)].iter().map(|c| seq[c.index()]));
-    }
-
-    // The sweep: each slot pops the `k` smallest awake positions, and a
-    // placed node wakes its children for the *next* slot (strictly later
-    // than their parent).
-    plan.clear();
-    awake.reset(order.len());
-    if !order.is_empty() {
-        awake.insert(seq[tree.root().index()] as usize);
-    }
-    while !awake.is_empty() {
-        slot_pos.clear();
-        while slot_pos.len() < k {
-            let Some(pos) = awake.pop_min() else {
-                break;
-            };
-            plan.push(order[pos]);
-            slot_pos.push(pos as u32);
-        }
-        plan.commit_slot();
-        for &p in slot_pos.iter() {
-            let children = pos_starts[p as usize] as usize..pos_starts[p as usize + 1] as usize;
-            for &c in &pos_children[children] {
-                awake.insert(c as usize);
-            }
-        }
-    }
-    assert_eq!(
-        plan.node_count(),
-        order.len(),
-        "every node wakes once its parent airs"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heuristics::sorting::sorted_preorder;
+    use crate::schedule::{greedy_pack_into, greedy_schedule_from_order, PackScratch, Schedule};
+    use crate::seqset::MinSeqSet;
+    use bcast_channel::SlotPlan;
     use bcast_index_tree::{builders, knary};
-    use bcast_types::Weight;
+    use bcast_types::{NodeId, Weight};
     use bcast_workloads::{random_tree, FrequencyDist, RandomTreeConfig};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
@@ -319,7 +191,7 @@ mod tests {
     /// callers read off the plan's first slots).
     fn assert_matches_oracle(tree: &IndexTree, order: &[NodeId], k: usize) {
         let mut plan = SlotPlan::new();
-        distribute_into(tree, order, k, &mut DistributeScratch::new(), &mut plan);
+        greedy_pack_into(order, tree, k, &mut PackScratch::new(), &mut plan);
         let (oracle, oracle_dump, oracle_inner) = distribute_oracle(tree, order, k);
         assert_eq!(plan, oracle, "plan");
         let dump = first_dump_slot(tree);
@@ -337,7 +209,7 @@ mod tests {
         // slot4 {E,4}, slot5 {C,D}.
         let t = builders::paper_example();
         let order = sorted_preorder(&t);
-        let s = distribute(&t, &order, 2);
+        let s = greedy_schedule_from_order(&order, &t, 2);
         let as_labels: Vec<Vec<String>> = s
             .slots()
             .iter()
@@ -360,8 +232,8 @@ mod tests {
     fn three_channels_shorten_the_cycle() {
         let t = builders::paper_example();
         let order = sorted_preorder(&t);
-        let s2 = distribute(&t, &order, 2);
-        let s3 = distribute(&t, &order, 3);
+        let s2 = greedy_schedule_from_order(&order, &t, 2);
+        let s3 = greedy_schedule_from_order(&order, &t, 3);
         assert!(s3.len() <= s2.len());
         s3.into_allocation(&t, 3).unwrap();
     }
@@ -373,7 +245,7 @@ mod tests {
         let w: Vec<Weight> = (1..=6u32).map(Weight::from).collect();
         let t = builders::chain(&w).unwrap();
         let order: Vec<NodeId> = t.preorder().to_vec();
-        let s = distribute(&t, &order, 3);
+        let s = greedy_schedule_from_order(&order, &t, 3);
         s.into_allocation(&t, 3).unwrap();
         assert_matches_oracle(&t, &order, 3);
     }
@@ -382,7 +254,7 @@ mod tests {
     fn scratch_reuse_is_bit_identical() {
         // One scratch across a larger tree, then smaller ones: stale
         // capacity from an earlier run must never leak into a later plan.
-        let mut scratch = DistributeScratch::new();
+        let mut scratch = PackScratch::new();
         let mut plan = SlotPlan::new();
         for (seed, items) in [(0u64, 3_000usize), (1, 700), (2, 40)] {
             let cfg = RandomTreeConfig {
@@ -395,10 +267,10 @@ mod tests {
             };
             let t = random_tree(&cfg, seed);
             let order = sorted_preorder(&t);
-            distribute_into(&t, &order, 3, &mut scratch, &mut plan);
+            greedy_pack_into(&order, &t, 3, &mut scratch, &mut plan);
             assert_eq!(
                 Schedule::from_plan(&plan),
-                distribute(&t, &order, 3),
+                greedy_schedule_from_order(&order, &t, 3),
                 "seed {seed}, {items} items"
             );
         }
@@ -448,14 +320,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
         #[test]
-        fn always_feasible(n in 1usize..40, k in 2usize..6, seed in 0u64..500) {
+        fn always_feasible(n in 1usize..40, k in 1usize..6, seed in 0u64..500) {
             let cfg = RandomTreeConfig {
                 data_nodes: n,
                 max_fanout: 4,
                 weights: FrequencyDist::Uniform { lo: 0.0, hi: 30.0 },
             };
             let t = random_tree(&cfg, seed);
-            let s = distribute(&t, &sorted_preorder(&t), k);
+            let s = greedy_schedule_from_order(&sorted_preorder(&t), &t, k);
             prop_assert_eq!(s.node_count(), t.len());
             s.into_allocation(&t, k).unwrap();
         }
@@ -469,7 +341,7 @@ mod tests {
             size in 0usize..600,
             seed in 0u64..1_000,
             order_kind in 0u8..3,
-            k in 2usize..=7,
+            k in 1usize..=7,
         ) {
             let t = twin_tree(shape, size, seed);
             let order = match order_kind {

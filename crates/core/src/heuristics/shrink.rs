@@ -224,8 +224,8 @@ pub fn combine_solve(tree: &IndexTree, k: usize, max_nodes: usize) -> ShrinkResu
 /// One root subtree's contribution to [`partition_solve`]: its merge
 /// density, its expanded broadcast order (original-tree ids), and the
 /// reduced node count actually searched. `copy_stack` and `expand_stack`
-/// are reusable worklists so a worker solving many subtrees allocates no
-/// fresh stack per partition.
+/// are reusable worklists, so solving many subtrees allocates no fresh
+/// stack per partition.
 fn solve_partition(
     tree: &IndexTree,
     sub_root: NodeId,
@@ -255,63 +255,17 @@ fn solve_partition(
 /// Tree-partitioning heuristic: solve each root subtree independently
 /// (shrinking any subtree above `max_sub_nodes` first), merge subtree
 /// broadcasts in descending weight-density order, repack into `k`
-/// channels. Sequential ([`partition_solve_threaded`] with one thread).
+/// channels.
 pub fn partition_solve(tree: &IndexTree, k: usize, max_sub_nodes: usize) -> ShrinkResult {
-    partition_solve_threaded(tree, k, max_sub_nodes, 1)
-}
-
-/// [`partition_solve`] with the per-subtree solves sharded over `threads`
-/// scoped workers. Each worker takes a contiguous chunk of the root's
-/// children and solves them with its own reused worklists; results are
-/// collected in child order before the density merge, so the schedule is
-/// bit-identical at every thread count (`threads ≤ 1` never spawns).
-pub fn partition_solve_threaded(
-    tree: &IndexTree,
-    k: usize,
-    max_sub_nodes: usize,
-    threads: usize,
-) -> ShrinkResult {
     assert!(k >= 1, "need at least one channel");
     let kids = tree.children(tree.root());
-    let threads = threads.max(1).min(kids.len().max(1));
-    let solved: Vec<(f64, Vec<NodeId>, usize)> = if threads <= 1 {
-        let mut copy_stack = Vec::new();
-        let mut expand_stack = Vec::new();
-        kids.iter()
-            .map(|&c| solve_partition(tree, c, max_sub_nodes, &mut copy_stack, &mut expand_stack))
-            .collect()
-    } else {
-        let chunk = kids.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = kids
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut copy_stack = Vec::new();
-                        let mut expand_stack = Vec::new();
-                        part.iter()
-                            .map(|&c| {
-                                solve_partition(
-                                    tree,
-                                    c,
-                                    max_sub_nodes,
-                                    &mut copy_stack,
-                                    &mut expand_stack,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("no panics"))
-                .collect()
-        })
-    };
+    let mut copy_stack = Vec::new();
+    let mut expand_stack = Vec::new();
     let mut max_reduced = 1usize;
-    let mut parts: Vec<(f64, Vec<NodeId>)> = Vec::with_capacity(solved.len());
-    for (density, order, reduced) in solved {
+    let mut parts: Vec<(f64, Vec<NodeId>)> = Vec::with_capacity(kids.len());
+    for &c in kids {
+        let (density, order, reduced) =
+            solve_partition(tree, c, max_sub_nodes, &mut copy_stack, &mut expand_stack);
         max_reduced = max_reduced.max(reduced);
         parts.push((density, order));
     }
@@ -442,25 +396,6 @@ mod tests {
                 r.data_wait,
                 exact.data_wait
             );
-        }
-    }
-
-    #[test]
-    fn partition_solve_is_thread_count_invariant() {
-        let cfg = RandomTreeConfig {
-            data_nodes: 400,
-            max_fanout: 6,
-            weights: FrequencyDist::Zipf {
-                theta: 0.8,
-                scale: 200.0,
-            },
-        };
-        let t = random_tree(&cfg, 5);
-        let base = partition_solve(&t, 3, 10);
-        for threads in [2usize, 4, 7] {
-            let r = partition_solve_threaded(&t, 3, 10, threads);
-            assert_eq!(r.schedule, base.schedule, "threads = {threads}");
-            assert_eq!(r.reduced_nodes, base.reduced_nodes);
         }
     }
 

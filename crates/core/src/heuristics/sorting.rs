@@ -11,7 +11,9 @@
 //! i.e. descending *weight density* `W/N` — the same exchange criterion as
 //! Lemma 6, applied to whole subtrees. The broadcast is then the preorder
 //! traversal of the sorted tree (for one channel) or its
-//! [`crate::heuristics::one_to_k`] distribution (for `k` channels).
+//! [`crate::heuristics::one_to_k`] distribution (for `k` channels), which
+//! is the one order-to-schedule sweep,
+//! [`greedy_pack_into`](crate::schedule::greedy_pack_into).
 //! Sorting costs `O(N log m)` per the paper; the whole heuristic is
 //! near-linear and handles trees far beyond the exact searches.
 //!
@@ -24,12 +26,11 @@
 //! by one precomputed scalar key per node (the density `W/N`, bit-encoded
 //! so `u64` order = descending density), which the two in-place sorters
 //! share: comparison sort for ordinary fanouts, LSD radix for very wide
-//! ones. Key computation and per-parent range sorting shard over scoped
-//! threads with disjoint writes, so the output is bit-identical at every
-//! thread count.
+//! ones. [`density_rank_into`] sorts the same keys across *all* nodes
+//! instead of within each child range — the frontier-greedy order
+//! ([`crate::baselines::greedy_frontier`]).
 
-use crate::heuristics::one_to_k;
-use crate::schedule::Schedule;
+use crate::schedule::{greedy_schedule_from_order, Schedule};
 use bcast_index_tree::IndexTree;
 use bcast_types::NodeId;
 
@@ -41,14 +42,14 @@ pub fn precedes(tree: &IndexTree, a: NodeId, b: NodeId) -> bool {
     nb * wa >= na * wb
 }
 
-/// Child ranges at least this wide take the LSD-radix path; narrower ones
+/// Ranges at least this wide take the LSD-radix path; narrower ones
 /// use the in-place comparison sort on the same keys (identical order, so
 /// the cutover is purely a performance knob).
 const RADIX_MIN: usize = 64;
 
-/// Reusable buffers for [`sorted_preorder_into`]. Capacity survives across
-/// calls: a steady-state publisher re-sorting the same tree performs no
-/// heap allocation on the single-threaded path.
+/// Reusable buffers for [`sorted_preorder_into`] and [`density_rank_into`].
+/// Capacity survives across calls: a steady-state publisher re-sorting the
+/// same tree performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     /// Per-node sort key: descending subtree density encoded so plain
@@ -61,7 +62,7 @@ pub struct SortScratch {
     pub(crate) sorted: Vec<NodeId>,
     /// DFS emit stack.
     pub(crate) stack: Vec<NodeId>,
-    /// Radix-scatter buffer for wide child ranges.
+    /// Radix-scatter buffer for wide ranges.
     pub(crate) radix: Vec<NodeId>,
 }
 
@@ -73,26 +74,33 @@ impl SortScratch {
 }
 
 /// Encodes a subtree's density `W/N` so ascending `u64` order means
-/// *descending* density. Weights are non-negative and finite and `N ≥ 1`,
-/// so the quotient is a non-negative finite `f64`, whose IEEE bit pattern
-/// is monotone in the value; complementing the bits reverses the order.
+/// *descending* density. Weights are non-negative and finite (never −0.0:
+/// [`bcast_types::Weight::new`] stores it as +0.0) and `N ≥ 1`, so the
+/// quotient is a non-negative finite `f64` other than −0.0, whose IEEE bit
+/// pattern is monotone in the value; complementing the bits reverses the
+/// order.
 #[inline]
 pub(crate) fn density_key(weight: f64, size: u32) -> u64 {
     !(weight / f64::from(size)).to_bits()
 }
 
-/// Fills `keys[lo..hi]` from the subtree tables.
-fn fill_keys(tree: &IndexTree, lo: usize, part: &mut [u64]) {
+/// Fills `keys` with every node's density key.
+fn fill_keys(tree: &IndexTree, keys: &mut Vec<u64>) {
     let weights = tree.subtree_weight_table();
     let sizes = tree.subtree_size_table();
-    for (i, k) in part.iter_mut().enumerate() {
-        *k = density_key(weights[lo + i].get(), sizes[lo + i]);
-    }
+    keys.clear();
+    keys.extend(
+        weights
+            .iter()
+            .zip(sizes)
+            .map(|(w, &size)| density_key(w.get(), size)),
+    );
 }
 
-/// Sorts one child range in place by `(key, id)` — descending density,
-/// ascending id tie-break. The range arrives in CSR order (ascending id),
-/// so the stable radix path needs no explicit tie-break digit.
+/// Sorts one range in place by `(key, id)` — descending density,
+/// ascending id tie-break. The range arrives in ascending id order (a CSR
+/// child range, or all ids), so the stable radix path needs no explicit
+/// tie-break digit.
 pub(crate) fn sort_range(range: &mut [NodeId], keys: &[u64], tmp: &mut Vec<NodeId>) {
     if range.len() < RADIX_MIN {
         range.sort_unstable_by(|&a, &b| keys[a.index()].cmp(&keys[b.index()]).then(a.cmp(&b)));
@@ -140,102 +148,32 @@ pub(crate) fn sort_range(range: &mut [NodeId], keys: &[u64], tmp: &mut Vec<NodeI
     }
 }
 
-/// Sorts the child ranges of parents `lo..hi` inside `part`, which holds
-/// the CSR slice `child_flat[starts[lo] .. starts[hi]]` (so ranges are
-/// rebased by `base = starts[lo]`).
-fn sort_parent_ranges(
-    starts: &[u32],
-    keys: &[u64],
-    lo: usize,
-    hi: usize,
-    part: &mut [NodeId],
-    base: usize,
-    tmp: &mut Vec<NodeId>,
-) {
-    for p in lo..hi {
-        let a = starts[p] as usize - base;
-        let b = starts[p + 1] as usize - base;
-        if b - a > 1 {
-            sort_range(&mut part[a..b], keys, tmp);
-        }
-    }
-}
-
 /// Preorder of the density-sorted tree, emitted into `out` (cleared first)
 /// using `scratch`'s reusable buffers — the zero-allocation core of the
-/// sorting heuristic (see the module docs). With `threads > 1`, key
-/// computation and range sorting shard over `std::thread::scope` workers
-/// writing disjoint slices; the result is bit-identical at any thread
-/// count (`threads ≤ 1` never spawns, keeping the hot path allocation
-/// free).
-pub fn sorted_preorder_into(
-    tree: &IndexTree,
-    threads: usize,
-    scratch: &mut SortScratch,
-    out: &mut Vec<NodeId>,
-) {
-    let n = tree.len();
-    let threads = threads.max(1).min(n.max(1));
-    let starts = tree.child_starts();
+/// sorting heuristic (see the module docs).
+pub fn sorted_preorder_into(tree: &IndexTree, scratch: &mut SortScratch, out: &mut Vec<NodeId>) {
+    fill_keys(tree, &mut scratch.keys);
 
-    // Phase 1: one density key per node.
-    scratch.keys.clear();
-    scratch.keys.resize(n, 0);
-    if threads <= 1 {
-        fill_keys(tree, 0, &mut scratch.keys);
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|s| {
-            for (ci, part) in scratch.keys.chunks_mut(chunk).enumerate() {
-                s.spawn(move || fill_keys(tree, ci * chunk, part));
-            }
-        });
-    }
-
-    // Phase 2: sort each parent's child range in place. Re-copying from
-    // the tree's CSR table restores the ascending-id order the radix
-    // tie-break relies on (a reused scratch still holds last call's order).
+    // Sort each parent's child range in place. Re-copying from the tree's
+    // CSR table restores the ascending-id order the radix tie-break relies
+    // on (a reused scratch still holds last call's order).
     scratch.sorted.clear();
     scratch.sorted.extend_from_slice(tree.flat_children());
-    let keys: &[u64] = &scratch.keys;
-    if threads <= 1 {
-        sort_parent_ranges(
-            starts,
-            keys,
-            0,
-            n,
-            &mut scratch.sorted,
-            0,
-            &mut scratch.radix,
-        );
-    } else {
-        // Split parents into contiguous chunks; each worker owns the
-        // matching contiguous CSR slice (child ranges never straddle a
-        // parent boundary), so writes are disjoint by construction.
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|s| {
-            let mut rest: &mut [NodeId] = &mut scratch.sorted;
-            let mut base = 0usize;
-            let mut lo = 0usize;
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                let end = starts[hi] as usize;
-                let (part, tail) = rest.split_at_mut(end - base);
-                rest = tail;
-                let part_base = base;
-                s.spawn(move || {
-                    let mut tmp = Vec::new();
-                    sort_parent_ranges(starts, keys, lo, hi, part, part_base, &mut tmp);
-                });
-                base = end;
-                lo = hi;
-            }
-        });
+    let starts = tree.child_starts();
+    for p in 0..tree.len() {
+        let range = starts[p] as usize..starts[p + 1] as usize;
+        if range.len() > 1 {
+            sort_range(
+                &mut scratch.sorted[range],
+                &scratch.keys,
+                &mut scratch.radix,
+            );
+        }
     }
 
-    // Phase 3: preorder emit over the sorted ranges.
+    // Preorder emit over the sorted ranges.
     out.clear();
-    out.reserve(n);
+    out.reserve(tree.len());
     scratch.stack.clear();
     scratch.stack.push(tree.root());
     while let Some(node) = scratch.stack.pop() {
@@ -244,7 +182,7 @@ pub fn sorted_preorder_into(
             scratch.stack.push(c);
         }
     }
-    debug_assert_eq!(out.len(), n);
+    debug_assert_eq!(out.len(), tree.len());
 }
 
 /// Preorder traversal of the tree with every node's children visited in
@@ -253,15 +191,28 @@ pub fn sorted_preorder_into(
 /// with one-shot buffers; allocation-sensitive callers hold a
 /// [`SortScratch`] and call the `_into` form directly.
 pub fn sorted_preorder(tree: &IndexTree) -> Vec<NodeId> {
-    let mut scratch = SortScratch::new();
     let mut out = Vec::new();
-    sorted_preorder_into(tree, 1, &mut scratch, &mut out);
+    sorted_preorder_into(tree, &mut SortScratch::new(), &mut out);
     out
 }
 
-/// The full sorting heuristic: sorted preorder, distributed over `k`
-/// channels (`k = 1` returns the sequence itself; `k > 1` applies the
-/// `1_To_k_BroadcastChannel` procedure).
+/// Every node ranked by the same density key the sorted preorder uses —
+/// descending `W/N` (a data node's own weight), ascending id on ties —
+/// across the whole tree rather than within each child range, emitted
+/// into `out` (cleared first). Fed to the sweep, it is the
+/// frontier-greedy schedule: a node's priority never changes, so taking
+/// the `k` highest-priority awake nodes per slot is taking the `k`
+/// earliest-ranked ones.
+pub fn density_rank_into(tree: &IndexTree, scratch: &mut SortScratch, out: &mut Vec<NodeId>) {
+    fill_keys(tree, &mut scratch.keys);
+    out.clear();
+    out.extend((0..tree.len()).map(NodeId::from_index));
+    sort_range(out, &scratch.keys, &mut scratch.radix);
+}
+
+/// The full sorting heuristic: the sorted preorder, distributed over `k`
+/// channels by the `1_To_k_BroadcastChannel` procedure (`k = 1` returns
+/// the sequence itself).
 ///
 /// ```
 /// use bcast_core::heuristics::sorting;
@@ -274,13 +225,7 @@ pub fn sorted_preorder(tree: &IndexTree) -> Vec<NodeId> {
 /// assert!((schedule.average_data_wait(&tree) - 272.0 / 70.0).abs() < 1e-9);
 /// ```
 pub fn sorting_schedule(tree: &IndexTree, k: usize) -> Schedule {
-    assert!(k >= 1, "need at least one channel");
-    let order = sorted_preorder(tree);
-    if k == 1 {
-        Schedule::from_sequence(order)
-    } else {
-        one_to_k::distribute(tree, &order, k)
-    }
+    greedy_schedule_from_order(&sorted_preorder(tree), tree, k)
 }
 
 #[cfg(test)]
@@ -331,7 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_and_threads_are_bit_identical() {
+    fn scratch_reuse_is_bit_identical() {
+        // One scratch across trees, alternating the two orders it serves:
+        // stale keys, ranges or radix capacity must never leak.
         let cfg = RandomTreeConfig {
             data_nodes: 5_000,
             max_fanout: 150, // wide fanouts exercise the radix path
@@ -341,16 +288,34 @@ mod tests {
             },
         };
         let mut scratch = SortScratch::new();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let mut out = Vec::new();
         for seed in 0..3u64 {
             let t = random_tree(&cfg, seed);
-            sorted_preorder_into(&t, 1, &mut scratch, &mut a);
-            assert_eq!(a, sorted_preorder(&t), "seed {seed}: scratch reuse");
-            for threads in [2usize, 4, 7] {
-                sorted_preorder_into(&t, threads, &mut scratch, &mut b);
-                assert_eq!(a, b, "seed {seed}, threads {threads}");
+            sorted_preorder_into(&t, &mut scratch, &mut out);
+            assert_eq!(out, sorted_preorder(&t), "seed {seed}: sorted preorder");
+            density_rank_into(&t, &mut scratch, &mut out);
+            let mut fresh = Vec::new();
+            density_rank_into(&t, &mut SortScratch::new(), &mut fresh);
+            assert_eq!(out, fresh, "seed {seed}: density rank");
+        }
+    }
+
+    #[test]
+    fn negative_zero_weight_sorts_as_zero() {
+        // `precedes` reads −0.0 as 0, so A (weight −0) must sort last, as
+        // it does with weight 0 — not first as the densest child.
+        for zero in [-0.0, 0.0] {
+            let mut b = bcast_index_tree::TreeBuilder::new();
+            let root = b.root("1");
+            for (label, w) in [("A", zero), ("B", 5.0), ("C", 3.0)] {
+                b.add_data(root, bcast_types::Weight::new(w).unwrap(), label)
+                    .unwrap();
             }
+            let t = b.build().unwrap();
+            let labels: Vec<String> = sorted_preorder(&t).iter().map(|&n| t.label(n)).collect();
+            assert_eq!(labels, ["1", "B", "C", "A"], "weight {zero:?}");
+            let s = sorting_schedule(&t, 1);
+            assert!((s.average_data_wait(&t) - 2.375).abs() < 1e-12);
         }
     }
 
@@ -369,7 +334,7 @@ mod tests {
         // order with id tie-break.
         let mut scratch = SortScratch::new();
         let mut out = Vec::new();
-        sorted_preorder_into(&t, 1, &mut scratch, &mut out);
+        sorted_preorder_into(&t, &mut scratch, &mut out);
         assert_eq!(order, out);
         for p in 0..t.len() {
             let r = t.child_range(bcast_types::NodeId::from_index(p));

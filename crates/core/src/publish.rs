@@ -13,24 +13,26 @@
 //! heuristic entry points are thin wrappers over the same `_into` engines
 //! this struct drives (property-tested in `tests/publish_pipeline.rs`).
 
-use crate::baselines::{frontier_plan_into, FrontierScratch};
-use crate::heuristics::one_to_k::{distribute_into, DistributeScratch};
 use crate::heuristics::shrink::combine_order_into;
-use crate::heuristics::sorting::{sorted_preorder_into, SortScratch};
+use crate::heuristics::sorting::{density_rank_into, sorted_preorder_into, SortScratch};
 use crate::schedule::{greedy_pack_into, PackScratch};
 use bcast_channel::{CompiledProgram, FeasibilityError, PublishPipeline, SlotPlan};
 use bcast_index_tree::IndexTree;
 use bcast_types::NodeId;
 
-/// Which scheduling policy drives a [`Publisher::publish`] call.
+/// Which scheduling policy drives a [`Publisher::publish`] call. Each one
+/// is a node order; [`greedy_pack_into`] turns any of them into the slot
+/// plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PublishHeuristic {
-    /// §4.2 index-tree sorting: density-sorted preorder, distributed with
-    /// `1_To_k_BroadcastChannel` for `k > 1` (the paper's scalable
-    /// heuristic; matches [`crate::heuristics::sorting::sorting_schedule`]).
+    /// §4.2 index-tree sorting: the density-sorted preorder, distributed
+    /// with `1_To_k_BroadcastChannel` (the paper's scalable heuristic;
+    /// matches [`crate::heuristics::sorting::sorting_schedule`]).
     Sorting,
     /// Frontier-greedy scheduling (our extension; matches
-    /// [`crate::baselines::greedy_frontier`]).
+    /// [`crate::baselines::greedy_frontier`]): every node ranked by the
+    /// same density key across the whole tree instead of within each
+    /// child range.
     Frontier,
     /// §4.2 index-tree shrinking via node combination: shrink to
     /// `max_nodes`, solve exactly, expand, repack greedily (matches
@@ -44,21 +46,13 @@ pub enum PublishHeuristic {
     Preorder,
 }
 
-/// Tuning knobs for a publish call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublishOptions {
-    /// Worker threads for the sorting heuristic's parallel phases (the
-    /// density-key fill and the child-range sort). `1` (the default) never
-    /// spawns and keeps the hot path allocation-free; any value produces
-    /// bit-identical output.
-    pub threads: usize,
-}
-
-impl Default for PublishOptions {
-    fn default() -> Self {
-        PublishOptions { threads: 1 }
-    }
-}
+/// Options for a publish call. There are none left: the parameter stays
+/// so existing callers of [`Publisher::publish`] and
+/// [`Publisher::republish_delta`] keep compiling. Build it with
+/// `PublishOptions::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct PublishOptions;
 
 /// Reusable publish engine: heuristic scratch + slot plan + fused pipeline.
 ///
@@ -69,9 +63,7 @@ impl Default for PublishOptions {
 #[derive(Debug, Default)]
 pub struct Publisher {
     pub(crate) sort: SortScratch,
-    pub(crate) dist: DistributeScratch,
     pack: PackScratch,
-    frontier: FrontierScratch,
     pub(crate) order: Vec<NodeId>,
     pub(crate) plan: SlotPlan,
     pub(crate) pipeline: PublishPipeline,
@@ -105,31 +97,24 @@ impl Publisher {
         tree: &IndexTree,
         k: usize,
         heuristic: PublishHeuristic,
-        opts: PublishOptions,
+        _: PublishOptions,
     ) -> Result<&CompiledProgram, FeasibilityError> {
-        assert!(k >= 1, "need at least one channel");
-        let threads = opts.threads.max(1);
-        match heuristic {
+        let order: &[NodeId] = match heuristic {
             PublishHeuristic::Sorting => {
-                sorted_preorder_into(tree, threads, &mut self.sort, &mut self.order);
-                if k == 1 {
-                    self.plan.clear();
-                    self.plan.push_sequence(&self.order);
-                } else {
-                    distribute_into(tree, &self.order, k, &mut self.dist, &mut self.plan);
-                }
+                sorted_preorder_into(tree, &mut self.sort, &mut self.order);
+                &self.order
             }
             PublishHeuristic::Frontier => {
-                frontier_plan_into(tree, k, &mut self.frontier, &mut self.plan);
+                density_rank_into(tree, &mut self.sort, &mut self.order);
+                &self.order
             }
             PublishHeuristic::Shrink { max_nodes } => {
                 combine_order_into(tree, max_nodes, &mut self.order);
-                greedy_pack_into(&self.order, tree, k, &mut self.pack, &mut self.plan);
+                &self.order
             }
-            PublishHeuristic::Preorder => {
-                greedy_pack_into(tree.preorder(), tree, k, &mut self.pack, &mut self.plan);
-            }
-        }
+            PublishHeuristic::Preorder => tree.preorder(),
+        };
+        greedy_pack_into(order, tree, k, &mut self.pack, &mut self.plan);
         self.pipeline.publish(tree, &self.plan, k)?;
         // Snapshot the diff state the delta lane repairs against. Only the
         // Sorting heuristic has an incremental twin; any other publish
@@ -239,29 +224,27 @@ mod tests {
     }
 
     #[test]
-    fn threads_do_not_change_output() {
+    fn reused_publisher_matches_a_fresh_one() {
+        // Every heuristic shares the order buffer and the sweep's scratch;
+        // switching between them on one publisher must leave nothing
+        // stale behind.
         let t = builders::paper_example();
-        let mut p1 = Publisher::new();
-        let mut p4 = Publisher::new();
+        let mut reused = Publisher::new();
         for k in [1usize, 2, 3] {
-            let a = p1
-                .publish(
-                    &t,
-                    k,
-                    PublishHeuristic::Sorting,
-                    PublishOptions { threads: 1 },
-                )
-                .unwrap()
-                .clone();
-            let b = p4
-                .publish(
-                    &t,
-                    k,
-                    PublishHeuristic::Sorting,
-                    PublishOptions { threads: 4 },
-                )
-                .unwrap();
-            assert_eq!(a, *b);
+            for h in [
+                PublishHeuristic::Sorting,
+                PublishHeuristic::Frontier,
+                PublishHeuristic::Shrink { max_nodes: 6 },
+                PublishHeuristic::Preorder,
+            ] {
+                let a = reused
+                    .publish(&t, k, h, PublishOptions::default())
+                    .unwrap()
+                    .clone();
+                let mut fresh = Publisher::new();
+                let b = fresh.publish(&t, k, h, PublishOptions::default()).unwrap();
+                assert_eq!(a, *b, "heuristic {h:?} at k = {k}");
+            }
         }
     }
 }

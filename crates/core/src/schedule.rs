@@ -107,20 +107,24 @@ impl Schedule {
     }
 }
 
-/// Greedily packs a feasible *linear order* of all tree nodes into a
-/// k-channel schedule: slots are filled left to right, each slot taking up
-/// to `k` still-unplaced nodes — earliest in `order` first — whose parents
-/// sit in strictly earlier slots.
+/// Packs a *linear order* of all tree nodes into a k-channel schedule:
+/// slots are filled left to right, each slot taking up to `k` still
+/// unplaced nodes — earliest in `order` first — whose parents sit in
+/// strictly earlier slots.
 ///
-/// Used by the heuristics to turn 1-channel orders (sorted preorder,
-/// expanded shrunken paths) into multi-channel schedules while guaranteeing
-/// feasibility. A node appearing before its parent in `order` is simply
-/// deferred until the parent has aired, so any permutation of the tree's
-/// nodes yields a feasible schedule.
+/// This is the one place an order becomes a schedule. The heuristics
+/// differ only in the order they feed it: the density-sorted preorder
+/// (§4.2 Index Tree Sorting, where this sweep *is* the paper's
+/// `1_To_k_BroadcastChannel` — see [`crate::heuristics::one_to_k`]), the
+/// global density rank (frontier-greedy), an expanded shrunken path, or
+/// the plain preorder. A node appearing before its parent in `order` is
+/// simply deferred until the parent has aired, so any permutation of the
+/// tree's nodes yields a feasible schedule; with `k = 1` a topological
+/// order comes back unchanged.
 ///
 /// # Panics
-/// Panics if `order` is not a permutation of the tree's nodes — wrong
-/// length or any duplicate (a programming error in the caller).
+/// Panics if `k == 0` or `order` is not a permutation of the tree's nodes
+/// — wrong length or any duplicate (a programming error in the caller).
 pub fn greedy_schedule_from_order(order: &[NodeId], tree: &IndexTree, k: usize) -> Schedule {
     let mut scratch = PackScratch::new();
     let mut plan = SlotPlan::new();
@@ -132,15 +136,24 @@ pub fn greedy_schedule_from_order(order: &[NodeId], tree: &IndexTree, k: usize) 
 /// calls, so a steady-state packer performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct PackScratch {
-    /// Position of each node in `order` (doubles as the duplicate check).
-    rank: Vec<u32>,
-    /// Awake nodes — parent aired in a strictly earlier slot — keyed by
-    /// `order` position.
+    /// `seq[n]` = position of node `n` in the input order (doubles as the
+    /// duplicate check).
+    seq: Vec<u32>,
+    /// Awake nodes (parent aired in a strictly earlier slot) keyed by
+    /// position.
     awake: MinSeqSet,
+    /// Position-space child table:
+    /// `pos_children[pos_starts[i] .. pos_starts[i + 1]]` holds the
+    /// positions of the children of `order[i]`.
+    pos_starts: Vec<u32>,
+    /// See [`PackScratch::pos_starts`].
+    pos_children: Vec<u32>,
+    /// Positions placed in the slot being filled.
+    slot_pos: Vec<u32>,
 }
 
 impl PackScratch {
-    /// Empty scratch; the first pack sizes the buffers.
+    /// Empty scratch; the first pack sizes the buffers to the tree.
     pub fn new() -> Self {
         PackScratch::default()
     }
@@ -148,12 +161,17 @@ impl PackScratch {
 
 /// The zero-allocation twin of [`greedy_schedule_from_order`]: packs
 /// `order` into `plan` (cleared first) using `scratch`'s reusable buffers.
-/// Produces the identical slot structure — `greedy_schedule_from_order` is
-/// now a thin wrapper over this function.
+///
+/// Each slot pops the `k` smallest positions from an *awake set* — a
+/// node enters it once its parent has aired, and placing a node wakes its
+/// children for the *next* slot, never the current one — so the sweep is
+/// near-linear where rescanning the unplaced remainder per slot is
+/// quadratic once a subtree piles up behind an unplaced ancestor (see
+/// [`MinSeqSet`]).
 ///
 /// # Panics
-/// Panics if `order` is not a permutation of the tree's nodes — wrong
-/// length or any duplicate (a programming error in the caller).
+/// Panics if `k == 0` or `order` is not a permutation of the tree's nodes
+/// — wrong length or any duplicate (a programming error in the caller).
 pub fn greedy_pack_into(
     order: &[NodeId],
     tree: &IndexTree,
@@ -163,58 +181,74 @@ pub fn greedy_pack_into(
 ) {
     assert!(k >= 1, "need at least one channel");
     assert_eq!(order.len(), tree.len(), "order must cover all nodes");
-    let PackScratch { rank, awake } = scratch;
-    // Enforce the permutation contract up front: silent duplicates would
-    // otherwise yield a schedule that never airs some node while reporting
-    // a full node_count. `rank` doubles as the seen-set (`u32::MAX` =
-    // unseen), saving a dedicated buffer.
-    rank.clear();
-    rank.resize(tree.len(), u32::MAX);
+    let PackScratch {
+        seq,
+        awake,
+        pos_starts,
+        pos_children,
+        slot_pos,
+    } = scratch;
+
+    // Inverse permutation (and the duplicate check that makes it one).
+    seq.clear();
+    seq.resize(tree.len(), u32::MAX);
     for (i, &n) in order.iter().enumerate() {
-        assert!(
-            rank[n.index()] == u32::MAX,
+        assert_eq!(
+            seq[n.index()],
+            u32::MAX,
             "order is not a permutation of the tree: node {n} appears twice"
         );
-        rank[n.index()] = i as u32;
+        seq[n.index()] = i as u32;
     }
-    plan.clear();
-    // Each slot takes the `k` earliest-in-`order` nodes whose parent aired
-    // in a strictly earlier slot. Rescanning the remaining list per slot is
-    // quadratic when a subtree piles up behind an unplaced ancestor, so the
-    // pack runs off an *awake set* keyed by `order` position: a node
-    // enters the set once its parent has aired (placing a node wakes its
-    // children for the *next* slot — never the current one, matching the
-    // strict comparison of the scanning version), and each slot pops the
-    // first `k` — the identical selection in near-linear time (see
-    // [`MinSeqSet`]).
-    awake.reset(order.len());
+
+    // The slot loop is a serial chain of data-dependent loads, so the
+    // per-node child walk (CSR range, then each child's position) is
+    // hoisted into a position-space child table built by two tight
+    // sequential passes up front — the same cache misses, but overlapped
+    // by the CPU instead of serialized behind each slot's pops.
+    pos_starts.clear();
+    pos_starts.reserve(order.len() + 1);
+    pos_starts.push(0);
+    let mut total = 0u32;
     for &n in order {
-        if tree.parent(n).is_none() {
-            awake.insert(rank[n.index()] as usize);
-        }
+        total += tree.child_range(n).len() as u32;
+        pos_starts.push(total);
     }
-    let mut slot = 0u32;
-    let mut placed = 0usize;
+    let flat = tree.flat_children();
+    pos_children.clear();
+    pos_children.reserve(total as usize);
+    for &n in order {
+        pos_children.extend(flat[tree.child_range(n)].iter().map(|c| seq[c.index()]));
+    }
+
+    // The sweep: each slot pops the `k` smallest awake positions, and a
+    // placed node wakes its children for the next slot.
+    plan.clear();
+    awake.reset(order.len());
+    if !order.is_empty() {
+        awake.insert(seq[tree.root().index()] as usize);
+    }
     while !awake.is_empty() {
-        while plan.open_len() < k {
+        slot_pos.clear();
+        while slot_pos.len() < k {
             let Some(pos) = awake.pop_min() else {
                 break;
             };
             plan.push(order[pos]);
-        }
-        placed += plan.open_len();
-        for &n in plan.open_members() {
-            for &c in tree.children(n) {
-                awake.insert(rank[c.index()] as usize);
-            }
+            slot_pos.push(pos as u32);
         }
         plan.commit_slot();
-        slot += 1;
+        for &p in slot_pos.iter() {
+            let children = pos_starts[p as usize] as usize..pos_starts[p as usize + 1] as usize;
+            for &c in &pos_children[children] {
+                awake.insert(c as usize);
+            }
+        }
     }
     assert_eq!(
-        placed,
+        plan.node_count(),
         order.len(),
-        "order is not a permutation of the tree: nothing placeable at slot {slot}"
+        "every node wakes once its parent airs"
     );
 }
 

@@ -1,9 +1,10 @@
 //! A hierarchical-bitmap priority set over a dense integer universe.
 //!
-//! The greedy packers ([`crate::schedule::greedy_pack_into`] and the
-//! `1_To_k` dump loop) repeatedly ask one question: *of the nodes whose
-//! parent has already aired, which comes earliest in the input order?*
-//! Keys are therefore unique positions in `0..n` — a dense universe — so a
+//! The order-to-schedule sweep ([`crate::schedule::greedy_pack_into`],
+//! which runs every heuristic's order, the `1_To_k` procedure included)
+//! repeatedly asks one question: *of the nodes whose parent has already
+//! aired, which comes earliest in the input order?* Keys are therefore
+//! unique positions in `0..n` — a dense universe — so a
 //! binary heap's `O(log n)` pointer-chasing per operation is overkill. A
 //! bitmap with one summary bit per 64-bit word (repeated until one word
 //! remains) answers `pop_min` with a short cascade of find-first-set

@@ -14,9 +14,9 @@
 //!   work; spawning OS threads per slice costs a comparable amount of
 //!   kernel time. The loop parks a [`WorkerPool`] for its lifetime and
 //!   wakes it with an epoch handshake each slice ([`ServeLoop::run_slice`]).
-//!   The original spawn-per-slice executor survives as
-//!   [`run_slice_scoped`](ServeLoop::run_slice_scoped) — the equivalence
-//!   oracle the pooled path is property-tested against.
+//!   A `threads = 1` loop runs the roster in order on the calling thread;
+//!   it is the equivalence oracle the pooled path is property-tested
+//!   against.
 //! * **Load-balanced lanes.** Tenants are assigned to worker lanes by
 //!   deterministic LPT (longest processing time first) over each tenant's
 //!   [`cost_hint`](TenantRuntime::cost_hint) — an EWMA of its scripted
@@ -197,8 +197,7 @@ impl ServeLoop {
     /// Computes each tenant's admitted cap for the coming slice (the
     /// water-filling pass described on
     /// [`set_slice_budget`](Self::set_slice_budget)) and arms the caps.
-    /// Runs on the caller thread before tenants fan out to lanes, in
-    /// both the pooled path and the scoped oracle.
+    /// Runs on the caller thread before tenants fan out to lanes.
     fn admit_slice(&mut self) {
         let Some(budget) = self.slice_budget else {
             return;
@@ -459,34 +458,6 @@ impl ServeLoop {
             s.perm[at as usize] = i as u32;
             s.cursor[l as usize] += 1;
         }
-    }
-
-    /// The original spawn-per-slice executor over contiguous roster
-    /// chunks, retained verbatim as the equivalence oracle for the pooled
-    /// path: property tests demand `run_slice` and `run_slice_scoped`
-    /// produce bit-identical tenants at every thread count. Prefer
-    /// [`run_slice`](Self::run_slice) — this one pays a thread spawn per
-    /// worker per slice.
-    pub fn run_slice_scoped(&mut self) {
-        self.admit_slice();
-        let threads = self.threads.clamp(1, self.tenants.len().max(1));
-        if threads <= 1 {
-            for t in &mut self.tenants {
-                t.run_slice();
-            }
-        } else {
-            let chunk = self.tenants.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for part in self.tenants.chunks_mut(chunk) {
-                    scope.spawn(|| {
-                        for t in part {
-                            t.run_slice();
-                        }
-                    });
-                }
-            });
-        }
-        self.slices_run += 1;
     }
 
     /// Runs `n` consecutive slices.
@@ -762,21 +733,17 @@ mod tests {
 
     #[test]
     fn pooled_executor_matches_the_scoped_oracle() {
+        // The oracle is the `threads = 1` twin: the roster in order on the
+        // calling thread.
         for threads in [1usize, 2, 4] {
             let mut pooled = boot(threads, 5);
-            let mut scoped = boot(threads, 5);
+            let mut oracle = boot(1, 5);
             for _ in 0..6 {
                 pooled.run_slice();
-                scoped.run_slice_scoped();
+                oracle.run_slice();
             }
-            let snap = |svc: &ServeLoop| {
-                svc.tenants()
-                    .iter()
-                    .map(|t| (t.id(), t.phase_snapshot()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(snap(&pooled), snap(&scoped), "threads = {threads}");
-            assert_eq!(pooled.slices_run(), scoped.slices_run());
+            assert_eq!(snap(&pooled), snap(&oracle), "threads = {threads}");
+            assert_eq!(pooled.slices_run(), oracle.slices_run());
         }
     }
 
@@ -904,22 +871,16 @@ mod tests {
 
     #[test]
     fn shedding_is_deterministic_across_threads_and_executors() {
-        let run = |threads: usize, scoped: bool| {
+        // `threads = 1` runs sequentially, the others on the pool.
+        let run = |threads: usize| {
             let mut svc = boot(threads, 5);
             svc.set_slice_budget(Some(300));
-            for _ in 0..6 {
-                if scoped {
-                    svc.run_slice_scoped();
-                } else {
-                    svc.run_slice();
-                }
-            }
+            svc.run_slices(6);
             snap(&svc)
         };
-        let one = run(1, false);
-        assert_eq!(one, run(2, false));
-        assert_eq!(one, run(4, false));
-        assert_eq!(one, run(2, true), "scoped oracle under budget");
+        let one = run(1);
+        assert_eq!(one, run(2));
+        assert_eq!(one, run(4));
         // 5 tenants at 120 against a budget of 300: every slice admits
         // exactly the budget and sheds the rest, and the floor keeps
         // delivery rate honest.

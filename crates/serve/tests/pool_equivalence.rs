@@ -1,8 +1,9 @@
-//! The pooled executor is pinned bit-identical to the retained
-//! scoped-spawn oracle: same tenants, same slices, same churn — exactly
-//! equal phase snapshots at every thread count, plus scenario
-//! fingerprints invariant across thread counts. The `--ignored` soak
-//! drives the pool handshake through ten thousand wake/park cycles.
+//! The pooled executor is pinned bit-identical to its oracle, a
+//! `threads = 1` twin that runs the roster in order on the calling
+//! thread: same tenants, same slices, same churn — exactly equal phase
+//! snapshots at every thread count, plus scenario fingerprints invariant
+//! across thread counts. The `--ignored` soak drives the pool handshake
+//! through ten thousand wake/park cycles.
 
 use bcast_serve::{run_scenario, ServeLoop, TenantConfig};
 use bcast_types::{SloSnapshot, SloSpec};
@@ -31,23 +32,21 @@ fn snapshots(svc: &ServeLoop) -> Vec<(u64, SloSnapshot)> {
         .collect()
 }
 
-/// Drives both executors through the same script: slices, then a
-/// mid-run join/leave wave, then more slices — asserting snapshot
-/// equality at both checkpoints.
+/// Drives the pooled loop and its sequential twin through the same
+/// script: slices, then a mid-run join/leave wave, then more slices —
+/// asserting snapshot equality at both checkpoints.
 fn compare_executors(seed: u64, threads: usize, tenants: usize, rate: u32) {
     let slices = 8u32;
     let mut pooled = boot(seed, threads, tenants, rate, slices);
-    let mut scoped = boot(seed, threads, tenants, rate, slices);
-    for _ in 0..4 {
-        pooled.run_slice();
-        scoped.run_slice_scoped();
-    }
+    let mut oracle = boot(seed, 1, tenants, rate, slices);
+    pooled.run_slices(4);
+    oracle.run_slices(4);
     assert_eq!(
         snapshots(&pooled),
-        snapshots(&scoped),
+        snapshots(&oracle),
         "pre-churn, threads {threads} tenants {tenants}"
     );
-    for svc in [&mut pooled, &mut scoped] {
+    for svc in [&mut pooled, &mut oracle] {
         for _ in 0..2 {
             let id = svc.next_id();
             svc.join(TenantConfig::new(id, 24));
@@ -60,16 +59,14 @@ fn compare_executors(seed: u64, threads: usize, tenants: usize, rate: u32) {
         }
         svc.leave(0);
     }
-    for _ in 0..4 {
-        pooled.run_slice();
-        scoped.run_slice_scoped();
-    }
+    pooled.run_slices(4);
+    oracle.run_slices(4);
     assert_eq!(
         snapshots(&pooled),
-        snapshots(&scoped),
+        snapshots(&oracle),
         "post-churn, threads {threads} tenants {tenants}"
     );
-    assert_eq!(pooled.slices_run(), scoped.slices_run());
+    assert_eq!(pooled.slices_run(), oracle.slices_run());
 }
 
 #[test]

@@ -43,14 +43,18 @@ impl Weight {
     /// data wait).
     pub const ZERO: Weight = Weight(0.0);
 
-    /// Validating constructor.
+    /// Validating constructor. `-0.0` is accepted and stored as `+0.0`, so
+    /// every zero weight has the same bits: order-by-bits consumers (the
+    /// sorting heuristic's density keys) would otherwise rank `-0.0` apart
+    /// from, and ahead of, every positive weight.
     pub fn new(value: f64) -> Result<Self, WeightError> {
         if !value.is_finite() {
             Err(WeightError::NotFinite)
         } else if value < 0.0 {
             Err(WeightError::Negative)
         } else {
-            Ok(Weight(value))
+            // `value` is `+x` or `-0.0` here; `abs` maps only the latter.
+            Ok(Weight(value.abs()))
         }
     }
 
@@ -165,6 +169,13 @@ mod tests {
         assert_eq!(Weight::new(f64::INFINITY), Err(WeightError::NotFinite));
         assert_eq!(Weight::new(-1.0), Err(WeightError::Negative));
         assert!(Weight::new(0.0).is_ok());
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_zero() {
+        let w = Weight::new(-0.0).unwrap();
+        assert_eq!(w.get().to_bits(), 0.0f64.to_bits());
+        assert_eq!(w, Weight::ZERO);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Two claims are pinned here:
 //!
 //! 1. **Bit-identical output.** For random trees × heuristic × channel
-//!    count × thread count, [`Publisher::publish`] (one fused traversal:
+//!    count, [`Publisher::publish`] (one fused traversal:
 //!    schedule → channel assignment → route tables) produces exactly the
 //!    `CompiledProgram`, `BroadcastProgram` buckets and mean data wait of
 //!    the legacy pipeline `Schedule` → `Allocation::from_slot_schedule` →
@@ -13,8 +13,7 @@
 //!    original, allocation-heavy form, kept here as an oracle.
 //! 3. **Zero heap allocations after warm-up.** This binary installs the
 //!    [`CountingAlloc`] global allocator; once the publisher's scratch
-//!    buffers are sized, a single-threaded republish must not touch the
-//!    heap at all.
+//!    buffers are sized, a republish must not touch the heap at all.
 
 use broadcast_alloc::alloc::heuristics::{shrink, sorting};
 use broadcast_alloc::alloc::{baselines, PublishHeuristic, PublishOptions, Publisher, Schedule};
@@ -158,7 +157,7 @@ proptest! {
         let tree = random_tree(&cfg, seed);
         let mut p = Publisher::new();
         let fused = p
-            .publish(&tree, k, PublishHeuristic::Sorting, PublishOptions { threads: 1 })
+            .publish(&tree, k, PublishHeuristic::Sorting, PublishOptions::default())
             .expect("the sorting plan is feasible");
         let (_, original) = three_pass(&original_sorting_schedule(&tree, k), &tree, k);
         prop_assert_eq!(fused, &original, "k = {}", k);
@@ -168,10 +167,8 @@ proptest! {
     fn fused_publish_matches_three_pass(
         n in 2usize..120,
         k in 1usize..4,
-        t_idx in 0usize..3,
         seed in 0u64..500,
     ) {
-        let threads = [1usize, 2, 4][t_idx];
         let cfg = RandomTreeConfig {
             data_nodes: n,
             max_fanout: 5,
@@ -189,20 +186,19 @@ proptest! {
             (PublishHeuristic::Preorder, baselines::preorder_schedule(&tree, k)),
         ] {
             let fused = p
-                .publish(&tree, k, h, PublishOptions { threads })
+                .publish(&tree, k, h, PublishOptions::default())
                 .expect("heuristic plans are feasible")
                 .clone();
             let (program, compiled) = three_pass(&schedule, &tree, k);
             // Identical T(Di) route tables…
-            prop_assert_eq!(&fused, &compiled, "{:?} at k = {}, threads = {}", h, k, threads);
+            prop_assert_eq!(&fused, &compiled, "{:?} at k = {}", h, k);
             // …identical bucket grid…
             prop_assert_eq!(
                 p.pipeline().materialize_program(&tree),
                 program,
-                "{:?} at k = {}, threads = {}",
+                "{:?} at k = {}",
                 h,
-                k,
-                threads
+                k
             );
             // …identical mean cost.
             let fused_wait = p.plan().average_data_wait(&tree);
@@ -224,7 +220,7 @@ fn fused_hot_path_is_allocation_free_after_warmup() {
     };
     let tree = random_tree(&cfg, 7);
     let mut p = Publisher::new();
-    let opts = PublishOptions { threads: 1 };
+    let opts = PublishOptions::default();
     for h in [
         PublishHeuristic::Sorting,
         PublishHeuristic::Frontier,

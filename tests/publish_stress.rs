@@ -2,11 +2,9 @@
 //!
 //! Builds a weight-balanced alphabetic tree over one million data items
 //! (≈1.33M nodes with fanout 4) and publishes it onto 3 channels with the
-//! sorting heuristic. Pins two properties at scale:
-//!
-//! * the parallel heuristic phases are bit-identical at any thread count,
-//! * a steady-state republish into reused buffers reproduces the program
-//!   exactly (the double-buffer swap loses nothing).
+//! sorting heuristic. Pins that a steady-state republish into reused
+//! buffers reproduces the program exactly (the double-buffer swap loses
+//! nothing).
 //!
 //! Gated behind `#[ignore]` to keep the default suite fast:
 //!
@@ -36,7 +34,7 @@ fn stress_fused_publish_at_million_items() {
             &tree,
             K,
             PublishHeuristic::Sorting,
-            PublishOptions { threads: 1 },
+            PublishOptions::default(),
         )
         .expect("feasible")
         .clone();
@@ -45,27 +43,13 @@ fn stress_fused_publish_at_million_items() {
     assert!(base.cycle_len() >= tree.len().div_ceil(K));
     assert!(base.cycle_len() <= tree.len());
 
-    // Thread-count invariance at scale.
-    for threads in [2usize, 4] {
-        let mut p = Publisher::new();
-        let b = p
-            .publish(
-                &tree,
-                K,
-                PublishHeuristic::Sorting,
-                PublishOptions { threads },
-            )
-            .expect("feasible");
-        assert_eq!(base, *b, "threads = {threads} diverged from sequential");
-    }
-
     // Steady-state republish into warm buffers loses nothing.
     let again = p1
         .publish(
             &tree,
             K,
             PublishHeuristic::Sorting,
-            PublishOptions { threads: 1 },
+            PublishOptions::default(),
         )
         .expect("feasible");
     assert_eq!(base, *again);
