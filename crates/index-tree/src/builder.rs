@@ -1,6 +1,6 @@
 //! Validating builder for [`IndexTree`].
 
-use crate::tree::{IndexTree, Node, NodeKind};
+use crate::tree::IndexTree;
 use crate::validate;
 use bcast_types::{NodeId, Weight};
 use std::fmt;
@@ -46,6 +46,12 @@ impl From<validate::TreeInvariantError> for TreeBuildError {
 /// guaranteed by construction because a child can only reference an
 /// already-created parent.
 ///
+/// The builder appends to flat columns (parent, weight, kind and a label
+/// column that grows only as far as the last labeled node), so no node
+/// owns a heap allocation: with capacity reserved up front, only labels
+/// allocate while nodes are added, and `build` adds a fixed number of
+/// columns whatever the tree's size.
+///
 /// ```
 /// use bcast_index_tree::TreeBuilder;
 /// use bcast_types::Weight;
@@ -59,8 +65,11 @@ impl From<validate::TreeInvariantError> for TreeBuildError {
 /// ```
 #[derive(Default)]
 pub struct TreeBuilder {
-    nodes: Vec<Node>,
-    child_capacity_hint: usize,
+    parents: Vec<NodeId>,
+    /// Each data node's weight; zero for index nodes.
+    weights: Vec<Weight>,
+    is_data: Vec<bool>,
+    labels: Vec<Option<String>>,
 }
 
 impl TreeBuilder {
@@ -69,14 +78,14 @@ impl TreeBuilder {
         TreeBuilder::default()
     }
 
-    /// Creates an empty builder that reserves `total` arena slots up front
-    /// and `fanout` child slots per index node, so regular trees (every
-    /// rebuild of a k-ary tree over a fixed item set) insert without a
-    /// single mid-build reallocation.
-    pub fn with_capacity(total: usize, fanout: usize) -> Self {
+    /// Creates an empty builder that reserves `total` nodes up front, so a
+    /// build of at most that many nodes appends without reallocating.
+    pub fn with_capacity(total: usize) -> Self {
         TreeBuilder {
-            nodes: Vec::with_capacity(total),
-            child_capacity_hint: fanout,
+            parents: Vec::with_capacity(total),
+            weights: Vec::with_capacity(total),
+            is_data: Vec::with_capacity(total),
+            labels: Vec::new(),
         }
     }
 
@@ -85,15 +94,8 @@ impl TreeBuilder {
     /// # Panics
     /// Panics if a root already exists (programming error, not data error).
     pub fn root(&mut self, label: impl Into<String>) -> NodeId {
-        assert!(self.nodes.is_empty(), "root() called twice");
-        self.nodes.push(Node {
-            kind: NodeKind::Index,
-            parent: None,
-            children: Vec::new(),
-            weight: Weight::ZERO,
-            label: Some(label.into()),
-        });
-        NodeId::ROOT
+        assert!(self.parents.is_empty(), "root() called twice");
+        self.push(NodeId::ROOT, false, Weight::ZERO, Some(label.into()))
     }
 
     /// Adds an index node under `parent`.
@@ -102,7 +104,7 @@ impl TreeBuilder {
         parent: NodeId,
         label: impl Into<String>,
     ) -> Result<NodeId, TreeBuildError> {
-        self.add_node(parent, NodeKind::Index, Weight::ZERO, Some(label.into()))
+        self.add_node(parent, false, Weight::ZERO, Some(label.into()))
     }
 
     /// Adds a data node with access frequency `weight` under `parent`.
@@ -112,7 +114,7 @@ impl TreeBuilder {
         weight: Weight,
         label: impl Into<String>,
     ) -> Result<NodeId, TreeBuildError> {
-        self.add_node(parent, NodeKind::Data, weight, Some(label.into()))
+        self.add_node(parent, true, weight, Some(label.into()))
     }
 
     /// Adds an unlabeled data node.
@@ -121,77 +123,74 @@ impl TreeBuilder {
         parent: NodeId,
         weight: Weight,
     ) -> Result<NodeId, TreeBuildError> {
-        self.add_node(parent, NodeKind::Data, weight, None)
+        self.add_node(parent, true, weight, None)
     }
 
     /// Adds an unlabeled index node.
     pub fn add_index_unlabeled(&mut self, parent: NodeId) -> Result<NodeId, TreeBuildError> {
-        self.add_node(parent, NodeKind::Index, Weight::ZERO, None)
+        self.add_node(parent, false, Weight::ZERO, None)
     }
 
     fn add_node(
         &mut self,
         parent: NodeId,
-        kind: NodeKind,
+        is_data: bool,
         weight: Weight,
         label: Option<String>,
     ) -> Result<NodeId, TreeBuildError> {
-        let Some(parent_node) = self.nodes.get(parent.index()) else {
-            return Err(TreeBuildError::UnknownParent(parent));
-        };
-        if parent_node.kind == NodeKind::Data {
-            return Err(TreeBuildError::ChildOfDataNode(parent));
+        match self.is_data.get(parent.index()) {
+            None => Err(TreeBuildError::UnknownParent(parent)),
+            Some(true) => Err(TreeBuildError::ChildOfDataNode(parent)),
+            Some(false) => Ok(self.push(parent, is_data, weight, label)),
         }
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Node {
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
-            weight,
-            label,
-        });
-        let siblings = &mut self.nodes[parent.index()].children;
-        if siblings.is_empty() && self.child_capacity_hint > 0 {
-            siblings.reserve_exact(self.child_capacity_hint);
+    }
+
+    fn push(
+        &mut self,
+        parent: NodeId,
+        is_data: bool,
+        weight: Weight,
+        label: Option<String>,
+    ) -> NodeId {
+        let id = NodeId::from_index(self.parents.len());
+        self.parents.push(parent);
+        self.weights.push(weight);
+        self.is_data.push(is_data);
+        if label.is_some() {
+            self.labels.resize(id.index(), None);
+            self.labels.push(label);
         }
-        siblings.push(id);
-        Ok(id)
+        id
     }
 
     /// Number of nodes added so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parents.len()
     }
 
     /// True before the root is created.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.parents.is_empty()
     }
 
-    /// Finishes the tree, validating all structural invariants.
-    pub fn build(self) -> Result<IndexTree, TreeBuildError> {
-        if self.nodes.is_empty() {
-            return Err(TreeBuildError::EmptyTree);
-        }
-        let tree = IndexTree::from_arena(self.nodes);
-        tree.check_invariants()?;
-        Ok(tree)
-    }
-
-    /// Finishes the tree without re-walking the invariants.
+    /// Finishes the tree, rejecting an index node without children.
     ///
-    /// The builder already rejects unknown parents and children of data
-    /// nodes at insertion, so the only invariant `build` can still catch is
-    /// a leaf *index* node. Callers whose construction makes that impossible
-    /// (e.g. the weight-balanced builder, which only creates an index node
-    /// when a multi-leaf interval is pushed for expansion) use this on
-    /// rebuild hot paths; in debug builds the full check still runs.
-    pub(crate) fn build_trusted(self) -> Result<IndexTree, TreeBuildError> {
-        if self.nodes.is_empty() {
+    /// Insertion already rejects unknown parents and children of data
+    /// nodes, so a childless index node is the one invariant left to check.
+    /// When there are several, the one reported is the last in preorder.
+    pub fn build(self) -> Result<IndexTree, TreeBuildError> {
+        if self.parents.is_empty() {
             return Err(TreeBuildError::EmptyTree);
         }
-        let tree = IndexTree::from_arena(self.nodes);
-        debug_assert!(tree.check_invariants().is_ok(), "trusted builder lied");
+        let tree = IndexTree::from_columns(self.parents, self.weights, self.labels);
+        let childless_index = (0..tree.len())
+            .map(NodeId::from_index)
+            .filter(|&id| !self.is_data[id.index()] && tree.is_data(id))
+            .max_by_key(|&id| tree.preorder_rank(id));
+        if let Some(id) = childless_index {
+            return Err(validate::TreeInvariantError::LeafIndexNode(id).into());
+        }
+        debug_assert!(tree.check_invariants().is_ok(), "builder broke the tree");
         Ok(tree)
     }
 }
@@ -229,14 +228,22 @@ mod tests {
     fn rejects_leaf_index_node() {
         // An index node with no children violates "data items on the leaf
         // nodes" and would be undetectable by the allocation algorithms.
+        // With several, the last in preorder is reported.
         let mut b = TreeBuilder::new();
         let root = b.root("r");
         b.add_index(root, "i").unwrap();
         b.add_data(root, Weight::from(1u32), "d").unwrap();
-        assert!(matches!(
+        let j = b.add_index(root, "j").unwrap();
+        assert_eq!(
             b.build().unwrap_err(),
-            TreeBuildError::Invariant(validate::TreeInvariantError::LeafIndexNode(_))
-        ));
+            TreeBuildError::Invariant(validate::TreeInvariantError::LeafIndexNode(j))
+        );
+        let mut bare_root = TreeBuilder::new();
+        bare_root.root("r");
+        assert_eq!(
+            bare_root.build().unwrap_err(),
+            TreeBuildError::Invariant(validate::TreeInvariantError::LeafIndexNode(NodeId::ROOT))
+        );
     }
 
     #[test]

@@ -224,9 +224,8 @@ pub fn build_weight_balanced(
 ///
 /// The tree is structurally **identical** to the labeled variant (same
 /// splits, same node ids, same weights, bit for bit) but skips the
-/// per-node `format!` label and the redundant end-of-build invariant
-/// re-walk — on a 4096-leaf fanout-4 tree that is ~5.5k heap strings per
-/// build, the bulk of a live republish's cost. Use wherever nobody reads
+/// per-node `format!` label, so the build makes the same few heap
+/// allocations at any size. Use wherever nobody reads
 /// [`IndexTree::label`] (labels fall back to the debug node id).
 ///
 /// # Errors
@@ -255,10 +254,9 @@ fn build_weight_balanced_impl(
         prefix[i + 1] = prefix[i] + w.get();
     }
 
-    // Node count of a k-ary leaf tree over n items is < n·k/(k-1) + 1;
-    // reserving up front keeps the arena reallocation-free.
-    let capacity = weights.len() + weights.len() / (fanout - 1) + 2;
-    let mut b = TreeBuilder::with_capacity(capacity, fanout);
+    // Every index node gets at least two children, so the tree has fewer
+    // than 2n nodes: reserving that keeps the columns reallocation-free.
+    let mut b = TreeBuilder::with_capacity(2 * weights.len());
     let root = b.root("1");
     let mut counter = 1usize;
     let add_data = |b: &mut TreeBuilder, parent, i: usize| {
@@ -269,7 +267,12 @@ fn build_weight_balanced_impl(
         }
         .expect("valid");
     };
-    let mut stack = vec![(root, 0usize, weights.len() - 1)];
+    // Pending multi-leaf intervals: at most `fanout - 1` per level of the
+    // current path plus the children just attached, and, being disjoint
+    // intervals of two or more items, never more than n/2 + 1. So the
+    // reservation covers every tree up to 64 levels deep.
+    let mut stack = Vec::with_capacity(fanout.saturating_mul(64).min(weights.len() / 2 + 1));
+    stack.push((root, 0usize, weights.len() - 1));
     while let Some((parent, i, j)) = stack.pop() {
         if i == j {
             add_data(&mut b, parent, i);
@@ -280,8 +283,8 @@ fn build_weight_balanced_impl(
         let total = prefix[j + 1] - prefix[i];
         let share = total / parts as f64;
         // Greedy cut: close each group once it reaches its fair share,
-        // always leaving enough items for the remaining groups.
-        let mut bounds = Vec::with_capacity(parts);
+        // always leaving enough items for the remaining groups. Groups are
+        // attached left to right as they close.
         let mut lo = i;
         for g in 0..parts {
             let remaining_groups = parts - g - 1;
@@ -295,12 +298,8 @@ fn build_weight_balanced_impl(
             } else {
                 hi = j;
             }
-            bounds.push((lo, hi));
-            lo = hi + 1;
-        }
-        for &(pi, pj) in &bounds {
-            if pi == pj {
-                add_data(&mut b, parent, pi);
+            if lo == hi {
+                add_data(&mut b, parent, lo);
             } else {
                 counter += 1;
                 let id = if labeled {
@@ -309,15 +308,12 @@ fn build_weight_balanced_impl(
                     b.add_index_unlabeled(parent)
                 }
                 .expect("valid");
-                stack.push((id, pi, pj));
+                stack.push((id, lo, hi));
             }
+            lo = hi + 1;
         }
     }
-    // An index node is only created for a multi-leaf interval, which always
-    // emits children when popped — no leaf index node is constructible, so
-    // the trusted finish is safe for both variants.
-    Ok(b.build_trusted()
-        .expect("weight-balanced construction is valid"))
+    Ok(b.build().expect("weight-balanced construction is valid"))
 }
 
 #[cfg(test)]
@@ -431,7 +427,10 @@ mod tests {
                 );
                 // Root keeps its "1" label (one string); everything else
                 // stays bare.
-                assert!(i == 0 || bare.node(id).label.is_none(), "node {i} label");
+                assert!(
+                    i == 0 || bare.label(id) == format!("{id}"),
+                    "node {i} label"
+                );
             }
         }
     }

@@ -6,9 +6,10 @@
 //! internal *index nodes* route a key search, leaf *data nodes* carry the
 //! broadcast payload and an access frequency `W(Di)`. This crate provides:
 //!
-//! * [`IndexTree`] — an arena-allocated tree with cached preorder ranks,
-//!   levels and subtree aggregates (everything the allocation algorithms
-//!   query in their inner loops),
+//! * [`IndexTree`] — a columnar tree (flat per-node columns, no per-node
+//!   heap objects) with cached preorder ranks, levels and subtree
+//!   aggregates (everything the allocation algorithms query in their inner
+//!   loops),
 //! * [`TreeBuilder`] — a validating builder,
 //! * construction algorithms:
 //!   * [`builders::full_balanced`] — the full balanced m-ary tree used by the
@@ -33,5 +34,5 @@ mod validate;
 
 pub use builder::{TreeBuildError, TreeBuilder};
 pub use stats::TreeStats;
-pub use tree::{IndexTree, Node, NodeKind};
+pub use tree::IndexTree;
 pub use validate::TreeInvariantError;

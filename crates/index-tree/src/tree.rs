@@ -1,40 +1,30 @@
-//! The arena-allocated index tree and its cached query structures.
+//! The columnar index tree and its cached query structures.
+//!
+//! An [`IndexTree`] owns no per-node heap objects. It is a handful of flat
+//! columns indexed by [`NodeId`]: the parent of every node, a CSR child
+//! table, levels, preorder ranks, subtree sizes and subtree weights, plus
+//! the data nodes in preorder and a label column that stops at the last
+//! labeled node. Each fact is stored once:
+//!
+//! * a node is a data node exactly when its child range is empty,
+//! * a data node's weight is its subtree weight,
+//! * an index node's weight is zero.
+//!
+//! An unlabeled build therefore makes a fixed number of allocations,
+//! whatever the tree's size, and dropping a tree frees a handful of
+//! vectors.
 
 use bcast_types::{BitSet, NodeId, Weight};
 
-/// Kind of a tree node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum NodeKind {
-    /// Internal routing node; occupies a bucket but contributes no data wait.
-    Index,
-    /// Leaf payload node with an access frequency `W(Di)`.
-    Data,
-}
-
-/// One node of an [`IndexTree`].
-#[derive(Clone, Debug)]
-pub struct Node {
-    /// Index or data.
-    pub kind: NodeKind,
-    /// Parent in the index tree; `None` only for the root.
-    pub parent: Option<NodeId>,
-    /// Children in left-to-right (key) order; empty for data nodes.
-    pub children: Vec<NodeId>,
-    /// Access frequency; [`Weight::ZERO`] for index nodes.
-    pub weight: Weight,
-    /// Optional human-readable label (the paper labels data nodes `A..E` and
-    /// index nodes `1..4`).
-    pub label: Option<String>,
-}
-
 /// An immutable index tree over which broadcast allocations are computed.
 ///
-/// Invariants (checked by [`TreeBuilder`](crate::TreeBuilder) and
+/// Invariants (established by [`TreeBuilder`](crate::TreeBuilder) and
 /// re-checkable via [`IndexTree::check_invariants`]):
 ///
 /// * node `0` is the root,
-/// * every data node is a leaf and every leaf is a data node,
-/// * `parent`/`children` links are mutually consistent and acyclic,
+/// * every other node's parent has a smaller id,
+/// * every index node has a child, so the leaves are exactly the data nodes,
+/// * the parent column and the child table agree,
 /// * there is at least one data node.
 ///
 /// On construction the tree caches the per-node *level* (root = 1, the
@@ -44,81 +34,99 @@ pub struct Node {
 /// Sorting heuristic).
 #[derive(Clone, Debug)]
 pub struct IndexTree {
-    nodes: Vec<Node>,
+    /// Parent of every node; the root's entry is the root itself.
+    parents: Vec<NodeId>,
     levels: Vec<u32>,
     preorder_ranks: Vec<u32>,
     preorder_seq: Vec<NodeId>,
     subtree_sizes: Vec<u32>,
+    /// Total data weight under each node; a data node's entry is its own
+    /// weight.
     subtree_weights: Vec<Weight>,
     /// CSR child table: node `i`'s children occupy
     /// `child_flat[child_starts[i] .. child_starts[i + 1]]`, in key order.
     child_starts: Vec<u32>,
     child_flat: Vec<NodeId>,
     data_nodes: Vec<NodeId>,
+    /// Labels of nodes `0..labels.len()`; every later node is unlabeled.
+    labels: Vec<Option<String>>,
     total_weight: Weight,
     depth: u32,
 }
 
 impl IndexTree {
-    /// Builds the cached structures from a validated node arena.
+    /// Derives every cached column from the builder's columns.
     ///
-    /// Only called by `TreeBuilder`; the arena must already satisfy the
-    /// structural invariants.
-    pub(crate) fn from_arena(nodes: Vec<Node>) -> Self {
-        let n = nodes.len();
-        let mut levels = vec![0u32; n];
-        let mut preorder_ranks = vec![0u32; n];
-        let mut preorder_seq = Vec::with_capacity(n);
+    /// Only called by `TreeBuilder`. `parents[0]` is the root itself and
+    /// every other node's parent has a smaller id; `weights` holds each
+    /// data node's weight and zero for index nodes.
+    pub(crate) fn from_columns(
+        parents: Vec<NodeId>,
+        weights: Vec<Weight>,
+        labels: Vec<Option<String>>,
+    ) -> Self {
+        let n = parents.len();
+        let mut subtree_weights = weights;
         let mut subtree_sizes = vec![1u32; n];
-        let mut subtree_weights = vec![Weight::ZERO; n];
-        let mut data_nodes = Vec::new();
 
-        // Iterative preorder: assigns levels and ranks.
-        let mut stack = vec![(NodeId::ROOT, 1u32)];
-        let mut rank = 0u32;
-        while let Some((id, level)) = stack.pop() {
-            levels[id.index()] = level;
-            preorder_ranks[id.index()] = rank;
-            rank += 1;
-            preorder_seq.push(id);
-            if nodes[id.index()].kind == NodeKind::Data {
-                data_nodes.push(id);
-            }
-            for &c in nodes[id.index()].children.iter().rev() {
-                stack.push((c, level + 1));
-            }
+        // One counting pass over the parent column sizes every child range
+        // and leaves `child_starts[p]` at the end of `p`'s range.
+        let mut child_starts = vec![0u32; n + 1];
+        for &p in &parents[1..] {
+            child_starts[p.index()] += 1;
+        }
+        let mut end = 0u32;
+        for s in &mut child_starts {
+            end += *s;
+            *s = end;
+        }
+        // Fill every range back to front in descending id order, so siblings
+        // land in ascending id (= insertion = key) order and each start
+        // counts down to its final value. Children have larger ids than
+        // their parent, so each subtree aggregate is complete before it is
+        // folded upward, and each parent adds its children last to first.
+        let mut child_flat = vec![NodeId::ROOT; n - 1];
+        for c in (1..n).rev() {
+            let p = parents[c].index();
+            child_starts[p] -= 1;
+            child_flat[child_starts[p] as usize] = NodeId::from_index(c);
+            subtree_sizes[p] += subtree_sizes[c];
+            let w = subtree_weights[c];
+            subtree_weights[p] += w;
         }
 
-        // Postorder accumulation of subtree aggregates: walk preorder in
-        // reverse so every child is folded before its parent.
-        for &id in preorder_seq.iter().rev() {
-            let node = &nodes[id.index()];
-            if node.kind == NodeKind::Data {
-                subtree_weights[id.index()] = node.weight;
-            }
-            if let Some(p) = node.parent {
-                subtree_sizes[p.index()] += subtree_sizes[id.index()];
-                let w = subtree_weights[id.index()];
-                subtree_weights[p.index()] += w;
+        // Levels and preorder ranks top-down: a node's first child follows
+        // it in preorder and each later child follows its elder sibling's
+        // whole subtree.
+        let mut levels = vec![1u32; n];
+        let mut preorder_ranks = vec![0u32; n];
+        let mut leaves = 0usize;
+        for p in 0..n {
+            let range = child_starts[p] as usize..child_starts[p + 1] as usize;
+            leaves += usize::from(range.is_empty());
+            let mut next = preorder_ranks[p] + 1;
+            for &c in &child_flat[range] {
+                levels[c.index()] = levels[p] + 1;
+                preorder_ranks[c.index()] = next;
+                next += subtree_sizes[c.index()];
             }
         }
+        let mut preorder_seq = vec![NodeId::ROOT; n];
+        for (i, &r) in preorder_ranks.iter().enumerate() {
+            preorder_seq[r as usize] = NodeId::from_index(i);
+        }
+        let mut data_nodes = Vec::with_capacity(leaves);
+        data_nodes.extend(
+            preorder_seq
+                .iter()
+                .copied()
+                .filter(|&id| child_starts[id.index()] == child_starts[id.index() + 1]),
+        );
 
         let total_weight = subtree_weights[0];
         let depth = levels.iter().copied().max().unwrap_or(0);
-
-        // Flatten the per-node child vectors into one CSR table, so the
-        // heuristics can sort child *index ranges* in place over flat
-        // arrays instead of cloning a `Vec<NodeId>` per node.
-        let mut child_starts = Vec::with_capacity(n + 1);
-        let mut child_flat = Vec::with_capacity(n.saturating_sub(1));
-        child_starts.push(0u32);
-        for node in &nodes {
-            child_flat.extend_from_slice(&node.children);
-            child_starts.push(u32::try_from(child_flat.len()).expect("fits: one entry per node"));
-        }
-
         IndexTree {
-            nodes,
+            parents,
             levels,
             preorder_ranks,
             preorder_seq,
@@ -127,6 +135,7 @@ impl IndexTree {
             child_starts,
             child_flat,
             data_nodes,
+            labels,
             total_weight,
             depth,
         }
@@ -135,57 +144,78 @@ impl IndexTree {
     /// Total number of nodes (index + data).
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.parents.len()
     }
 
     /// True only for the degenerate empty tree (never produced by builders).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.parents.is_empty()
     }
 
-    /// Re-weights a set of data nodes in place, repairing the cached
-    /// subtree-weight table along the touched ancestor paths only —
-    /// `O(|updates| · depth · fanout)` instead of a full rebuild.
+    /// Re-weights a set of data nodes in place, repairing the subtree
+    /// weights of their ancestors only: O(|updates| · depth) and no
+    /// comparison sort, plus clearing one bit per node.
     ///
-    /// Tree *structure* (children, levels, preorder, subtree sizes) is
-    /// untouched, so every structural cache stays valid. Dirty subtree
-    /// weights are recomputed with the exact accumulation order of
-    /// `IndexTree::from_arena` (children folded in reverse child order),
-    /// so the repaired table is **bit-identical** to the one a from-scratch
-    /// build over the new weights would produce — the property the delta
-    /// republish lane's density keys rely on.
+    /// The walk up from each updated leaf marks every ancestor it reaches
+    /// and stops at the first one already marked. The marked nodes are then
+    /// bucketed by level and refolded deepest level first, so each is
+    /// refolded once, after all of its children. Each refold adds its
+    /// children last to first starting from zero, the order a fresh build
+    /// folds them in, so the repaired table is **bit-identical** to the one
+    /// a from-scratch build over the new weights would produce — the
+    /// property the delta republish lane's density keys rely on. Tree
+    /// *structure* (children, levels, preorder, subtree sizes) is
+    /// untouched. When a leaf appears more than once, its last update wins.
     ///
     /// # Panics
-    /// Panics if any updated node is not a data node.
+    /// Panics if any updated node is not a data node. Every target is
+    /// checked before anything is written, so a refused call leaves the
+    /// tree unchanged.
     pub fn reweight(&mut self, updates: &[(NodeId, Weight)]) {
+        for &(id, _) in updates {
+            assert!(self.is_data(id), "reweight targets data nodes, got {id}");
+        }
         if updates.is_empty() {
             return;
         }
-        // Leaves: a data node's subtree weight is its own weight.
+        let depth = self.depth as usize;
+        let mut marked = BitSet::with_capacity(self.len());
+        let mut dirty = Vec::with_capacity(
+            self.num_index_nodes()
+                .min(updates.len().saturating_mul(depth)),
+        );
         for &(id, w) in updates {
-            assert!(self.is_data(id), "reweight targets data nodes, got {id}");
-            self.nodes[id.index()].weight = w;
             self.subtree_weights[id.index()] = w;
-        }
-        // Collect every proper ancestor of an updated leaf, deduplicated,
-        // deepest first (equal levels are independent of each other).
-        let mut dirty: Vec<NodeId> = Vec::new();
-        for &(id, _) in updates {
-            let mut cur = self.nodes[id.index()].parent;
-            while let Some(p) = cur {
+            let mut cur = id;
+            while let Some(p) = self.parent(cur) {
+                if !marked.insert(p) {
+                    break;
+                }
                 dirty.push(p);
-                cur = self.nodes[p.index()].parent;
+                cur = p;
             }
         }
-        dirty.sort_unstable_by_key(|&p| (std::cmp::Reverse(self.levels[p.index()]), p));
-        dirty.dedup();
-        // `from_arena` folds subtree weights into each parent by walking the
-        // preorder in reverse: parent starts at ZERO (index nodes carry no
-        // weight of their own) and children are added last-to-first.
+        // Counting sort on the level column: bucket `depth - level`, so the
+        // deepest level comes first.
+        let mut bucket_starts = vec![0usize; depth + 1];
         for &p in &dirty {
+            bucket_starts[depth - self.levels[p.index()] as usize] += 1;
+        }
+        let mut start = 0;
+        for s in &mut bucket_starts {
+            start += *s;
+            *s = start - *s;
+        }
+        let mut order = vec![NodeId::ROOT; dirty.len()];
+        for &p in &dirty {
+            let b = &mut bucket_starts[depth - self.levels[p.index()] as usize];
+            order[*b] = p;
+            *b += 1;
+        }
+        for &p in &order {
             let mut acc = Weight::ZERO;
-            for &c in self.nodes[p.index()].children.iter().rev() {
+            for &c in self.child_flat[self.child_range(p)].iter().rev() {
                 acc += self.subtree_weights[c.index()];
             }
             self.subtree_weights[p.index()] = acc;
@@ -199,40 +229,38 @@ impl IndexTree {
         NodeId::ROOT
     }
 
-    /// Borrow a node.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
     /// Children of `id` in key order.
     #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.index()].children
+        &self.child_flat[self.child_range(id)]
     }
 
     /// Parent of `id`, `None` for the root.
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        (id != NodeId::ROOT).then(|| self.parents[id.index()])
     }
 
     /// True if `id` is a data (leaf) node.
     #[inline]
     pub fn is_data(&self, id: NodeId) -> bool {
-        self.nodes[id.index()].kind == NodeKind::Data
+        self.child_starts[id.index()] == self.child_starts[id.index() + 1]
     }
 
     /// True if `id` is an index (internal) node.
     #[inline]
     pub fn is_index(&self, id: NodeId) -> bool {
-        self.nodes[id.index()].kind == NodeKind::Index
+        !self.is_data(id)
     }
 
     /// Access frequency of `id` (zero for index nodes).
     #[inline]
     pub fn weight(&self, id: NodeId) -> Weight {
-        self.nodes[id.index()].weight
+        if self.is_data(id) {
+            self.subtree_weights[id.index()]
+        } else {
+            Weight::ZERO
+        }
     }
 
     /// Level of `id`, root = 1 (the paper's convention).
@@ -319,9 +347,9 @@ impl IndexTree {
     /// Together with [`IndexTree::child_starts`],
     /// [`IndexTree::subtree_size_table`], [`IndexTree::subtree_weight_table`]
     /// and [`IndexTree::level_table`], this is the structure-of-arrays
-    /// preorder view the §4.2 heuristics traverse without touching the node
-    /// arena: child ranges can be copied once into a scratch buffer and
-    /// sorted in place, with subtree aggregates read by plain indexing.
+    /// preorder view the §4.2 heuristics traverse: child ranges can be
+    /// copied once into a scratch buffer and sorted in place, with subtree
+    /// aggregates read by plain indexing.
     #[inline]
     pub fn flat_children(&self) -> &[NodeId] {
         &self.child_flat
@@ -384,17 +412,18 @@ impl IndexTree {
 
     /// Label of `id` if one was set, else its debug id.
     pub fn label(&self, id: NodeId) -> String {
-        self.node(id)
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("{id}"))
+        match self.labels.get(id.index()) {
+            Some(Some(label)) => label.clone(),
+            _ => format!("{id}"),
+        }
     }
 
     /// Looks a node up by label (linear scan; intended for tests/examples).
     pub fn find_by_label(&self, label: &str) -> Option<NodeId> {
-        (0..self.len())
+        self.labels
+            .iter()
+            .position(|l| l.as_deref() == Some(label))
             .map(NodeId::from_index)
-            .find(|&id| self.node(id).label.as_deref() == Some(label))
     }
 
     /// Weighted path length `Σ W(d) · level(d)`: the classic alphabetic-tree
@@ -409,8 +438,220 @@ impl IndexTree {
 
 #[cfg(test)]
 mod tests {
-    use crate::builders;
+    use super::IndexTree;
+    use crate::{builders, knary, TreeBuilder};
     use bcast_types::{NodeId, Weight};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl IndexTree {
+        /// The sort-based reweight the level-bucketed one replaced, kept as
+        /// its oracle: every ancestor of every update, sorted deepest level
+        /// first and deduplicated, then refolded.
+        fn reweight_by_sort(&mut self, updates: &[(NodeId, Weight)]) {
+            for &(id, w) in updates {
+                assert!(self.is_data(id), "reweight targets data nodes, got {id}");
+                self.subtree_weights[id.index()] = w;
+            }
+            let mut dirty: Vec<NodeId> = updates
+                .iter()
+                .flat_map(|&(id, _)| self.ancestors(id))
+                .collect();
+            dirty.sort_unstable_by_key(|&p| (std::cmp::Reverse(self.levels[p.index()]), p));
+            dirty.dedup();
+            for &p in &dirty {
+                let mut acc = Weight::ZERO;
+                for &c in self.children(p).iter().rev() {
+                    acc += self.subtree_weights[c.index()];
+                }
+                self.subtree_weights[p.index()] = acc;
+            }
+            self.total_weight = self.subtree_weights[0];
+        }
+    }
+
+    /// A from-scratch build of `tree`'s shape, data node `d` weighing
+    /// `weight(d)`. Adding nodes in id order reproduces every id.
+    fn rebuild_with(tree: &IndexTree, weight: impl Fn(NodeId) -> Weight) -> IndexTree {
+        let mut b = TreeBuilder::with_capacity(tree.len());
+        b.root("1");
+        for i in 1..tree.len() {
+            let id = NodeId::from_index(i);
+            let parent = tree.parent(id).unwrap();
+            let added = if tree.is_data(id) {
+                b.add_data_unlabeled(parent, weight(id))
+            } else {
+                b.add_index_unlabeled(parent)
+            };
+            assert_eq!(added.unwrap(), id);
+        }
+        b.build().unwrap()
+    }
+
+    fn weight_bits(t: &IndexTree) -> Vec<u64> {
+        (0..t.len())
+            .map(|i| t.weight(NodeId::from_index(i)).get().to_bits())
+            .collect()
+    }
+
+    fn subtree_bits(t: &IndexTree) -> Vec<u64> {
+        t.subtree_weight_table()
+            .iter()
+            .map(|w| w.get().to_bits())
+            .collect()
+    }
+
+    /// Subtree weights, weights and total weight agree bit for bit.
+    fn assert_same_weights(a: &IndexTree, b: &IndexTree, what: &str) {
+        assert_eq!(subtree_bits(a), subtree_bits(b), "{what}: subtree weights");
+        assert_eq!(weight_bits(a), weight_bits(b), "{what}: weights");
+        assert_eq!(
+            a.total_weight().get().to_bits(),
+            b.total_weight().get().to_bits(),
+            "{what}: total weight"
+        );
+    }
+
+    /// A fractional weight drawn from `rng`, so f64 accumulation order is
+    /// observable in the sums.
+    fn fractional(rng: &mut StdRng) -> Weight {
+        Weight::new(rng.gen_range(0.0..100.0) + 0.1).unwrap()
+    }
+
+    /// A random tree over `items` leaves whose index nodes have between
+    /// `lo` and `hi` children (fewer only where too few leaves remain).
+    fn random_shape(items: usize, lo: usize, hi: usize, rng: &mut StdRng) -> IndexTree {
+        let mut b = TreeBuilder::new();
+        let mut stack = vec![(b.root("1"), items)];
+        while let Some((parent, n)) = stack.pop() {
+            let parts = rng.gen_range(lo..=hi).min(n);
+            // Deal the leaves out one at a time, then split the rest at random.
+            let mut sizes = vec![1usize; parts];
+            for _ in parts..n {
+                let at = rng.gen_range(0..parts);
+                sizes[at] += 1;
+            }
+            for size in sizes {
+                if size == 1 {
+                    b.add_data_unlabeled(parent, fractional(rng)).unwrap();
+                } else {
+                    stack.push((b.add_index_unlabeled(parent).unwrap(), size));
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn zipf(items: usize) -> Vec<Weight> {
+        (0..items)
+            .map(|r| Weight::new(1_000.0 / ((r + 1) as f64).powf(0.9)).unwrap())
+            .collect()
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        Narrow,
+        Wide,
+        Chain,
+        ZipfBalanced,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Updates {
+        Empty,
+        OneLeaf,
+        EveryLeaf,
+        RepeatedLeaf,
+    }
+
+    const SHAPES: [Shape; 4] = [
+        Shape::Narrow,
+        Shape::Wide,
+        Shape::Chain,
+        Shape::ZipfBalanced,
+    ];
+    const UPDATES: [Updates; 4] = [
+        Updates::Empty,
+        Updates::OneLeaf,
+        Updates::EveryLeaf,
+        Updates::RepeatedLeaf,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn reweight_matches_the_sort_oracle_and_a_fresh_build(
+            shape in 0usize..4,
+            updates in 0usize..4,
+            items in 1usize..600,
+            seed in any::<u64>(),
+        ) {
+            let (shape, updates) = (SHAPES[shape], UPDATES[updates]);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tree = match shape {
+                Shape::Narrow => random_shape(items, 2, 7, &mut rng),
+                Shape::Wide => random_shape(items, 64, 200, &mut rng),
+                Shape::Chain => {
+                    let w: Vec<Weight> = (0..items).map(|_| fractional(&mut rng)).collect();
+                    builders::chain(&w).unwrap()
+                }
+                Shape::ZipfBalanced => {
+                    knary::build_weight_balanced_unlabeled(&zipf(items), rng.gen_range(2..=7))
+                        .unwrap()
+                }
+            };
+            let data = tree.data_nodes();
+            let pick = data[rng.gen_range(0..data.len())];
+            let batch: Vec<(NodeId, Weight)> = match updates {
+                Updates::Empty => Vec::new(),
+                Updates::OneLeaf => vec![(pick, fractional(&mut rng))],
+                Updates::EveryLeaf => data.iter().map(|&d| (d, fractional(&mut rng))).collect(),
+                Updates::RepeatedLeaf => vec![
+                    (pick, fractional(&mut rng)),
+                    (data[0], fractional(&mut rng)),
+                    (pick, fractional(&mut rng)),
+                ],
+            };
+
+            let mut live = tree.clone();
+            live.reweight(&batch);
+            let mut oracle = tree.clone();
+            oracle.reweight_by_sort(&batch);
+            assert_same_weights(&live, &oracle, "sort oracle");
+
+            // Later updates of a leaf win.
+            let mut fresh_weights: Vec<Weight> =
+                (0..tree.len()).map(|i| tree.weight(NodeId::from_index(i))).collect();
+            for &(id, w) in &batch {
+                fresh_weights[id.index()] = w;
+            }
+            let fresh = rebuild_with(&tree, |id| fresh_weights[id.index()]);
+            assert_same_weights(&live, &fresh, "fresh build");
+            prop_assert_eq!(live.preorder(), tree.preorder());
+            prop_assert_eq!(live.child_starts(), tree.child_starts());
+        }
+    }
+
+    #[test]
+    fn a_refused_reweight_changes_nothing() {
+        let mut t = builders::paper_example();
+        let a = t.find_by_label("A").unwrap();
+        let n2 = t.find_by_label("2").unwrap();
+        let before = t.clone();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.reweight(&[(a, Weight::new(0.3).unwrap()), (n2, Weight::from(1u32))]);
+        }));
+        assert!(refused.is_err(), "an index-node target must be refused");
+        assert_same_weights(&t, &before, "refused call");
+        assert_eq!(t.preorder(), before.preorder());
+        assert_eq!(t.flat_children(), before.flat_children());
+        assert_eq!(t.child_starts(), before.child_starts());
+        assert_eq!(t.level_table(), before.level_table());
+        assert_eq!(t.subtree_size_table(), before.subtree_size_table());
+        assert_eq!(t.data_nodes(), before.data_nodes());
+    }
 
     #[test]
     fn paper_example_structure() {
@@ -425,9 +666,21 @@ mod tests {
         assert_eq!(t.weight(a).get(), 20.0);
         let n2 = t.find_by_label("2").unwrap();
         assert!(t.is_index(n2));
+        assert_eq!(t.weight(n2), Weight::ZERO);
         assert!(t.is_parent_of(n2, a));
         assert_eq!(t.level(t.root()), 1);
         assert_eq!(t.level(a), 3);
+    }
+
+    #[test]
+    fn labels_stop_at_the_last_labeled_node() {
+        let t = knary::build_weight_balanced_unlabeled(&zipf(50), 4).unwrap();
+        assert_eq!(t.labels.len(), 1);
+        assert_eq!(t.label(t.root()), "1");
+        let d = t.data_nodes()[0];
+        assert_eq!(t.label(d), format!("{d}"));
+        assert_eq!(t.find_by_label("1"), Some(t.root()));
+        assert_eq!(t.find_by_label(&format!("{d}")), None);
     }
 
     #[test]
@@ -440,6 +693,8 @@ mod tests {
         assert_eq!(ranks, (0..t.len() as u32).collect::<Vec<_>>());
         assert_eq!(t.preorder_rank(t.root()), 0);
         assert_eq!(t.preorder()[0], t.root());
+        let labels: Vec<String> = t.preorder().iter().map(|&n| t.label(n)).collect();
+        assert_eq!(labels, ["1", "2", "A", "B", "3", "E", "4", "C", "D"]);
     }
 
     #[test]
@@ -471,8 +726,16 @@ mod tests {
         assert_eq!(t.flat_children().len(), t.len() - 1);
         for i in 0..t.len() {
             let id = NodeId::from_index(i);
-            assert_eq!(&t.flat_children()[t.child_range(id)], t.children(id));
+            for &c in t.children(id) {
+                assert_eq!(t.parent(c), Some(id));
+            }
         }
+        let kids: Vec<String> = t
+            .children(t.find_by_label("3").unwrap())
+            .iter()
+            .map(|&c| t.label(c))
+            .collect();
+        assert_eq!(kids, ["E", "4"]);
         assert_eq!(t.subtree_size_table().len(), t.len());
         assert_eq!(t.subtree_weight_table()[0], t.total_weight());
         assert_eq!(t.level_table()[0], 1);
@@ -498,7 +761,7 @@ mod tests {
     fn reweight_matches_from_scratch_rebuild_bit_for_bit() {
         // Fractional weights make f64 accumulation order observable: the
         // repaired subtree-weight table must match a from-scratch build
-        // over the mutated arena down to the last bit, not just approximately.
+        // over the new weights down to the last bit, not just approximately.
         let weights: Vec<Weight> = (1..=27u32)
             .map(|i| Weight::new(f64::from(i) * 0.3 + 0.07).unwrap())
             .collect();
@@ -510,31 +773,14 @@ mod tests {
             .filter(|(i, _)| i % 3 == 0)
             .map(|(i, &d)| (d, Weight::new(0.11 * (i + 1) as f64).unwrap()))
             .collect();
-        let mut arena: Vec<super::Node> = (0..live.len())
-            .map(|i| live.node(NodeId::from_index(i)).clone())
-            .collect();
-        for &(id, w) in &updates {
-            arena[id.index()].weight = w;
-        }
-        let twin = super::IndexTree::from_arena(arena);
+        let twin = rebuild_with(&live, |id| {
+            updates
+                .iter()
+                .find(|&&(d, _)| d == id)
+                .map_or(live.weight(id), |&(_, w)| w)
+        });
         live.reweight(&updates);
-        for i in 0..live.len() {
-            let id = NodeId::from_index(i);
-            assert_eq!(
-                live.weight(id).get().to_bits(),
-                twin.weight(id).get().to_bits(),
-                "weight of node {i}"
-            );
-            assert_eq!(
-                live.subtree_weight(id).get().to_bits(),
-                twin.subtree_weight(id).get().to_bits(),
-                "subtree weight of node {i}"
-            );
-        }
-        assert_eq!(
-            live.total_weight().get().to_bits(),
-            twin.total_weight().get().to_bits()
-        );
+        assert_same_weights(&live, &twin, "rebuild");
         // Structure is untouched, so every structural cache stays equal.
         assert_eq!(live.preorder(), twin.preorder());
         assert_eq!(live.subtree_size_table(), twin.subtree_size_table());

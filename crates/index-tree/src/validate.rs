@@ -1,18 +1,14 @@
 //! Structural invariant checking for [`IndexTree`].
 
-use crate::tree::{IndexTree, NodeKind};
+use crate::tree::IndexTree;
 use bcast_types::NodeId;
 use std::fmt;
 
 /// A violated structural invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeInvariantError {
-    /// Node 0 has a parent or a non-root node has none.
-    BadRoot,
-    /// `parent`/`children` links disagree at this node.
+    /// The parent column and the child table disagree at this node.
     LinkMismatch(NodeId),
-    /// A data node has children.
-    DataNodeWithChildren(NodeId),
     /// An index node has no children (leaves must be data nodes).
     LeafIndexNode(NodeId),
     /// A node is unreachable from the root (cycle or orphan).
@@ -24,12 +20,8 @@ pub enum TreeInvariantError {
 impl fmt::Display for TreeInvariantError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TreeInvariantError::BadRoot => write!(f, "node 0 must be the unique root"),
             TreeInvariantError::LinkMismatch(id) => {
                 write!(f, "parent/child links disagree at {id}")
-            }
-            TreeInvariantError::DataNodeWithChildren(id) => {
-                write!(f, "data node {id} has children")
             }
             TreeInvariantError::LeafIndexNode(id) => {
                 write!(f, "index node {id} has no children")
@@ -45,53 +37,34 @@ impl std::error::Error for TreeInvariantError {}
 impl IndexTree {
     /// Verifies every structural invariant of the tree.
     ///
-    /// Builders call this automatically; it is public so that integration
-    /// tests and fuzzers can re-validate trees after transformation passes
-    /// (e.g. the node-combination heuristic).
+    /// Builders establish them by construction (a debug build re-checks);
+    /// this is public so that integration tests and fuzzers can re-validate
+    /// trees after transformation passes (e.g. the node-combination
+    /// heuristic). Leaves are data nodes by definition here, so the
+    /// builder is what rejects a childless index node.
     pub fn check_invariants(&self) -> Result<(), TreeInvariantError> {
         if self.is_empty() {
             return Err(TreeInvariantError::NoDataNodes);
         }
-        if self.node(NodeId::ROOT).parent.is_some() {
-            return Err(TreeInvariantError::BadRoot);
-        }
-
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![NodeId::ROOT];
-        let mut reached = 0usize;
-        while let Some(id) = stack.pop() {
-            if seen[id.index()] {
-                return Err(TreeInvariantError::LinkMismatch(id));
-            }
-            seen[id.index()] = true;
-            reached += 1;
-            let node = self.node(id);
-            match node.kind {
-                NodeKind::Data if !node.children.is_empty() => {
-                    return Err(TreeInvariantError::DataNodeWithChildren(id));
-                }
-                NodeKind::Index if node.children.is_empty() => {
-                    return Err(TreeInvariantError::LeafIndexNode(id));
-                }
-                _ => {}
-            }
-            for &c in &node.children {
-                if self.node(c).parent != Some(id) {
+        // Each child names its range's owner as parent and comes after it,
+        // so following parents always ends at the root.
+        for i in 0..self.len() {
+            let id = NodeId::from_index(i);
+            for &c in self.children(id) {
+                if c.index() <= i || self.parent(c) != Some(id) {
                     return Err(TreeInvariantError::LinkMismatch(c));
                 }
-                stack.push(c);
             }
         }
-        if reached != self.len() {
-            let orphan = seen
-                .iter()
-                .position(|&s| !s)
-                .map(NodeId::from_index)
-                .expect("reached < len implies an unseen node");
-            return Err(TreeInvariantError::Unreachable(orphan));
+        // The child table reaches every node exactly once.
+        let mut seen = vec![false; self.len()];
+        for &id in self.preorder() {
+            if std::mem::replace(&mut seen[id.index()], true) {
+                return Err(TreeInvariantError::LinkMismatch(id));
+            }
         }
-        if self.num_data_nodes() == 0 {
-            return Err(TreeInvariantError::NoDataNodes);
+        if let Some(orphan) = seen.iter().position(|&s| !s) {
+            return Err(TreeInvariantError::Unreachable(NodeId::from_index(orphan)));
         }
         Ok(())
     }

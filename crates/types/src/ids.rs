@@ -4,8 +4,9 @@ use std::fmt;
 
 /// Identifier of a node (index or data) in an index tree.
 ///
-/// Node ids are dense arena indices assigned by the tree builder; `NodeId(0)`
-/// is always the root. They are meaningless across different trees.
+/// Node ids are dense indices into a tree's per-node columns, assigned by
+/// the tree builder; `NodeId(0)` is always the root. They are meaningless
+/// across different trees.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
@@ -13,13 +14,13 @@ impl NodeId {
     /// The root node of every index tree.
     pub const ROOT: NodeId = NodeId(0);
 
-    /// Returns the id as a `usize` arena index.
+    /// Returns the id as a `usize` column index.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
-    /// Builds a `NodeId` from an arena index.
+    /// Builds a `NodeId` from a column index.
     ///
     /// # Panics
     /// Panics if `index` does not fit in `u32`.

@@ -14,13 +14,19 @@
 //! 3. **Zero heap allocations after warm-up.** This binary installs the
 //!    [`CountingAlloc`] global allocator; once the publisher's scratch
 //!    buffers are sized, a republish must not touch the heap at all.
+//! 4. **No per-node heap objects in the tree.** Under the same counter, a
+//!    weight-balanced build makes as many allocations at 65,536 items as
+//!    at 4,096, and a reweight of every leaf makes a small constant number.
+//! 5. **A reweighted tree publishes like a fresh one.** The service's boot
+//!    tree, reweighted in place, publishes the same program as a
+//!    from-scratch build of its shape over the new weights.
 
 use broadcast_alloc::alloc::heuristics::{shrink, sorting};
 use broadcast_alloc::alloc::{baselines, PublishHeuristic, PublishOptions, Publisher, Schedule};
 use broadcast_alloc::channel::{BroadcastProgram, CompiledProgram};
-use broadcast_alloc::tree::IndexTree;
+use broadcast_alloc::tree::{knary, IndexTree, TreeBuilder};
 use broadcast_alloc::types::alloc_counter::{allocation_count, CountingAlloc};
-use broadcast_alloc::types::NodeId;
+use broadcast_alloc::types::{NodeId, Weight};
 use broadcast_alloc::workloads::{random_tree, FrequencyDist, RandomTreeConfig};
 use proptest::prelude::*;
 
@@ -238,6 +244,91 @@ fn fused_hot_path_is_allocation_free_after_warmup() {
                 delta, 0,
                 "fused {h:?} hot path at k = {k} performed {delta} heap allocations"
             );
+        }
+    }
+}
+
+fn zipf_weights(items: usize, seed: u64) -> Vec<Weight> {
+    FrequencyDist::Zipf {
+        theta: 0.9,
+        scale: 1_000.0,
+    }
+    .sample(items, seed)
+}
+
+/// The updates that give leaf `i` (in preorder) weight `weights[i]`.
+fn leaf_updates(tree: &IndexTree, weights: &[Weight]) -> Vec<(NodeId, Weight)> {
+    tree.data_nodes()
+        .iter()
+        .copied()
+        .zip(weights.iter().copied())
+        .collect()
+}
+
+#[test]
+fn tree_build_and_reweight_make_no_per_node_allocations() {
+    let build_allocs = |items: usize| {
+        let weights = zipf_weights(items, 11);
+        let before = allocation_count();
+        let tree = knary::build_weight_balanced_unlabeled(&weights, 4).unwrap();
+        let allocs = allocation_count() - before;
+        (tree, allocs)
+    };
+    let (_, small) = build_allocs(4_096);
+    let (mut tree, large) = build_allocs(65_536);
+    assert_eq!(
+        small,
+        large,
+        "a build allocated {small} times at 4,096 items but {large} at 65,536 ({} index nodes)",
+        tree.num_index_nodes()
+    );
+
+    let updates = leaf_updates(&tree, &zipf_weights(65_536, 12));
+    let before = allocation_count();
+    tree.reweight(&updates);
+    let allocs = allocation_count() - before;
+    assert!(
+        allocs <= 8,
+        "a reweight of every leaf allocated {allocs} times"
+    );
+}
+
+#[test]
+fn a_reweighted_boot_tree_publishes_like_a_fresh_build() {
+    const ITEMS: usize = 4_096;
+    // The service's boot tree: weight-balanced over uniform weights.
+    let mut boot =
+        knary::build_weight_balanced_unlabeled(&vec![Weight::from(1u32); ITEMS], 4).unwrap();
+    let updates = leaf_updates(&boot, &zipf_weights(ITEMS, 5));
+    boot.reweight(&updates);
+
+    // The same shape built from scratch over the new weights: adding nodes
+    // in id order reproduces every id.
+    let mut new_weight = vec![Weight::ZERO; boot.len()];
+    for &(d, w) in &updates {
+        new_weight[d.index()] = w;
+    }
+    let mut b = TreeBuilder::with_capacity(boot.len());
+    b.root("1");
+    for (i, &w) in new_weight.iter().enumerate().skip(1) {
+        let id = NodeId::from_index(i);
+        let parent = boot.parent(id).unwrap();
+        let added = if boot.is_data(id) {
+            b.add_data_unlabeled(parent, w)
+        } else {
+            b.add_index_unlabeled(parent)
+        };
+        assert_eq!(added.unwrap(), id);
+    }
+    let fresh = b.build().unwrap();
+
+    let (mut p, mut q) = (Publisher::new(), Publisher::new());
+    let opts = PublishOptions::default();
+    for h in [PublishHeuristic::Sorting, PublishHeuristic::Frontier] {
+        for k in [1usize, 3] {
+            let reweighted = p.publish(&boot, k, h, opts).expect("feasible");
+            let rebuilt = q.publish(&fresh, k, h, opts).expect("feasible");
+            assert_eq!(reweighted, rebuilt, "{h:?} at k = {k}");
         }
     }
 }
