@@ -5,33 +5,26 @@
 //! efficient on-line algorithm to immediately reflect the current
 //! broadcasting state is needed."
 //!
-//! The crate closes the loop the paper leaves open:
+//! The crate holds the adaptive pieces the serving loop
+//! (`bcast-serve`'s `TenantRuntime`) runs:
 //!
 //! * [`estimator`] — frequency estimation from the observed request stream
 //!   (exponential moving average, the standard re-estimation technique the
 //!   paper's §1 cites from \[DCK97, SRB97\]);
-//! * [`stream`] — synthetic request streams with controlled popularity
-//!   drift (rank rotation and hotspot jumps), substituting for the
-//!   production traces we do not have;
+//! * [`controller`] — the degraded-feedback path ([`DegradationPolicy`],
+//!   [`DegradationTracker`]) that rebuilds on sustained delivery-rate
+//!   drops with hysteresis and exponential cooldown backoff;
 //! * [`hotset`] — *which* items to broadcast (the paper's §1 first
 //!   research category): top-k-with-hysteresis membership plus the hybrid
-//!   push–pull capacity trade-off;
-//! * [`controller`] — an [`AdaptiveBroadcaster`]
-//!   that periodically rebuilds the index tree and reallocates the
-//!   broadcast from the current estimates — plus a degraded-feedback path
-//!   ([`DegradationPolicy`]) that rebuilds on sustained delivery-rate
-//!   drops with hysteresis and exponential cooldown backoff — and the
-//!   evaluation harness comparing it against a *static* (never rebuild)
-//!   and an *oracle* (rebuild from true instantaneous popularity) policy.
+//!   push–pull capacity trade-off.
+//!
+//! The static / adaptive / oracle comparison (EXPERIMENTS F1) lives in
+//! `bcast-bench` and drives a real tenant.
 
 pub mod controller;
 pub mod estimator;
 pub mod hotset;
-pub mod stream;
 
-pub use controller::{
-    AdaptiveBroadcaster, DegradationPolicy, DegradationTracker, PolicyReport, RebuildPolicy,
-};
+pub use controller::{DegradationPolicy, DegradationTracker};
 pub use estimator::EmaEstimator;
 pub use hotset::{HotSetConfig, HotSetManager};
-pub use stream::{DriftKind, DriftingWorkload};

@@ -10,12 +10,15 @@
 //! | `paper_walkthrough` | the §1–§3 worked examples (Figs. 1, 2, 13) |
 //! | `channel_sweep` | extension: data wait vs channel count, all methods |
 //! | `tuning_time` | extension: simulator access/tuning time per tree shape |
+//! | `adaptive_drift` | extension: the adaptive tenant under demand drift ([`drift`]) |
 //!
 //! Criterion benches live in `benches/` and cover search-strategy cost
 //! (A1), bound tightness (A2), heuristic scalability (A3) and the client
 //! simulator (A4).
 
 use std::fmt::Write as _;
+
+pub mod drift;
 
 /// Renders an aligned text table (markdown-ish, fixed-width columns).
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {

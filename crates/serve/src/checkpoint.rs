@@ -31,7 +31,9 @@
 
 use crate::service::ServeLoop;
 use bcast_channel::snapshot::{read_word_file, write_word_file};
+use bcast_core::publish::PublishHeuristic;
 use bcast_types::crc::crc32c;
+use bcast_workloads::DemandShape;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -95,10 +97,6 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Append-only word-stream encoder shared by every manifest section.
-/// `u64`s are split into little-endian `u32` pairs so the whole manifest
-/// stays one `u32` stream — the unit the CRC-32C kernel and the snapshot
-/// wire format already speak.
 /// Shortest equal-value run [`WordWriter::u64_slice`] collapses to a
 /// repeat pair. Breaking a literal batch costs one extra control word and
 /// a repeat pair costs two, so four is the first length that always wins.
@@ -113,6 +111,10 @@ const REPEAT_BIT: u64 = 1 << 63;
 /// by the words that remain in the buffer.
 const MAX_RUN_LEN: usize = 1 << 27;
 
+/// Append-only word-stream encoder shared by every manifest section.
+/// `u64`s are split into little-endian `u32` pairs so the whole manifest
+/// stays one `u32` stream — the unit the CRC-32C kernel and the snapshot
+/// wire format already speak.
 #[derive(Debug, Default)]
 pub(crate) struct WordWriter {
     words: Vec<u32>,
@@ -152,6 +154,42 @@ impl WordWriter {
             Some(v) => {
                 self.u32(1);
                 self.f64(v);
+            }
+        }
+    }
+
+    /// A [`PublishHeuristic`] as a tag word (plus its node cap for
+    /// `Shrink`) — the one encoding the tenant config and the boot-image
+    /// cache keys share.
+    pub(crate) fn heuristic(&mut self, h: PublishHeuristic) {
+        match h {
+            PublishHeuristic::Sorting => self.u32(0),
+            PublishHeuristic::Frontier => self.u32(1),
+            PublishHeuristic::Shrink { max_nodes } => {
+                self.u32(2);
+                self.u64(max_nodes as u64);
+            }
+            PublishHeuristic::Preorder => self.u32(3),
+        }
+    }
+
+    /// A [`DemandShape`] as a tag word and its parameters — the one
+    /// encoding the phase script and the live sampler share.
+    pub(crate) fn demand_shape(&mut self, shape: DemandShape) {
+        match shape {
+            DemandShape::Zipf { theta } => {
+                self.u32(0);
+                self.f64(theta);
+            }
+            DemandShape::HotSet {
+                hot_items,
+                hot_mass,
+                offset,
+            } => {
+                self.u32(1);
+                self.u64(hot_items as u64);
+                self.f64(hot_mass);
+                self.u64(offset as u64);
             }
         }
     }
@@ -271,6 +309,33 @@ impl<'a> WordReader<'a> {
             1 => Some(Some(self.f64()?)),
             _ => None,
         }
+    }
+
+    /// Inverse of [`WordWriter::heuristic`]; fails closed on unknown tags.
+    pub(crate) fn heuristic(&mut self) -> Option<PublishHeuristic> {
+        Some(match self.u32()? {
+            0 => PublishHeuristic::Sorting,
+            1 => PublishHeuristic::Frontier,
+            2 => PublishHeuristic::Shrink {
+                max_nodes: usize::try_from(self.u64()?).ok()?,
+            },
+            3 => PublishHeuristic::Preorder,
+            _ => return None,
+        })
+    }
+
+    /// Inverse of [`WordWriter::demand_shape`]; fails closed on unknown
+    /// tags.
+    pub(crate) fn demand_shape(&mut self) -> Option<DemandShape> {
+        Some(match self.u32()? {
+            0 => DemandShape::Zipf { theta: self.f64()? },
+            1 => DemandShape::HotSet {
+                hot_items: usize::try_from(self.u64()?).ok()?,
+                hot_mass: self.f64()?,
+                offset: usize::try_from(self.u64()?).ok()?,
+            },
+            _ => return None,
+        })
     }
 
     /// Inverse of [`WordWriter::u64_slice`]. Fails closed on a zero or

@@ -526,7 +526,7 @@ impl ServeLoop {
             w.u64(key.items as u64);
             w.u64(key.fanout as u64);
             w.u64(key.channels as u64);
-            write_heuristic(w, key.heuristic);
+            w.heuristic(key.heuristic);
             w.u32_slice(image.words());
         }
         w.u64(self.tenants.len() as u64);
@@ -567,21 +567,17 @@ impl ServeLoop {
         let mut boot_images = Vec::with_capacity(n_images.min(64));
         let mut boot_programs = Vec::with_capacity(n_images.min(64));
         for _ in 0..n_images {
-            let items = usize::try_from(r.u64()?).ok()?;
-            let fanout = usize::try_from(r.u64()?).ok()?;
-            let channels = usize::try_from(r.u64()?).ok()?;
-            let heuristic = read_heuristic(r)?;
+            let key = BootKey {
+                items: usize::try_from(r.u64()?).ok()?,
+                fanout: usize::try_from(r.u64()?).ok()?,
+                channels: usize::try_from(r.u64()?).ok()?,
+                heuristic: r.heuristic()?,
+            };
             let image = SnapshotImage::from_words(r.u32_vec()?);
             // Validate and decode the image exactly once here; every
             // tenant that references it clones the result instead of
             // re-walking the same megabytes.
             let view = image.view().ok()?;
-            let key = BootKey {
-                items,
-                fanout,
-                channels,
-                heuristic,
-            };
             if boot_images.iter().any(|(k, _)| *k == key) {
                 return None;
             }
@@ -590,7 +586,7 @@ impl ServeLoop {
                 CachedProgram {
                     program: view.to_program(),
                     data_nodes: view.data_nodes().collect(),
-                    channels,
+                    channels: key.channels,
                 },
             ));
             boot_images.push((key, image));
@@ -665,33 +661,6 @@ fn decode_tenant_blocks(
             .collect()
     });
     decoded.into_iter().collect()
-}
-
-/// Manifest tag for a [`PublishHeuristic`] (shared between the tenant
-/// config section and the boot-image cache keys).
-fn write_heuristic(w: &mut WordWriter, h: PublishHeuristic) {
-    match h {
-        PublishHeuristic::Sorting => w.u32(0),
-        PublishHeuristic::Frontier => w.u32(1),
-        PublishHeuristic::Shrink { max_nodes } => {
-            w.u32(2);
-            w.u64(max_nodes as u64);
-        }
-        PublishHeuristic::Preorder => w.u32(3),
-    }
-}
-
-/// Inverse of [`write_heuristic`]; fails closed on unknown tags.
-fn read_heuristic(r: &mut WordReader<'_>) -> Option<PublishHeuristic> {
-    Some(match r.u32()? {
-        0 => PublishHeuristic::Sorting,
-        1 => PublishHeuristic::Frontier,
-        2 => PublishHeuristic::Shrink {
-            max_nodes: usize::try_from(r.u64()?).ok()?,
-        },
-        3 => PublishHeuristic::Preorder,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -814,6 +783,45 @@ mod tests {
         assert_eq!(mixed.snapshot_boots(), 0, "different shapes never share");
         mixed.join(TenantConfig::new(2, 48));
         assert_eq!(mixed.snapshot_boots(), 1);
+    }
+
+    #[test]
+    fn snapshot_image_captures_cache_booted_and_restored_tenants() {
+        // A cache-booted or restored tenant holds a one-leaf stand-in
+        // tree until its first rebuild; capturing it must still record
+        // the program on air with the full catalog.
+        let images = |svc: &ServeLoop| -> Vec<Vec<u32>> {
+            svc.tenants()
+                .iter()
+                .map(|t| t.snapshot_image().words().to_vec())
+                .collect()
+        };
+        let restore = |svc: &ServeLoop| {
+            let mut w = WordWriter::new();
+            svc.export_state(&mut w).unwrap();
+            let words = w.into_words();
+            ServeLoop::import_state(&mut WordReader::new(&words), 1)
+                .expect("self-exported state must import")
+        };
+        let mut svc = ServeLoop::new(7, 1);
+        svc.join(TenantConfig::new(0, 64));
+        svc.join(TenantConfig::new(1, 64));
+        assert_eq!(svc.snapshot_boots(), 1);
+        let boot = images(&svc);
+        assert_eq!(
+            boot[1], boot[0],
+            "the cache-booted twin airs the boot image"
+        );
+        // Restored by reference to the boot-image cache...
+        assert_eq!(images(&restore(&svc)), boot);
+        // ...and from embedded images, once both tenants have rebuilt.
+        for t in svc.tenants_mut() {
+            t.begin_phase(demand(100), None, SloSpec::lossless(), 8);
+        }
+        svc.run_slices(8);
+        let rebuilt = images(&svc);
+        assert_ne!(rebuilt[0], boot[0]);
+        assert_eq!(images(&restore(&svc)), rebuilt);
     }
 
     #[test]

@@ -344,7 +344,6 @@ impl TenantRuntime {
     /// produce feasible allocations for sane configs).
     pub fn new(config: TenantConfig, service_seed: u64) -> Self {
         assert!(config.items > 0, "tenant needs at least one item");
-        let seed = mix2(service_seed, config.id);
         let estimator = EmaEstimator::new(config.items, config.alpha);
         let weights = estimator.weights();
         let tree = knary::build_weight_balanced_unlabeled(&weights, config.fanout)
@@ -359,38 +358,17 @@ impl TenantRuntime {
             )
             .expect("bundled heuristics produce feasible allocations");
         let data_nodes = tree.data_nodes().to_vec();
-        let cycle = publisher.current().cycle_len() as u32;
-        TenantRuntime {
-            seed,
-            tree,
-            data_nodes,
-            publisher,
-            estimator,
-            degradation: config.degradation.map(DegradationTracker::new),
-            demand: DemandSpec::flat(bcast_workloads::DemandShape::Zipf { theta: 0.9 }, 0),
-            faults: None,
-            slo: SloSpec::default(),
-            phase_slices: 0,
-            slice_in_phase: 0,
-            slices_run: 0,
-            total_requests: 0,
-            total_rebuilds: 0,
-            pending_snapshot_loads: 0,
-            window: Window::new(PHASE_HIST_CYCLES * cycle.max(1)),
-            sampler: TaggedAliasTable::new(),
-            sampler_shape: None,
-            pmf: Vec::new(),
-            chunk: Vec::with_capacity(SERVE_CHUNK),
-            session: ServeSession::new(),
-            ewma_cost: 0,
-            weights,
-            changes: Vec::new(),
-            node_changes: Vec::new(),
-            quarantine: None,
-            admitted_cap: None,
-            chaos_panic_slices: Vec::new(),
+        let mut t = Self::assemble(
+            service_seed,
             config,
-        }
+            publisher,
+            data_nodes,
+            estimator,
+            weights,
+            None,
+        );
+        t.tree = tree;
+        t
     }
 
     /// Boots a tenant from a validated snapshot image instead of a boot
@@ -441,24 +419,59 @@ impl TenantRuntime {
                 "snapshot channel count does not match the tenant config",
             ));
         }
-        let seed = mix2(service_seed, config.id);
         let estimator = EmaEstimator::new(config.items, config.alpha);
         let weights = estimator.weights();
         let data_nodes: Vec<NodeId> = view.data_nodes().collect();
         let mut publisher = Publisher::new();
         publisher.adopt_snapshot(view.to_program(), config.channels);
-        // Stand-in tree (see the docs above): one leaf, O(1) to build.
-        let tree = knary::build_weight_balanced_unlabeled(&weights[..1], config.fanout)
-            .expect("a single uniform weight builds a valid tree");
-        let cycle = publisher.current().cycle_len() as u32;
-        Ok(TenantRuntime {
-            seed,
+        let mut t = Self::assemble(
+            service_seed,
+            config,
+            publisher,
+            data_nodes,
+            estimator,
+            weights,
+            None,
+        );
+        t.pending_snapshot_loads = 1;
+        Ok(t)
+    }
+
+    /// Assembles a tenant from the parts its boot paths differ in: the
+    /// program on air and the item → node map it serves by, the
+    /// estimator with the weight snapshot rebuilds consume, and a
+    /// restored window (`None`: a fresh one sized for the program on
+    /// air). The tenant seed derives from `service_seed` and the config's
+    /// id; everything else starts as before a tenant's first phase.
+    ///
+    /// The tree is a one-leaf stand-in, O(1) to build: a program
+    /// installed from an image or a checkpoint comes without its tree,
+    /// and the first full rebuild derives a real one. [`new`] swaps in
+    /// the tree it published from.
+    ///
+    /// [`new`]: TenantRuntime::new
+    fn assemble(
+        service_seed: u64,
+        config: TenantConfig,
+        publisher: Publisher,
+        data_nodes: Vec<NodeId>,
+        estimator: EmaEstimator,
+        weights: Vec<Weight>,
+        window: Option<Window>,
+    ) -> Self {
+        let window = window.unwrap_or_else(|| {
+            Window::new(PHASE_HIST_CYCLES * (publisher.current().cycle_len() as u32).max(1))
+        });
+        let tree = knary::build_weight_balanced_unlabeled(&[Weight::from(1u32)], config.fanout)
+            .expect("a single weight builds a valid tree");
+        TenantRuntime {
+            seed: mix2(service_seed, config.id),
             tree,
             data_nodes,
             publisher,
             estimator,
             degradation: config.degradation.map(DegradationTracker::new),
-            demand: DemandSpec::flat(bcast_workloads::DemandShape::Zipf { theta: 0.9 }, 0),
+            demand: DemandSpec::flat(DemandShape::Zipf { theta: 0.9 }, 0),
             faults: None,
             slo: SloSpec::default(),
             phase_slices: 0,
@@ -466,8 +479,8 @@ impl TenantRuntime {
             slices_run: 0,
             total_requests: 0,
             total_rebuilds: 0,
-            pending_snapshot_loads: 1,
-            window: Window::new(PHASE_HIST_CYCLES * cycle.max(1)),
+            pending_snapshot_loads: 0,
+            window,
             sampler: TaggedAliasTable::new(),
             sampler_shape: None,
             pmf: Vec::new(),
@@ -481,17 +494,22 @@ impl TenantRuntime {
             admitted_cap: None,
             chaos_panic_slices: Vec::new(),
             config,
-        })
+        }
     }
 
-    /// Captures the tenant's *boot* program into a snapshot image — the
-    /// persistence half of the cold-start path. Only meaningful before
-    /// the first rebuild (the service's boot-image cache calls it right
-    /// after [`new`](TenantRuntime::new)); after a rebuild the tree and
-    /// program have moved on together and the image would simply record
-    /// the newer epoch.
+    /// Captures the program on air into a snapshot image, with the
+    /// item → node map it serves by as the catalog. Called right after
+    /// [`new`](TenantRuntime::new), this is the boot image the service's
+    /// cache shares with later joins of the same shape; after a rebuild
+    /// it records the newer program. Any tenant can be captured,
+    /// including one booted from an image or restored from a checkpoint
+    /// before its first rebuild.
     pub fn snapshot_image(&self) -> bcast_channel::SnapshotImage {
-        self.publisher.snapshot_image(&self.tree)
+        bcast_channel::SnapshotImage::capture(
+            self.publisher.current(),
+            self.config.channels,
+            &self.data_nodes,
+        )
     }
 
     /// Stable tenant id.
@@ -954,15 +972,7 @@ impl TenantRuntime {
         w.u64(c.items as u64);
         w.u64(c.fanout as u64);
         w.u64(c.channels as u64);
-        match c.heuristic {
-            PublishHeuristic::Sorting => w.u32(0),
-            PublishHeuristic::Frontier => w.u32(1),
-            PublishHeuristic::Shrink { max_nodes } => {
-                w.u32(2);
-                w.u64(max_nodes as u64);
-            }
-            PublishHeuristic::Preorder => w.u32(3),
-        }
+        w.heuristic(c.heuristic);
         w.f64(c.alpha);
         w.opt_u64(c.rebuild_every);
         w.opt_f64(c.rebuild_min_drift);
@@ -992,22 +1002,7 @@ impl TenantRuntime {
         // Phase script. The fault scenario's `&'static str` name cannot
         // round-trip; it never reaches serving, so restore substitutes a
         // literal (outcome-neutral by construction).
-        match self.demand.shape {
-            DemandShape::Zipf { theta } => {
-                w.u32(0);
-                w.f64(theta);
-            }
-            DemandShape::HotSet {
-                hot_items,
-                hot_mass,
-                offset,
-            } => {
-                w.u32(1);
-                w.u64(hot_items as u64);
-                w.f64(hot_mass);
-                w.u64(offset as u64);
-            }
-        }
+        w.demand_shape(self.demand.shape);
         w.u32(self.demand.start_rate);
         w.u32(self.demand.end_rate);
         match &self.faults {
@@ -1111,22 +1106,7 @@ impl TenantRuntime {
         match self.sampler_shape {
             Some(shape) if self.sampler.len() == c.items => {
                 w.u32(1);
-                match shape {
-                    DemandShape::Zipf { theta } => {
-                        w.u32(0);
-                        w.f64(theta);
-                    }
-                    DemandShape::HotSet {
-                        hot_items,
-                        hot_mass,
-                        offset,
-                    } => {
-                        w.u32(1);
-                        w.u64(hot_items as u64);
-                        w.f64(hot_mass);
-                        w.u64(offset as u64);
-                    }
-                }
+                w.demand_shape(shape);
                 let mut cols = Vec::new();
                 self.sampler.export_columns(&mut cols);
                 w.u32_slice(&cols);
@@ -1137,11 +1117,7 @@ impl TenantRuntime {
         // The program on air: a reference into the boot-image cache when
         // it is still the boot program, a self-validating embedded
         // snapshot image otherwise.
-        let image = bcast_channel::SnapshotImage::capture(
-            self.publisher.current(),
-            c.channels,
-            &self.data_nodes,
-        );
+        let image = self.snapshot_image();
         match boot {
             Some(b) if b.words() == image.words() => w.u32(IMAGE_BOOT_REF),
             _ => {
@@ -1168,79 +1144,49 @@ impl TenantRuntime {
         r: &mut WordReader<'_>,
         cache: &[(crate::service::BootKey, crate::service::CachedProgram)],
     ) -> Option<TenantRuntime> {
-        let id = r.u64()?;
-        let items = usize::try_from(r.u64()?).ok()?;
-        let fanout = usize::try_from(r.u64()?).ok()?;
-        let channels = usize::try_from(r.u64()?).ok()?;
-        if items == 0 || fanout < 2 || channels == 0 {
-            return None;
-        }
-        let heuristic = match r.u32()? {
-            0 => PublishHeuristic::Sorting,
-            1 => PublishHeuristic::Frontier,
-            2 => PublishHeuristic::Shrink {
-                max_nodes: usize::try_from(r.u64()?).ok()?,
-            },
-            3 => PublishHeuristic::Preorder,
-            _ => return None,
-        };
-        let alpha = r.f64()?;
-        let rebuild_every = r.opt_u64()?;
-        let rebuild_min_drift = r.opt_f64()?;
-        let degradation = match r.u32()? {
-            0 => None,
-            1 => Some(DegradationPolicy {
-                min_delivery_rate: r.f64()?,
-                recovered_rate: r.f64()?,
-                sustain_epochs: r.u32()?,
-                cooldown_epochs: r.u64()?,
-                max_cooldown_epochs: r.u64()?,
-            }),
-            _ => return None,
-        };
-        let recovery = RecoveryPolicy {
-            max_retries: r.u32()?,
-            timeout_slots: r.u64()?,
-            backoff_cap: r.u32()?,
-            root_replicas: r.u32()?,
-        };
-        let rebuild_lane = match r.u32()? {
-            0 => RebuildLane::Full,
-            1 => RebuildLane::Delta {
-                max_touched: r.f64()?,
-            },
-            _ => return None,
-        };
-        if rebuild_lane != RebuildLane::Full {
-            // The delta lane patches against the live boot tree, which a
-            // checkpoint does not carry (documented restore limit).
-            return None;
-        }
         let config = TenantConfig {
-            id,
-            items,
-            fanout,
-            channels,
-            heuristic,
-            alpha,
-            rebuild_every,
-            rebuild_min_drift,
-            degradation,
-            recovery,
-            rebuild_lane,
-        };
-
-        let shape = match r.u32()? {
-            0 => DemandShape::Zipf { theta: r.f64()? },
-            1 => DemandShape::HotSet {
-                hot_items: usize::try_from(r.u64()?).ok()?,
-                hot_mass: r.f64()?,
-                offset: usize::try_from(r.u64()?).ok()?,
+            id: r.u64()?,
+            items: usize::try_from(r.u64()?).ok()?,
+            fanout: usize::try_from(r.u64()?).ok()?,
+            channels: usize::try_from(r.u64()?).ok()?,
+            heuristic: r.heuristic()?,
+            alpha: r.f64()?,
+            rebuild_every: r.opt_u64()?,
+            rebuild_min_drift: r.opt_f64()?,
+            degradation: match r.u32()? {
+                0 => None,
+                1 => Some(DegradationPolicy {
+                    min_delivery_rate: r.f64()?,
+                    recovered_rate: r.f64()?,
+                    sustain_epochs: r.u32()?,
+                    cooldown_epochs: r.u64()?,
+                    max_cooldown_epochs: r.u64()?,
+                }),
+                _ => return None,
             },
-            _ => return None,
+            recovery: RecoveryPolicy {
+                max_retries: r.u32()?,
+                timeout_slots: r.u64()?,
+                backoff_cap: r.u32()?,
+                root_replicas: r.u32()?,
+            },
+            rebuild_lane: match r.u32()? {
+                0 => RebuildLane::Full,
+                1 => RebuildLane::Delta {
+                    max_touched: r.f64()?,
+                },
+                _ => return None,
+            },
         };
+        let (items, fanout, channels) = (config.items, config.fanout, config.channels);
+        // The delta lane patches against the live boot tree, which a
+        // checkpoint does not carry (documented restore limit).
+        if items == 0 || fanout < 2 || channels == 0 || config.rebuild_lane != RebuildLane::Full {
+            return None;
+        }
+
         let demand = DemandSpec {
-            shape,
+            shape: r.demand_shape()?,
             start_rate: r.u32()?,
             end_rate: r.u32()?,
         };
@@ -1366,15 +1312,7 @@ impl TenantRuntime {
         let sampler_state = match r.u32()? {
             0 => None,
             1 => {
-                let shape = match r.u32()? {
-                    0 => DemandShape::Zipf { theta: r.f64()? },
-                    1 => DemandShape::HotSet {
-                        hot_items: usize::try_from(r.u64()?).ok()?,
-                        hot_mass: r.f64()?,
-                        offset: usize::try_from(r.u64()?).ok()?,
-                    },
-                    _ => return None,
-                };
+                let shape = r.demand_shape()?;
                 let table = TaggedAliasTable::import_columns(&r.u32_vec()?)?;
                 if table.len() != items {
                     return None;
@@ -1388,16 +1326,14 @@ impl TenantRuntime {
         // the service already shares across every tenant of this shape;
         // an embedded image decodes here. Either way the program must
         // match the config it claims to serve.
-        let (publisher, data_nodes) = match r.u32()? {
+        let (program, data_nodes) = match r.u32()? {
             IMAGE_BOOT_REF => {
                 let key = crate::service::boot_key(&config);
                 let cached = &cache.iter().find(|(k, _)| *k == key)?.1;
                 if cached.data_nodes.len() != items || cached.channels != channels {
                     return None;
                 }
-                let mut publisher = Publisher::new();
-                publisher.adopt_snapshot(cached.program.clone(), channels);
-                (publisher, cached.data_nodes.clone())
+                (cached.program.clone(), cached.data_nodes.clone())
             }
             IMAGE_EMBEDDED => {
                 let image = bcast_channel::SnapshotImage::from_words(r.u32_vec()?);
@@ -1405,54 +1341,39 @@ impl TenantRuntime {
                 if view.num_data() != items || view.channels() != channels {
                     return None;
                 }
-                let data_nodes: Vec<NodeId> = view.data_nodes().collect();
-                let mut publisher = Publisher::new();
-                publisher.adopt_snapshot(view.to_program(), channels);
-                (publisher, data_nodes)
+                (view.to_program(), view.data_nodes().collect())
             }
             _ => return None,
         };
-        // Stand-in tree, exactly like `from_snapshot`: one leaf, O(1),
-        // replaced by the next full rebuild from the restored weights.
-        let tree = knary::build_weight_balanced_unlabeled(&weights[..1], fanout).ok()?;
-        let mut sampler = TaggedAliasTable::new();
-        let mut sampler_shape = None;
-        if let Some((shape, table)) = sampler_state {
-            sampler = table;
-            sampler_shape = Some(shape);
-        }
-
-        Some(TenantRuntime {
-            seed: mix2(service_seed, id),
-            tree,
-            data_nodes,
-            publisher,
-            estimator,
-            degradation,
-            demand,
-            faults,
-            slo,
-            phase_slices,
-            slice_in_phase,
-            slices_run,
-            total_requests,
-            total_rebuilds,
-            pending_snapshot_loads,
-            window,
-            sampler,
-            sampler_shape,
-            pmf: Vec::new(),
-            chunk: Vec::with_capacity(SERVE_CHUNK),
-            session: ServeSession::new(),
-            ewma_cost,
-            weights,
-            changes: Vec::new(),
-            node_changes: Vec::new(),
-            quarantine,
-            admitted_cap: None,
-            chaos_panic_slices,
+        let mut publisher = Publisher::new();
+        publisher.adopt_snapshot(program, channels);
+        let mut t = Self::assemble(
+            service_seed,
             config,
-        })
+            publisher,
+            data_nodes,
+            estimator,
+            weights,
+            Some(window),
+        );
+        t.degradation = degradation;
+        t.demand = demand;
+        t.faults = faults;
+        t.slo = slo;
+        t.phase_slices = phase_slices;
+        t.slice_in_phase = slice_in_phase;
+        t.slices_run = slices_run;
+        t.total_requests = total_requests;
+        t.total_rebuilds = total_rebuilds;
+        t.pending_snapshot_loads = pending_snapshot_loads;
+        if let Some((shape, table)) = sampler_state {
+            t.sampler = table;
+            t.sampler_shape = Some(shape);
+        }
+        t.ewma_cost = ewma_cost;
+        t.quarantine = quarantine;
+        t.chaos_panic_slices = chaos_panic_slices;
+        Some(t)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Request-stream generators for the batched serving engine.
 //!
-//! The serving-side experiments (latency tails, throughput benches, the
-//! adaptive harness) need millions of item draws per run, so sampling must
-//! be O(1) per request with no allocation. [`AliasTable`] preprocesses an
+//! The serving loop and the serving-side experiments (latency tails,
+//! throughput benches) need millions of item draws per run, so sampling
+//! must be O(1) per request with no allocation. [`AliasTable`] preprocesses an
 //! arbitrary probability mass function into a Walker **alias table**
 //! (O(items) build) and then draws with one SplitMix64 step, one
 //! multiply-shift index map and one comparison per sample. The table and
