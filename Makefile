@@ -6,7 +6,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build test bench-test stress crash chaos scenarios bench bench-quick clippy doc fmt fmt-check loc
+.PHONY: check build test bench-test stress crash chaos scenarios bench bench-quick ab clippy doc fmt fmt-check loc
 
 # The end-to-end benchmark is a package of its own (outside the
 # workspace), so its tests and runs go through its manifest.
@@ -38,6 +38,75 @@ bench-quick: bench-test
 
 stress:
 	$(CARGO) test --release $(OFFLINE) -- --ignored stress
+
+# A/B comparison of two bcast_bench builds on one workload, in alternating
+# pairs (the parent runs first in odd pairs, the change in even ones):
+#   make ab PARENT=<bcast_bench> CHANGE=<bcast_bench> WORKLOAD=<name> \
+#           [PAIRS=10 SECONDS=15 SEED=24301]
+# Build each side from its own checkout with its own CARGO_TARGET_DIR.
+# For every end-to-end metric of BENCHMARK.json it prints each side's
+# median with its quartiles, the change/parent ratio of the medians, and
+# in how many pairs the change was better in the metric's direction (a tie
+# counts for neither). Then each side's fingerprints and every run that
+# exited non-zero; such a run contributes no metrics.
+PAIRS ?= 10
+SECONDS ?= 15
+SEED ?= 24301
+ab:
+	@test -n "$(PARENT)" && test -n "$(CHANGE)" && test -n "$(WORKLOAD)" || { \
+		echo "usage: make ab PARENT=<bcast_bench> CHANGE=<bcast_bench> WORKLOAD=<name> [PAIRS=10 SECONDS=15 SEED=24301]"; \
+		exit 2; }
+	@runs=$$(mktemp); trap 'rm -f "$$runs"' EXIT; \
+	echo "ab: $(WORKLOAD), $(PAIRS) pairs of $(SECONDS) s at seed $(SEED)"; \
+	for pair in $$(seq 1 $(PAIRS)); do \
+		if [ $$((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then bin="$(PARENT)"; else bin="$(CHANGE)"; fi; \
+			out=$$("$$bin" --workload $(WORKLOAD) --seconds $(SECONDS) --seed $(SEED) 2>/dev/null); \
+			echo "X $$side $$pair $$?" >> "$$runs"; \
+			printf '%s\n' "$$out" | awk -v side=$$side -v pair=$$pair ' \
+				match($$0, /"fingerprint": "[0-9a-f]*"/) { \
+					f = substr($$0, RSTART, RLENGTH); gsub(/.*: "|"/, "", f); print "F", side, pair, f } \
+				/"metrics"/ { \
+					rest = $$0; \
+					while (match(rest, /"[a-z0-9_.]*": [{]"value": [-0-9.e+]*/)) { \
+						m = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH); \
+						split(m, part, "\""); v = m; sub(/.*: /, "", v); print "M", side, pair, part[2], v } }' \
+				>> "$$runs"; \
+		done; \
+	done; \
+	awk ' \
+		function sort(a, n,   i, j, t) { \
+			for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } } \
+		function q(a, n, p,   x, i) { \
+			if (n == 0) return "-"; x = 1 + (n - 1) * p; i = int(x); \
+			return i >= n ? a[n] : a[i] + (x - i) * (a[i + 1] - a[i]) } \
+		FNR == NR { \
+			if (/"end_to_end"/) inlist = 1; else if (inlist && /\]/) inlist = 0; \
+			if (inlist && match($$0, /"name": "[^"]*"/)) { \
+				name = substr($$0, RSTART + 9, RLENGTH - 10); match($$0, /"better": "[a-z]*"/); \
+				better[name] = substr($$0, RSTART + 11, RLENGTH - 12); order[++metrics] = name } \
+			next } \
+		$$1 == "M" { val[$$2, $$3, $$4] = $$5; seen[$$2, $$3, $$4] = 1; if ($$3 > pairs) pairs = $$3 } \
+		$$1 == "F" { fp[$$2] = fp[$$2] " " $$4 } \
+		$$1 == "X" { if ($$3 > pairs) pairs = $$3; if ($$4 != 0) bad = bad sprintf("  %s run of pair %d exited %d\n", $$2, $$3, $$4) } \
+		END { \
+			printf "%-16s %-6s %-34s %-34s %8s %s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "chg/par", "change won"; \
+			for (m = 1; m <= metrics; m++) { \
+				name = order[m]; np = nc = won = both = 0; \
+				for (i = 1; i <= pairs; i++) { \
+					if (seen["parent", i, name]) p[++np] = val["parent", i, name] + 0; \
+					if (seen["change", i, name]) c[++nc] = val["change", i, name] + 0; \
+					if (!seen["parent", i, name] || !seen["change", i, name]) continue; \
+					both++; d = val["change", i, name] - val["parent", i, name]; \
+					if ((better[name] == "higher" && d > 0) || (better[name] == "lower" && d < 0)) won++ } \
+				sort(p, np); sort(c, nc); mp = q(p, np, 0.5); mc = q(c, nc, 0.5); \
+				printf "%-16s %-6s %-34s %-34s %8s %d/%d\n", name, better[name], \
+					sprintf("%.6g [%.6g, %.6g]", mp, q(p, np, 0.25), q(p, np, 0.75)), \
+					sprintf("%.6g [%.6g, %.6g]", mc, q(c, nc, 0.25), q(c, nc, 0.75)), \
+					(np && nc && mp != 0) ? sprintf("%.3f", mc / mp) : "-", won, both } \
+			print "fingerprints:"; print "  parent" fp["parent"]; print "  change" fp["change"]; \
+			printf "non-zero exits:%s\n", bad == "" ? " none" : "\n" bad }' BENCHMARK.json "$$runs"
 
 # Crash-recovery storm: kill the service at an adversarial schedule of
 # slice boundaries, restore each time from the latest manifest, and

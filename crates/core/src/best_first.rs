@@ -35,14 +35,14 @@
 //! completion (remaining data heaviest-first, `k` per slot) is computed in
 //! closed form instead of being searched.
 
-use crate::avail::PathState;
+use crate::avail::{Layout, Scalars, Subsets};
 use crate::bound::{BoundCounters, BoundKind, Bounder};
 use crate::prune;
 use crate::schedule::Schedule;
 use crate::topo_tree;
 use bcast_index_tree::IndexTree;
 use bcast_types::dominance::Probe;
-use bcast_types::{DominanceTable, NodeId};
+use bcast_types::{bits, DominanceTable, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
@@ -100,8 +100,9 @@ pub struct SearchStats {
     pub table_probes: u64,
     /// Probes that found an existing record.
     pub table_hits: u64,
-    /// Heap bytes behind the state arena plus dominance table at the end of
-    /// the search — the peak, since neither ever shrinks.
+    /// Occupied bytes of the state arena (records, word pool and member
+    /// pool) plus the dominance table's heap at the end of the search —
+    /// the peak, since neither ever shrinks.
     pub peak_arena_bytes: u64,
 }
 
@@ -168,37 +169,88 @@ impl Ord for Priority {
     }
 }
 
-struct Entry {
-    parent: Option<usize>,
-    /// Members of the slot that produced this entry (empty for the root).
-    members: Vec<NodeId>,
-    state: PathState,
-    /// Cached `state.placed.mix_hash()`, so stale checks re-probe the
-    /// dominance table without rehashing the bitset.
+/// One generated state, fixed size. Its words (placed, available and
+/// placed-rank sets, per the search's [`Layout`]) sit at `id · stride` in
+/// the word pool, and the members of the slot that produced it at
+/// `members .. members + width` in the member pool.
+#[derive(Clone, Copy)]
+struct Record {
+    /// Arena id of the parent ([`ROOT`] for the root).
+    parent: u32,
+    members: u32,
+    width: u32,
+    /// `bits::mix_hash` of the placed words, so stale checks re-probe the
+    /// dominance table without rehashing.
     hash: u64,
-    /// Property-1 tail, present when this entry is a completed terminal.
-    tail: Option<Vec<Vec<NodeId>>>,
-    /// Exact total weighted wait for terminals.
+    s: Scalars,
+    /// Exact total weighted wait once the Property-1 fast path has made
+    /// this a terminal; NaN before. The completion itself is recomputed
+    /// only for the winner, by [`finish`].
     total: f64,
 }
 
-/// Heap bytes behind the arena and dominance table (see
-/// [`SearchStats::peak_arena_bytes`]). The entry array is counted at its
-/// occupied length; the backing vector's slack is allocator detail.
-fn arena_bytes(arena: &[Entry], table: &DominanceTable) -> u64 {
-    let mut bytes = std::mem::size_of_val(arena) + table.heap_bytes();
-    for e in arena {
-        bytes += e.state.heap_bytes();
-        bytes += e.members.capacity() * std::mem::size_of::<NodeId>();
-        if let Some(tail) = &e.tail {
-            bytes += tail.capacity() * std::mem::size_of::<Vec<NodeId>>();
-            bytes += tail
-                .iter()
-                .map(|s| s.capacity() * std::mem::size_of::<NodeId>())
-                .sum::<usize>();
-        }
+/// `Record::parent` of the root.
+const ROOT: u32 = u32::MAX;
+
+/// The search arena: fixed-size records plus two flat pools. A state
+/// is one record, one stride of words and its members — no heap object of
+/// its own.
+struct Arena {
+    layout: Layout,
+    records: Vec<Record>,
+    words: Vec<u64>,
+    members: Vec<NodeId>,
+}
+
+impl Arena {
+    fn words(&self, id: usize) -> &[u64] {
+        let stride = self.layout.stride();
+        &self.words[id * stride..(id + 1) * stride]
     }
-    bytes as u64
+
+    fn placed(&self, id: usize) -> &[u64] {
+        self.layout.placed(self.words(id))
+    }
+
+    fn last(&self, id: usize) -> &[NodeId] {
+        let r = &self.records[id];
+        &self.members[r.members as usize..(r.members + r.width) as usize]
+    }
+
+    /// Appends a state; returns its id.
+    fn push(
+        &mut self,
+        parent: u32,
+        members: &[NodeId],
+        words: &[u64],
+        hash: u64,
+        s: Scalars,
+    ) -> u32 {
+        // Ids and member offsets are u32 (u32::MAX is the dominance
+        // table's vacancy sentinel and `ROOT`).
+        let id = u32::try_from(self.records.len())
+            .ok()
+            .filter(|&id| id < ROOT)
+            .expect("search arena holds fewer than 2^32 - 1 states");
+        self.records.push(Record {
+            parent,
+            members: u32::try_from(self.members.len()).expect("member pool below 2^32 entries"),
+            width: members.len() as u32,
+            hash,
+            s,
+            total: f64::NAN,
+        });
+        self.members.extend_from_slice(members);
+        self.words.extend_from_slice(words);
+        id
+    }
+
+    /// Occupied bytes (see [`SearchStats::peak_arena_bytes`]).
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.records[..])
+            + std::mem::size_of_val(&self.words[..])
+            + std::mem::size_of_val(&self.members[..])
+    }
 }
 
 /// Finds an optimal k-channel schedule for `tree`.
@@ -214,55 +266,56 @@ pub fn search(
         }
     }
     let bounder = Bounder::new(tree, k, opts.bound);
+    let layout = bounder.layout(tree);
     let mut counters = BoundCounters::default();
-    let mut arena: Vec<Entry> = Vec::new();
+    let mut arena = Arena {
+        layout,
+        records: Vec::new(),
+        words: Vec::new(),
+        members: Vec::new(),
+    };
     let mut open: BinaryHeap<Reverse<(Priority, usize)>> = BinaryHeap::new();
     // Dominance layer: best g (weighted wait) per placed set and slot
-    // count, as a flat table over arena-interned ids. Probing hashes
-    // nothing and clones nothing — true equality runs only on a full
-    // `(hash, slots)` match, against the interned twin.
+    // count, as a flat table over arena ids. Probing hashes nothing and
+    // copies nothing — true equality runs only on a full `(hash, slots)`
+    // match, against the twin's placed words in the pool.
     let mut table = DominanceTable::default();
+    // Children are generated into `children` and built, one at a time, in
+    // `scratch`; only a child that survives the dominance probe is copied
+    // into the arena.
+    let mut children = Subsets::default();
+    let mut scratch = vec![0u64; layout.stride()];
     let mut generated = 0u64;
     let mut expanded = 0u64;
 
-    let mut root_state = PathState::initial(tree);
-    bounder.attach(&mut root_state, &mut counters);
-    let root_f = bounder.estimate_fast(&root_state);
-    let root_hash = root_state.placed.mix_hash();
-    arena.push(Entry {
-        parent: None,
-        members: Vec::new(),
-        state: root_state,
-        hash: root_hash,
-        tail: None,
-        total: f64::INFINITY,
-    });
+    let root = bounder.root(tree, &mut scratch, &mut counters);
+    let root_f = bounder.estimate_fast(&root);
+    let root_hash = bits::mix_hash(layout.placed(&scratch));
+    arena.push(ROOT, &[], &scratch, root_hash, root);
     open.push(Reverse((Priority(root_f, 0), 0)));
 
     while let Some(Reverse((Priority(_f, _), idx))) = open.pop() {
+        let rec = arena.records[idx];
         // Terminal (complete or Property-1 completed): first pop is optimal
         // because f equals the exact total for terminals and every other
         // frontier entry has admissible f ≤ its true cost.
-        let is_terminal = arena[idx].tail.is_some() || arena[idx].state.is_complete(tree);
-        if is_terminal {
+        if !rec.total.is_nan() || rec.s.is_complete(tree) {
             return Ok(finish(
-                tree, &arena, &table, idx, expanded, generated, counters,
+                tree, &bounder, &arena, &table, idx, expanded, generated, counters,
             ));
         }
         // Stale check: a better path to the same (placed, slots) was found
         // after this entry was pushed. The table records strict improvements
         // only, so "recorded value below ours" means superseded.
-        {
-            let st = &arena[idx].state;
-            let stale = match table.probe(arena[idx].hash, st.slots_used, |id| {
-                arena[id as usize].state.placed == st.placed
-            }) {
-                Probe::Occupied { value, .. } => value < st.weighted_wait,
-                Probe::Vacant { .. } => false, // only the root is unrecorded
-            };
-            if stale {
-                continue;
-            }
+        let placed = arena.placed(idx);
+        let stale = match table.probe(rec.hash, rec.s.slots_used, |id| {
+            arena.placed(id as usize) == placed
+        }) {
+            Probe::Occupied { value, .. } => value < rec.s.weighted_wait,
+            Probe::Vacant { .. } => false, // only the root is unrecorded
+        };
+        if stale {
+            continue;
         }
         expanded += 1;
         if let Some(limit) = opts.node_limit {
@@ -272,54 +325,43 @@ pub fn search(
         }
 
         // Property-1 fast path: deterministic optimal completion. The entry
-        // is marked terminal in place (setting tail/total) and re-pushed at
-        // its now-exact priority — no state clone needed.
-        if opts.property1 && arena[idx].state.all_index_placed(tree) {
-            let mut tail = Vec::new();
-            let total = arena[idx]
-                .state
-                .complete_with_property1(tree, k, Some(&mut tail));
-            arena[idx].tail = Some(tail);
-            arena[idx].total = total;
+        // is marked terminal in place (its total only) and re-pushed at its
+        // now-exact priority.
+        if opts.property1 && rec.s.all_index_placed(tree) {
+            let total = bounder.property1_total(placed, &rec.s, None);
+            arena.records[idx].total = total;
             generated += 1;
             open.push(Reverse((Priority(total, generated), idx)));
             continue;
         }
 
-        let children = if opts.pruned {
-            prune::pruned_children(tree, &arena[idx].state, k)
+        let available = layout.available(arena.words(idx));
+        if opts.pruned {
+            prune::pruned_children(tree, available, arena.last(idx), k, &mut children);
         } else {
-            topo_tree::compound_children(tree, &arena[idx].state, k)
-        };
-        for members in children {
-            let next = bounder.place(tree, &arena[idx].state, &members, &mut counters);
-            let g = next.weighted_wait;
-            let hash = next.placed.mix_hash();
-            let probe = table.probe(hash, next.slots_used, |id| {
-                arena[id as usize].state.placed == next.placed
-            });
+            topo_tree::compound_children(available, k, &mut children);
+        }
+        for members in children.iter() {
+            scratch.copy_from_slice(arena.words(idx));
+            let mut s = rec.s;
+            bounder.step(tree, layout, &mut scratch, &mut s, members, &mut counters);
+            let g = s.weighted_wait;
+            let placed = layout.placed(&scratch);
+            let hash = bits::mix_hash(placed);
+            let probe = table.probe(hash, s.slots_used, |id| arena.placed(id as usize) == placed);
             if let Probe::Occupied { value, .. } = probe {
                 if value <= g {
                     continue; // dominated: an equal-or-better twin exists
                 }
             }
-            let slots_used = next.slots_used;
-            let f = g + bounder.estimate_fast(&next);
+            let f = g + bounder.estimate_fast(&s);
             generated += 1;
-            let id = arena.len() as u32;
-            arena.push(Entry {
-                parent: Some(idx),
-                members,
-                state: next,
-                hash,
-                tail: None,
-                total: f64::INFINITY,
-            });
+            let id = arena.push(idx as u32, members, &scratch, hash, s);
             match probe {
                 Probe::Occupied { slot, .. } => table.update(slot, id, g),
-                Probe::Vacant { slot } => table.fill(slot, hash, slots_used, id, g),
+                Probe::Vacant { slot } => table.fill(slot, hash, s.slots_used, id, g),
             }
-            open.push(Reverse((Priority(f, generated), arena.len() - 1)));
+            open.push(Reverse((Priority(f, generated), id as usize)));
         }
     }
     unreachable!("a valid index tree always admits a feasible schedule")
@@ -328,7 +370,8 @@ pub fn search(
 #[allow(clippy::too_many_arguments)]
 fn finish(
     tree: &IndexTree,
-    arena: &[Entry],
+    bounder: &Bounder,
+    arena: &Arena,
     table: &DominanceTable,
     idx: usize,
     expanded: u64,
@@ -336,21 +379,23 @@ fn finish(
     counters: BoundCounters,
 ) -> BestFirstResult {
     // Walk parents to the root, collecting slots.
-    let mut slots_rev: Vec<Vec<NodeId>> = Vec::new();
-    let mut cur = Some(idx);
-    while let Some(i) = cur {
-        if !arena[i].members.is_empty() {
-            slots_rev.push(arena[i].members.clone());
+    let mut slots: Vec<Vec<NodeId>> = Vec::new();
+    let mut cur = idx as u32;
+    while cur != ROOT {
+        let last = arena.last(cur as usize);
+        if !last.is_empty() {
+            slots.push(last.to_vec());
         }
-        cur = arena[i].parent;
+        cur = arena.records[cur as usize].parent;
     }
-    slots_rev.reverse();
-    let mut slots = slots_rev;
-    let total = if let Some(tail) = &arena[idx].tail {
-        slots.extend(tail.iter().cloned());
-        arena[idx].total
+    slots.reverse();
+    let rec = &arena.records[idx];
+    let total = if rec.total.is_nan() {
+        rec.s.weighted_wait
     } else {
-        arena[idx].state.weighted_wait
+        let tail_total = bounder.property1_total(arena.placed(idx), &rec.s, Some(&mut slots));
+        debug_assert_eq!(tail_total.to_bits(), rec.total.to_bits());
+        rec.total
     };
     let schedule = Schedule::from_slots(slots);
     let tw = tree.total_weight().get();
@@ -365,7 +410,7 @@ fn finish(
             bound_work: counters.work,
             table_probes: table.probes(),
             table_hits: table.hits(),
-            peak_arena_bytes: arena_bytes(arena, table),
+            peak_arena_bytes: (arena.bytes() + table.heap_bytes()) as u64,
         },
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! # Incremental evaluation
 //!
-//! [`Bounder::estimate`] rescans every data node — O(D) per call, and the
-//! search calls it once per *generated* state. Both bound kinds decompose
+//! Evaluating `U(X)` by a scan over every data node costs O(D), and the
+//! search needs it once per *generated* state. Both bound kinds decompose
 //! into slot-independent aggregates that a state can carry along its path:
 //!
 //! ```text
@@ -27,8 +27,9 @@
 //!     i = rank among unplaced in the global heaviest-first order
 //! ```
 //!
-//! [`IncBound`] stores `unplaced`, `penalty`, and the placed global ranks;
-//! [`Bounder::place`] advances them per placed data node: `unplaced` loses
+//! A state carries `unplaced` and `penalty` in its [`Scalars`] and the
+//! placed global ranks in the rank words of its [`Layout`];
+//! [`Bounder::step`] advances them per placed data node: `unplaced` loses
 //! the node's weight, and `penalty` loses `w·⌊r/k⌋` (the node's own charge
 //! at its unplaced rank `r`) plus the weight of every *later* unplaced node
 //! whose rank is a multiple of `k` — exactly the nodes promoted one packing
@@ -38,9 +39,9 @@
 //! of O(D), and [`Bounder::estimate_fast`] is O(1). [`BoundCounters`]
 //! meters both paths; the search engines surface the totals.
 
-use crate::avail::PathState;
+use crate::avail::{self, Layout, Scalars};
 use bcast_index_tree::IndexTree;
-use bcast_types::{BitSet, NodeId, Weight};
+use bcast_types::{bits, NodeId, Weight};
 
 /// Which lower bound the best-first search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,34 +53,6 @@ pub enum BoundKind {
     Packed,
 }
 
-/// Per-state companion carried along a search path so the bound can be
-/// advanced in O(placement delta) and queried in O(1).
-///
-/// Built by [`Bounder::attach`] (one O(D) scan, normally only at the root)
-/// and advanced by [`Bounder::place`]. The fields are meaningful only for
-/// the `(Bounder, path)` that produced them; [`crate::avail::PathState::place`]
-/// without a bounder therefore drops the companion rather than carry a
-/// stale one.
-#[derive(Debug, Clone)]
-pub struct IncBound {
-    /// Total weight of unplaced data nodes.
-    unplaced: f64,
-    /// `Σ wᵢ·⌊i/k⌋` over unplaced data at their unplaced ranks
-    /// (always 0 for [`BoundKind::Paper`]).
-    penalty: f64,
-    /// Placed data nodes by *global rank* in `Bounder::sorted_data`
-    /// (kept empty for `Paper`, which needs no rank bookkeeping — its
-    /// per-state clone is then allocation-free).
-    placed_ranks: BitSet,
-}
-
-impl IncBound {
-    /// Bytes of heap behind this companion (rank bitset only).
-    pub fn heap_bytes(&self) -> usize {
-        self.placed_ranks.heap_bytes()
-    }
-}
-
 /// Tallies of bound-evaluation effort, kept by the caller so one immutable
 /// [`Bounder`] can serve many threads.
 ///
@@ -89,11 +62,10 @@ impl IncBound {
 /// bound cost — the quantity the O(D) → O(delta) claim is about.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BoundCounters {
-    /// Full O(D) evaluations ([`Bounder::attach`] / [`Bounder::estimate`]
-    /// fallbacks); 1 per search (the root) once every engine is
-    /// incremental.
+    /// Full O(D) evaluations ([`Bounder::attach`]); 1 per search (the
+    /// root).
     pub full_evals: u64,
-    /// Incremental [`Bounder::place`] advances (one per generated child).
+    /// Incremental [`Bounder::step`] advances (one per generated child).
     pub inc_updates: u64,
     /// Total sorted-data entries touched across both paths.
     pub work: u64,
@@ -108,17 +80,18 @@ impl BoundCounters {
     }
 }
 
-/// Precomputed, search-invariant data for bound evaluation.
+/// Precomputed, search-invariant data for bound evaluation: the data nodes
+/// in the global heaviest-first rank order, which the Property-1
+/// completion walks too.
 #[derive(Debug, Clone)]
 pub struct Bounder {
     kind: BoundKind,
     k: usize,
     /// Data nodes sorted heaviest-first (ids), with their weights.
-    sorted_data: Vec<(bcast_types::NodeId, Weight)>,
+    sorted_data: Vec<(NodeId, Weight)>,
     /// Node-id index → global rank in `sorted_data`; `NOT_DATA` sentinel
     /// for index nodes.
     rank_of: Vec<u32>,
-    total_weight: Weight,
 }
 
 /// `rank_of` sentinel for nodes that are not data nodes.
@@ -128,9 +101,9 @@ impl Bounder {
     /// Builds the bounder for `tree` and `k` channels.
     pub fn new(tree: &IndexTree, k: usize, kind: BoundKind) -> Self {
         assert!(k >= 1, "need at least one channel");
-        let mut ids: Vec<bcast_types::NodeId> = tree.data_nodes().to_vec();
-        crate::avail::sort_weight_desc(tree, &mut ids);
-        let sorted_data: Vec<(bcast_types::NodeId, Weight)> =
+        let mut ids: Vec<NodeId> = tree.data_nodes().to_vec();
+        avail::sort_weight_desc(tree, &mut ids);
+        let sorted_data: Vec<(NodeId, Weight)> =
             ids.into_iter().map(|d| (d, tree.weight(d))).collect();
         let mut rank_of = vec![NOT_DATA; tree.len()];
         for (rank, &(d, _)) in sorted_data.iter().enumerate() {
@@ -141,7 +114,6 @@ impl Bounder {
             k,
             sorted_data,
             rank_of,
-            total_weight: tree.total_weight(),
         }
     }
 
@@ -150,21 +122,54 @@ impl Bounder {
         self.kind
     }
 
-    /// Attaches a freshly computed [`IncBound`] to `state` — one O(D) scan.
+    /// The word layout of a state under this bounder: [`BoundKind::Packed`]
+    /// keeps one placed-rank bit per data node, [`BoundKind::Paper`] none.
+    pub fn layout(&self, tree: &IndexTree) -> Layout {
+        let ranks = match self.kind {
+            BoundKind::Paper => 0,
+            BoundKind::Packed => self.sorted_data.len(),
+        };
+        Layout::new(tree.len(), ranks)
+    }
+
+    /// Writes the root state into `words` (nothing placed, only the tree
+    /// root available) and returns its scalars with the bound companion
+    /// attached.
+    pub fn root(
+        &self,
+        tree: &IndexTree,
+        words: &mut [u64],
+        counters: &mut BoundCounters,
+    ) -> Scalars {
+        let layout = self.layout(tree);
+        layout.write_root(tree, words);
+        let mut s = Scalars::default();
+        self.attach(layout, words, &mut s, counters);
+        s
+    }
+
+    /// Computes the bound companion of a state from its placed set — one
+    /// O(D) scan, writing the placed ranks and `s.unplaced` / `s.penalty`.
     ///
-    /// Search engines call this exactly once, on the root; every descendant
-    /// advances the companion through [`Bounder::place`] instead.
-    pub fn attach(&self, state: &mut PathState, counters: &mut BoundCounters) {
+    /// Search engines call this exactly once, through [`Bounder::root`];
+    /// every descendant advances the companion through [`Bounder::step`]
+    /// instead.
+    pub fn attach(
+        &self,
+        layout: Layout,
+        words: &mut [u64],
+        s: &mut Scalars,
+        counters: &mut BoundCounters,
+    ) {
         counters.full_evals += 1;
         counters.work += self.sorted_data.len() as u64;
         let mut unplaced = 0.0;
         let mut penalty = 0.0;
-        let mut placed_ranks = BitSet::with_capacity(self.sorted_data.len());
         let mut i = 0usize; // rank among unplaced
         for (rank, &(d, w)) in self.sorted_data.iter().enumerate() {
-            if state.placed.contains(d) {
+            if bits::contains(layout.placed(words), d) {
                 if self.kind == BoundKind::Packed {
-                    placed_ranks.insert(NodeId::from_index(rank));
+                    bits::insert(layout.ranks_mut(words), NodeId::from_index(rank));
                 }
             } else {
                 unplaced += w.get();
@@ -174,48 +179,43 @@ impl Bounder {
                 i += 1;
             }
         }
-        state.bound = Some(IncBound {
-            unplaced,
-            penalty,
-            placed_ranks,
-        });
+        s.unplaced = unplaced;
+        s.penalty = penalty;
     }
 
-    /// [`PathState::place`] plus O(delta) advancement of the carried bound.
-    ///
-    /// Falls back to a full [`Bounder::attach`] scan when `state` carries no
-    /// companion (counted in `counters.full_evals`, so a regression from
-    /// once-per-search is visible).
-    pub fn place(
+    /// [`avail::place`] plus the O(delta) advance of the bound companion:
+    /// the one step every engine takes to generate a child in place.
+    pub fn step(
         &self,
         tree: &IndexTree,
-        state: &PathState,
+        layout: Layout,
+        words: &mut [u64],
+        s: &mut Scalars,
         members: &[NodeId],
         counters: &mut BoundCounters,
-    ) -> PathState {
-        let mut next = state.place(tree, members);
-        match state.bound.as_ref() {
-            None => self.attach(&mut next, counters),
-            Some(prev) => {
-                counters.inc_updates += 1;
-                let mut inc = prev.clone();
-                for &m in members {
-                    let rank = self.rank_of[m.index()];
-                    if rank != NOT_DATA {
-                        self.remove_rank(&mut inc, rank as usize, counters);
-                    }
-                }
-                next.bound = Some(inc);
+    ) {
+        avail::place(tree, layout, words, s, members);
+        counters.inc_updates += 1;
+        let ranks = layout.ranks_mut(words);
+        for &m in members {
+            let rank = self.rank_of[m.index()];
+            if rank != NOT_DATA {
+                self.remove_rank(ranks, s, rank as usize, counters);
             }
         }
-        next
     }
 
     /// Removes the data node at global rank `g` from the unplaced
-    /// aggregates of `inc`.
-    fn remove_rank(&self, inc: &mut IncBound, g: usize, counters: &mut BoundCounters) {
+    /// aggregates.
+    fn remove_rank(
+        &self,
+        ranks: &mut [u64],
+        s: &mut Scalars,
+        g: usize,
+        counters: &mut BoundCounters,
+    ) {
         let w = self.sorted_data[g].1.get();
-        inc.unplaced -= w;
+        s.unplaced -= w;
         counters.work += 1;
         if self.kind != BoundKind::Packed {
             return;
@@ -223,61 +223,55 @@ impl Bounder {
         let gid = NodeId::from_index(g);
         // Unplaced rank of the removed node: global rank minus the placed
         // ranks in front of it.
-        let r = g - inc.placed_ranks.rank(gid);
-        inc.penalty -= w * (r / self.k) as f64;
+        let r = g - bits::rank(ranks, gid);
+        s.penalty -= w * (r / self.k) as f64;
         // Ranks behind g close up by one; the unplaced nodes whose old rank
         // was a multiple of k cross a packing-slot boundary and get one slot
         // cheaper.
-        let unset_behind = inc.placed_ranks.iter_unset(g + 1, self.sorted_data.len());
+        let unset_behind = bits::iter_unset(ranks, g + 1, self.sorted_data.len());
         for (off, g2) in unset_behind.enumerate() {
             counters.work += 1;
             if (r + 1 + off).is_multiple_of(self.k) {
-                inc.penalty -= self.sorted_data[g2.index()].1.get();
+                s.penalty -= self.sorted_data[g2.index()].1.get();
             }
         }
-        inc.placed_ranks.insert(gid);
+        bits::insert(ranks, gid);
     }
 
-    /// `U(X)` from the carried [`IncBound`] — O(1).
-    ///
-    /// # Panics
-    /// If `state` has no companion (engines attach at the root and advance
-    /// through [`Bounder::place`], so this indicates a broken call chain).
-    pub fn estimate_fast(&self, state: &PathState) -> f64 {
-        let inc = state
-            .bound
-            .as_ref()
-            .expect("estimate_fast on a state without an attached bound");
-        let next_slot = (u64::from(state.slots_used) + 1) as f64;
-        inc.unplaced * next_slot + inc.penalty
+    /// `U(X)` from the carried companion — O(1).
+    pub fn estimate_fast(&self, s: &Scalars) -> f64 {
+        let next_slot = (u64::from(s.slots_used) + 1) as f64;
+        s.unplaced * next_slot + s.penalty
     }
 
-    /// `U(X)` for the given state (unnormalized weighted wait).
-    pub fn estimate(&self, state: &PathState) -> f64 {
-        let next_slot = u64::from(state.slots_used) + 1;
-        match self.kind {
-            BoundKind::Paper => {
-                let mut unplaced = self.total_weight;
-                for &(d, w) in &self.sorted_data {
-                    if state.placed.contains(d) {
-                        unplaced = unplaced - w;
-                    }
+    /// Property 1: completes the schedule by emitting the remaining
+    /// (all-data) nodes in descending weight order, `k` per slot — the
+    /// global rank order with the placed nodes skipped, so nothing is
+    /// sorted — and returns the resulting total weighted wait. `out`, if
+    /// given, receives the completion's slots. Valid once every index node
+    /// is placed.
+    pub fn property1_total(
+        &self,
+        placed: &[u64],
+        s: &Scalars,
+        mut out: Option<&mut Vec<Vec<NodeId>>>,
+    ) -> f64 {
+        let mut wait = s.weighted_wait;
+        let rest = self
+            .sorted_data
+            .iter()
+            .filter(|&&(d, _)| !bits::contains(placed, d));
+        for (i, &(d, w)) in rest.enumerate() {
+            let slot = u64::from(s.slots_used) + 1 + (i / self.k) as u64;
+            wait += w * slot;
+            if let Some(out) = out.as_deref_mut() {
+                if i % self.k == 0 {
+                    out.push(Vec::with_capacity(self.k));
                 }
-                unplaced.get() * next_slot as f64
-            }
-            BoundKind::Packed => {
-                let mut i = 0usize;
-                let mut sum = 0.0;
-                for &(d, w) in &self.sorted_data {
-                    if state.placed.contains(d) {
-                        continue;
-                    }
-                    sum += w * (next_slot + (i / self.k) as u64);
-                    i += 1;
-                }
-                sum
+                out.last_mut().expect("pushed above").push(d);
             }
         }
+        wait
     }
 }
 
@@ -290,8 +284,46 @@ mod tests {
     use bcast_workloads::{random_tree, FrequencyDist, RandomTreeConfig};
     use proptest::prelude::*;
 
-    fn id(tree: &IndexTree, label: &str) -> bcast_types::NodeId {
+    fn id(tree: &IndexTree, label: &str) -> NodeId {
         tree.find_by_label(label).expect("label exists")
+    }
+
+    /// `U(X)` by a full scan over the data nodes — the oracle the carried
+    /// companion is checked against.
+    fn scan(b: &Bounder, s: &PathState) -> f64 {
+        let next_slot = u64::from(s.s.slots_used) + 1;
+        let unplaced = b
+            .sorted_data
+            .iter()
+            .filter(|&&(d, _)| !bits::contains(s.placed(), d));
+        match b.kind {
+            BoundKind::Paper => unplaced.map(|&(_, w)| w.get()).sum::<f64>() * next_slot as f64,
+            BoundKind::Packed => unplaced
+                .enumerate()
+                .map(|(i, &(_, w))| w * (next_slot + (i / b.k) as u64))
+                .sum(),
+        }
+    }
+
+    /// The root under `b`'s layout, its companion attached.
+    fn root(t: &IndexTree, b: &Bounder, c: &mut BoundCounters) -> PathState {
+        let mut s = PathState::with_layout(t, b.layout(t));
+        s.s = b.root(t, &mut s.words, c);
+        s
+    }
+
+    /// `s` after [`Bounder::step`] places `members`.
+    fn step(
+        t: &IndexTree,
+        b: &Bounder,
+        s: &PathState,
+        members: &[NodeId],
+        c: &mut BoundCounters,
+    ) -> PathState {
+        let mut next = s.clone();
+        b.step(t, next.layout, &mut next.words, &mut next.s, members, c);
+        next.last = members.to_vec();
+        next
     }
 
     #[test]
@@ -300,7 +332,7 @@ mod tests {
         let s = PathState::initial(&t).place(&t, &[id(&t, "1")]);
         let b = Bounder::new(&t, 2, BoundKind::Paper);
         // All 70 units of weight at slot 2.
-        assert_eq!(b.estimate(&s), 140.0);
+        assert_eq!(scan(&b, &s), 140.0);
     }
 
     #[test]
@@ -310,7 +342,7 @@ mod tests {
         let b = Bounder::new(&t, 2, BoundKind::Packed);
         // Slots 2,2,3,3,4 for weights 20,18,15,10,7:
         // 40+36+45+30+28 = 179.
-        assert_eq!(b.estimate(&s), 179.0);
+        assert_eq!(scan(&b, &s), 179.0);
     }
 
     #[test]
@@ -321,7 +353,7 @@ mod tests {
         let mut s = PathState::initial(&t);
         for label in ["1", "2", "A"] {
             s = s.place(&t, &[id(&t, label)]);
-            assert!(packed.estimate(&s) >= paper.estimate(&s));
+            assert!(scan(&packed, &s) >= scan(&paper, &s));
         }
     }
 
@@ -333,11 +365,11 @@ mod tests {
         for k in 1..=3usize {
             let opt = topo_tree::solve_exhaustive(&t, k);
             let optimal_weighted = opt.data_wait * t.total_weight().get();
-            let s0 = PathState::initial(&t);
             for kind in [BoundKind::Paper, BoundKind::Packed] {
                 let b = Bounder::new(&t, k, kind);
+                let s0 = root(&t, &b, &mut BoundCounters::default());
                 assert!(
-                    b.estimate(&s0) <= optimal_weighted + 1e-9,
+                    b.estimate_fast(&s0.s) <= optimal_weighted + 1e-9,
                     "k={k} kind={kind:?}"
                 );
             }
@@ -347,12 +379,15 @@ mod tests {
     #[test]
     fn estimate_is_zero_when_all_data_placed() {
         let t = builders::paper_example();
-        let mut s = PathState::initial(&t);
-        for label in ["1", "2", "A", "B", "3", "E", "4", "C", "D"] {
-            s = s.place(&t, &[id(&t, label)]);
-        }
         for kind in [BoundKind::Paper, BoundKind::Packed] {
-            assert_eq!(Bounder::new(&t, 1, kind).estimate(&s), 0.0);
+            let b = Bounder::new(&t, 1, kind);
+            let mut c = BoundCounters::default();
+            let mut s = root(&t, &b, &mut c);
+            for label in ["1", "2", "A", "B", "3", "E", "4", "C", "D"] {
+                s = step(&t, &b, &s, &[id(&t, label)], &mut c);
+            }
+            assert_eq!(scan(&b, &s), 0.0);
+            assert_eq!(b.estimate_fast(&s.s), 0.0);
         }
     }
 
@@ -362,9 +397,8 @@ mod tests {
         for kind in [BoundKind::Paper, BoundKind::Packed] {
             let b = Bounder::new(&t, 2, kind);
             let mut c = BoundCounters::default();
-            let mut s = PathState::initial(&t);
-            b.attach(&mut s, &mut c);
-            assert_eq!(b.estimate_fast(&s), b.estimate(&s));
+            let mut s = root(&t, &b, &mut c);
+            assert_eq!(b.estimate_fast(&s.s), scan(&b, &s));
             for members in [
                 vec![id(&t, "1")],
                 vec![id(&t, "2"), id(&t, "3")],
@@ -372,42 +406,50 @@ mod tests {
                 vec![id(&t, "B"), id(&t, "4")],
                 vec![id(&t, "C"), id(&t, "D")],
             ] {
-                s = b.place(&t, &s, &members, &mut c);
+                s = step(&t, &b, &s, &members, &mut c);
                 assert!(
-                    (b.estimate_fast(&s) - b.estimate(&s)).abs() < 1e-9,
+                    (b.estimate_fast(&s.s) - scan(&b, &s)).abs() < 1e-9,
                     "kind={kind:?} after {members:?}: fast {} vs scan {}",
-                    b.estimate_fast(&s),
-                    b.estimate(&s)
+                    b.estimate_fast(&s.s),
+                    scan(&b, &s)
                 );
             }
-            assert_eq!(b.estimate_fast(&s), 0.0);
+            assert_eq!(b.estimate_fast(&s.s), 0.0);
             assert_eq!(c.full_evals, 1, "only the root pays the O(D) scan");
             assert_eq!(c.inc_updates, 5);
         }
     }
 
     #[test]
-    fn place_without_companion_falls_back_to_attach() {
+    fn attach_mid_path_matches_the_incremental_step() {
+        // attach works from any placed set, not just the root's: on a
+        // state reached by plain placements (no companion carried), it
+        // rebuilds the same ranks and aggregates the steps would have.
         let t = builders::paper_example();
         let b = Bounder::new(&t, 2, BoundKind::Packed);
+        let path = [vec![id(&t, "1")], vec![id(&t, "2"), id(&t, "3")]];
         let mut c = BoundCounters::default();
-        // Plain PathState::place never carries a bound, so the bounder's
-        // place must recover with a full scan.
-        let bare = PathState::initial(&t).place(&t, &[id(&t, "1")]);
-        assert!(bare.bound.is_none());
-        let s = b.place(&t, &bare, &[id(&t, "2"), id(&t, "3")], &mut c);
-        assert_eq!(c.full_evals, 1);
-        assert_eq!(c.inc_updates, 0);
-        assert_eq!(b.estimate_fast(&s), b.estimate(&s));
+        let mut stepped = root(&t, &b, &mut c);
+        let mut bare = PathState::with_layout(&t, b.layout(&t));
+        for members in &path {
+            stepped = step(&t, &b, &stepped, members, &mut c);
+            bare = bare.place(&t, members);
+        }
+        b.attach(bare.layout, &mut bare.words, &mut bare.s, &mut c);
+        assert_eq!(c.full_evals, 2);
+        assert_eq!(c.inc_updates, 2);
+        assert_eq!(bare.words, stepped.words);
+        assert_eq!(b.estimate_fast(&bare.s), b.estimate_fast(&stepped.s));
+        assert_eq!(b.estimate_fast(&bare.s), scan(&b, &bare));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Satellite invariant: along any placement path, the incrementally
-        /// maintained `U(X)` equals a from-scratch [`Bounder::estimate`]
-        /// recomputation after every `place()`, for both bound kinds and
-        /// k ∈ {1,2,3}. Tolerance 1e-9 relative: the incremental path
-        /// reassociates the float sums, so drift of a few ulps is expected.
+        /// maintained `U(X)` equals a from-scratch scan after every
+        /// [`Bounder::step`], for both bound kinds and k ∈ {1,2,3}.
+        /// Tolerance 1e-9 relative: the incremental path reassociates the
+        /// float sums, so drift of a few ulps is expected.
         #[test]
         fn incremental_bound_tracks_scan_on_random_paths(
             n in 2usize..10,
@@ -424,31 +466,30 @@ mod tests {
             let kind = if packed { BoundKind::Packed } else { BoundKind::Paper };
             let b = Bounder::new(&t, k, kind);
             let mut c = BoundCounters::default();
-            let mut s = PathState::initial(&t);
-            b.attach(&mut s, &mut c);
+            let mut s = root(&t, &b, &mut c);
             // Walk a random path: each step places 1..=k available nodes,
             // chosen by a deterministic shuffle of the candidate set.
-            let mut step = 0u64;
-            while !s.is_complete(&t) {
-                let mut avail: Vec<bcast_types::NodeId> = s.available.iter().collect();
-                let pick = 1 + (seed.wrapping_mul(31).wrapping_add(step) as usize) % k;
+            let mut step_no = 0u64;
+            while !s.s.is_complete(&t) {
+                let mut avail: Vec<NodeId> = bits::iter(s.available()).collect();
+                let pick = 1 + (seed.wrapping_mul(31).wrapping_add(step_no) as usize) % k;
                 avail.sort_by_key(|a| {
-                    bcast_types::mix64(seed ^ step ^ (a.index() as u64) << 17)
+                    bcast_types::mix64(seed ^ step_no ^ (a.index() as u64) << 17)
                 });
                 avail.truncate(pick.min(avail.len()));
-                s = b.place(&t, &s, &avail, &mut c);
-                let fast = b.estimate_fast(&s);
-                let scan = b.estimate(&s);
-                let tol = 1e-9 * scan.abs().max(1.0);
+                s = step(&t, &b, &s, &avail, &mut c);
+                let fast = b.estimate_fast(&s.s);
+                let scanned = scan(&b, &s);
+                let tol = 1e-9 * scanned.abs().max(1.0);
                 prop_assert!(
-                    (fast - scan).abs() <= tol,
-                    "n={n} k={k} seed={seed} kind={kind:?} step={step}: \
-                     fast {fast} vs scan {scan}"
+                    (fast - scanned).abs() <= tol,
+                    "n={n} k={k} seed={seed} kind={kind:?} step={step_no}: \
+                     fast {fast} vs scan {scanned}"
                 );
-                step += 1;
+                step_no += 1;
             }
             prop_assert_eq!(c.full_evals, 1);
-            prop_assert_eq!(c.inc_updates, step);
+            prop_assert_eq!(c.inc_updates, step_no);
         }
     }
 }

@@ -175,19 +175,8 @@ pub fn find_optimal(
             })
         }
         Strategy::Exhaustive => {
-            if let Some(limit) = opts.node_limit {
-                let mut paths = 0u64;
-                let mut exceeded = false;
-                topo_tree::for_each_schedule(tree, k, |_, _| {
-                    paths += 1;
-                    exceeded = paths > limit;
-                    !exceeded
-                });
-                if exceeded {
-                    return Err(SearchError::NodeLimitExceeded { limit });
-                }
-            }
-            let r = topo_tree::solve_exhaustive(tree, k);
+            let r = topo_tree::solve_exhaustive_limited(tree, k, opts.node_limit)
+                .map_err(|limit| SearchError::NodeLimitExceeded { limit })?;
             Ok(OptimalResult {
                 schedule: r.schedule,
                 data_wait: r.data_wait,
@@ -312,6 +301,35 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SearchError::NodeLimitExceeded { limit: 1 });
+    }
+
+    #[test]
+    fn limited_exhaustive_walks_once_and_honors_the_limit() {
+        let t = builders::paper_example();
+        for k in 1..=3usize {
+            let exhaustive = |node_limit| {
+                find_optimal(
+                    &t,
+                    k,
+                    &OptimalOptions {
+                        strategy: Strategy::Exhaustive,
+                        node_limit,
+                        ..OptimalOptions::default()
+                    },
+                )
+            };
+            let unlimited = exhaustive(None).unwrap();
+            let paths = u64::try_from(topo_tree::count_paths(&t, k)).unwrap();
+            assert_eq!(unlimited.nodes_expanded, paths);
+            let within = exhaustive(Some(paths)).unwrap();
+            assert_eq!(within.nodes_expanded, paths, "k={k}");
+            assert_eq!(within.data_wait.to_bits(), unlimited.data_wait.to_bits());
+            assert_eq!(within.schedule.slots(), unlimited.schedule.slots());
+            assert_eq!(
+                exhaustive(Some(paths - 1)).unwrap_err(),
+                SearchError::NodeLimitExceeded { limit: paths - 1 }
+            );
+        }
     }
 
     proptest! {

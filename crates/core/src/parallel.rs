@@ -16,10 +16,14 @@
 //!   search (`best g per (placed-set, slots-used)`), split across
 //!   `SEEN_SHARDS` mutexes keyed by the placed-set hash so concurrent
 //!   inserts rarely collide. Each shard is a flat
-//!   [`bcast_types::DominanceTable`] over shard-interned placed sets: a
-//!   probe hashes nothing (tasks carry their hash from birth) and an
-//!   improving update clones nothing — a set is cloned exactly once, on
-//!   first insert.
+//!   [`bcast_types::DominanceTable`] over placed sets interned in one
+//!   shard-local word pool: a probe hashes nothing (tasks carry their hash
+//!   from birth) and an improving update copies nothing — a set's words
+//!   are copied exactly once, on first insert.
+//!
+//! A task is the sequential search's state in owned form: its
+//! [`Scalars`] plus one stride of words, grown by the same
+//! [`Bounder::step`] and generators.
 //!
 //! # Why the sequential optimality argument is not enough
 //!
@@ -68,7 +72,7 @@
 //!
 //! [`BoundKind`]: crate::bound::BoundKind
 
-use crate::avail::PathState;
+use crate::avail::{Layout, Scalars, Subsets};
 use crate::best_first::{BestFirstOptions, BestFirstResult, NodeLimitExceeded, SearchStats};
 use crate::bound::{BoundCounters, Bounder};
 use crate::prune;
@@ -77,7 +81,7 @@ use crate::topo_tree;
 use bcast_index_tree::IndexTree;
 use bcast_types::dominance::Probe;
 use bcast_types::incumbent::{to_fixed_ceil, to_fixed_floor, FIXED_INFINITY};
-use bcast_types::{BitSet, DominanceTable, NodeId, SharedIncumbent};
+use bcast_types::{bits, DominanceTable, NodeId, SharedIncumbent};
 use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
@@ -105,10 +109,13 @@ struct Task {
     f_fixed: u64,
     /// Global generation number; deterministic-ish tie-break within a heap.
     seq: u64,
-    /// Cached `state.placed.mix_hash()` — selects the seen shard and keys
-    /// its dominance table, so a task is hashed exactly once, at birth.
+    /// Cached `bits::mix_hash` of the placed words — selects the seen
+    /// shard and keys its dominance table, so a task is hashed exactly
+    /// once, at birth.
     hash: u64,
-    state: PathState,
+    s: Scalars,
+    /// One stride of words under the engine's [`Layout`].
+    words: Vec<u64>,
     path: Option<Arc<PathNode>>,
 }
 
@@ -138,20 +145,24 @@ struct Best {
 }
 
 /// One shard of the seen-state dominance layer: a flat table over ids
-/// interned into the shard-local `sets` list. A placed set is cloned once,
-/// on first insert; probes and improving updates touch no bitset at all.
+/// interned into the shard-local `placed` word pool, one run of
+/// `node_words` words per id. A placed set is copied once, on first
+/// insert; probes and improving updates copy nothing.
 #[derive(Default)]
 struct Shard {
     table: DominanceTable,
-    sets: Vec<BitSet>,
+    placed: Vec<u64>,
+}
+
+/// The placed set interned as `id` in a shard's word pool.
+fn interned(pool: &[u64], id: u32, node_words: usize) -> &[u64] {
+    &pool[id as usize * node_words..(id as usize + 1) * node_words]
 }
 
 impl Shard {
-    /// Heap bytes behind this shard (table array + interned sets).
-    fn heap_bytes(&self) -> usize {
-        self.table.heap_bytes()
-            + self.sets.capacity() * std::mem::size_of::<BitSet>()
-            + self.sets.iter().map(BitSet::heap_bytes).sum::<usize>()
+    /// Occupied bytes of this shard (table array + interned words).
+    fn bytes(&self) -> usize {
+        self.table.heap_bytes() + std::mem::size_of_val(&self.placed[..])
     }
 }
 
@@ -160,6 +171,7 @@ struct Engine<'t> {
     k: usize,
     opts: BestFirstOptions,
     bounder: Bounder,
+    layout: Layout,
     incumbent: SharedIncumbent,
     best: Mutex<Option<Best>>,
     seen: Vec<Mutex<Shard>>,
@@ -186,11 +198,14 @@ struct Engine<'t> {
 
 impl<'t> Engine<'t> {
     fn new(tree: &'t IndexTree, k: usize, opts: &BestFirstOptions, threads: usize) -> Self {
+        let bounder = Bounder::new(tree, k, opts.bound);
+        let layout = bounder.layout(tree);
         Engine {
             tree,
             k,
             opts: *opts,
-            bounder: Bounder::new(tree, k, opts.bound),
+            bounder,
+            layout,
             incumbent: SharedIncumbent::new(),
             best: Mutex::new(None),
             seen: (0..SEEN_SHARDS)
@@ -342,19 +357,25 @@ impl<'t> Engine<'t> {
         me: usize,
         local: &mut BinaryHeap<Reverse<Task>>,
         counters: &mut BoundCounters,
+        (children, scratch): &mut (Subsets, Vec<u64>),
     ) {
         if self.fixed_pruned(task.f_fixed) {
             return;
         }
+        let (layout, node_words) = (self.layout, self.layout.node_words());
+        let placed = layout.placed(&task.words);
         {
             let mut shard = self.seen[self.shard_of(task.hash)]
                 .lock()
                 .expect("seen shard");
-            let Shard { table, sets } = &mut *shard;
-            let stale = match table.probe(task.hash, task.state.slots_used, |id| {
-                sets[id as usize] == task.state.placed
+            let Shard {
+                table,
+                placed: pool,
+            } = &mut *shard;
+            let stale = match table.probe(task.hash, task.s.slots_used, |id| {
+                interned(pool, id, node_words) == placed
             }) {
-                Probe::Occupied { value, .. } => value < task.state.weighted_wait,
+                Probe::Occupied { value, .. } => value < task.s.weighted_wait,
                 Probe::Vacant { .. } => false, // only the root is unrecorded
             };
             if stale {
@@ -370,55 +391,63 @@ impl<'t> Engine<'t> {
             }
         }
 
-        if self.opts.property1 && task.state.all_index_placed(self.tree) {
-            let mut tail = Vec::new();
-            let total = task
-                .state
-                .complete_with_property1(self.tree, self.k, Some(&mut tail));
+        if self.opts.property1 && task.s.all_index_placed(self.tree) {
+            let total = self.bounder.property1_total(placed, &task.s, None);
             self.generated.fetch_add(1, Ordering::Relaxed);
             self.record_solution(total, || {
                 let mut slots = collect_slots(&task.path);
-                slots.extend(tail);
+                self.bounder
+                    .property1_total(placed, &task.s, Some(&mut slots));
                 slots
             });
             return;
         }
 
-        let children = if self.opts.pruned {
-            prune::pruned_children(self.tree, &task.state, self.k)
+        let available = layout.available(&task.words);
+        if self.opts.pruned {
+            // The last slot's members are the path's newest link.
+            let last = task.path.as_ref().map_or(&[][..], |p| &p.members);
+            prune::pruned_children(self.tree, available, last, self.k, children);
         } else {
-            topo_tree::compound_children(self.tree, &task.state, self.k)
-        };
-        for members in children {
-            let next = self
-                .bounder
-                .place(self.tree, &task.state, &members, counters);
-            if next.is_complete(self.tree) {
-                let total = next.weighted_wait;
+            topo_tree::compound_children(available, self.k, children);
+        }
+        for members in children.iter() {
+            let mut s = task.s;
+            scratch.copy_from_slice(&task.words);
+            self.bounder
+                .step(self.tree, layout, scratch, &mut s, members, counters);
+            if s.is_complete(self.tree) {
+                let total = s.weighted_wait;
                 self.generated.fetch_add(1, Ordering::Relaxed);
                 self.record_solution(total, || {
                     let mut slots = collect_slots(&task.path);
-                    slots.push(members.clone());
+                    slots.push(members.to_vec());
                     slots
                 });
                 continue;
             }
-            let g = next.weighted_wait;
-            let hash = next.placed.mix_hash();
+            let g = s.weighted_wait;
+            let placed = layout.placed(scratch);
+            let hash = bits::mix_hash(placed);
             {
                 let mut shard = self.seen[self.shard_of(hash)].lock().expect("seen shard");
-                let Shard { table, sets } = &mut *shard;
-                match table.probe(hash, next.slots_used, |id| sets[id as usize] == next.placed) {
+                let Shard {
+                    table,
+                    placed: pool,
+                } = &mut *shard;
+                match table.probe(hash, s.slots_used, |id| {
+                    interned(pool, id, node_words) == placed
+                }) {
                     Probe::Occupied { value, .. } if value <= g => continue,
                     Probe::Occupied { slot, id, .. } => table.update(slot, id, g),
                     Probe::Vacant { slot } => {
-                        let id = sets.len() as u32;
-                        sets.push(next.placed.clone());
-                        table.fill(slot, hash, next.slots_used, id, g);
+                        let id = (pool.len() / node_words) as u32;
+                        pool.extend_from_slice(placed);
+                        table.fill(slot, hash, s.slots_used, id, g);
                     }
                 }
             }
-            let f = g + self.bounder.estimate_fast(&next);
+            let f = g + self.bounder.estimate_fast(&s);
             let f_fixed = to_fixed_floor(f);
             if self.fixed_pruned(f_fixed) {
                 continue;
@@ -426,7 +455,7 @@ impl<'t> Engine<'t> {
             self.generated.fetch_add(1, Ordering::Relaxed);
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             let path = Some(Arc::new(PathNode {
-                members,
+                members: members.to_vec(),
                 parent: task.path.clone(),
             }));
             self.outstanding.fetch_add(1, Ordering::AcqRel);
@@ -435,7 +464,8 @@ impl<'t> Engine<'t> {
                 f_fixed,
                 seq,
                 hash,
-                state: next,
+                s,
+                words: scratch.clone(),
                 path,
             }));
         }
@@ -461,6 +491,8 @@ fn worker(eng: &Engine<'_>, me: usize) {
 
 fn worker_loop(eng: &Engine<'_>, me: usize, counters: &mut BoundCounters) {
     let mut local: BinaryHeap<Reverse<Task>> = BinaryHeap::new();
+    // The buffers this worker generates and builds children in.
+    let mut buffers = (Subsets::default(), vec![0; eng.layout.stride()]);
     loop {
         if eng.done.load(Ordering::Acquire) {
             return;
@@ -486,7 +518,7 @@ fn worker_loop(eng: &Engine<'_>, me: usize, counters: &mut BoundCounters) {
             .unwrap_or(FIXED_INFINITY);
         eng.worker_min[me].store(task.f_fixed.min(top), Ordering::Release);
 
-        eng.process(&task, me, &mut local, counters);
+        eng.process(&task, me, &mut local, counters, &mut buffers);
 
         // Safe point: the hand is empty again; the exact queue minimum is
         // the published bound.
@@ -525,11 +557,11 @@ pub fn search(
     let eng = Engine::new(tree, k, opts, threads);
 
     let mut root_counters = BoundCounters::default();
-    let mut root_state = PathState::initial(tree);
-    eng.bounder.attach(&mut root_state, &mut root_counters);
+    let mut words = vec![0; eng.layout.stride()];
+    let root = eng.bounder.root(tree, &mut words, &mut root_counters);
     eng.flush_counters(&root_counters);
-    let root_f = to_fixed_floor(eng.bounder.estimate_fast(&root_state));
-    let root_hash = root_state.placed.mix_hash();
+    let root_f = to_fixed_floor(eng.bounder.estimate_fast(&root));
+    let root_hash = bits::mix_hash(eng.layout.placed(&words));
     eng.outstanding.store(1, Ordering::Release);
     eng.injector_min.store(root_f, Ordering::Release);
     eng.injector
@@ -539,7 +571,8 @@ pub fn search(
             f_fixed: root_f,
             seq: eng.seq.fetch_add(1, Ordering::Relaxed),
             hash: root_hash,
-            state: root_state,
+            s: root,
+            words,
             path: None,
         }));
 
@@ -572,7 +605,7 @@ pub fn search(
         let shard = shard.lock().expect("seen shard");
         stats.table_probes += shard.table.probes();
         stats.table_hits += shard.table.hits();
-        stats.peak_arena_bytes += shard.heap_bytes() as u64;
+        stats.peak_arena_bytes += shard.bytes() as u64;
     }
     Ok(BestFirstResult {
         schedule: Schedule::from_slots(best.slots),

@@ -31,34 +31,52 @@
 //! optimal path always survives — verified against exhaustive enumeration by
 //! the property tests in [`crate::best_first`].
 
-use crate::avail::{sort_weight_desc, PathState};
+use crate::avail::{for_each_combination, sort_weight_desc, Subsets};
 use bcast_index_tree::IndexTree;
-use bcast_types::NodeId;
+use bcast_types::{bits, NodeId};
 
-/// Pruned next-neighbors of the topological-tree node described by `state`.
-pub fn pruned_children(tree: &IndexTree, state: &PathState, k: usize) -> Vec<Vec<NodeId>> {
+/// Writes the pruned next-neighbors of the topological-tree node whose
+/// candidate set is `available` and whose last compound node is `last` into
+/// `out`, replacing its contents.
+pub fn pruned_children(
+    tree: &IndexTree,
+    available: &[u64],
+    last: &[NodeId],
+    k: usize,
+    out: &mut Subsets,
+) {
     assert!(k >= 1, "need at least one channel");
+    let Subsets {
+        width,
+        ids,
+        data,
+        index,
+        pick,
+    } = out;
+    ids.clear();
     // Initial pseudo-state: the only child is the compound node {root}.
-    if state.last.is_empty() {
-        debug_assert!(state.available.contains(tree.root()));
-        return vec![vec![tree.root()]];
+    if last.is_empty() {
+        debug_assert!(bits::contains(available, tree.root()));
+        *width = 1;
+        ids.push(tree.root());
+        return;
     }
 
-    let p = &state.last;
+    let p = last;
     let p_all_index = p.iter().all(|&n| tree.is_index(n));
     let is_child_of_p = |n: NodeId| tree.parent(n).is_some_and(|par| p.contains(&par));
 
     // ---- Step 1: candidate set S, split into data / index. ----
-    let mut data: Vec<NodeId> = Vec::new();
-    let mut index: Vec<NodeId> = Vec::new();
-    for n in state.available.iter() {
+    data.clear();
+    index.clear();
+    for n in bits::iter(available) {
         if tree.is_data(n) {
             data.push(n);
         } else {
             index.push(n);
         }
     }
-    sort_weight_desc(tree, &mut data);
+    sort_weight_desc(tree, data);
 
     // ---- Step 2: prune the candidate set. ----
     if p_all_index {
@@ -86,40 +104,39 @@ pub fn pruned_children(tree: &IndexTree, state: &PathState, k: usize) -> Vec<Vec
 
     // ---- Step 3: generate k-component subsets. ----
     let take = k.min(data.len() + index.len());
+    *width = take;
     if take == 0 {
         // Step 2 emptied the candidate set (unreachable on feasible paths —
         // heavier foreign data always has an in-P parent; see the module
         // tests — but a dead branch beats an empty compound node that would
         // loop the search).
-        return Vec::new();
+        return;
     }
-    let mut subsets: Vec<Vec<NodeId>> = Vec::new();
-    let max_data = data.len().min(take);
-    for n_data in 0..=max_data {
+    for n_data in 0..=data.len().min(take) {
         let n_index = take - n_data;
         if n_index > index.len() {
             continue;
         }
-        // Rule (i): the data part is always the heaviest prefix.
-        let data_part = &data[..n_data];
-        let mut pick: Vec<NodeId> = Vec::with_capacity(take);
-        index_combinations(&index, n_index, 0, &mut pick, &mut |idx_part| {
-            let mut subset: Vec<NodeId> = data_part.to_vec();
-            subset.extend_from_slice(idx_part);
+        pick.clear();
+        for_each_combination(index, n_index, 0, pick, &mut |idx_part| {
+            // Rule (i): the data part is always the heaviest prefix. The
+            // subset is written straight into the output and dropped again
+            // if a rule eliminates it.
+            let at = ids.len();
+            ids.extend_from_slice(&data[..n_data]);
+            ids.extend_from_slice(idx_part);
+            let subset = &mut ids[at..];
             // Rule (ii): all-index P with k > 1 must stay adjacent to one
             // of its children.
-            if p_all_index && k > 1 && !subset.iter().any(|&n| is_child_of_p(n)) {
-                return;
-            }
+            let adjacent = !p_all_index || k == 1 || subset.iter().any(|&n| is_child_of_p(n));
             // ---- Step 4: local-swap eliminations. ----
-            if step4_eliminates(tree, p, p_all_index, &subset, is_child_of_p) {
-                return;
+            if adjacent && !step4_eliminates(tree, p, p_all_index, subset, is_child_of_p) {
+                subset.sort_unstable();
+            } else {
+                ids.truncate(at);
             }
-            subset.sort_unstable();
-            subsets.push(subset);
         });
     }
-    subsets
 }
 
 /// True if the subset is eliminated by a profitable local swap against `P`.
@@ -167,41 +184,23 @@ fn step4_eliminates(
     false
 }
 
-fn index_combinations(
-    index: &[NodeId],
-    need: usize,
-    from: usize,
-    pick: &mut Vec<NodeId>,
-    emit: &mut impl FnMut(&[NodeId]),
-) {
-    if pick.len() == need {
-        emit(pick);
-        return;
-    }
-    let missing = need - pick.len();
-    if index.len() - from < missing {
-        return;
-    }
-    for i in from..=index.len() - missing {
-        pick.push(index[i]);
-        index_combinations(index, need, i + 1, pick, emit);
-        pick.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::avail::PathState;
     use bcast_index_tree::builders;
 
     fn id(tree: &IndexTree, label: &str) -> NodeId {
         tree.find_by_label(label).expect("label exists")
     }
 
-    fn labels(tree: &IndexTree, sets: &[Vec<NodeId>]) -> Vec<Vec<String>> {
-        sets.iter()
-            .map(|s| {
-                let mut v: Vec<String> = s.iter().map(|&n| tree.label(n)).collect();
+    /// The pruned children of `s`, each as its sorted labels.
+    fn children(tree: &IndexTree, s: &PathState, k: usize) -> Vec<Vec<String>> {
+        let mut out = Subsets::default();
+        pruned_children(tree, s.available(), &s.last, k, &mut out);
+        out.iter()
+            .map(|subset| {
+                let mut v: Vec<String> = subset.iter().map(|&n| tree.label(n)).collect();
                 v.sort();
                 v
             })
@@ -212,10 +211,7 @@ mod tests {
     fn root_is_the_only_first_move() {
         let t = builders::paper_example();
         let s = PathState::initial(&t);
-        assert_eq!(
-            labels(&t, &pruned_children(&t, &s, 3)),
-            vec![vec!["1".to_string()]]
-        );
+        assert_eq!(children(&t, &s, 3), vec![vec!["1".to_string()]]);
     }
 
     #[test]
@@ -227,17 +223,14 @@ mod tests {
         let s = PathState::initial(&t)
             .place(&t, &[id(&t, "1")])
             .place(&t, &[id(&t, "2")]);
-        assert_eq!(
-            labels(&t, &pruned_children(&t, &s, 1)),
-            vec![vec!["A".to_string()]]
-        );
+        assert_eq!(children(&t, &s, 1), vec![vec!["A".to_string()]]);
     }
 
     #[test]
     fn fig9_root_expansion_keeps_both_index_children() {
         let t = builders::paper_example();
         let s = PathState::initial(&t).place(&t, &[id(&t, "1")]);
-        let got = labels(&t, &pruned_children(&t, &s, 1));
+        let got = children(&t, &s, 1);
         assert_eq!(got, vec![vec!["2".to_string()], vec!["3".to_string()]]);
     }
 
@@ -247,7 +240,7 @@ mod tests {
         let s = PathState::initial(&t)
             .place(&t, &[id(&t, "1")])
             .place(&t, &[id(&t, "3")]);
-        let mut got = labels(&t, &pruned_children(&t, &s, 1));
+        let mut got = children(&t, &s, 1);
         got.sort();
         assert_eq!(got, vec![vec!["4".to_string()], vec!["E".to_string()]]);
     }
@@ -261,7 +254,7 @@ mod tests {
         let s = PathState::initial(&t)
             .place(&t, &[id(&t, "1")])
             .place(&t, &[id(&t, "2"), id(&t, "3")]);
-        let mut got = labels(&t, &pruned_children(&t, &s, 2));
+        let mut got = children(&t, &s, 2);
         got.sort();
         assert_eq!(
             got,
@@ -281,7 +274,7 @@ mod tests {
             .place(&t, &[id(&t, "1")])
             .place(&t, &[id(&t, "2"), id(&t, "3")])
             .place(&t, &[id(&t, "A"), id(&t, "4")]);
-        let got = labels(&t, &pruned_children(&t, &s, 2));
+        let got = children(&t, &s, 2);
         assert_eq!(got, vec![vec!["C".to_string(), "E".to_string()]]);
     }
 
@@ -294,7 +287,7 @@ mod tests {
             .place(&t, &[id(&t, "1")])
             .place(&t, &[id(&t, "2"), id(&t, "3")])
             .place(&t, &[id(&t, "A"), id(&t, "E")]);
-        let got = labels(&t, &pruned_children(&t, &s, 2));
+        let got = children(&t, &s, 2);
         assert_eq!(got, vec![vec!["4".to_string(), "B".to_string()]]);
     }
 
@@ -312,12 +305,12 @@ mod tests {
         let s = s.place(&t, &[id(&t, "2")]);
         // P = {2} all-index again: children A, B; keep A only + index 4?
         // 4 is not a child of 2 → removed (k = 1 case 1).
-        let got = labels(&t, &pruned_children(&t, &s, 1));
+        let got = children(&t, &s, 1);
         assert_eq!(got, vec![vec!["A".to_string()]]);
         // Now P = {A} (data, weight 20): B(10) allowed, 4 allowed — E
         // already placed; nothing heavier than 20 exists.
         let s = s.place(&t, &[id(&t, "A")]);
-        let mut got = labels(&t, &pruned_children(&t, &s, 1));
+        let mut got = children(&t, &s, 1);
         got.sort();
         assert_eq!(got, vec![vec!["4".to_string()], vec!["B".to_string()]]);
     }

@@ -10,10 +10,10 @@
 //! This module walks that tree exhaustively — exponential, but exact — and
 //! is the ground truth the pruned searches are validated against.
 
-use crate::avail::PathState;
+use crate::avail::{for_each_combination, PathState, Subsets};
 use crate::schedule::Schedule;
 use bcast_index_tree::IndexTree;
-use bcast_types::NodeId;
+use bcast_types::{bits, NodeId};
 
 /// Depth-first traversal of every root-to-leaf path of the k-channel
 /// topological tree. `visit` receives each complete path as its slot sets
@@ -48,15 +48,17 @@ fn dfs(
     if *stop {
         return;
     }
-    if state.is_complete(tree) {
-        if !visit(slots, state.weighted_wait) {
+    if state.s.is_complete(tree) {
+        if !visit(slots, state.s.weighted_wait) {
             *stop = true;
         }
         return;
     }
-    for members in compound_children(tree, state, k) {
-        let next = state.place(tree, &members);
-        slots.push(members);
+    let mut children = Subsets::default();
+    compound_children(state.available(), k, &mut children);
+    for members in children.iter() {
+        let next = state.place(tree, members);
+        slots.push(members.to_vec());
         dfs(tree, k, &next, slots, visit, stop);
         slots.pop();
         if *stop {
@@ -65,39 +67,28 @@ fn dfs(
     }
 }
 
-/// The children of a topological-tree node, per Algorithm 1 step 4:
-/// all of `S` if `|S| ≤ k`, else every k-component subset of `S`.
-pub fn compound_children(_tree: &IndexTree, state: &PathState, k: usize) -> Vec<Vec<NodeId>> {
-    let s: Vec<NodeId> = state.available.iter().collect();
-    if s.is_empty() {
-        return Vec::new();
-    }
+/// Writes the children of the topological-tree node whose candidate set
+/// is `available` into `out`, per Algorithm 1 step 4: all of `S` if
+/// `|S| ≤ k`, else every k-component subset of `S`.
+pub fn compound_children(available: &[u64], k: usize, out: &mut Subsets) {
+    let Subsets {
+        width,
+        ids,
+        index: s,
+        pick,
+        ..
+    } = out;
+    ids.clear();
+    s.clear();
+    s.extend(bits::iter(available));
     if s.len() <= k {
-        return vec![s];
-    }
-    let mut out = Vec::new();
-    let mut pick = Vec::with_capacity(k);
-    k_subsets(&s, k, 0, &mut pick, &mut out);
-    out
-}
-
-fn k_subsets(
-    s: &[NodeId],
-    k: usize,
-    from: usize,
-    pick: &mut Vec<NodeId>,
-    out: &mut Vec<Vec<NodeId>>,
-) {
-    if pick.len() == k {
-        out.push(pick.clone());
+        *width = s.len();
+        ids.extend_from_slice(s);
         return;
     }
-    let need = k - pick.len();
-    for i in from..=s.len() - need {
-        pick.push(s[i]);
-        k_subsets(s, k, i + 1, pick, out);
-        pick.pop();
-    }
+    *width = k;
+    pick.clear();
+    for_each_combination(s, k, 0, pick, &mut |subset| ids.extend_from_slice(subset));
 }
 
 /// Counts the root-to-leaf paths of the unpruned k-channel topological
@@ -128,23 +119,40 @@ pub struct ExhaustiveResult {
 /// tree. Exponential; use only on small trees (ground truth for tests and
 /// for the Fig. 14 "Optimal" series at `m ≤ 3`).
 pub fn solve_exhaustive(tree: &IndexTree, k: usize) -> ExhaustiveResult {
+    solve_exhaustive_limited(tree, k, None).expect("no limit set")
+}
+
+/// Like [`solve_exhaustive`], in the same single walk, aborting with
+/// `Err(limit)` once more than `path_limit` paths have been enumerated.
+pub fn solve_exhaustive_limited(
+    tree: &IndexTree,
+    k: usize,
+    path_limit: Option<u64>,
+) -> Result<ExhaustiveResult, u64> {
+    let limit = path_limit.map_or(u128::MAX, u128::from);
     let mut best: Option<(Schedule, f64)> = None;
     let mut paths = 0u128;
     for_each_schedule(tree, k, |slots, wait| {
         paths += 1;
+        if paths > limit {
+            return false;
+        }
         if best.as_ref().is_none_or(|(_, w)| wait < *w) {
             // Clone only on improvement, not per enumerated path.
             best = Some((Schedule::from_slots(slots.to_vec()), wait));
         }
         true
     });
+    if paths > limit {
+        return Err(path_limit.expect("only a finite limit can be exceeded"));
+    }
     let (schedule, wait) = best.expect("non-empty tree has at least one schedule");
     let total = tree.total_weight().get();
-    ExhaustiveResult {
+    Ok(ExhaustiveResult {
         schedule,
         data_wait: if total == 0.0 { 0.0 } else { wait / total },
         paths,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -230,6 +238,12 @@ mod tests {
                 &t,
                 &[t.find_by_label("2").unwrap(), t.find_by_label("3").unwrap()],
             );
-        assert_eq!(compound_children(&t, &s, 2).len(), 6);
+        let mut out = Subsets::default();
+        compound_children(s.available(), 2, &mut out);
+        assert_eq!(out.iter().count(), 6);
+        // |S| ≤ k: one child holding all of S.
+        compound_children(s.available(), 4, &mut out);
+        assert_eq!(out.iter().count(), 1);
+        assert_eq!(out.iter().next().map(<[NodeId]>::len), Some(4));
     }
 }

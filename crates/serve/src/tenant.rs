@@ -1308,7 +1308,8 @@ impl TenantRuntime {
         // The live sampler, if the checkpoint carried one: the fused
         // alias columns restore by straight copy (structurally validated
         // — word count, alias ranges, item count — so a malformed
-        // manifest fails closed).
+        // manifest fails closed; the tags are checked against the
+        // program below).
         let sampler_state = match r.u32()? {
             0 => None,
             1 => {
@@ -1345,6 +1346,14 @@ impl TenantRuntime {
             }
             _ => return None,
         };
+        // Every tag must name the node the restored program serves its
+        // item at, as the rebuild that wrote the sampler attached them: a
+        // sampler re-sealed with other tags would serve the wrong nodes.
+        if let Some((_, table)) = &sampler_state {
+            if !table.tagged_by(|i| data_nodes[i].0) {
+                return None;
+            }
+        }
         let mut publisher = Publisher::new();
         publisher.adopt_snapshot(program, channels);
         let mut t = Self::assemble(
@@ -1858,6 +1867,43 @@ mod tests {
         assert_eq!(snap.requests, 0);
         assert_eq!(snap.delivery_rate(), 1.0);
         assert!(t.phase_violations().is_empty());
+    }
+
+    #[test]
+    fn restore_refuses_a_sampler_whose_tags_disagree_with_the_program() {
+        use bcast_channel::snapshot::{read_word_file, write_word_file};
+        let dir = std::env::temp_dir().join(format!("bcast-sampler-tags-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut svc = crate::ServeLoop::new(7, 1);
+        svc.join(TenantConfig::new(0, 64));
+        svc.tenants_mut()[0].begin_phase(demand(500), None, SloSpec::lossless(), 4);
+        svc.run_slices(1);
+        svc.checkpoint(&dir).unwrap();
+        svc.run_slices(1);
+        let newest = svc.checkpoint(&dir).unwrap();
+
+        // Give column 0 column 60's accept tag in the newest manifest and
+        // re-seal its CRC, so only the tag check can catch it.
+        let mut columns = Vec::new();
+        svc.tenants()[0].sampler.export_columns(&mut columns);
+        assert_ne!(columns[1], columns[4 * 60 + 1]);
+        let mut words = read_word_file(&newest).unwrap();
+        let at = words
+            .windows(columns.len())
+            .position(|run| run == columns)
+            .expect("the sampler columns are in the manifest");
+        words[at + 1] = columns[4 * 60 + 1];
+        let last = words.len() - 1;
+        words[last] = bcast_types::crc::crc32c(&words[..last]);
+        write_word_file(&newest, &words).unwrap();
+
+        let restored = crate::ServeLoop::restore(&dir, 1).unwrap();
+        assert_eq!(
+            restored.slices_run(),
+            1,
+            "fell back to the older generation"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

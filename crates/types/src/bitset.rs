@@ -5,28 +5,143 @@
 //! elements are dense arena indices. A word-packed bitset gives O(1)
 //! membership and O(n/64) set algebra without hashing, which dominates the
 //! inner loop of the topological-tree expansion.
+//!
+//! The exact search keeps each state's sets as fixed-width runs of words in
+//! one shared pool rather than as a [`BitSet`] per state, so the set
+//! operations exist over bare word slices in [`bits`]; [`BitSet`] is the
+//! owning, growable wrapper over the same functions.
 
 use crate::NodeId;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const BITS: usize = u64::BITS as usize;
 
-/// Process-wide count of [`BitSet`] clones (relaxed; diagnostic only).
-///
-/// The exact search engines promise *zero* bitset clones on their dominance
-/// hot path — states are interned once and referenced by id thereafter. A
-/// counter is the only way to assert that promise from a test without
-/// instrumenting every call site, so `Clone` ticks this atomic. The relaxed
-/// increment is noise next to the word-vector copy it accompanies.
-static CLONES: AtomicU64 = AtomicU64::new(0);
+/// Set operations over a bare word slice: bit `b` of word `w` is id
+/// `64·w + b`. A slice never grows, so [`bits::insert`] needs ids below
+/// `64 · words.len()`; reads treat ids beyond the slice as absent.
+pub mod bits {
+    use super::{BITS, FX_SEED};
+    use crate::{mix64, NodeId};
 
-/// Total `BitSet` clones performed by this process so far.
-///
-/// Only deltas are meaningful, and only when no concurrent test is cloning
-/// bitsets — measure around a single-threaded region.
-pub fn total_clone_count() -> u64 {
-    CLONES.load(Ordering::Relaxed)
+    /// Words needed for ids `0..capacity`.
+    #[inline]
+    pub fn words_for(capacity: usize) -> usize {
+        capacity.div_ceil(BITS)
+    }
+
+    /// Membership test.
+    #[inline]
+    pub fn contains(words: &[u64], id: NodeId) -> bool {
+        let (w, b) = (id.index() / BITS, id.index() % BITS);
+        words.get(w).is_some_and(|word| word & (1 << b) != 0)
+    }
+
+    /// Inserts `id`; `true` if it was absent.
+    ///
+    /// # Panics
+    /// If `id` lies beyond the slice.
+    #[inline]
+    pub fn insert(words: &mut [u64], id: NodeId) -> bool {
+        let (w, b) = (id.index() / BITS, id.index() % BITS);
+        let mask = 1u64 << b;
+        let fresh = words[w] & mask == 0;
+        words[w] |= mask;
+        fresh
+    }
+
+    /// Removes `id`; `true` if it was present.
+    #[inline]
+    pub fn remove(words: &mut [u64], id: NodeId) -> bool {
+        let (w, b) = (id.index() / BITS, id.index() % BITS);
+        let Some(word) = words.get_mut(w) else {
+            return false;
+        };
+        let mask = 1u64 << b;
+        let present = *word & mask != 0;
+        *word &= !mask;
+        present
+    }
+
+    /// Number of set ids.
+    #[inline]
+    pub fn count(words: &[u64]) -> usize {
+        words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Number of set ids strictly below `id` — `id`'s rank within the set.
+    ///
+    /// Word-wise popcount, used by the incremental bound maintenance to
+    /// translate a global sorted rank into a rank among unplaced nodes in
+    /// O(id/64) rather than O(id).
+    #[inline]
+    pub fn rank(words: &[u64], id: NodeId) -> usize {
+        let (w, b) = (id.index() / BITS, id.index() % BITS);
+        let full = count(&words[..w.min(words.len())]);
+        let partial = words
+            .get(w)
+            .map_or(0, |x| (x & ((1u64 << b) - 1)).count_ones() as usize);
+        full + partial
+    }
+
+    /// Iterates the set ids in ascending order.
+    pub fn iter(words: &[u64]) -> impl Iterator<Item = NodeId> + '_ {
+        words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(NodeId::from_index(wi * BITS + b))
+            })
+        })
+    }
+
+    /// Iterates the ids of `lo..hi` that are *not* in the set, ascending.
+    ///
+    /// Word-at-a-time over the complement, so the cost is proportional to
+    /// the number of absent ids plus the words spanned — the incremental
+    /// bound uses this to walk unplaced ranks without touching placed ones.
+    pub fn iter_unset(words: &[u64], lo: usize, hi: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let lo_word = lo / BITS;
+        let hi_word = hi.div_ceil(BITS);
+        (lo_word..hi_word).flat_map(move |wi| {
+            let word = words.get(wi).copied().unwrap_or(0);
+            let mut bits = !word;
+            if wi == lo_word {
+                bits &= !0u64 << (lo % BITS);
+            }
+            if (wi + 1) * BITS > hi {
+                bits &= (1u64 << (hi % BITS)) - 1;
+            }
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(NodeId::from_index(wi * BITS + b))
+            })
+        })
+    }
+
+    /// A well-mixed 64-bit hash of the set's contents.
+    ///
+    /// Word-wise FxHash-style fold (`h = rotl(h, 5) ⊕ word; h ·= seed`) over
+    /// the words up to the last non-zero one, finished with [`mix64`].
+    /// Ignoring trailing zero words makes the hash a function of the ids
+    /// alone, however many words hold them. One multiply per 64 ids — cheap
+    /// enough for the per-generated-state hot path of the search engines.
+    #[inline]
+    pub fn mix_hash(words: &[u64]) -> u64 {
+        let end = words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        let mut h = 0u64;
+        for &w in &words[..end] {
+            h = (h.rotate_left(5) ^ w).wrapping_mul(FX_SEED);
+        }
+        mix64(h)
+    }
 }
 
 /// A fixed-capacity bitset over dense node ids.
@@ -35,26 +150,10 @@ pub fn total_clone_count() -> u64 {
 /// same ids compare equal regardless of how much capacity each was created
 /// with — required because the search algorithms use `BitSet` as a hash-map
 /// key.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
-}
-
-impl Clone for BitSet {
-    fn clone(&self) -> Self {
-        CLONES.fetch_add(1, Ordering::Relaxed);
-        BitSet {
-            words: self.words.clone(),
-            len: self.len,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        CLONES.fetch_add(1, Ordering::Relaxed);
-        self.words.clone_from(&source.words);
-        self.len = source.len;
-    }
 }
 
 impl PartialEq for BitSet {
@@ -95,32 +194,19 @@ pub fn mix64(x: u64) -> u64 {
 }
 
 impl BitSet {
-    /// A well-mixed 64-bit hash of the set's contents.
-    ///
-    /// Word-wise FxHash-style fold (`h = rotl(h, 5) ⊕ word; h ·= seed`) over
-    /// the words up to the last non-zero one, finished with [`mix64`].
-    /// Ignoring trailing zero words keeps the hash consistent with `Eq`
-    /// (and with [`Hash`](std::hash::Hash), which delegates here) across
-    /// differently-sized-but-equal sets. One multiply per 64 ids — cheap
-    /// enough for the per-generated-state hot path of the search engines.
+    /// A well-mixed 64-bit hash of the set's contents: [`bits::mix_hash`]
+    /// over the backing words, so it agrees with `Eq` (and with
+    /// [`Hash`](std::hash::Hash), which delegates here) across
+    /// differently-sized-but-equal sets.
     #[inline]
     pub fn mix_hash(&self) -> u64 {
-        let end = self
-            .words
-            .iter()
-            .rposition(|&w| w != 0)
-            .map_or(0, |i| i + 1);
-        let mut h = 0u64;
-        for &w in &self.words[..end] {
-            h = (h.rotate_left(5) ^ w).wrapping_mul(FX_SEED);
-        }
-        mix64(h)
+        bits::mix_hash(&self.words)
     }
 
     /// Creates an empty set able to hold ids `0..capacity`.
     pub fn with_capacity(capacity: usize) -> Self {
         BitSet {
-            words: vec![0; capacity.div_ceil(BITS)],
+            words: vec![0; bits::words_for(capacity)],
             len: 0,
         }
     }
@@ -140,56 +226,26 @@ impl BitSet {
     /// Inserts `id`, growing the backing storage if needed.
     /// Returns `true` if the id was newly inserted.
     pub fn insert(&mut self, id: NodeId) -> bool {
-        let (w, b) = (id.index() / BITS, id.index() % BITS);
+        let w = id.index() / BITS;
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
-        let mask = 1u64 << b;
-        let fresh = self.words[w] & mask == 0;
-        self.words[w] |= mask;
+        let fresh = bits::insert(&mut self.words, id);
         self.len += usize::from(fresh);
         fresh
     }
 
     /// Removes `id`. Returns `true` if the id was present.
     pub fn remove(&mut self, id: NodeId) -> bool {
-        let (w, b) = (id.index() / BITS, id.index() % BITS);
-        if w >= self.words.len() {
-            return false;
-        }
-        let mask = 1u64 << b;
-        let present = self.words[w] & mask != 0;
-        self.words[w] &= !mask;
+        let present = bits::remove(&mut self.words, id);
         self.len -= usize::from(present);
         present
-    }
-
-    /// Number of set ids strictly below `id` — `id`'s rank within the set.
-    ///
-    /// Word-wise popcount, used by the incremental bound maintenance to
-    /// translate a global sorted rank into a rank among unplaced nodes in
-    /// O(id/64) rather than O(id).
-    #[inline]
-    pub fn rank(&self, id: NodeId) -> usize {
-        let (w, b) = (id.index() / BITS, id.index() % BITS);
-        let full: usize = self
-            .words
-            .iter()
-            .take(w.min(self.words.len()))
-            .map(|x| x.count_ones() as usize)
-            .sum();
-        let partial = self
-            .words
-            .get(w)
-            .map_or(0, |x| (x & ((1u64 << b) - 1)).count_ones() as usize);
-        full + partial
     }
 
     /// Membership test.
     #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
-        let (w, b) = (id.index() / BITS, id.index() % BITS);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+        bits::contains(&self.words, id)
     }
 
     /// Removes every id, keeping the allocation.
@@ -245,56 +301,13 @@ impl BitSet {
             .all(|(&a, &b)| a & b == 0)
     }
 
-    /// Iterates the ids of `lo..hi` that are *not* in the set, ascending.
-    ///
-    /// Word-at-a-time over the complement, so the cost is proportional to
-    /// the number of absent ids plus the words spanned — the incremental
-    /// bound uses this to walk unplaced ranks without touching placed ones.
-    pub fn iter_unset(&self, lo: usize, hi: usize) -> impl Iterator<Item = NodeId> + '_ {
-        let lo_word = lo / BITS;
-        let hi_word = hi.div_ceil(BITS);
-        (lo_word..hi_word).flat_map(move |wi| {
-            let word = self.words.get(wi).copied().unwrap_or(0);
-            let mut bits = !word;
-            if wi == lo_word {
-                bits &= !0u64 << (lo % BITS);
-            }
-            if (wi + 1) * BITS > hi {
-                bits &= (1u64 << (hi % BITS)) - 1;
-            }
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(NodeId::from_index(wi * BITS + b))
-            })
-        })
-    }
-
-    /// Bytes of heap backing the word vector.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
-
     /// Iterates ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(NodeId::from_index(wi * BITS + b))
-            })
-        })
+        bits::iter(&self.words)
     }
 
     fn recount(&mut self) {
-        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+        self.len = bits::count(&self.words);
     }
 }
 
@@ -420,48 +433,31 @@ mod tests {
     #[test]
     fn rank_counts_ids_below() {
         let s = ids(&[0, 3, 64, 70, 200]);
-        assert_eq!(s.rank(NodeId(0)), 0);
-        assert_eq!(s.rank(NodeId(1)), 1);
-        assert_eq!(s.rank(NodeId(3)), 1);
-        assert_eq!(s.rank(NodeId(64)), 2);
-        assert_eq!(s.rank(NodeId(65)), 3);
-        assert_eq!(s.rank(NodeId(200)), 4);
-        assert_eq!(s.rank(NodeId(10_000)), 5);
-        assert_eq!(BitSet::default().rank(NodeId(9)), 0);
+        assert_eq!(bits::rank(&s.words, NodeId(0)), 0);
+        assert_eq!(bits::rank(&s.words, NodeId(1)), 1);
+        assert_eq!(bits::rank(&s.words, NodeId(3)), 1);
+        assert_eq!(bits::rank(&s.words, NodeId(64)), 2);
+        assert_eq!(bits::rank(&s.words, NodeId(65)), 3);
+        assert_eq!(bits::rank(&s.words, NodeId(200)), 4);
+        assert_eq!(bits::rank(&s.words, NodeId(10_000)), 5);
+        assert_eq!(bits::rank(&[], NodeId(9)), 0);
     }
 
     #[test]
     fn iter_unset_walks_the_complement() {
         let s = ids(&[1, 3, 64, 66]);
-        let got: Vec<u32> = s.iter_unset(0, 6).map(|n| n.0).collect();
+        let got: Vec<u32> = bits::iter_unset(&s.words, 0, 6).map(|n| n.0).collect();
         assert_eq!(got, vec![0, 2, 4, 5]);
-        let got: Vec<u32> = s.iter_unset(3, 67).map(|n| n.0).collect();
+        let got: Vec<u32> = bits::iter_unset(&s.words, 3, 67).map(|n| n.0).collect();
         let want: Vec<u32> = (3..67).filter(|i| ![3, 64, 66].contains(i)).collect();
         assert_eq!(got, want);
         // Range beyond capacity: everything there is unset.
-        let got: Vec<u32> = BitSet::with_capacity(4)
-            .iter_unset(62, 66)
-            .map(|n| n.0)
-            .collect();
+        let got: Vec<u32> = bits::iter_unset(&[0], 62, 66).map(|n| n.0).collect();
         assert_eq!(got, vec![62, 63, 64, 65]);
-        assert!(s.iter_unset(5, 5).next().is_none());
+        assert!(bits::iter_unset(&s.words, 5, 5).next().is_none());
         // Word-aligned hi must not drop the final word.
-        let got: Vec<u32> = s.iter_unset(60, 64).map(|n| n.0).collect();
+        let got: Vec<u32> = bits::iter_unset(&s.words, 60, 64).map(|n| n.0).collect();
         assert_eq!(got, vec![60, 61, 62, 63]);
-    }
-
-    #[test]
-    fn clone_ticks_the_counter() {
-        let s = ids(&[1, 2, 3]);
-        let c0 = total_clone_count();
-        let t = s.clone();
-        let mut u = BitSet::default();
-        u.clone_from(&t);
-        // Other tests may clone concurrently, so only a lower bound is
-        // exact here; the strict accounting lives in the single-threaded
-        // clone-discipline integration test of the core crate.
-        assert!(total_clone_count() >= c0 + 2);
-        assert_eq!(u, s);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod pool;
 pub mod slo;
 mod weight;
 
-pub use bitset::{mix64, total_clone_count, BitSet};
+pub use bitset::{bits, mix64, BitSet};
 pub use dominance::DominanceTable;
 pub use ids::{BucketAddr, ChannelId, NodeId, Slot};
 pub use incumbent::SharedIncumbent;

@@ -240,6 +240,18 @@ impl TaggedAliasTable {
         })
     }
 
+    /// True if every column carries the tags [`rebuild`](Self::rebuild)
+    /// attaches for `tag`: column `i`'s accept tag is `tag(i)` and its
+    /// alias tag is `tag` of its alias item. A restore checks this against
+    /// its own item map, since [`import_columns`](Self::import_columns)
+    /// can only check the columns' structure.
+    pub fn tagged_by(&self, mut tag: impl FnMut(usize) -> u32) -> bool {
+        self.columns
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c.accept_tag == tag(i) && c.alias_tag == tag(c.alias_item as usize))
+    }
+
     /// Number of distinct items.
     pub fn len(&self) -> usize {
         self.columns.len()
