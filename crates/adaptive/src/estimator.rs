@@ -7,6 +7,7 @@
 //! request counts: cheap, O(items) memory, and tunably reactive via the
 //! decay factor `alpha`.
 
+use bcast_types::prefetch::prefetch;
 use bcast_types::Weight;
 
 /// Exponential-moving-average frequency estimator.
@@ -84,6 +85,24 @@ impl EmaEstimator {
     #[inline]
     pub fn observe(&mut self, item: usize) {
         self.counts[item] += 1;
+    }
+
+    /// Records one request for each of `items`: the same counts as a
+    /// loop of [`observe`](Self::observe) calls. For catalogs whose counts
+    /// outgrow the cache, it prefetches every count of the chunk first
+    /// and increments them after, so the chunk's misses are in flight
+    /// together.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range item id.
+    #[inline]
+    pub fn observe_chunk(&mut self, items: &[u32]) {
+        for &item in items {
+            prefetch(&self.counts, item as usize);
+        }
+        for &item in items {
+            self.counts[item as usize] += 1;
+        }
     }
 
     /// Ends the current epoch, folding its counts into the estimate and
@@ -252,7 +271,10 @@ impl EmaEstimator {
     /// [`export_state`](EmaEstimator::export_state), consuming exactly
     /// the words it reads from the front of `*words`. Fails closed:
     /// a truncated or structurally invalid stream yields `None`, never a
-    /// half-restored estimator.
+    /// half-restored estimator. So does an estimate that is not finite or
+    /// is below zero, which no export writes: the next
+    /// [`drain_changed`](EmaEstimator::drain_changed) could not turn it
+    /// into a [`Weight`].
     pub fn import_state(words: &mut &[u64]) -> Option<EmaEstimator> {
         fn take<'a>(words: &mut &'a [u64], n: usize) -> Option<&'a [u64]> {
             if words.len() < n {
@@ -297,6 +319,9 @@ impl EmaEstimator {
             .iter()
             .map(|&w| f64::from_bits(w))
             .collect();
+        if !estimate.iter().all(|e| e.is_finite() && *e >= 0.0) {
+            return None;
+        }
         let published: Vec<f64> = take(words, items)?
             .iter()
             .map(|&w| f64::from_bits(w))
@@ -521,7 +546,49 @@ mod tests {
         assert!(EmaEstimator::import_state(&mut cursor).is_none());
     }
 
+    #[test]
+    fn a_non_finite_or_negative_estimate_fails_closed() {
+        let mut e = EmaEstimator::new(3, 0.5);
+        e.observe(1);
+        e.roll_epoch();
+        let mut words = Vec::new();
+        e.export_state(&mut words);
+        assert!(EmaEstimator::import_state(&mut &words[..]).is_some());
+        // The roll zeroed the counts, so no count pairs follow the 4-word
+        // header and the estimates start at word 4.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
+            for item in 0..3 {
+                let mut tampered = words.clone();
+                tampered[4 + item] = bad.to_bits();
+                assert!(
+                    EmaEstimator::import_state(&mut &tampered[..]).is_none(),
+                    "estimate {bad} of item {item}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        /// The chunked count against a loop of `observe`: the same counts,
+        /// hence the same estimates after a roll.
+        #[test]
+        fn observe_chunk_matches_an_observe_loop(
+            items in 1usize..300,
+            draws in prop::collection::vec(any::<u32>(), 0..700),
+            split in any::<usize>(),
+        ) {
+            let draws: Vec<u32> = draws.into_iter().map(|d| d % items as u32).collect();
+            let mut chunked = EmaEstimator::new(items, 0.5);
+            let mut single = EmaEstimator::new(items, 0.5);
+            let cut = split % (draws.len() + 1);
+            chunked.observe_chunk(&draws[..cut]);
+            chunked.observe_chunk(&draws[cut..]);
+            for &d in &draws {
+                single.observe(d as usize);
+            }
+            prop_assert_eq!(&chunked.counts, &single.counts);
+        }
+
         #[test]
         fn estimates_bounded_by_max_epoch_count(
             reqs in prop::collection::vec(0usize..4, 0..200),

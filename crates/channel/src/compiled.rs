@@ -40,18 +40,23 @@
 //! records, sums the route word's two halves in exact per-chunk `u32`
 //! lanes, validates the chunk with a folded sentinel flag (re-scanned in
 //! order only on failure, so the reported error is identical to the
-//! reference loop's), prefetches the next chunk's records, and records
-//! access times into the histogram in one
-//! [`LatencyHistogram::record_batch`] call. The original per-request loop
-//! survives as [`serve_batch_scalar`](CompiledProgram::serve_batch_scalar)
-//! — the oracle the chunked kernel is pinned bit-identical to at any
-//! thread count.
+//! reference loop's), and records access times into the histogram in one
+//! [`LatencyHistogram::record_batch`] call. Once the route table holds
+//! [`PREFETCH_MIN_LEN`] records or more, each chunk first prefetches the
+//! records of its own targets and, before the flush, the histogram bucket
+//! of each access time, so a chunk's cache misses overlap instead of
+//! queuing; a smaller table stays cached and skips both passes. The
+//! original per-request loop survives as
+//! [`serve_batch_scalar`](CompiledProgram::serve_batch_scalar) — the
+//! oracle the chunked kernel is pinned bit-identical to at any thread
+//! count.
 
 use crate::faults::{self, FaultPlan, RecoveryPolicy, RequestOutcome};
 use crate::hist::LatencyHistogram;
 use crate::program::{BroadcastProgram, Bucket};
 use crate::simulator::{AccessTrace, SimError};
 use bcast_index_tree::IndexTree;
+use bcast_types::prefetch::PREFETCH_MIN_LEN;
 use bcast_types::{BucketAddr, ChannelId, NodeId, Slot};
 
 /// SplitMix64 finalizer: spreads a request index into an independent
@@ -606,8 +611,8 @@ impl CompiledProgram {
     /// Fault-free serving in [`SERVE_CHUNK`]-request chunks: division-free
     /// tune-in draws, a folded sentinel validation (re-scanned in order
     /// only on failure so the error matches the reference loop's), one
-    /// record load per request, batched histogram flush, and a prefetch of
-    /// the next chunk's records.
+    /// record load per request and a batched histogram flush, with the
+    /// chunk's records and buckets prefetched once the table is large.
     ///
     /// Every arithmetic step is exact integer work in the same order as
     /// the reference loop (sums are commutative integer adds), so the
@@ -649,12 +654,17 @@ impl CompiledProgram {
         }
         let cap = self.hist_bound(false);
         let fm = FastMod::new(u64::from(self.cycle_len));
+        // A route table or histogram this large no longer stays cached,
+        // so each chunk's random reads are hinted before they are made.
+        let prefetching = self.routes.len() >= PREFETCH_MIN_LEN;
         let mut totals = [0u32; SERVE_CHUNK];
         for (chunk_no, chunk) in targets.chunks(SERVE_CHUNK).enumerate() {
             let base = chunk_no * SERVE_CHUNK;
-            // Hint the next chunk's route records first, so the prefetches
-            // land while this whole chunk is processed and flushed.
-            self.prefetch_records(targets, base + SERVE_CHUNK);
+            if prefetching {
+                for &target in chunk {
+                    bcast_types::prefetch::prefetch(&self.routes, target.index());
+                }
+            }
             // One fused pass per chunk: draw the tune-in residue with the
             // division-free reduction, read the node's 8-byte record, fold
             // the sentinel check into one flag (a bad lane yields the zero
@@ -680,6 +690,9 @@ impl CompiledProgram {
             if bad {
                 return Err(self.first_unrouted(chunk));
             }
+            if prefetching {
+                hist.prefetch_buckets(&totals[..chunk.len()], cap);
+            }
             hist.record_batch_clamped(&totals[..chunk.len()], cap);
             tally.wait_sum += wait_sum;
             // Tuning time is path length plus the probe bucket, per request.
@@ -700,33 +713,6 @@ impl CompiledProgram {
             }
         }
         unreachable!("rejected chunk contains an unrouted target")
-    }
-
-    /// Prefetches the route records of the next chunk's targets (x86_64;
-    /// a no-op elsewhere). One 8-byte record per node means one hint per
-    /// target covers everything the fused loop will load.
-    #[inline]
-    fn prefetch_records(&self, targets: &[NodeId], from: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let n = self.routes.len();
-            let upto = (from + SERVE_CHUNK).min(targets.len());
-            for &t in targets.get(from..upto).unwrap_or(&[]) {
-                let i = t.index();
-                if i < n {
-                    // SAFETY: `i < n` keeps the address inside the table;
-                    // prefetch has no other safety requirements.
-                    unsafe {
-                        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                        _mm_prefetch(self.routes.as_ptr().add(i).cast::<i8>(), _MM_HINT_T0);
-                    }
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (targets, from);
-        }
     }
 
     /// Single lossy access through the route tables: the compiled
@@ -1580,6 +1566,64 @@ mod tests {
             assert_eq!(session.failed(), batch.failed);
             assert_eq!(session.retries(), batch.retries);
         }
+    }
+
+    #[test]
+    fn a_route_table_past_the_prefetch_size_serves_like_the_oracle() {
+        // A program with enough records that the chunked kernel prefetches
+        // each chunk's records and histogram buckets: the batch, the
+        // session and the refusal of a bad target must not change.
+        let nodes = PREFETCH_MIN_LEN + 3;
+        let cycle_len = 40_000u32;
+        let slot: Vec<u32> = (0..nodes as u32)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0
+                } else {
+                    1 + mix64(7, u64::from(i)) as u32 % cycle_len
+                }
+            })
+            .collect();
+        let route: Vec<u32> = slot
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                if s == 0 {
+                    0
+                } else {
+                    route_word(2 + i as u32 % 9, i as u32 % 2)
+                }
+            })
+            .collect();
+        let routed = slot.iter().filter(|&&s| s != 0).count();
+        let c = CompiledProgram::from_columns(cycle_len, &slot, &route, routed);
+        let data = c.routed_nodes();
+        let mut targets: Vec<NodeId> = (0..5 * SERVE_CHUNK + 11)
+            .map(|i| data[mix64(3, i as u64) as usize % data.len()])
+            .collect();
+        let opts = ServeOptions {
+            seed: 0x9F1,
+            ..ServeOptions::default()
+        };
+        let batch = c.serve_batch(&targets, &opts).unwrap();
+        assert_eq!(batch, c.serve_batch_scalar(&targets, &opts).unwrap());
+        let mut session = ServeSession::new();
+        let mut window = LatencyHistogram::with_bound(16 * cycle_len);
+        let mut absorbed = window.clone();
+        absorbed.absorb(&batch.histogram);
+        c.begin_session(&mut session, &opts);
+        for part in targets.chunks(SERVE_CHUNK) {
+            c.serve_chunk_into(&mut session, part, &mut window).unwrap();
+        }
+        assert_eq!(window, absorbed);
+        assert_eq!(session.delivered(), batch.delivered);
+        // An index node mid-chunk, and an id past the table.
+        targets[SERVE_CHUNK + 40] = NodeId(3);
+        targets[2 * SERVE_CHUNK] = NodeId::from_index(nodes + 9);
+        assert_eq!(
+            c.serve_batch(&targets, &opts).unwrap_err(),
+            SimError::NotADataNode(NodeId(3))
+        );
     }
 
     #[test]

@@ -127,6 +127,18 @@ impl LatencyHistogram {
         self.total += values.len() as u64;
     }
 
+    /// Prefetches the bucket each of `values` will be counted in by
+    /// [`record_batch_clamped`](Self::record_batch_clamped) with the same
+    /// `cap` — the serve kernel's hint before a flush into a histogram
+    /// too large to stay cached. Changes nothing.
+    #[inline]
+    pub(crate) fn prefetch_buckets(&self, values: &[u32], cap: u32) {
+        let top = (cap as usize).min(self.counts.len() - 1);
+        for &value in values {
+            bcast_types::prefetch::prefetch(&self.counts, (value as usize).min(top));
+        }
+    }
+
     /// Folds another histogram (e.g. a per-thread shard) into this one.
     ///
     /// # Panics

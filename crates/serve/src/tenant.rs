@@ -22,6 +22,7 @@ use bcast_channel::{
 use bcast_core::publish::{PublishHeuristic, PublishOptions, Publisher};
 use bcast_core::{DeltaLane, DeltaOptions};
 use bcast_index_tree::{knary, IndexTree};
+use bcast_types::prefetch::PREFETCH_MIN_LEN;
 use bcast_types::{mix64, NodeId, SloSnapshot, SloSpec, SloViolation, Weight};
 use bcast_workloads::{DemandShape, DemandSpec, FaultScenario, TaggedAliasTable};
 use std::time::Instant;
@@ -297,18 +298,23 @@ pub struct TenantRuntime {
     /// yields the target [`NodeId`] from the same cache line as the
     /// alias decision). Rebuilt only when the demand *shape* changes
     /// ([`sampler_shape`](Self::sampler_shape) tracks the shape it was
-    /// built for) or a full republish remints the node ids the tags bake
-    /// in. Within a phase only the request rate interpolates — the pmf
-    /// is constant — so steady-state slices skip the O(items) Vose
-    /// construction entirely.
+    /// built for). Within a phase only the request rate interpolates —
+    /// the pmf is constant — so steady-state slices skip the O(items)
+    /// Vose construction entirely.
     sampler: TaggedAliasTable,
     sampler_shape: Option<DemandShape>,
+    /// Set by a full republish, which remints the node ids the sampler's
+    /// tags bake in: the next serving slice re-tags the table in place
+    /// (its thresholds and alias items depend on the pmf alone). A
+    /// checkpoint taken meanwhile stores no sampler, since its tags no
+    /// longer match the program on air.
+    sampler_stale: bool,
     /// Scratch pmf for sampler rebuilds (reused capacity).
     pmf: Vec<f64>,
-    /// Reused [`SERVE_CHUNK`]-sized staging buffer: sampled targets are
-    /// gathered here and fed straight to the chunked serve kernel, so a
-    /// slice never materializes its full request vector.
-    chunk: Vec<NodeId>,
+    /// Reused staging buffers for one [`SERVE_CHUNK`] of requests: sampled
+    /// targets are gathered here and fed straight to the chunked serve
+    /// kernel, so a slice never materializes its full request vector.
+    draws: ChunkDraws,
     /// Reusable streaming-serve state (histogram shard and fault
     /// overlay buffers persist across slices).
     session: ServeSession,
@@ -483,8 +489,9 @@ impl TenantRuntime {
             window,
             sampler: TaggedAliasTable::new(),
             sampler_shape: None,
+            sampler_stale: false,
             pmf: Vec::new(),
-            chunk: Vec::with_capacity(SERVE_CHUNK),
+            draws: ChunkDraws::new(),
             session: ServeSession::new(),
             ewma_cost: 0,
             weights,
@@ -591,6 +598,13 @@ impl TenantRuntime {
     /// streamed slice is bit-identical to the original
     /// build-a-batch-then-serve form.
     ///
+    /// A tenant of [`PREFETCH_MIN_LEN`] items or more, whose sampler and
+    /// estimator tables outgrow the cache, draws and counts a chunk at a
+    /// time with prefetches ([`TaggedAliasTable::sample_chunk`],
+    /// [`EmaEstimator::observe_chunk`]); a smaller one draws, counts and
+    /// stages each request in one fused step. Both give the same draws
+    /// and counts, so the outcome does not depend on the size rule.
+    ///
     /// The whole slice runs under `catch_unwind`: a panic anywhere in
     /// the tenant's work — serving, estimator feedback, a republish — is
     /// caught *here*, inside the tenant, so it can never poison a worker
@@ -604,11 +618,18 @@ impl TenantRuntime {
     /// [`SloSnapshot::readmitted`]) and — panics being deterministic
     /// under the chaos hooks — participate in replay equality.
     pub fn run_slice(&mut self) {
+        self.run_slice_on(self.config.items >= PREFETCH_MIN_LEN);
+    }
+
+    /// [`run_slice`](Self::run_slice) with the request path's form given:
+    /// `chunked` draws and counts a chunk at a time with prefetches.
+    fn run_slice_on(&mut self, chunked: bool) {
         let parked = self
             .quarantine
             .is_some_and(|q| self.slices_run < q.until_slice);
-        let body =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.slice_body(parked)));
+        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.slice_body(parked, chunked)
+        }));
         match body {
             Ok(()) => {
                 if !parked && self.quarantine.take().is_some() {
@@ -632,8 +653,9 @@ impl TenantRuntime {
     /// The actual slice work (see [`run_slice`](Self::run_slice), which
     /// wraps it in the panic boundary). `parked` suspends both rebuild
     /// paths — the quarantined tenant serves from the program already on
-    /// air and its degradation tracker is frozen.
-    fn slice_body(&mut self, parked: bool) {
+    /// air and its degradation tracker is frozen. `chunked` picks the
+    /// request path's form (see [`ChunkDraws::draw`]).
+    fn slice_body(&mut self, parked: bool, chunked: bool) {
         let rate = self
             .demand
             .rate_at(self.slice_in_phase, self.phase_slices.max(1));
@@ -666,14 +688,19 @@ impl TenantRuntime {
             // The demand *shape* is constant within a phase (only the
             // request rate interpolates slice to slice), so the Vose
             // construction runs once per shape change, not once per
-            // slice — plus once after any full republish, which remints
-            // the node ids the table's tags bake in. Same pmf → byte-
-            // identical table → identical draws.
+            // slice. A full republish remints the node ids the table's
+            // tags bake in, but not the pmf, so it costs one re-tag pass.
+            // Same pmf → byte-identical table → identical draws.
+            let data_nodes = &self.data_nodes;
             if self.sampler_shape != Some(self.demand.shape) {
                 self.demand.shape.pmf_into(self.config.items, &mut self.pmf);
-                let data_nodes = &self.data_nodes;
                 self.sampler.rebuild(&self.pmf, |i| data_nodes[i].0);
                 self.sampler_shape = Some(self.demand.shape);
+                self.sampler_stale = false;
+                self.window.alias_rebuilds += 1;
+            } else if self.sampler_stale {
+                self.sampler.retag(|i| data_nodes[i].0);
+                self.sampler_stale = false;
                 self.window.alias_rebuilds += 1;
             }
             let mut state = mix2(slice_seed, 1);
@@ -687,10 +714,13 @@ impl TenantRuntime {
             if program.num_data_nodes() == 0 {
                 // Demand still arrives during downtime: the estimator
                 // sees what was *requested*, exactly as when serving.
-                for _ in 0..rate {
-                    let (item, _) = self.sampler.sample(&mut state);
-                    self.estimator.observe(item as usize);
-                }
+                self.draws.observe(
+                    &self.sampler,
+                    &mut self.estimator,
+                    &mut state,
+                    rate,
+                    chunked,
+                );
                 self.window.downtime_slots += 1;
             } else {
                 if admitted > 0 {
@@ -708,22 +738,19 @@ impl TenantRuntime {
                     let mut remaining = admitted as usize;
                     while remaining > 0 {
                         let n = remaining.min(SERVE_CHUNK);
-                        self.chunk.clear();
-                        for _ in 0..n {
-                            // One fused draw: the item for the estimator
-                            // and its serving node from the same cache
-                            // line.
-                            let (item, node) = self.sampler.sample(&mut state);
-                            // The estimator sees what was *requested*
-                            // (demand, not delivery — channel loss must
-                            // not starve the allocator's view of
-                            // popularity).
-                            self.estimator.observe(item as usize);
-                            self.chunk.push(NodeId(node));
-                        }
+                        // The estimator sees what was *requested* (demand,
+                        // not delivery — channel loss must not starve the
+                        // allocator's view of popularity).
+                        let targets = self.draws.draw(
+                            &self.sampler,
+                            &mut self.estimator,
+                            &mut state,
+                            n,
+                            chunked,
+                        );
                         let served = program.serve_chunk_into(
                             &mut self.session,
-                            &self.chunk,
+                            targets,
                             &mut self.window.hist,
                         );
                         if let Err(e) = served {
@@ -740,10 +767,13 @@ impl TenantRuntime {
                 // observes them and the window counts them as offered —
                 // shedding shows up as a delivery-rate drop on the shed
                 // tenant, never as vanished load.
-                for _ in 0..shed {
-                    let (item, _) = self.sampler.sample(&mut state);
-                    self.estimator.observe(item as usize);
-                }
+                self.draws.observe(
+                    &self.sampler,
+                    &mut self.estimator,
+                    &mut state,
+                    shed,
+                    chunked,
+                );
                 if shed > 0 {
                     self.window.requests += u64::from(shed);
                     self.window.shed += u64::from(shed);
@@ -898,10 +928,10 @@ impl TenantRuntime {
                 self.data_nodes.extend_from_slice(tree.data_nodes());
                 self.tree = tree;
                 // The sampler's tags bake in the item→node map this
-                // rebuild just reminted — invalidate so the next serving
-                // slice re-tags (the delta lane keeps node ids stable
-                // and skips this).
-                self.sampler_shape = None;
+                // rebuild just reminted, so the next serving slice
+                // re-tags it (the delta lane keeps node ids stable and
+                // skips this).
+                self.sampler_stale = true;
                 self.window.full_rebuilds += 1;
                 let total = self.tree.len() as u64;
                 self.window.touched_nodes += total;
@@ -949,8 +979,9 @@ impl TenantRuntime {
     /// snapshot and the program on air (as a CRC-sealed
     /// [`SnapshotImage`](bcast_channel::SnapshotImage)). The admission
     /// cap is deliberately absent — it is per-slice transient state the
-    /// service re-derives after a restore — and so are the sampler and
-    /// session scratch, which the first restored slice rebuilds
+    /// service re-derives after a restore — and so is the session
+    /// scratch. The sampler is stored only while its tags match the
+    /// program on air; otherwise the first restored slice rebuilds it
     /// deterministically (only the equality-excluded `alias_rebuilds`
     /// side channel can tell).
     ///
@@ -1102,9 +1133,11 @@ impl TenantRuntime {
         // the finished product — a restored tenant copies them straight
         // back and samples immediately, skipping both the pmf
         // derivation (a `powf` per item for Zipf) and the Vose
-        // construction on its first slice.
+        // construction on its first slice. Stale tags (a full republish
+        // since the last serving slice) are not stored: the restore
+        // checks every tag against the program, and would refuse them.
         match self.sampler_shape {
-            Some(shape) if self.sampler.len() == c.items => {
+            Some(shape) if !self.sampler_stale && self.sampler.len() == c.items => {
                 w.u32(1);
                 w.demand_shape(shape);
                 let mut cols = Vec::new();
@@ -1418,6 +1451,80 @@ fn take_back(
         remaining -= n;
     }
     window.rollback(mark, session.histogram());
+}
+
+/// Reused buffers for one [`SERVE_CHUNK`] of a slice's requests: the
+/// items drawn (the estimator's input), their tags, and the serving nodes
+/// the kernel reads. Fixed-size, so drawing never allocates.
+#[derive(Debug, Clone)]
+struct ChunkDraws {
+    items: [u32; SERVE_CHUNK],
+    tags: [u32; SERVE_CHUNK],
+    nodes: [NodeId; SERVE_CHUNK],
+}
+
+impl ChunkDraws {
+    fn new() -> Self {
+        ChunkDraws {
+            items: [0; SERVE_CHUNK],
+            tags: [0; SERVE_CHUNK],
+            nodes: [NodeId(0); SERVE_CHUNK],
+        }
+    }
+
+    /// Draws the next `n ≤ SERVE_CHUNK` requests from `state`, counts
+    /// each drawn item in `estimator`, and returns their serving nodes.
+    /// `chunked` draws and counts the whole chunk at a time with
+    /// prefetches, for tables too large to stay cached; otherwise each
+    /// request is drawn, counted and staged in one fused step, which is
+    /// faster while the tables are cached. The choice is made once per
+    /// chunk. Both forms give the same nodes, counts and final `state`.
+    #[inline]
+    fn draw(
+        &mut self,
+        sampler: &TaggedAliasTable,
+        estimator: &mut EmaEstimator,
+        state: &mut u64,
+        n: usize,
+        chunked: bool,
+    ) -> &[NodeId] {
+        let nodes = &mut self.nodes[..n];
+        if chunked {
+            let (items, tags) = (&mut self.items[..n], &mut self.tags[..n]);
+            sampler.sample_chunk(state, items, tags);
+            estimator.observe_chunk(items);
+            for (node, &tag) in nodes.iter_mut().zip(tags.iter()) {
+                *node = NodeId(tag);
+            }
+        } else {
+            for node in nodes.iter_mut() {
+                // One fused draw: the item for the estimator and its
+                // serving node from the same cache line.
+                let (item, tag) = sampler.sample(state);
+                estimator.observe(item as usize);
+                *node = NodeId(tag);
+            }
+        }
+        nodes
+    }
+
+    /// Draws and counts the next `count` requests without serving them
+    /// (shed or downtime demand), a chunk at a time.
+    fn observe(
+        &mut self,
+        sampler: &TaggedAliasTable,
+        estimator: &mut EmaEstimator,
+        state: &mut u64,
+        count: u32,
+        chunked: bool,
+    ) {
+        let mut remaining = count as usize;
+        while remaining > 0 {
+            let n = remaining.min(SERVE_CHUNK);
+            self.draw(sampler, estimator, state, n, chunked);
+            remaining -= n;
+        }
+    }
 }
 
 /// Interprets a workload-crate [`FaultScenario`] (plain numbers) as a
@@ -1893,6 +2000,109 @@ mod tests {
             .position(|run| run == columns)
             .expect("the sampler columns are in the manifest");
         words[at + 1] = columns[4 * 60 + 1];
+        let last = words.len() - 1;
+        words[last] = bcast_types::crc::crc32c(&words[..last]);
+        write_word_file(&newest, &words).unwrap();
+
+        let restored = crate::ServeLoop::restore(&dir, 1).unwrap();
+        assert_eq!(
+            restored.slices_run(),
+            1,
+            "fell back to the older generation"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_request_paths_serve_bit_identically_across_a_rebuild() {
+        // The size rule only picks how a slice draws and counts, so
+        // forcing either side on the same tenant must change nothing:
+        // not the window, and not the estimator the slice-8 full
+        // republish publishes from. Slice 10 sheds part of its demand.
+        let run = |chunked: bool| {
+            let mut t = TenantRuntime::new(TenantConfig::new(5, 200), 0xC4A);
+            t.begin_phase(demand(700), None, SloSpec::lossless(), 12);
+            let mut snaps = Vec::new();
+            for slice in 0..12 {
+                if slice == 10 {
+                    t.set_admitted_cap(Some(300));
+                }
+                t.run_slice_on(chunked);
+                snaps.push(t.phase_snapshot());
+            }
+            let mut estimator = Vec::new();
+            t.estimator.export_state(&mut estimator);
+            (snaps, estimator)
+        };
+        let fused = run(false);
+        assert_eq!(fused, run(true));
+        let last = fused.0.last().unwrap();
+        assert_eq!(last.full_rebuilds, 1, "{last:?}");
+        assert_eq!(last.shed_requests, 400, "{last:?}");
+    }
+
+    #[test]
+    fn a_checkpoint_right_after_a_full_republish_restores_that_slice() {
+        // Slice 8 ends in the periodic full republish, which leaves the
+        // sampler's tags stale until the next slice re-tags it. The
+        // checkpoint taken in between must store no sampler: stale tags
+        // would fail the restore's tag check and fall back to slice 4.
+        let dir = std::env::temp_dir().join(format!("bcast-stale-tags-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut svc = crate::ServeLoop::new(11, 1);
+        svc.join(TenantConfig::new(0, 64));
+        svc.tenants_mut()[0].begin_phase(demand(500), None, SloSpec::lossless(), 16);
+        svc.run_slices(4);
+        svc.checkpoint(&dir).unwrap();
+        svc.run_slices(4);
+        assert_eq!(svc.tenants()[0].phase_snapshot().full_rebuilds, 1);
+        assert!(svc.tenants()[0].sampler_stale);
+        svc.checkpoint(&dir).unwrap();
+        let mut restored = crate::ServeLoop::restore(&dir, 1).unwrap();
+        assert_eq!(restored.slices_run(), 8, "the newest manifest restores");
+        svc.run_slices(4);
+        restored.run_slices(4);
+        assert_eq!(
+            restored.tenants()[0].phase_snapshot(),
+            svc.tenants()[0].phase_snapshot()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_refuses_a_non_finite_estimate() {
+        use bcast_channel::snapshot::{read_word_file, write_word_file};
+        let dir = std::env::temp_dir().join(format!("bcast-inf-estimate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut svc = crate::ServeLoop::new(7, 1);
+        svc.join(TenantConfig::new(0, 64));
+        svc.tenants_mut()[0].begin_phase(demand(500), None, SloSpec::lossless(), 4);
+        svc.run_slices(1);
+        svc.checkpoint(&dir).unwrap();
+        svc.run_slices(1);
+        let newest = svc.checkpoint(&dir).unwrap();
+
+        // Make item 0's estimate +inf in the newest manifest, in place,
+        // and re-seal its CRC, so only the estimator's own check can
+        // catch it. The slice's roll left no counts, so the estimates
+        // follow the four header words.
+        let encode = |state: &[u64]| {
+            let mut w = WordWriter::new();
+            w.u64_slice(state);
+            w.into_words()
+        };
+        let mut state = Vec::new();
+        svc.tenants()[0].estimator.export_state(&mut state);
+        let good = encode(&state);
+        state[4] = f64::INFINITY.to_bits();
+        let bad = encode(&state);
+        assert_eq!(bad.len(), good.len());
+        let mut words = read_word_file(&newest).unwrap();
+        let at = words
+            .windows(good.len())
+            .position(|run| run == good)
+            .expect("the estimator is in the manifest");
+        words[at..at + bad.len()].copy_from_slice(&bad);
         let last = words.len() - 1;
         words[last] = bcast_types::crc::crc32c(&words[..last]);
         write_word_file(&newest, &words).unwrap();

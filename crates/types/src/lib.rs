@@ -27,7 +27,9 @@
 //!   loop, the scenario harness and the CLI,
 //! * [`crc`] — the shared compile-time CRC table builder and the
 //!   hardware/software CRC-32C engine sealing snapshots, wire buckets and
-//!   the service checkpoint manifest.
+//!   the service checkpoint manifest,
+//! * [`prefetch`](mod@prefetch) — the bounds-checked software prefetch
+//!   and the table size from which the request path uses it.
 //!
 //! All types except the incumbent are plain data: `Copy` where possible, no
 //! interior mutability, no allocation beyond the bitset's backing vector.
@@ -43,6 +45,7 @@ mod ids;
 pub mod incumbent;
 pub mod occurrences;
 pub mod pool;
+pub mod prefetch;
 pub mod slo;
 mod weight;
 

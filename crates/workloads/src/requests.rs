@@ -15,6 +15,8 @@
 //! Deterministic given an explicit `u64` seed, like every generator in
 //! this crate.
 
+use bcast_types::prefetch::prefetch;
+
 /// A Walker alias table over a fixed probability mass function: the
 /// state-free half of a [`RequestStream`], sharable across draws whose
 /// generator state lives elsewhere.
@@ -116,24 +118,43 @@ impl AliasTable {
     /// single store.
     ///
     /// # Panics
-    /// Panics (debug: index out of bounds) on an empty table.
+    /// Panics (index out of bounds) on an empty table.
     #[inline]
     pub fn sample(&self, state: &mut u64) -> usize {
-        // SplitMix64 step.
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        // Low 32 bits pick the column (Lemire multiply-shift, bias-free at
-        // these table sizes); high 32 bits flip the acceptance coin.
-        let col = ((u64::from(z as u32) * self.threshold.len() as u64) >> 32) as usize;
-        if (z >> 32) as u32 <= self.threshold[col] {
+        let z = splitmix_next(state);
+        let col = column(z, self.threshold.len());
+        if coin(z) <= self.threshold[col] {
             col
         } else {
             self.alias[col] as usize
         }
     }
+}
+
+/// Advances `state` by one SplitMix64 step and returns its output — the
+/// one generator every alias draw uses, so the plain, the fused and the
+/// chunked draws are bit-identical by construction.
+#[inline(always)]
+fn splitmix_next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The column a draw `z` picks among `len`: its low 32 bits, mapped by
+/// Lemire's multiply-shift (bias-free at these table sizes).
+#[inline(always)]
+fn column(z: u64, len: usize) -> usize {
+    ((u64::from(z as u32) * len as u64) >> 32) as usize
+}
+
+/// The acceptance coin of a draw `z`: its high 32 bits, accepted when at
+/// most the column's threshold.
+#[inline(always)]
+fn coin(z: u64) -> u32 {
+    (z >> 32) as u32
 }
 
 /// One column of a [`TaggedAliasTable`]: the acceptance threshold plus
@@ -240,6 +261,19 @@ impl TaggedAliasTable {
         })
     }
 
+    /// Replaces every column's tags with `tag`'s, keeping thresholds and
+    /// alias items: the same table a [`rebuild`](Self::rebuild) over the
+    /// same pmf with `tag` makes, in one O(items) pass with no pmf and no
+    /// Vose construction. Works on a table restored by
+    /// [`import_columns`](Self::import_columns) too, since it reads only
+    /// the columns.
+    pub fn retag(&mut self, mut tag: impl FnMut(usize) -> u32) {
+        for (i, c) in self.columns.iter_mut().enumerate() {
+            c.accept_tag = tag(i);
+            c.alias_tag = tag(c.alias_item as usize);
+        }
+    }
+
     /// True if every column carries the tags [`rebuild`](Self::rebuild)
     /// attaches for `tag`: column `i`'s accept tag is `tag(i)` and its
     /// alias tag is `tag` of its alias item. A restore checks this against
@@ -267,26 +301,55 @@ impl TaggedAliasTable {
     /// [`AliasTable::sample`] over the same pmf and state.
     ///
     /// # Panics
-    /// Panics (debug: index out of bounds) on an empty table.
+    /// Panics (index out of bounds) on an empty table.
     #[inline]
     pub fn sample(&self, state: &mut u64) -> (u32, u32) {
-        // SplitMix64 step — kept textually in lock-step with
-        // `AliasTable::sample`, which tests pin bit-for-bit.
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let col = ((u64::from(z as u32) * self.columns.len() as u64) >> 32) as usize;
-        let c = self.columns[col];
-        // Branchless select: the acceptance coin is data-random, so a
-        // conditional jump here mispredicts constantly — but both
-        // outcomes were just loaded from the same cache line, so the
-        // compare folds into two cmovs instead.
-        let reject = (z >> 32) as u32 > c.threshold;
+        let z = splitmix_next(state);
+        let col = column(z, self.columns.len());
+        self.columns[col].resolve(col as u32, coin(z))
+    }
+
+    /// Draws `items.len()` samples at once, writing each `(item, tag)` to
+    /// `items[i]` and `tags[i]`: exactly the draws, and the final
+    /// `state`, of that many [`sample`](Self::sample) calls. For tables
+    /// larger than cache: the first pass runs the generator and
+    /// prefetches every column it picks, the second resolves each draw
+    /// from its column, so the chunk's misses are in flight together
+    /// instead of one after another.
+    ///
+    /// # Panics
+    /// Panics if `tags` is shorter than `items`, or if the table is empty
+    /// and `items` is not.
+    #[inline]
+    pub fn sample_chunk(&self, state: &mut u64, items: &mut [u32], tags: &mut [u32]) {
+        let tags = &mut tags[..items.len()];
+        // Pass 1 parks each draw's column in `items` and its coin in
+        // `tags`; pass 2 overwrites both with the resolved outcome.
+        for (col, coin_out) in items.iter_mut().zip(tags.iter_mut()) {
+            let z = splitmix_next(state);
+            let c = column(z, self.columns.len());
+            prefetch(&self.columns, c);
+            (*col, *coin_out) = (c as u32, coin(z));
+        }
+        for (item, tag) in items.iter_mut().zip(tags.iter_mut()) {
+            (*item, *tag) = self.columns[*item as usize].resolve(*item, *tag);
+        }
+    }
+}
+
+impl TaggedColumn {
+    /// The `(item, tag)` a draw of column `col` with acceptance coin
+    /// `coin` yields. Branchless: the coin is data-random, so a
+    /// conditional jump would mispredict constantly, but both outcomes
+    /// sit in this one record, so the compare folds into two cmovs. The
+    /// hint is needed: in the chunked draw's second pass the compiler
+    /// otherwise branches, which made that pass three times slower.
+    #[inline(always)]
+    fn resolve(self, col: u32, coin: u32) -> (u32, u32) {
+        let reject = coin > self.threshold;
         (
-            if reject { c.alias_item } else { col as u32 },
-            if reject { c.alias_tag } else { c.accept_tag },
+            std::hint::select_unpredictable(reject, self.alias_item, col),
+            std::hint::select_unpredictable(reject, self.alias_tag, self.accept_tag),
         )
     }
 }
@@ -387,6 +450,7 @@ impl Iterator for RequestStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn empirical(stream: &mut RequestStream, draws: usize) -> Vec<f64> {
         let mut counts = vec![0u64; stream.len()];
@@ -532,6 +596,58 @@ mod tests {
             let (tagged_item, tag) = tagged.sample(&mut s2);
             assert_eq!(tagged_item as usize, item);
             assert_eq!(tag, nodes[item] + 1);
+        }
+    }
+
+    fn columns(table: &TaggedAliasTable) -> Vec<u32> {
+        let mut words = Vec::new();
+        table.export_columns(&mut words);
+        words
+    }
+
+    #[test]
+    fn retag_matches_a_rebuild_with_the_new_tags() {
+        let weights: Vec<f64> = (0..300).map(|i| 1.0 / ((i % 37) + 1) as f64).collect();
+        let mut retagged = TaggedAliasTable::new();
+        retagged.rebuild(&weights, |i| i as u32);
+        let mut rebuilt = TaggedAliasTable::new();
+        rebuilt.rebuild(&weights, |i| 7 * i as u32 + 1);
+        retagged.retag(|i| 7 * i as u32 + 1);
+        assert_eq!(columns(&retagged), columns(&rebuilt));
+        // A restored table has no plain base to rebuild from; its columns
+        // re-tag all the same.
+        let mut restored =
+            TaggedAliasTable::import_columns(&columns(&rebuilt)).expect("valid columns");
+        restored.retag(|i| i as u32 ^ 0xFFFF);
+        let mut fresh = TaggedAliasTable::new();
+        fresh.rebuild(&weights, |i| i as u32 ^ 0xFFFF);
+        assert_eq!(columns(&restored), columns(&fresh));
+        assert!(restored.tagged_by(|i| i as u32 ^ 0xFFFF));
+    }
+
+    proptest! {
+        /// The chunked draw against `sample` called once per request:
+        /// every `(item, tag)` and the carried state, over chunk lengths at
+        /// and around the serve kernel's 256 and random ones, chained so
+        /// each chunk starts from the state the last one left.
+        #[test]
+        fn sample_chunk_matches_repeated_sample(
+            weights in prop::collection::vec(0.0f64..10.0, 1..600),
+            random_lens in prop::collection::vec(0usize..700, 0..6),
+            seed in any::<u64>(),
+        ) {
+            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let mut table = TaggedAliasTable::new();
+            table.rebuild(&weights, |i| 3 * i as u32 + 11);
+            let (mut chunked, mut single) = (seed, seed);
+            for len in [0usize, 1, 255, 256].into_iter().chain(random_lens) {
+                let (mut items, mut tags) = (vec![0u32; len], vec![0u32; len]);
+                table.sample_chunk(&mut chunked, &mut items, &mut tags);
+                let oracle: Vec<(u32, u32)> = (0..len).map(|_| table.sample(&mut single)).collect();
+                let got: Vec<(u32, u32)> = items.into_iter().zip(tags).collect();
+                prop_assert_eq!(got, oracle);
+                prop_assert_eq!(chunked, single);
+            }
         }
     }
 }

@@ -7,10 +7,13 @@
 //! after that on this thread. The roster is drift-gated clean tenants,
 //! whose cadence points fall inside the counted window and are gated off,
 //! plus one tenant on the brownout channel, so the lossy kernel path is
-//! counted too.
+//! counted too, and one tenant large enough for the prefetching chunk path
+//! (`PREFETCH_MIN_LEN` items, republishes off), so that path is counted as
+//! well.
 
 use broadcast_alloc::serve::{ServeLoop, TenantConfig};
 use broadcast_alloc::types::alloc_counter::{allocation_count, CountingAlloc};
+use broadcast_alloc::types::prefetch::PREFETCH_MIN_LEN;
 use broadcast_alloc::types::SloSpec;
 use broadcast_alloc::workloads::{brownout_channel, DemandShape, DemandSpec};
 
@@ -31,12 +34,17 @@ const COUNTED: u32 = 16;
 #[test]
 fn warm_steady_slices_do_not_allocate() {
     let brownout_id = CLEAN_TENANTS;
+    let large_id = brownout_id + 1;
     let mut svc = ServeLoop::new(0x5EED, 1);
     for id in 0..=brownout_id {
         let mut config = TenantConfig::new(id, ITEMS);
         config.rebuild_min_drift = Some(0.3);
         svc.join(config);
     }
+    let mut large = TenantConfig::new(large_id, PREFETCH_MIN_LEN);
+    large.rebuild_every = None;
+    large.degradation = None;
+    svc.join(large);
     for t in svc.tenants_mut() {
         let demand = DemandSpec::flat(DemandShape::Zipf { theta: 0.9 }, RATE);
         let (faults, slo) = if t.id() == brownout_id {
@@ -53,9 +61,14 @@ fn warm_steady_slices_do_not_allocate() {
 
     for t in svc.tenants() {
         let snap = t.phase_snapshot();
+        assert_eq!(snap.quarantined, 0, "tenant {}: {snap:?}", t.id());
+        if t.id() == large_id {
+            assert_eq!(snap.rebuilds, 0, "{snap:?}");
+            assert_eq!(snap.delivered, snap.requests, "{snap:?}");
+            continue;
+        }
         assert_eq!(snap.rebuilds, 1, "tenant {}: {snap:?}", t.id());
         assert_eq!(snap.skipped_rebuilds, 2, "tenant {}: {snap:?}", t.id());
-        assert_eq!(snap.quarantined, 0, "tenant {}: {snap:?}", t.id());
         if t.id() == brownout_id {
             assert!(snap.failed > 0 || snap.retries > 0, "{snap:?}");
         } else {
