@@ -14,10 +14,10 @@ BENCH_MANIFEST := crates/bench/src/bin/bcast_bench/Cargo.toml
 
 # The tier-1 gate: formatting, lints, rustdoc (broken or private intra-doc
 # links fail), release build, the full default suite (the root package and
-# every crate under crates/), the benchmark's own tests, then the
-# #[ignore]-gated stress tests in release mode (the parallel-search runs
-# and the 1M-item delta-republish chain — the `stress` filter matches
-# `million_item_delta_stress` too).
+# every crate under crates/), the benchmark's own tests, then every
+# #[ignore]-gated test whose name contains `stress`, in release mode
+# (search_golden's balanced-d4 twin, the million-item publish, delta,
+# 1_To_k and serving runs, and the pooled-loop soak).
 check: fmt-check clippy doc build test bench-test stress
 
 build:

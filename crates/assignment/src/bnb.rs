@@ -1,4 +1,4 @@
-//! Branch-and-bound PAP solver, sequential and parallel.
+//! Branch-and-bound PAP solver.
 //!
 //! Walks the topological tree depth-first (person `i` receives the `i`-th
 //! job chosen), pruning a branch when
@@ -7,60 +7,27 @@
 //! partial cost + Σ_{unassigned j} min_{remaining persons p} C(j, p)
 //! ```
 //!
-//! already meets the incumbent. The bound is admissible: every unassigned
-//! job will get *some* remaining person, each at at least its own minimum,
-//! so the sum never overestimates.
+//! already meets the best complete assignment found so far. The bound is
+//! admissible: every unassigned job will get *some* remaining person, each
+//! at at least its own minimum, so the sum never overestimates. The best is
+//! replaced only on a strict improvement, so among tied optima the first
+//! one the walk reaches is kept.
 //!
-//! The incumbent is a [`SharedIncumbent`] — the same fixed-point atomic the
-//! parallel best-first engine uses — so [`solve_branch_and_bound_parallel`]
-//! can split the root-level branches (jobs assignable to person 0) across
-//! threads that prune against each other's discoveries. PAP costs may be
-//! negative (the incumbent's fixed-point domain is non-negative), so all
-//! published values are shifted by `n · max(0, −min cost)`; the shift is a
-//! constant over complete assignments and over every node's lower bound at
-//! the same uniform offset, so comparisons are unchanged. Exact `f64` costs
-//! are kept under a mutex, making the reported optimum quantization-free.
-//!
-//! Each worker additionally memoizes over a [`DominanceTable`] keyed by the
+//! The search additionally memoizes over a [`DominanceTable`] keyed by the
 //! *set* of assigned jobs (for instances of ≤ 64 jobs, as a bit mask):
 //! person indices are consumed in order, so two assignment orders over the
 //! same job set lead to identical subproblems, and the one that arrived with
-//! the higher partial cost can be cut immediately. Pruning on a recorded
-//! partial `≤` the current one stays exact even though the shared incumbent
-//! improves concurrently — the recorded path explores (or incumbent-prunes)
-//! the identical subtree against an incumbent that is only ever lower later.
+//! the higher partial cost can be cut immediately.
 
 use crate::problem::{PapError, PapInstance, PapSolution};
 use bcast_types::dominance::Probe;
-use bcast_types::incumbent::to_fixed_ceil;
-use bcast_types::{mix64, DominanceTable, SharedIncumbent};
-use std::num::NonZeroUsize;
-use std::sync::Mutex;
+use bcast_types::{mix64, DominanceTable};
 
-/// Solves the instance exactly by branch and bound, single-threaded.
+/// Solves the instance exactly by branch and bound.
 ///
 /// Returns the same optimum as [`crate::solve_exhaustive`] (asserted by
 /// property tests) while exploring far fewer orders on structured costs.
 pub fn solve_branch_and_bound(instance: &PapInstance) -> Result<PapSolution, PapError> {
-    solve(instance, 1)
-}
-
-/// Solves the instance exactly with `threads` workers sharing one
-/// incumbent.
-///
-/// The root-level branches — the jobs whose precedence constraints allow
-/// them to go to person 0 — are distributed round-robin; each worker runs
-/// the sequential depth-first search under its branches, pruning against
-/// the shared incumbent. Same optimum as the sequential solver for any
-/// thread count.
-pub fn solve_branch_and_bound_parallel(
-    instance: &PapInstance,
-    threads: NonZeroUsize,
-) -> Result<PapSolution, PapError> {
-    solve(instance, threads.get())
-}
-
-fn solve(instance: &PapInstance, threads: usize) -> Result<PapSolution, PapError> {
     instance.validate()?;
     let n = instance.len();
     if n == 0 {
@@ -86,57 +53,24 @@ fn solve(instance: &PapInstance, threads: usize) -> Result<PapSolution, PapError
         }
     }
 
-    // Shift making every published value non-negative (see module docs).
-    let min_cost = (0..n)
-        .flat_map(|j| (0..n).map(move |p| (j, p)))
-        .map(|(j, p)| instance.cost(j, p))
-        .filter(|c| c.is_finite())
-        .fold(0.0f64, f64::min);
-    let shift_total = n as f64 * (-min_cost).max(0.0);
-
-    let incumbent = SharedIncumbent::new();
-    let best: Mutex<Option<(f64, Vec<usize>)>> = Mutex::new(None);
-
-    let roots: Vec<usize> = (0..n).filter(|&j| instance.pred_count(j) == 0).collect();
-    let make_search = || Search {
+    let mut search = Search {
         instance,
         suffix_min: &suffix_min,
-        shift_total,
-        incumbent: &incumbent,
-        best: &best,
+        best: None,
         counts: (0..n).map(|j| instance.pred_count(j)).collect(),
         person_of: vec![0; n],
         assigned_mask: 0,
         memo: DominanceTable::default(),
         masks: Vec::new(),
     };
-    if threads <= 1 || roots.len() <= 1 {
-        let mut search = make_search();
-        for &j in &roots {
+    for j in 0..n {
+        if instance.pred_count(j) == 0 {
             search.branch(j, 0, 0.0);
         }
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..threads.min(roots.len()) {
-                let my_roots: Vec<usize> = roots
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % threads == t)
-                    .map(|(_, &j)| j)
-                    .collect();
-                let mut search = make_search();
-                scope.spawn(move || {
-                    for j in my_roots {
-                        search.branch(j, 0, 0.0);
-                    }
-                });
-            }
-        });
     }
 
-    let (cost, person_of) = best
-        .into_inner()
-        .expect("best mutex")
+    let (cost, person_of) = search
+        .best
         .expect("an acyclic instance always admits a topological assignment");
     debug_assert!(instance.is_feasible(&person_of));
     Ok(PapSolution { person_of, cost })
@@ -145,9 +79,8 @@ fn solve(instance: &PapInstance, threads: usize) -> Result<PapSolution, PapError
 struct Search<'a> {
     instance: &'a PapInstance,
     suffix_min: &'a [f64],
-    shift_total: f64,
-    incumbent: &'a SharedIncumbent,
-    best: &'a Mutex<Option<(f64, Vec<usize>)>>,
+    /// Cheapest complete assignment so far, with its cost.
+    best: Option<(f64, Vec<usize>)>,
     counts: Vec<usize>,
     person_of: Vec<usize>,
     /// Bit mask of assigned jobs (meaningful only while `len() ≤ 64`).
@@ -223,37 +156,28 @@ impl Search<'_> {
     fn dfs(&mut self, next_person: usize, partial: f64) {
         let n = self.instance.len();
         if next_person == n {
-            self.offer(partial);
+            let improves = match &self.best {
+                Some((best, _)) => partial < *best,
+                None => true,
+            };
+            if improves {
+                self.best = Some((partial, self.person_of.clone()));
+            }
             return;
         }
         if self.memo_prunes(next_person, partial) {
             return;
         }
-        if self
-            .incumbent
-            .prunes(partial + self.bound(next_person) + self.shift_total)
-        {
-            return;
+        if let Some((best, _)) = &self.best {
+            if partial + self.bound(next_person) >= *best {
+                return;
+            }
         }
         for j in 0..n {
             if self.counts[j] != 0 {
                 continue;
             }
             self.branch(j, next_person, partial);
-        }
-    }
-
-    /// Publishes a complete assignment; exact `f64` ties within one
-    /// fixed-point quantum are resolved under the mutex.
-    fn offer(&self, total: f64) {
-        let shifted = total + self.shift_total;
-        let improved = self.incumbent.offer(shifted);
-        if improved || to_fixed_ceil(shifted) <= self.incumbent.load_fixed() {
-            let mut best = self.best.lock().expect("best mutex");
-            match best.as_ref() {
-                Some((c, _)) if *c <= total => {}
-                _ => *best = Some((total, self.person_of.clone())),
-            }
         }
     }
 }
@@ -300,9 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn negative_costs_are_shifted_not_mangled() {
-        // The fixed-point incumbent only stores non-negative values; the
-        // solver's uniform shift must leave the optimum untouched.
+    fn negative_costs_match_exhaustive() {
+        // Negative costs make the bound and the partial sums negative too;
+        // pruning compares them as plain f64 and must keep the optimum.
         let mut p = PapInstance::new(3);
         p.add_precedence(0, 1).unwrap();
         let costs = [[-5.0, 2.0, 3.0], [1.0, -4.0, 2.0], [0.5, 1.5, -2.5]];
@@ -312,12 +236,10 @@ mod tests {
             }
         }
         let a = solve_exhaustive(&p).unwrap();
-        for threads in 1..=3usize {
-            let b =
-                solve_branch_and_bound_parallel(&p, NonZeroUsize::new(threads).unwrap()).unwrap();
-            assert_eq!(a.cost, b.cost, "threads={threads}");
-            assert!(p.is_feasible(&b.person_of));
-        }
+        let b = solve_branch_and_bound(&p).unwrap();
+        assert_eq!(a.cost, b.cost);
+        assert!(p.is_feasible(&b.person_of));
+        assert_eq!(p.evaluate(&b.person_of), b.cost);
     }
 
     fn random_instance(n: usize, seed: u64, signed: bool) -> PapInstance {
@@ -352,30 +274,13 @@ mod tests {
         fn bnb_equals_exhaustive(
             n in 1usize..7,
             seed in 0u64..1000,
-        ) {
-            let p = random_instance(n, seed, false);
-            let a = solve_exhaustive(&p).unwrap();
-            let b = solve_branch_and_bound(&p).unwrap();
-            prop_assert!((a.cost - b.cost).abs() < 1e-9,
-                "exhaustive {} != bnb {}", a.cost, b.cost);
-            prop_assert!(p.is_feasible(&b.person_of));
-        }
-
-        #[test]
-        fn parallel_bnb_equals_exhaustive(
-            n in 1usize..7,
-            seed in 0u64..1000,
-            threads in 1usize..5,
             signed: bool,
         ) {
             let p = random_instance(n, seed, signed);
             let a = solve_exhaustive(&p).unwrap();
-            let b = solve_branch_and_bound_parallel(
-                &p,
-                NonZeroUsize::new(threads).unwrap(),
-            ).unwrap();
+            let b = solve_branch_and_bound(&p).unwrap();
             prop_assert!((a.cost - b.cost).abs() < 1e-9,
-                "n={n} seed={seed} threads={threads}: exhaustive {} != bnb {}",
+                "n={n} seed={seed} signed={signed}: exhaustive {} != bnb {}",
                 a.cost, b.cost);
             prop_assert!(p.is_feasible(&b.person_of));
         }

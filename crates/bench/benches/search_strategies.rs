@@ -4,16 +4,12 @@
 //! * full enumeration of the topological tree (Algorithm 1),
 //! * best-first over the unpruned tree (paper's baseline search),
 //! * best-first over the Appendix-pruned tree,
-//! * the pruned best-first under the parallel work-stealing engine at
-//!   2 and 4 worker threads,
 //! * the §3.3 data-tree branch and bound (k = 1 only).
 //!
 //! Expected shape: pruned ≪ unpruned ≪ exhaustive, with the data tree the
 //! fastest single-channel solver — the quantitative backing for §3.2/§3.3.
-//! The thread axis shows parallel scaling on the heavy `balanced-d4`
-//! instance (27 data nodes, ~67k expansions at k = 2); on the small trees it
-//! mostly measures coordination overhead, which is the honest comparison.
-//! Exhaustive and unpruned search are skipped on `balanced-d4` — they do
+//! The heavy `balanced-d4` instance (27 data nodes, ~67k expansions at
+//! k = 2) runs the pruned search only: exhaustive and unpruned search do
 //! not finish in bench-able time there.
 
 use bcast_core::best_first::{self, BestFirstOptions};
@@ -22,10 +18,8 @@ use bcast_index_tree::{builders, IndexTree};
 use bcast_workloads::FrequencyDist;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::num::NonZeroUsize;
 
-/// (name, tree, all-strategies?): the `balanced-d4` entry is pruned/parallel
-/// only.
+/// (name, tree, all-strategies?): the `balanced-d4` entry is pruned only.
 fn trees() -> Vec<(String, IndexTree, bool)> {
     let mut out = vec![("paper".to_string(), builders::paper_example(), true)];
     for m in [2usize, 3] {
@@ -75,19 +69,6 @@ fn bench_strategies(c: &mut Criterion) {
                     b.iter(|| black_box(best_first::search(t, k, &opts).unwrap().data_wait))
                 },
             );
-            for threads in [2usize, 4] {
-                g.bench_with_input(
-                    BenchmarkId::new(format!("best_first_par{threads}"), &tag),
-                    &tree,
-                    |b, t| {
-                        let opts = BestFirstOptions {
-                            threads: NonZeroUsize::new(threads),
-                            ..BestFirstOptions::default()
-                        };
-                        b.iter(|| black_box(best_first::search(t, k, &opts).unwrap().data_wait))
-                    },
-                );
-            }
             if k == 1 && all_strategies {
                 g.bench_with_input(BenchmarkId::new("data_tree", &tag), &tree, |b, t| {
                     b.iter(|| black_box(data_tree::search_optimal(t).data_wait))

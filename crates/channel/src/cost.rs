@@ -23,17 +23,6 @@ use crate::allocation::Allocation;
 use bcast_index_tree::IndexTree;
 use bcast_types::Weight;
 
-/// Fixed-point mirror of the cost domain, re-exported for the parallel
-/// branch-and-bound engines.
-///
-/// Costs are `f64` everywhere in this module; the parallel searches
-/// additionally share their incumbent cost across threads as a fixed-point
-/// `u64` (atomic `fetch_min` needs a totally ordered integer). The
-/// conversion discipline — incumbents rounded up with [`to_fixed_ceil`],
-/// bounds rounded down with [`to_fixed_floor`] — keeps pruning exact; see
-/// [`bcast_types::incumbent`] for the argument.
-pub use bcast_types::incumbent::{from_fixed, to_fixed_ceil, to_fixed_floor, FRAC_BITS};
-
 /// Weighted wait numerator `Σ W(Di)·T(Di)` of formula (1).
 ///
 /// # Panics
@@ -164,25 +153,6 @@ mod tests {
             (lb2 - (20.0 * 2.0 + 18.0 * 2.0 + 15.0 * 3.0 + 10.0 * 3.0 + 7.0 * 4.0) / 70.0).abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn fixed_point_brackets_exact_costs() {
-        // The re-exported conversions bracket every cost this module
-        // produces: floor ≤ exact ≤ ceil, and the pair never inverts a
-        // strict comparison between two allocations' costs.
-        let t = builders::paper_example();
-        let one = {
-            let seq = ids(&t, &["1", "3", "E", "4", "C", "D", "2", "A", "B"]);
-            average_data_wait(&Allocation::from_sequence(&seq, &t).unwrap(), &t)
-        };
-        let two = 272.0 / 70.0;
-        for &c in &[one, two] {
-            assert!(from_fixed(to_fixed_floor(c)) <= c);
-            assert!(from_fixed(to_fixed_ceil(c)) >= c);
-        }
-        // two < one, and floor(one) >= ceil(two) certifies it in fixed point.
-        assert!(to_fixed_floor(one) >= to_fixed_ceil(two));
     }
 
     #[test]

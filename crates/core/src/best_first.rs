@@ -6,27 +6,13 @@
 //!
 //! # Why the result is optimal
 //!
-//! Two different arguments cover the two execution modes:
-//!
-//! * **Sequential** (`threads` unset or 1): every [`BoundKind`] is
-//!   admissible — `U(X)` never overestimates the cost of completing `X` —
-//!   so when the first *complete* state is popped from the frontier, every
-//!   remaining frontier entry has `E ≥` its own true completion cost
-//!   `≥ E` of the popped state, which for a complete state *is* its exact
-//!   cost. Nothing still queued can beat it: the standard A* argument.
-//! * **Parallel** (`threads ≥ 2`, dispatched to [`crate::parallel`]): the
-//!   first-pop argument fails outright under concurrency — at the instant
-//!   one worker pops a complete state, another worker may hold a cheaper
-//!   partial state mid-expansion, invisible to any queue. The parallel
-//!   engine therefore never treats a pop as the answer. Complete states
-//!   only update a shared incumbent, and termination uses the distributed
-//!   branch-and-bound condition: the search ends when the minimum `E` over
-//!   *all* outstanding work (every local queue, every in-flight state, the
-//!   global injector) has reached the incumbent. Admissibility then gives
-//!   the same guarantee — no remaining state can complete below the
-//!   incumbent — without assuming any single popper saw a global minimum.
-//!   Both modes provably return the same optimal cost; the equivalence
-//!   property suite exercises exactly this claim.
+//! Every [`BoundKind`] is admissible — `U(X)` never overestimates the cost
+//! of completing `X` — so when the first *complete* state is popped from
+//! the frontier, every remaining frontier entry has `E ≥` the popped
+//! state's `E`, and its own true completion cost is at least its `E`. For a
+//! complete state `E` *is* the exact cost, so nothing still queued can beat
+//! it: the standard A* argument. A Property-1 terminal re-enters the
+//! frontier at its exact total, so it counts as complete.
 //!
 //! Candidate generation is pluggable: the unpruned Algorithm-1 expansion
 //! ([`crate::topo_tree::compound_children`]) or the Appendix's reduced
@@ -45,7 +31,6 @@ use bcast_types::dominance::Probe;
 use bcast_types::{bits, DominanceTable, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::num::NonZeroUsize;
 
 /// Options for [`search`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +46,6 @@ pub struct BestFirstOptions {
     pub property1: bool,
     /// Abort after expanding this many states (`None` = unlimited).
     pub node_limit: Option<u64>,
-    /// Worker threads for the parallel engine. `None` (the default) or 1
-    /// runs the deterministic sequential search; `≥ 2` dispatches to the
-    /// work-stealing engine in [`crate::parallel`], which returns the same
-    /// optimal cost (possibly via a different tied schedule).
-    pub threads: Option<NonZeroUsize>,
 }
 
 impl Default for BestFirstOptions {
@@ -75,16 +55,15 @@ impl Default for BestFirstOptions {
             bound: BoundKind::Packed,
             property1: true,
             node_limit: None,
-            threads: None,
         }
     }
 }
 
 /// Effort counters for one search run, surfaced through
-/// [`BestFirstResult`] (and, for the parallel engine, summed over workers).
+/// [`BestFirstResult`].
 ///
 /// `bound_work / nodes_generated` is the measured per-state bound cost: the
-/// incremental engines hold it at O(placement delta) where the old
+/// incremental bound holds it at O(placement delta) where the old
 /// scan-per-state design paid O(D). `table_hits / table_probes` is the
 /// dominance hit rate — how often a generated state re-reached an already
 /// recorded `(placed, slots)` class.
@@ -104,19 +83,6 @@ pub struct SearchStats {
     /// pool) plus the dominance table's heap at the end of the search —
     /// the peak, since neither ever shrinks.
     pub peak_arena_bytes: u64,
-}
-
-impl SearchStats {
-    /// Accumulates another run's counters (peak bytes add too: parallel
-    /// workers hold their arenas concurrently).
-    pub fn merge(&mut self, other: &SearchStats) {
-        self.bound_full_evals += other.bound_full_evals;
-        self.bound_inc_updates += other.bound_inc_updates;
-        self.bound_work += other.bound_work;
-        self.table_probes += other.table_probes;
-        self.table_hits += other.table_hits;
-        self.peak_arena_bytes += other.peak_arena_bytes;
-    }
 }
 
 /// Result of a successful search.
@@ -260,11 +226,6 @@ pub fn search(
     opts: &BestFirstOptions,
 ) -> Result<BestFirstResult, NodeLimitExceeded> {
     assert!(k >= 1, "need at least one channel");
-    if let Some(threads) = opts.threads {
-        if threads.get() > 1 {
-            return crate::parallel::search(tree, k, opts, threads);
-        }
-    }
     let bounder = Bounder::new(tree, k, opts.bound);
     let layout = bounder.layout(tree);
     let mut counters = BoundCounters::default();
@@ -500,6 +461,22 @@ mod tests {
         let t = b.build().unwrap();
         let r = search(&t, 3, &BestFirstOptions::default()).unwrap();
         assert_eq!(r.data_wait, 2.0); // root slot 1, data slot 2
+    }
+
+    #[test]
+    fn zero_weight_tree() {
+        // Every bound and every g is zero, so each state ties on f: the
+        // search must still reach a complete, feasible schedule.
+        use bcast_index_tree::TreeBuilder;
+        use bcast_types::Weight;
+        let mut b = TreeBuilder::new();
+        let root = b.root("r");
+        b.add_data(root, Weight::ZERO, "d1").unwrap();
+        b.add_data(root, Weight::ZERO, "d2").unwrap();
+        let t = b.build().unwrap();
+        let r = search(&t, 2, &BestFirstOptions::default()).unwrap();
+        assert_eq!(r.data_wait, 0.0);
+        r.schedule.into_allocation(&t, 2).unwrap();
     }
 
     proptest! {

@@ -37,7 +37,7 @@
 //! behind the removed node (and nothing at all for index-node placements),
 //! so the per-state cost is O(placement delta + trailing unplaced) instead
 //! of O(D), and [`Bounder::estimate_fast`] is O(1). [`BoundCounters`]
-//! meters both paths; the search engines surface the totals.
+//! meters both paths; the best-first search surfaces the totals.
 
 use crate::avail::{self, Layout, Scalars};
 use bcast_index_tree::IndexTree;
@@ -53,8 +53,8 @@ pub enum BoundKind {
     Packed,
 }
 
-/// Tallies of bound-evaluation effort, kept by the caller so one immutable
-/// [`Bounder`] can serve many threads.
+/// Tallies of bound-evaluation effort, kept by the caller so the
+/// [`Bounder`] itself stays immutable.
 ///
 /// `work` counts sorted-data entries touched: a full scan adds D, an
 /// incremental advance adds the placement delta plus the trailing unplaced
@@ -69,15 +69,6 @@ pub struct BoundCounters {
     pub inc_updates: u64,
     /// Total sorted-data entries touched across both paths.
     pub work: u64,
-}
-
-impl BoundCounters {
-    /// Accumulates another tally (used to merge per-worker counters).
-    pub fn merge(&mut self, other: &BoundCounters) {
-        self.full_evals += other.full_evals;
-        self.inc_updates += other.inc_updates;
-        self.work += other.work;
-    }
 }
 
 /// Precomputed, search-invariant data for bound evaluation: the data nodes
@@ -151,9 +142,9 @@ impl Bounder {
     /// Computes the bound companion of a state from its placed set — one
     /// O(D) scan, writing the placed ranks and `s.unplaced` / `s.penalty`.
     ///
-    /// Search engines call this exactly once, through [`Bounder::root`];
-    /// every descendant advances the companion through [`Bounder::step`]
-    /// instead.
+    /// The best-first search calls this exactly once, through
+    /// [`Bounder::root`]; every descendant advances the companion through
+    /// [`Bounder::step`] instead.
     pub fn attach(
         &self,
         layout: Layout,

@@ -14,7 +14,6 @@
 //! |---|---|
 //! | §3.1 Algorithm 1 (k-channel topological tree) | [`topo_tree`] |
 //! | §3.1 best-first search, `E(X) = V(X) + U(X)` | [`best_first`], [`bound`] |
-//! | — parallel work-stealing variant (engineering extension) | [`parallel`] |
 //! | §3.2 Lemmas 1–5, Properties 1–3, Appendix algorithm | [`prune`] |
 //! | §3.3 data tree, Lemma 6, Property 4 | [`data_tree`] |
 //! | Corollary 1 (wide-channel fast path) | [`corollary`] |
@@ -36,7 +35,6 @@ pub mod data_tree;
 pub mod delta;
 pub mod heuristics;
 pub mod optimal;
-pub mod parallel;
 pub mod prune;
 pub mod publish;
 pub mod replication;

@@ -38,9 +38,6 @@ pub struct OptimalOptions {
     pub bound: BoundKind,
     /// Node budget for the best-first strategies (`None` = unlimited).
     pub node_limit: Option<u64>,
-    /// Worker threads for the best-first strategies (`None` or 1 =
-    /// sequential; other strategies ignore this).
-    pub threads: Option<std::num::NonZeroUsize>,
 }
 
 /// An optimal allocation and how it was obtained.
@@ -162,7 +159,6 @@ pub fn find_optimal(
                 bound: opts.bound,
                 property1: true,
                 node_limit: opts.node_limit,
-                threads: opts.threads,
             };
             let r = best_first::search(tree, k, &bf)
                 .map_err(|e| SearchError::NodeLimitExceeded { limit: e.limit })?;

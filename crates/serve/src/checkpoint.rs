@@ -266,6 +266,13 @@ impl WordWriter {
     }
 }
 
+/// One batch of the `u64` RLE stream: `count` copies of a value, or a
+/// literal block of little-endian `u32` pairs.
+enum U64Batch<'a> {
+    Repeat(usize, u64),
+    Literal(&'a [u32]),
+}
+
 /// Cursor over a manifest payload. Every read fails closed (`None`) on
 /// truncation; decoders bubble the `None` so a short or gnawed manifest
 /// is rejected as a unit, never half-applied.
@@ -342,38 +349,47 @@ impl<'a> WordReader<'a> {
     /// over-long batch count, a length beyond [`MAX_RUN_LEN`] (an RLE
     /// stream's claimed length is not bounded by the buffer it sits in,
     /// so corruption must not become a giant allocation), or truncation.
+    /// The whole stream is validated on a copy of the cursor before the
+    /// one allocation, so a stream that fails allocates nothing.
     pub(crate) fn u64_vec(&mut self) -> Option<Vec<u64>> {
         let len = usize::try_from(self.u64()?).ok()?;
         if len > MAX_RUN_LEN {
             return None;
         }
+        WordReader::new(self.words).u64_batches(len, |_| {})?;
         let mut out = Vec::with_capacity(len);
-        while out.len() < len {
+        self.u64_batches(len, |batch| match batch {
+            U64Batch::Repeat(count, v) => out.resize(out.len() + count, v),
+            // Flat pair decode: manifests carry multi-million-word runs
+            // and the restore path is wall-clock bound, so no per-element
+            // cursor.
+            U64Batch::Literal(run) => out.extend(
+                run.chunks_exact(2)
+                    .map(|p| u64::from(p[0]) | (u64::from(p[1]) << 32)),
+            ),
+        })?;
+        Some(out)
+    }
+
+    /// Walks the batches of a [`u64_vec`](Self::u64_vec) stream of `len`
+    /// values, handing each to `emit`; `None` on a zero or over-long
+    /// count or on truncation.
+    fn u64_batches(&mut self, len: usize, mut emit: impl FnMut(U64Batch<'a>)) -> Option<()> {
+        let mut filled = 0;
+        while filled < len {
             let ctrl = self.u64()?;
             let count = usize::try_from(ctrl & !REPEAT_BIT).ok()?;
-            if count == 0 || count > len - out.len() {
+            if count == 0 || count > len - filled {
                 return None;
             }
             if ctrl & REPEAT_BIT != 0 {
-                let v = self.u64()?;
-                out.resize(out.len() + count, v);
+                emit(U64Batch::Repeat(count, self.u64()?));
             } else {
-                let need = count.checked_mul(2)?;
-                if need > self.words.len() {
-                    return None;
-                }
-                let (run, rest) = self.words.split_at(need);
-                self.words = rest;
-                // Flat pair decode: manifests carry multi-million-word
-                // runs and the restore path is wall-clock bound, so no
-                // per-element cursor.
-                out.extend(
-                    run.chunks_exact(2)
-                        .map(|p| u64::from(p[0]) | (u64::from(p[1]) << 32)),
-                );
+                emit(U64Batch::Literal(self.take(count.checked_mul(2)?)?));
             }
+            filled += count;
         }
-        Some(out)
+        Some(())
     }
 
     /// Takes the next `n` words as a raw borrowed block. Length-prefixed
@@ -645,6 +661,25 @@ mod tests {
         w.u64(u64::MAX);
         assert!(WordReader::new(&w.words).u64_vec().is_none());
         assert!(WordReader::new(&w.words).u32_vec().is_none());
+    }
+
+    #[test]
+    fn a_truncated_run_fails_before_it_allocates() {
+        use bcast_types::alloc_counter::allocation_count;
+        // A length prefix claiming MAX_RUN_LEN values (1 GiB of u64s),
+        // followed by nothing, then by one repeat batch that covers only
+        // part of it: both streams end early and must be rejected before
+        // anything is allocated.
+        let mut w = WordWriter::new();
+        w.u64(MAX_RUN_LEN as u64);
+        let header_only = w.words.clone();
+        w.u64(REPEAT_BIT | 5);
+        w.u64(7);
+        for words in [&header_only[..], &w.words[..]] {
+            let before = allocation_count();
+            assert!(WordReader::new(words).u64_vec().is_none());
+            assert_eq!(allocation_count(), before, "{} words", words.len());
+        }
     }
 
     #[test]

@@ -32,6 +32,12 @@
 //! killed at any slice boundary and restored finishes with the same
 //! outcome fingerprint as one that never crashed.
 
+// The unit tests count heap allocations (a corrupt checkpoint run must
+// fail before it allocates).
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: bcast_types::alloc_counter::CountingAlloc = bcast_types::alloc_counter::CountingAlloc;
+
 pub mod checkpoint;
 pub mod scenario;
 pub mod service;

@@ -13,8 +13,8 @@
 //!   content hash ([`crate::BitSet::mix_hash`] or [`crate::mix64`]) —
 //!   nothing is re-hashed inside the table;
 //! * entries carry an **interned id** (`u32`) naming the full key in some
-//!   caller-owned arena (the search's own state arena, a shard-local set
-//!   list, a mask vector). On a hash+aux match the caller's `same(id)`
+//!   caller-owned arena (the best-first search's state arena, the PAP
+//!   solver's mask vector). On a hash+aux match the caller's `same(id)`
 //!   closure confirms true equality, so 64-bit collisions cannot corrupt an
 //!   exact search, yet the table itself never stores or clones a set;
 //! * linear probing over a power-of-two array, grown at 3/4 load; no
@@ -134,10 +134,9 @@ impl DominanceTable {
 
     /// Start position of the probe sequence for `(hash, aux)`.
     ///
-    /// `hash` is already well mixed, but the engines derive *other* indices
-    /// from it too (shard selection uses its low bits), so the table folds
-    /// `aux` in and re-mixes — shard-constant bits must not become
-    /// index-constant bits.
+    /// `hash` is already well mixed but does not cover `aux`, so the table
+    /// folds `aux` in and re-mixes: keys that differ only in `aux` start
+    /// their probe sequences apart.
     #[inline]
     fn start(&self, hash: u64, aux: u32) -> usize {
         (crate::mix64(hash ^ (u64::from(aux) << 32)) as usize) & self.mask

@@ -15,8 +15,6 @@
 //! * [`DominanceTable`] — a flat open-addressing best-cost table keyed by
 //!   `(64-bit hash, small aux)` over interned state ids, shared by every
 //!   exact search engine's dominance/memoization layer (see [`dominance`]),
-//! * [`SharedIncumbent`] — the fixed-point atomic incumbent cost shared by
-//!   the parallel branch-and-bound engines (see [`incumbent`]),
 //! * [`occurrences`] — cyclic root-occurrence geometry shared by the §5
 //!   replication analysis and the lossy-serving recovery overlay,
 //! * [`pool`] — a persistent parked worker pool ([`WorkerPool`]) with an
@@ -31,10 +29,9 @@
 //! * [`prefetch`](mod@prefetch) — the bounds-checked software prefetch
 //!   and the table size from which the request path uses it.
 //!
-//! All types except the incumbent are plain data: `Copy` where possible, no
-//! interior mutability, no allocation beyond the bitset's backing vector.
-//! The incumbent is the one deliberate exception — a single `AtomicU64`
-//! whose ordering discipline is documented in its module.
+//! The identifiers, [`Weight`] and [`BitSet`] are plain data: `Copy` where
+//! possible, no interior mutability, no allocation beyond the bitset's
+//! backing vector.
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_counter;
@@ -42,7 +39,6 @@ mod bitset;
 pub mod crc;
 pub mod dominance;
 mod ids;
-pub mod incumbent;
 pub mod occurrences;
 pub mod pool;
 pub mod prefetch;
@@ -52,7 +48,6 @@ mod weight;
 pub use bitset::{bits, mix64, BitSet};
 pub use dominance::DominanceTable;
 pub use ids::{BucketAddr, ChannelId, NodeId, Slot};
-pub use incumbent::SharedIncumbent;
 pub use pool::WorkerPool;
 pub use slo::{SloSnapshot, SloSpec, SloViolation};
 pub use weight::{Weight, WeightError};

@@ -1,7 +1,7 @@
 //! `bcast` — command-line front end for the broadcast-allocation library.
 //!
 //! ```text
-//! bcast optimal   [--input FILE | --demo] --channels K [--strategy S] [--limit N] [--threads T]
+//! bcast optimal   [--input FILE | --demo] --channels K [--strategy S] [--limit N]
 //! bcast heuristic [--input FILE | --demo] --channels K [--method M] [--replicas R]
 //! bcast simulate  [--input FILE | --demo] --channels K --item LABEL [--tune-in SLOT]
 //!                 [--loss P | --burst GB,BG,LG,LB] [--retries N] [--timeout SLOTS]
@@ -83,7 +83,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let opts = parse_flags(&args[1..])?;
     match cmd.as_str() {
         "optimal" => {
-            opts.allow(INPUT, &["channels", "strategy", "limit", "threads"])?;
+            opts.allow(INPUT, &["channels", "strategy", "limit"])?;
             cmd_optimal(&opts)
         }
         "heuristic" => {
@@ -109,7 +109,7 @@ fn run(args: &[String]) -> Result<(), String> {
             cmd_gen(&opts)
         }
         "compare" => {
-            opts.allow(INPUT, &["channels", "limit", "threads"])?;
+            opts.allow(INPUT, &["channels", "limit"])?;
             cmd_compare(&opts)
         }
         "serve" => {
@@ -144,14 +144,14 @@ const HELP: &str = "\
 bcast — optimal index and data allocation in multiple broadcast channels
 
 commands:
-  optimal    provably optimal allocation      --channels K [--strategy auto|datatree|bestfirst|exhaustive] [--limit N] [--threads T]
+  optimal    provably optimal allocation      --channels K [--strategy auto|datatree|bestfirst|exhaustive] [--limit N]
   heuristic  scalable allocation              --channels K [--method sorting|shrink|partition|frontier] [--replicas R]
   simulate   client access trace              --channels K --item LABEL [--tune-in SLOT]
              lossy channel:                   [--loss P | --burst GB,BG,LG,LB] [--retries N]
                                               [--timeout SLOTS] [--replicas R] [--requests N] [--seed S]
   render     pretty-print the tree
   gen        emit a random tree               --items N [--dist zipf|uniform|normal] [--fanout F] [--seed S]
-  compare    run every method on one tree     --channels K [--limit N] [--threads T]
+  compare    run every method on one tree     --channels K [--limit N]
   serve      multi-tenant scenario service    --scenario flash-crowd|diurnal-drift|brownout|tenant-churn|
                                                          overload-storm|poison-pill|all
                                               [--tenants N] [--items N] [--rate R] [--slices S]
@@ -206,14 +206,6 @@ impl Flags {
             return Err("--channels must be at least 1".into());
         }
         Ok(k)
-    }
-    /// Optional `--threads` for the parallel best-first search.
-    fn threads(&self) -> Result<Option<std::num::NonZeroUsize>, String> {
-        match self.parse::<usize>("threads")? {
-            None => Ok(None),
-            Some(0) => Err("--threads must be at least 1".into()),
-            Some(t) => Ok(std::num::NonZeroUsize::new(t)),
-        }
     }
 }
 
@@ -284,7 +276,6 @@ fn cmd_optimal(opts: &Flags) -> Result<(), String> {
         &OptimalOptions {
             strategy,
             node_limit: opts.parse("limit")?,
-            threads: opts.threads()?,
             ..OptimalOptions::default()
         },
     )
@@ -500,7 +491,6 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
         k,
         &OptimalOptions {
             node_limit: limit,
-            threads: opts.threads()?,
             ..OptimalOptions::default()
         },
     ) {

@@ -128,6 +128,23 @@ fn unknown_flag_is_rejected() {
 }
 
 #[test]
+fn search_commands_take_no_threads_flag() {
+    // The exact search is sequential; `--threads` belongs to `serve` only.
+    for cmd in ["optimal", "compare"] {
+        let out = bcast()
+            .args([cmd, "--demo", "--channels", "2", "--threads", "2"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "bcast {cmd} --threads");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("unknown flag --threads for this command"),
+            "bcast {cmd}: {err}"
+        );
+    }
+}
+
+#[test]
 fn tune_in_past_cycle_wraps_cyclically() {
     let a = run_ok(&[
         "simulate",

@@ -3,12 +3,10 @@
 //! across thread counts and across reruns with the same seed, for
 //! randomly drawn scenario shapes and seeds.
 //!
-//! This extends the exact-equality discipline of
-//! `tests/parallel_equivalence.rs` from one search invocation to the
-//! whole serving loop: tenants are self-contained state machines, thread
-//! sharding only partitions them, and no cross-tenant float accumulation
-//! exists — so `==` on outcomes (and their fingerprints) must hold
-//! exactly, not approximately.
+//! Tenants are self-contained state machines, thread sharding only
+//! partitions them, and no cross-tenant float accumulation exists — so
+//! `==` on outcomes (and their fingerprints) must hold exactly, not
+//! approximately.
 
 use broadcast_alloc::serve::run_scenario;
 use broadcast_alloc::workloads::canonical_scenarios;

@@ -1,7 +1,7 @@
 //! Million-request serving stress: the batched compiled engine at the
 //! ROADMAP's traffic scale. Ignored by default (several seconds in debug
-//! builds); `make stress` runs it in release mode alongside the parallel
-//! search stress suite.
+//! builds); `make stress` runs it in release mode alongside the other
+//! `stress` tests.
 
 use broadcast_alloc::alloc::heuristics::sorting;
 use broadcast_alloc::channel::{simulator, BroadcastProgram, CompiledProgram, ServeOptions};
