@@ -17,7 +17,9 @@ BENCH_MANIFEST := crates/bench/src/bin/bcast_bench/Cargo.toml
 # every crate under crates/), the benchmark's own tests, then every
 # #[ignore]-gated test whose name contains `stress`, in release mode
 # (search_golden's balanced-d4 twin, the million-item publish, delta,
-# 1_To_k and serving runs, and the pooled-loop soak).
+# 1_To_k and serving runs, and the pooled-loop soak), and the deep oracle
+# sweep that checks every exact strategy and bound against exhaustive
+# enumeration (about a minute in release).
 check: fmt-check clippy doc build test bench-test stress
 
 build:
@@ -38,6 +40,7 @@ bench-quick: bench-test
 
 stress:
 	$(CARGO) test --release $(OFFLINE) -- --ignored stress
+	$(CARGO) test --release $(OFFLINE) --test deep_cross_validation -- --ignored
 
 # A/B comparison of two bcast_bench builds on one workload, in alternating
 # pairs (the parent runs first in odd pairs, the change in even ones):

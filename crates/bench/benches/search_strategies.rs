@@ -8,9 +8,10 @@
 //!
 //! Expected shape: pruned ≪ unpruned ≪ exhaustive, with the data tree the
 //! fastest single-channel solver — the quantitative backing for §3.2/§3.3.
-//! The heavy `balanced-d4` instance (27 data nodes, ~67k expansions at
-//! k = 2) runs the pruned search only: exhaustive and unpruned search do
-//! not finish in bench-able time there.
+//! The heavy `balanced-d4` instance (27 data nodes, ~34k expansions at
+//! k = 2 under the default index-aware bound, ~67k under the packed one)
+//! runs the pruned search only: exhaustive and unpruned search do not
+//! finish in bench-able time there.
 
 use bcast_core::best_first::{self, BestFirstOptions};
 use bcast_core::{data_tree, topo_tree};

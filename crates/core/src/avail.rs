@@ -66,6 +66,11 @@ impl Layout {
         &words[self.node_words..2 * self.node_words]
     }
 
+    /// The bound's placed-rank set.
+    pub fn ranks(self, words: &[u64]) -> &[u64] {
+        &words[2 * self.node_words..self.stride()]
+    }
+
     /// The bound's placed-rank set, mutable.
     pub fn ranks_mut(self, words: &mut [u64]) -> &mut [u64] {
         &mut words[2 * self.node_words..self.stride()]
@@ -95,7 +100,8 @@ pub struct Scalars {
     /// [`crate::bound`]).
     pub unplaced: f64,
     /// Bound companion: the packing penalty of the unplaced data nodes
-    /// (always 0 for [`crate::bound::BoundKind::Paper`]).
+    /// (always 0 for [`crate::bound::BoundKind::Paper`]; Packed and Indexed
+    /// both carry it).
     pub penalty: f64,
 }
 

@@ -14,6 +14,13 @@
 //! it: the standard A* argument. A Property-1 terminal re-enters the
 //! frontier at its exact total, so it counts as complete.
 //!
+//! The default bound is [`BoundKind::Indexed`], which also charges each
+//! locked data node the index nodes that must air before it. Every bound
+//! depends only on a state's placed set and slot count, the key of the
+//! dominance table, so pruning a dominated twin never drops a state with
+//! a smaller `E`. [`Bounder::estimate`] evaluates it once at the root and
+//! once per child that survives the dominance probe.
+//!
 //! Candidate generation is pluggable: the unpruned Algorithm-1 expansion
 //! ([`crate::topo_tree::compound_children`]) or the Appendix's reduced
 //! expansion ([`crate::prune::pruned_children`]). Property 1 is applied as a
@@ -52,7 +59,7 @@ impl Default for BestFirstOptions {
     fn default() -> Self {
         BestFirstOptions {
             pruned: true,
-            bound: BoundKind::Packed,
+            bound: BoundKind::Indexed,
             property1: true,
             node_limit: None,
         }
@@ -158,6 +165,11 @@ struct Record {
 /// `Record::parent` of the root.
 const ROOT: u32 = u32::MAX;
 
+/// States the arena pools and the frontier have room for before their
+/// first reallocation, so a search of a few thousand states grows each of
+/// them only a few times.
+const INITIAL_STATES: usize = 1024;
+
 /// The search arena: fixed-size records plus two flat pools. A state
 /// is one record, one stride of words and its members — no heap object of
 /// its own.
@@ -231,11 +243,12 @@ pub fn search(
     let mut counters = BoundCounters::default();
     let mut arena = Arena {
         layout,
-        records: Vec::new(),
-        words: Vec::new(),
-        members: Vec::new(),
+        records: Vec::with_capacity(INITIAL_STATES),
+        words: Vec::with_capacity(INITIAL_STATES * layout.stride()),
+        members: Vec::with_capacity(INITIAL_STATES * k),
     };
-    let mut open: BinaryHeap<Reverse<(Priority, usize)>> = BinaryHeap::new();
+    let mut open: BinaryHeap<Reverse<(Priority, usize)>> =
+        BinaryHeap::with_capacity(INITIAL_STATES);
     // Dominance layer: best g (weighted wait) per placed set and slot
     // count, as a flat table over arena ids. Probing hashes nothing and
     // copies nothing — true equality runs only on a full `(hash, slots)`
@@ -250,7 +263,7 @@ pub fn search(
     let mut expanded = 0u64;
 
     let root = bounder.root(tree, &mut scratch, &mut counters);
-    let root_f = bounder.estimate_fast(&root);
+    let root_f = bounder.estimate(layout, &scratch, &root, &mut counters);
     let root_hash = bits::mix_hash(layout.placed(&scratch));
     arena.push(ROOT, &[], &scratch, root_hash, root);
     open.push(Reverse((Priority(root_f, 0), 0)));
@@ -315,7 +328,7 @@ pub fn search(
                     continue; // dominated: an equal-or-better twin exists
                 }
             }
-            let f = g + bounder.estimate_fast(&s);
+            let f = g + bounder.estimate(layout, &scratch, &s, &mut counters);
             generated += 1;
             let id = arena.push(idx as u32, members, &scratch, hash, s);
             match probe {
@@ -390,7 +403,7 @@ mod tests {
         for k in 1..=4 {
             let exact = solve_exhaustive(&t, k);
             for pruned in [false, true] {
-                for bound in [BoundKind::Paper, BoundKind::Packed] {
+                for bound in [BoundKind::Paper, BoundKind::Packed, BoundKind::Indexed] {
                     let opts = BestFirstOptions {
                         pruned,
                         bound,

@@ -8,17 +8,30 @@
 //! (no data node can appear earlier than the next slot), so the search stays
 //! exact.
 //!
-//! [`BoundKind::Packed`] tightens it while staying admissible: at most `k`
-//! nodes fit per slot, so the heaviest unplaced data node is charged slot
-//! `s+1`, the next `k-1` likewise, the following `k` slot `s+2`, and so on.
-//! Packed dominates Paper (`U_packed ≥ U_paper` pointwise), expanding fewer
-//! states; the A2 ablation bench quantifies the gap.
+//! Two tighter kinds stay admissible. Each charges the `j`-th heaviest
+//! unplaced data node a slot no schedule can beat for the `j`-th data node
+//! it airs; the slots never decrease in `j`, so pairing the heaviest
+//! weights with the earliest slots bounds every completion from below.
+//!
+//! - [`BoundKind::Packed`]: at most `k` nodes fit per slot, so the
+//!   heaviest unplaced data node is charged slot `s+1`, the next `k-1`
+//!   likewise, the following `k` slot `s+2`, and so on.
+//! - [`BoundKind::Indexed`] (the default): a data node whose parent has not
+//!   aired also waits behind the index nodes that must open first. With
+//!   `r_d` data and `r_i` index nodes available and largest fanout `F`, the
+//!   `j`-th data node past the `r_d`-th takes the slot
+//!   [`bcast_channel::cost::SlotFloor::slot`] gives, never earlier than
+//!   Packed's. DESIGN §5.1 has the proof.
+//!
+//! `Paper ≤ Packed ≤ Indexed` pointwise, so each expands no more states
+//! than the one before it; the A2 ablation bench measures the gaps.
 //!
 //! # Incremental evaluation
 //!
 //! Evaluating `U(X)` by a scan over every data node costs O(D), and the
-//! search needs it once per *generated* state. Both bound kinds decompose
-//! into slot-independent aggregates that a state can carry along its path:
+//! search needs it once per *generated* state. The Paper and Packed
+//! bounds decompose into slot-independent aggregates that a state can
+//! carry along its path:
 //!
 //! ```text
 //! U_paper (X) = (s+1) · unplaced(X)
@@ -36,11 +49,19 @@
 //! slot when ranks close up. The walk visits only still-unplaced ranks
 //! behind the removed node (and nothing at all for index-node placements),
 //! so the per-state cost is O(placement delta + trailing unplaced) instead
-//! of O(D), and [`Bounder::estimate_fast`] is O(1). [`BoundCounters`]
-//! meters both paths; the best-first search surfaces the totals.
+//! of O(D).
+//!
+//! [`Bounder::estimate`] reads Paper and Packed in O(1). Indexed carries
+//! the Packed companion too and adds, per estimate, the extra charge of
+//! the unplaced ranks past the `r_d`-th, whose data may be locked: it
+//! counts `r_d` and `r_i` off the candidate words with one popcount
+//! against a data mask and walks those ranks in the rank words. Nothing
+//! more is stored per state. [`BoundCounters`] meters every path; the
+//! best-first search surfaces the totals.
 
 use crate::avail::{self, Layout, Scalars};
-use bcast_index_tree::IndexTree;
+use bcast_channel::cost::SlotFloor;
+use bcast_index_tree::{IndexTree, TreeStats};
 use bcast_types::{bits, NodeId, Weight};
 
 /// Which lower bound the best-first search uses.
@@ -49,8 +70,10 @@ pub enum BoundKind {
     /// The paper's estimate: all unplaced data in the very next slot.
     Paper,
     /// Capacity-aware packing of unplaced data, heaviest first.
-    #[default]
     Packed,
+    /// Packed, plus the index nodes a locked data node waits behind.
+    #[default]
+    Indexed,
 }
 
 /// Tallies of bound-evaluation effort, kept by the caller so the
@@ -58,8 +81,9 @@ pub enum BoundKind {
 ///
 /// `work` counts sorted-data entries touched: a full scan adds D, an
 /// incremental advance adds the placement delta plus the trailing unplaced
-/// ranks it walked. `work / generated states` is the measured per-state
-/// bound cost — the quantity the O(D) → O(delta) claim is about.
+/// ranks it walked, and a [`BoundKind::Indexed`] estimate adds the
+/// unplaced ranks past the `r_d`-th it charges. `work / generated states`
+/// is the measured per-state bound cost.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BoundCounters {
     /// Full O(D) evaluations ([`Bounder::attach`]); 1 per search (the
@@ -83,6 +107,10 @@ pub struct Bounder {
     /// Node-id index → global rank in `sorted_data`; `NOT_DATA` sentinel
     /// for index nodes.
     rank_of: Vec<u32>,
+    /// One bit per data node id, for counting the available data nodes.
+    data_mask: Vec<u64>,
+    /// The largest fanout of any index node.
+    fanout: usize,
 }
 
 /// `rank_of` sentinel for nodes that are not data nodes.
@@ -97,14 +125,18 @@ impl Bounder {
         let sorted_data: Vec<(NodeId, Weight)> =
             ids.into_iter().map(|d| (d, tree.weight(d))).collect();
         let mut rank_of = vec![NOT_DATA; tree.len()];
+        let mut data_mask = vec![0; bits::words_for(tree.len())];
         for (rank, &(d, _)) in sorted_data.iter().enumerate() {
             rank_of[d.index()] = rank as u32;
+            bits::insert(&mut data_mask, d);
         }
         Bounder {
             kind,
             k,
             sorted_data,
             rank_of,
+            data_mask,
+            fanout: TreeStats::of(tree).max_fanout,
         }
     }
 
@@ -113,12 +145,19 @@ impl Bounder {
         self.kind
     }
 
-    /// The word layout of a state under this bounder: [`BoundKind::Packed`]
-    /// keeps one placed-rank bit per data node, [`BoundKind::Paper`] none.
+    /// True if states carry the packing companion: the placed ranks and
+    /// the penalty (every kind but [`BoundKind::Paper`]).
+    fn packs(&self) -> bool {
+        self.kind != BoundKind::Paper
+    }
+
+    /// The word layout of a state under this bounder: the packing kinds
+    /// keep one placed-rank bit per data node, [`BoundKind::Paper`] none.
     pub fn layout(&self, tree: &IndexTree) -> Layout {
-        let ranks = match self.kind {
-            BoundKind::Paper => 0,
-            BoundKind::Packed => self.sorted_data.len(),
+        let ranks = if self.packs() {
+            self.sorted_data.len()
+        } else {
+            0
         };
         Layout::new(tree.len(), ranks)
     }
@@ -159,12 +198,12 @@ impl Bounder {
         let mut i = 0usize; // rank among unplaced
         for (rank, &(d, w)) in self.sorted_data.iter().enumerate() {
             if bits::contains(layout.placed(words), d) {
-                if self.kind == BoundKind::Packed {
+                if self.packs() {
                     bits::insert(layout.ranks_mut(words), NodeId::from_index(rank));
                 }
             } else {
                 unplaced += w.get();
-                if self.kind == BoundKind::Packed {
+                if self.packs() {
                     penalty += w.get() * (i / self.k) as f64;
                 }
                 i += 1;
@@ -208,7 +247,7 @@ impl Bounder {
         let w = self.sorted_data[g].1.get();
         s.unplaced -= w;
         counters.work += 1;
-        if self.kind != BoundKind::Packed {
+        if !self.packs() {
             return;
         }
         let gid = NodeId::from_index(g);
@@ -229,10 +268,48 @@ impl Bounder {
         bits::insert(ranks, gid);
     }
 
-    /// `U(X)` from the carried companion — O(1).
-    pub fn estimate_fast(&self, s: &Scalars) -> f64 {
-        let next_slot = (u64::from(s.slots_used) + 1) as f64;
-        s.unplaced * next_slot + s.penalty
+    /// `U(X)` of the state in `words` with scalars `s`. Paper and Packed
+    /// read the carried companion in O(1). Indexed adds, to Packed's value,
+    /// the extra charge of each unplaced rank past the `r_d`-th: its
+    /// [`SlotFloor`] slot minus its packing slot. `r_d` and `r_i` come off
+    /// the candidate words, and the walk is metered in `counters.work`.
+    pub fn estimate(
+        &self,
+        layout: Layout,
+        words: &[u64],
+        s: &Scalars,
+        counters: &mut BoundCounters,
+    ) -> f64 {
+        let used = u64::from(s.slots_used);
+        let packed = s.unplaced * (used + 1) as f64 + s.penalty;
+        if self.kind != BoundKind::Indexed {
+            return packed;
+        }
+        let available = layout.available(words);
+        let free_data: usize = available
+            .iter()
+            .zip(&self.data_mask)
+            .map(|(a, m)| (a & m).count_ones() as usize)
+            .sum();
+        let unplaced = self.sorted_data.len() - (s.placed - s.placed_index) as usize;
+        if free_data >= unplaced {
+            return packed; // nothing locked: every slot is the packing slot
+        }
+        let floor = SlotFloor {
+            used,
+            channels: self.k,
+            free_data,
+            free_index: bits::count(available) - free_data,
+            fanout: self.fanout,
+        };
+        let ranks = bits::iter_unset(layout.ranks(words), 0, self.sorted_data.len());
+        let mut extra = 0.0;
+        for (i, g) in ranks.enumerate().skip(free_data) {
+            counters.work += 1;
+            let j = i + 1;
+            extra += self.sorted_data[g.index()].1 * (floor.slot(j) - floor.packing_slot(j));
+        }
+        packed + extra
     }
 
     /// Property 1: completes the schedule by emitting the remaining
@@ -269,19 +346,22 @@ impl Bounder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::avail::PathState;
+    use crate::avail::{PathState, Subsets};
     use crate::topo_tree;
     use bcast_index_tree::builders;
     use bcast_workloads::{random_tree, FrequencyDist, RandomTreeConfig};
     use proptest::prelude::*;
 
+    const KINDS: [BoundKind; 3] = [BoundKind::Paper, BoundKind::Packed, BoundKind::Indexed];
+
     fn id(tree: &IndexTree, label: &str) -> NodeId {
         tree.find_by_label(label).expect("label exists")
     }
 
-    /// `U(X)` by a full scan over the data nodes — the oracle the carried
-    /// companion is checked against.
-    fn scan(b: &Bounder, s: &PathState) -> f64 {
+    /// `U(X)` by a full scan over the data nodes and the candidate set —
+    /// the oracle the carried companion and the Indexed walk are checked
+    /// against.
+    fn scan(t: &IndexTree, b: &Bounder, s: &PathState) -> f64 {
         let next_slot = u64::from(s.s.slots_used) + 1;
         let unplaced = b
             .sorted_data
@@ -293,7 +373,26 @@ mod tests {
                 .enumerate()
                 .map(|(i, &(_, w))| w * (next_slot + (i / b.k) as u64))
                 .sum(),
+            BoundKind::Indexed => {
+                let free_data = bits::iter(s.available()).filter(|&n| t.is_data(n)).count();
+                let floor = SlotFloor {
+                    used: u64::from(s.s.slots_used),
+                    channels: b.k,
+                    free_data,
+                    free_index: bits::count(s.available()) - free_data,
+                    fanout: TreeStats::of(t).max_fanout,
+                };
+                unplaced
+                    .enumerate()
+                    .map(|(i, &(_, w))| w * floor.slot(i + 1))
+                    .sum()
+            }
         }
+    }
+
+    /// [`Bounder::estimate`] of `s`.
+    fn estimate(b: &Bounder, s: &PathState, c: &mut BoundCounters) -> f64 {
+        b.estimate(s.layout, &s.words, &s.s, c)
     }
 
     /// The root under `b`'s layout, its companion attached.
@@ -317,13 +416,47 @@ mod tests {
         next
     }
 
+    /// The least total weighted wait of any completion of `s`, by full
+    /// enumeration of the topological tree below it.
+    fn best_completion(t: &IndexTree, k: usize, s: &PathState) -> f64 {
+        if s.s.is_complete(t) {
+            return s.s.weighted_wait;
+        }
+        let mut children = Subsets::default();
+        topo_tree::compound_children(s.available(), k, &mut children);
+        children
+            .iter()
+            .map(|members| best_completion(t, k, &s.place(t, members)))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// A random tree of `n` data nodes, fanout at most 3.
+    fn small_tree(n: usize, seed: u64) -> IndexTree {
+        let cfg = RandomTreeConfig {
+            data_nodes: n,
+            max_fanout: 3,
+            weights: FrequencyDist::Uniform { lo: 1.0, hi: 100.0 },
+        };
+        random_tree(&cfg, seed)
+    }
+
+    /// The nodes a random path places next: 1..=k available nodes, chosen
+    /// by a deterministic shuffle of the candidate set.
+    fn pick(s: &PathState, k: usize, seed: u64, step_no: u64) -> Vec<NodeId> {
+        let mut avail: Vec<NodeId> = bits::iter(s.available()).collect();
+        let take = 1 + (seed.wrapping_mul(31).wrapping_add(step_no) as usize) % k;
+        avail.sort_by_key(|a| bcast_types::mix64(seed ^ step_no ^ (a.index() as u64) << 17));
+        avail.truncate(take.min(avail.len()));
+        avail
+    }
+
     #[test]
     fn paper_bound_charges_next_slot() {
         let t = builders::paper_example();
         let s = PathState::initial(&t).place(&t, &[id(&t, "1")]);
         let b = Bounder::new(&t, 2, BoundKind::Paper);
         // All 70 units of weight at slot 2.
-        assert_eq!(scan(&b, &s), 140.0);
+        assert_eq!(scan(&t, &b, &s), 140.0);
     }
 
     #[test]
@@ -333,7 +466,25 @@ mod tests {
         let b = Bounder::new(&t, 2, BoundKind::Packed);
         // Slots 2,2,3,3,4 for weights 20,18,15,10,7:
         // 40+36+45+30+28 = 179.
-        assert_eq!(scan(&b, &s), 179.0);
+        assert_eq!(scan(&t, &b, &s), 179.0);
+    }
+
+    #[test]
+    fn indexed_bound_charges_the_index_nodes_data_waits_behind() {
+        // After slot 1 only the index nodes 2 and 3 are available (fanout
+        // 2): A(20) and E(18) wait behind one opened index node (slot 3),
+        // C(15) and B(10) behind two (slot 4), D(7) behind three (slot 5):
+        // 60+54+60+40+35 = 249, the analytic floor's numerator.
+        let t = builders::paper_example();
+        let b = Bounder::new(&t, 2, BoundKind::Indexed);
+        let mut c = BoundCounters::default();
+        let s = step(&t, &b, &root(&t, &b, &mut c), &[id(&t, "1")], &mut c);
+        assert_eq!(scan(&t, &b, &s), 249.0);
+        let work = c.work;
+        assert_eq!(estimate(&b, &s, &mut c), 249.0);
+        assert_eq!(c.work - work, 5, "all five unplaced ranks are locked");
+        let floor = bcast_channel::cost::data_wait_lower_bound(&t, 2);
+        assert!((floor - 249.0 / 70.0).abs() < 1e-12);
     }
 
     #[test]
@@ -344,7 +495,7 @@ mod tests {
         let mut s = PathState::initial(&t);
         for label in ["1", "2", "A"] {
             s = s.place(&t, &[id(&t, label)]);
-            assert!(scan(&packed, &s) >= scan(&paper, &s));
+            assert!(scan(&t, &packed, &s) >= scan(&t, &paper, &s));
         }
     }
 
@@ -356,11 +507,12 @@ mod tests {
         for k in 1..=3usize {
             let opt = topo_tree::solve_exhaustive(&t, k);
             let optimal_weighted = opt.data_wait * t.total_weight().get();
-            for kind in [BoundKind::Paper, BoundKind::Packed] {
+            for kind in KINDS {
                 let b = Bounder::new(&t, k, kind);
-                let s0 = root(&t, &b, &mut BoundCounters::default());
+                let mut c = BoundCounters::default();
+                let s0 = root(&t, &b, &mut c);
                 assert!(
-                    b.estimate_fast(&s0.s) <= optimal_weighted + 1e-9,
+                    estimate(&b, &s0, &mut c) <= optimal_weighted + 1e-9,
                     "k={k} kind={kind:?}"
                 );
             }
@@ -370,26 +522,26 @@ mod tests {
     #[test]
     fn estimate_is_zero_when_all_data_placed() {
         let t = builders::paper_example();
-        for kind in [BoundKind::Paper, BoundKind::Packed] {
+        for kind in KINDS {
             let b = Bounder::new(&t, 1, kind);
             let mut c = BoundCounters::default();
             let mut s = root(&t, &b, &mut c);
             for label in ["1", "2", "A", "B", "3", "E", "4", "C", "D"] {
                 s = step(&t, &b, &s, &[id(&t, label)], &mut c);
             }
-            assert_eq!(scan(&b, &s), 0.0);
-            assert_eq!(b.estimate_fast(&s.s), 0.0);
+            assert_eq!(scan(&t, &b, &s), 0.0);
+            assert_eq!(estimate(&b, &s, &mut c), 0.0);
         }
     }
 
     #[test]
     fn incremental_matches_scan_on_paper_example() {
         let t = builders::paper_example();
-        for kind in [BoundKind::Paper, BoundKind::Packed] {
+        for kind in KINDS {
             let b = Bounder::new(&t, 2, kind);
             let mut c = BoundCounters::default();
             let mut s = root(&t, &b, &mut c);
-            assert_eq!(b.estimate_fast(&s.s), scan(&b, &s));
+            assert_eq!(estimate(&b, &s, &mut c), scan(&t, &b, &s));
             for members in [
                 vec![id(&t, "1")],
                 vec![id(&t, "2"), id(&t, "3")],
@@ -398,14 +550,14 @@ mod tests {
                 vec![id(&t, "C"), id(&t, "D")],
             ] {
                 s = step(&t, &b, &s, &members, &mut c);
+                let fast = estimate(&b, &s, &mut c);
                 assert!(
-                    (b.estimate_fast(&s.s) - scan(&b, &s)).abs() < 1e-9,
-                    "kind={kind:?} after {members:?}: fast {} vs scan {}",
-                    b.estimate_fast(&s.s),
-                    scan(&b, &s)
+                    (fast - scan(&t, &b, &s)).abs() < 1e-9,
+                    "kind={kind:?} after {members:?}: fast {fast} vs scan {}",
+                    scan(&t, &b, &s)
                 );
             }
-            assert_eq!(b.estimate_fast(&s.s), 0.0);
+            assert_eq!(estimate(&b, &s, &mut c), 0.0);
             assert_eq!(c.full_evals, 1, "only the root pays the O(D) scan");
             assert_eq!(c.inc_updates, 5);
         }
@@ -430,15 +582,16 @@ mod tests {
         assert_eq!(c.full_evals, 2);
         assert_eq!(c.inc_updates, 2);
         assert_eq!(bare.words, stepped.words);
-        assert_eq!(b.estimate_fast(&bare.s), b.estimate_fast(&stepped.s));
-        assert_eq!(b.estimate_fast(&bare.s), scan(&b, &bare));
+        let fast = estimate(&b, &bare, &mut c);
+        assert_eq!(fast, estimate(&b, &stepped, &mut c));
+        assert_eq!(fast, scan(&t, &b, &bare));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Satellite invariant: along any placement path, the incrementally
         /// maintained `U(X)` equals a from-scratch scan after every
-        /// [`Bounder::step`], for both bound kinds and k ∈ {1,2,3}.
+        /// [`Bounder::step`], for every bound kind and k ∈ {1,2,3}.
         /// Tolerance 1e-9 relative: the incremental path reassociates the
         /// float sums, so drift of a few ulps is expected.
         #[test]
@@ -446,31 +599,18 @@ mod tests {
             n in 2usize..10,
             k in 1usize..4,
             seed in 0u64..1000,
-            packed: bool,
+            kind in 0usize..3,
         ) {
-            let cfg = RandomTreeConfig {
-                data_nodes: n,
-                max_fanout: 3,
-                weights: FrequencyDist::Uniform { lo: 1.0, hi: 100.0 },
-            };
-            let t = random_tree(&cfg, seed);
-            let kind = if packed { BoundKind::Packed } else { BoundKind::Paper };
+            let t = small_tree(n, seed);
+            let kind = KINDS[kind];
             let b = Bounder::new(&t, k, kind);
             let mut c = BoundCounters::default();
             let mut s = root(&t, &b, &mut c);
-            // Walk a random path: each step places 1..=k available nodes,
-            // chosen by a deterministic shuffle of the candidate set.
             let mut step_no = 0u64;
             while !s.s.is_complete(&t) {
-                let mut avail: Vec<NodeId> = bits::iter(s.available()).collect();
-                let pick = 1 + (seed.wrapping_mul(31).wrapping_add(step_no) as usize) % k;
-                avail.sort_by_key(|a| {
-                    bcast_types::mix64(seed ^ step_no ^ (a.index() as u64) << 17)
-                });
-                avail.truncate(pick.min(avail.len()));
-                s = step(&t, &b, &s, &avail, &mut c);
-                let fast = b.estimate_fast(&s.s);
-                let scanned = scan(&b, &s);
+                s = step(&t, &b, &s, &pick(&s, k, seed, step_no), &mut c);
+                let fast = estimate(&b, &s, &mut c);
+                let scanned = scan(&t, &b, &s);
                 let tol = 1e-9 * scanned.abs().max(1.0);
                 prop_assert!(
                     (fast - scanned).abs() <= tol,
@@ -481,6 +621,43 @@ mod tests {
             }
             prop_assert_eq!(c.full_evals, 1);
             prop_assert_eq!(c.inc_updates, step_no);
+        }
+
+        /// At every state of a random placement path, Indexed is at least
+        /// Packed, and `V(X) + U(X)` under Indexed never exceeds the best
+        /// completion of that state, found by exhaustive enumeration.
+        #[test]
+        fn indexed_dominates_packed_and_stays_admissible_on_random_paths(
+            n in 2usize..6,
+            k in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let t = small_tree(n, seed);
+            let indexed = Bounder::new(&t, k, BoundKind::Indexed);
+            let packed = Bounder::new(&t, k, BoundKind::Packed);
+            let mut c = BoundCounters::default();
+            let mut s = root(&t, &indexed, &mut c);
+            let mut step_no = 0u64;
+            loop {
+                // Both kinds carry the same words and companion.
+                let u = estimate(&indexed, &s, &mut c);
+                let u_packed = estimate(&packed, &s, &mut c);
+                prop_assert!(
+                    u >= u_packed,
+                    "n={n} k={k} seed={seed} step={step_no}: indexed {u} < packed {u_packed}"
+                );
+                let best = best_completion(&t, k, &s);
+                let f = s.s.weighted_wait + u;
+                prop_assert!(
+                    f <= best + 1e-9 * best.max(1.0),
+                    "n={n} k={k} seed={seed} step={step_no}: V+U {f} > best completion {best}"
+                );
+                if s.s.is_complete(&t) {
+                    break;
+                }
+                s = step(&t, &indexed, &s, &pick(&s, k, seed, step_no), &mut c);
+                step_no += 1;
+            }
         }
     }
 }

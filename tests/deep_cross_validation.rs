@@ -1,10 +1,10 @@
 //! Deep (slow) cross-validation, `#[ignore]`d by default.
 //!
-//! Run with `cargo test --release -- --ignored` for an extended sweep that
-//! pushes the exact searches to the edge of what exhaustive enumeration can
-//! still ground-truth: larger trees, every strategy, every bound, every
-//! channel count. The fast versions of these checks run in the per-crate
-//! property tests; this suite exists so a release can be soak-tested.
+//! `make stress`, and so `make check`, runs it in release mode (about a
+//! minute): an extended sweep that pushes the exact searches to the edge
+//! of what exhaustive enumeration can still ground-truth: larger trees,
+//! every strategy, every bound, every channel count. The fast versions of
+//! these checks run in the per-crate property tests.
 
 use broadcast_alloc::alloc::best_first::{self, BestFirstOptions};
 use broadcast_alloc::alloc::bound::BoundKind;
@@ -12,7 +12,7 @@ use broadcast_alloc::alloc::{data_tree, topo_tree};
 use broadcast_alloc::workloads::{random_tree, FrequencyDist, RandomTreeConfig};
 
 #[test]
-#[ignore = "slow soak test; run with -- --ignored"]
+#[ignore = "about a minute in release; run with `make stress`"]
 fn all_exact_strategies_agree_on_larger_trees() {
     for seed in 0..60u64 {
         let cfg = RandomTreeConfig {
@@ -27,7 +27,7 @@ fn all_exact_strategies_agree_on_larger_trees() {
         for k in 1..=3usize {
             let exact = topo_tree::solve_exhaustive(&tree, k);
             for pruned in [false, true] {
-                for bound in [BoundKind::Paper, BoundKind::Packed] {
+                for bound in [BoundKind::Paper, BoundKind::Packed, BoundKind::Indexed] {
                     let opts = BestFirstOptions {
                         pruned,
                         bound,
@@ -57,7 +57,7 @@ fn all_exact_strategies_agree_on_larger_trees() {
 }
 
 #[test]
-#[ignore = "slow soak test; run with -- --ignored"]
+#[ignore = "about a minute in release; run with `make stress`"]
 fn data_tree_counts_nest_across_many_trees() {
     use data_tree::PruneLevel;
     for seed in 0..80u64 {

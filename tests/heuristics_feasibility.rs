@@ -41,6 +41,53 @@ proptest! {
         }
     }
 
+    /// The analytic floor charges every data node the index nodes it
+    /// waits behind, so it must stay admissible: never above the optimum
+    /// on small trees of any fanout, never above any heuristic's or
+    /// baseline's cost on larger ones.
+    #[test]
+    fn analytic_floor_never_exceeds_a_feasible_cost(
+        n in 2usize..7,
+        large in 30usize..300,
+        fanout in 2usize..7,
+        k in 1usize..5,
+        seed in 0u64..400,
+    ) {
+        let small = random_tree(&RandomTreeConfig {
+            data_nodes: n,
+            max_fanout: fanout,
+            weights: FrequencyDist::Uniform { lo: 1.0, hi: 60.0 },
+        }, seed);
+        let lower = cost::data_wait_lower_bound(&small, k);
+        let optimal = find_optimal(&small, k, &OptimalOptions::default()).unwrap();
+        prop_assert!(
+            lower <= optimal.data_wait + 1e-9,
+            "n={n} fanout={fanout} k={k} seed={seed}: floor {lower} above optimum {}",
+            optimal.data_wait
+        );
+
+        let tree = random_tree(&RandomTreeConfig {
+            data_nodes: large,
+            max_fanout: fanout + 2,
+            weights: FrequencyDist::Zipf { theta: 0.9, scale: 1_000.0 },
+        }, seed);
+        let lower = cost::data_wait_lower_bound(&tree, k);
+        for (name, schedule) in [
+            ("sorting", sorting::sorting_schedule(&tree, k)),
+            ("shrink", shrink::combine_solve(&tree, k, 8).schedule),
+            ("partition", shrink::partition_solve(&tree, k, 8).schedule),
+            ("frontier", baselines::greedy_frontier(&tree, k)),
+            ("preorder", baselines::preorder_schedule(&tree, k)),
+            ("random", baselines::random_feasible(&tree, k, seed)),
+        ] {
+            let wait = schedule.average_data_wait(&tree);
+            prop_assert!(
+                lower <= wait + 1e-9,
+                "{name}, {large} items, k={k} seed={seed}: floor {lower} above cost {wait}"
+            );
+        }
+    }
+
     #[test]
     fn heuristics_feasible_on_large_irregular_trees(
         n in 50usize..400,
