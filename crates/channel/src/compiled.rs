@@ -22,11 +22,10 @@
 //! # Kernel layout
 //!
 //! Each node owns one 8-byte record `[slot, route]`, stored once and read
-//! by every path: compile, the fused publish, the delta lane's patches and
-//! journal replay, snapshot capture and install, and all three kernel
-//! bodies. `slot` is `T(Di)`, 1-based, so `slot == 0` doubles as the
-//! "unrouted" sentinel — there is no separate `routed` bitmap to load per
-//! request. `route` packs the pointer-path length into its low 16 bits and
+//! by every path: compile, the fused publish, the delta lane's patches,
+//! snapshot capture and install, and all three kernel bodies. `slot` is
+//! `T(Di)`, 1-based, so `slot == 0` doubles as the "unrouted" sentinel —
+//! there is no separate `routed` bitmap to load per request. `route` packs the pointer-path length into its low 16 bits and
 //! the channel switches into its high 16, exactly the snapshot format's
 //! route word, so a snapshot's two columns zip into the records. Both
 //! fields fit because a path length is its data node's level and a switch
@@ -61,9 +60,11 @@ use bcast_types::{BucketAddr, ChannelId, NodeId, Slot};
 
 /// SplitMix64 finalizer: spreads a request index into an independent
 /// 64-bit draw, so per-request tune-in slots depend only on the *global*
-/// request index — sharded serving is thread-count invariant.
+/// request index — sharded serving is thread-count invariant. The fault
+/// model draws from it too, under keys of its own, so fault draws and
+/// tune-in draws are independent streams.
 #[inline]
-fn mix64(seed: u64, index: u64) -> u64 {
+pub(crate) fn mix64(seed: u64, index: u64) -> u64 {
     let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -274,15 +275,6 @@ impl CompiledProgram {
         debug_assert!(rec[0] != 0, "patch_data targets an existing record");
         debug_assert!(slot != 0, "slots are 1-based");
         *rec = [slot, route_word(path_len(rec[1]), switches)];
-    }
-
-    /// Reconciles one node's route record from `other` — the delta lane's
-    /// journal replay. `num_data` and the cycle length are
-    /// repack-invariant, so the record is all that can differ.
-    #[inline]
-    pub(crate) fn copy_record_from(&mut self, other: &CompiledProgram, node: NodeId) {
-        let i = node.index();
-        self.routes[i] = other.routes[i];
     }
 
     /// Makes `self` a bit-identical copy of `other`, reusing this buffer's
@@ -753,9 +745,16 @@ impl CompiledProgram {
     /// [`serve_chunk`](Self::serve_chunk) is bit-identical to one
     /// [`serve_batch`](Self::serve_batch) call over the concatenation, at
     /// any thread count (the batch kernel is itself sharding-invariant).
+    ///
+    /// The session's own histogram is emptied here but sized only by the
+    /// batch's first `serve_chunk`: a batch fed only through
+    /// [`serve_chunk_into`](Self::serve_chunk_into) never records into
+    /// it, so it never pays for its `2 × cycle_len` buckets (lossy: 8
+    /// cycles).
     pub fn begin_session(&self, session: &mut ServeSession, opts: &ServeOptions) {
         let lossy = !opts.faults.is_none();
-        session.shard.reset(self.hist_bound(lossy));
+        session.shard.reset(0);
+        session.hist_bound = self.hist_bound(lossy);
         session.opts = *opts;
         session.lossy = lossy;
         let gaps_for = (self.cycle_len, opts.recovery.root_replicas);
@@ -795,7 +794,7 @@ impl CompiledProgram {
     /// `min(value, session bound, hist bound)` with its true value in the
     /// sum, min and max — exactly where recording into the session and
     /// then [`LatencyHistogram::absorb`]ing the session's histogram into
-    /// `hist` would put it, without zeroing and walking a session
+    /// `hist` would put it, without sizing, zeroing and walking a session
     /// histogram of `2 × cycle_len` (lossy: 8 cycles) buckets per batch.
     /// Every other session aggregate accumulates as usual.
     ///
@@ -826,12 +825,23 @@ impl CompiledProgram {
         session.requests += targets.len() as u64;
         let ServeSession {
             shard,
+            hist_bound,
             opts,
             root_gaps,
             lossy,
             ..
         } = session;
-        let hist = hist.unwrap_or(&mut shard.hist);
+        let hist = match hist {
+            Some(hist) => hist,
+            None => {
+                // The batch's first `serve_chunk` sizes the histogram
+                // `begin_session` emptied; nothing has recorded into it.
+                if shard.hist.bound() != *hist_bound {
+                    shard.hist.reset(*hist_bound);
+                }
+                &mut shard.hist
+            }
+        };
         if *lossy {
             self.serve_lossy_into(&mut shard.tally, hist, targets, start, opts, root_gaps)
         } else {
@@ -901,6 +911,9 @@ impl ServeOptions {
 #[derive(Debug, Clone)]
 pub struct ServeSession {
     shard: Shard,
+    /// The bound the armed batch's histogram takes at its first
+    /// [`CompiledProgram::serve_chunk`].
+    hist_bound: u32,
     opts: ServeOptions,
     root_gaps: Vec<u64>,
     /// The `(cycle_len, root_replicas)` that `root_gaps` was derived for.
@@ -916,6 +929,7 @@ impl ServeSession {
     pub fn new() -> Self {
         ServeSession {
             shard: Shard::new(0),
+            hist_bound: 0,
             opts: ServeOptions::default(),
             root_gaps: Vec::new(),
             root_gaps_for: None,
@@ -961,7 +975,8 @@ impl ServeSession {
 
     /// The access-time histogram accumulated so far by
     /// [`CompiledProgram::serve_chunk`] (chunks served with
-    /// [`CompiledProgram::serve_chunk_into`] record elsewhere).
+    /// [`CompiledProgram::serve_chunk_into`] record elsewhere). Its bound
+    /// is 0 until the batch's first `serve_chunk` sizes it.
     #[inline]
     pub fn histogram(&self) -> &LatencyHistogram {
         &self.shard.hist
@@ -1487,6 +1502,37 @@ mod tests {
         c.begin_session(&mut session, &ServeOptions::default());
         assert_eq!(session.delivery_rate(), 1.0);
         assert_eq!(session.requests(), 0);
+    }
+
+    #[test]
+    fn a_session_fed_only_into_a_window_never_sizes_its_histogram() {
+        let (t, p) = fig2b();
+        let c = CompiledProgram::compile(&p, &t).unwrap();
+        let data = t.data_nodes();
+        let targets: Vec<NodeId> = (0..600).map(|i| data[i % data.len()]).collect();
+        let lossy = ServeOptions {
+            faults: FaultPlan::erasure(0.2, 7).unwrap(),
+            ..ServeOptions::default()
+        };
+        let mut session = ServeSession::new();
+        for opts in [ServeOptions::default(), lossy] {
+            // A `serve_chunk` batch sizes the histogram as `serve_batch`
+            // does...
+            c.begin_session(&mut session, &opts);
+            c.serve_chunk(&mut session, &targets).unwrap();
+            let batch = c.serve_batch(&targets, &opts).unwrap();
+            assert_eq!(session.histogram().bound(), batch.histogram.bound());
+            // ...and the next batch, fed only into a window, leaves it
+            // emptied at bound 0.
+            let mut window = LatencyHistogram::with_bound(16 * c.cycle_len() as u32);
+            c.begin_session(&mut session, &opts);
+            for part in targets.chunks(SERVE_CHUNK) {
+                c.serve_chunk_into(&mut session, part, &mut window).unwrap();
+            }
+            assert_eq!(session.histogram().bound(), 0);
+            assert!(session.histogram().is_empty());
+            assert_eq!(window.count(), session.delivered());
+        }
     }
 
     #[test]

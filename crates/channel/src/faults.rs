@@ -47,22 +47,12 @@
 //! are the analytical overlay of `bcast_core::replication::analyze` —
 //! primary-path waits still use the unreplicated program.
 
+use crate::compiled::mix64;
 use crate::program::{BroadcastProgram, Bucket};
 use crate::simulator::{AccessTrace, SimError};
 use bcast_index_tree::IndexTree;
 use bcast_types::{occurrences, NodeId, Slot};
 use std::fmt;
-
-/// SplitMix64 finalizer over a seeded index — the same construction the
-/// serving engine uses for tune-in draws, instantiated with distinct keys
-/// so fault draws and tune-in draws are independent streams.
-#[inline]
-fn mix2(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Maps a 64-bit draw to the unit interval `[0, 1)`.
 #[inline]
@@ -211,7 +201,7 @@ impl FaultPlan {
     /// The fault stream one request observes; keyed purely by
     /// `(plan seed, request_index)`.
     pub fn link(&self, request_index: u64) -> ClientLink {
-        let key = mix2(self.seed, request_index);
+        let key = mix64(self.seed, request_index);
         let kind = match self.model {
             FaultModel::None => LinkKind::Perfect,
             FaultModel::Erasure { p } => LinkKind::Erasure { key, p },
@@ -248,7 +238,7 @@ impl SeqLink {
     #[inline]
     fn next_unit(&mut self) -> f64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        unit(mix2(0xC2B2_AE3D_27D4_EB4F, self.state))
+        unit(mix64(0xC2B2_AE3D_27D4_EB4F, self.state))
     }
 
     #[inline]
@@ -293,7 +283,7 @@ impl ClientLink {
         match &mut self.kind {
             LinkKind::Perfect => false,
             LinkKind::Erasure { key, p } => {
-                let draw = mix2(*key, (u64::from(pos) << 32) | u64::from(attempt));
+                let draw = mix64(*key, (u64::from(pos) << 32) | u64::from(attempt));
                 unit(draw) < *p
             }
             LinkKind::Gilbert(link) => {

@@ -25,7 +25,9 @@
 //! served tables stay untouched mid-rebuild and their capacity is recycled
 //! on the next epoch. After warm-up the whole fused path performs zero
 //! heap allocations (asserted by `tests/publish_pipeline.rs` under the
-//! `alloc-count` counting allocator).
+//! `alloc-count` counting allocator). The delta lane's
+//! [`PublishPipeline::republish_delta`] seeds the spare buffer with one
+//! copy of the served tables before it patches.
 //!
 //! [`SlotPlan`] is the flat schedule representation the heuristics emit
 //! into: one members array plus slot boundaries, reusable across rebuilds.
@@ -211,15 +213,6 @@ pub struct PublishPipeline {
     /// The buffer the next publish builds into (previous epoch's tables,
     /// capacity recycled).
     back: CompiledProgram,
-    /// Data nodes whose route records the last `republish_delta` patched —
-    /// exactly where `front` and `back` may differ while `back_journaled`
-    /// holds, so the next patch reconciles in O(patched) instead of
-    /// copying every record.
-    journal: Vec<NodeId>,
-    /// True when `back` is the previous epoch's program, stale only at
-    /// `journal`'s records; false after a full publish (the spare buffer
-    /// is then arbitrarily stale and must be seeded by a full copy).
-    back_journaled: bool,
 }
 
 impl PublishPipeline {
@@ -277,11 +270,6 @@ impl PublishPipeline {
         let n = tree.len();
         let k = num_channels;
 
-        // The full rebuild overwrites the spare buffer wholesale (and on
-        // error leaves it half-written), so the journal no longer bounds
-        // the front/back divergence either way.
-        self.back_journaled = false;
-        self.journal.clear();
         self.channel_of.clear();
         self.channel_of.resize(n, u16::MAX);
         self.slot_of.clear();
@@ -363,24 +351,6 @@ impl PublishPipeline {
         Ok(&self.front)
     }
 
-    /// Pre-seeds the spare buffer as a bit-copy of the served program, so
-    /// the *next* [`republish_delta`] finds it journal-reconciled and pays
-    /// no O(n) copy on the patch path. Callers that maintain a delta
-    /// snapshot (the `bcast_core` publisher after a `Sorting` publish)
-    /// invoke this at full-publish time, where one extra table copy is
-    /// noise against the rebuild it rides on; pure full-publish users skip
-    /// it and keep the copy lazy.
-    ///
-    /// [`republish_delta`]: PublishPipeline::republish_delta
-    pub fn preseed_back(&mut self) {
-        if self.back_journaled {
-            return;
-        }
-        self.back.copy_from(&self.front);
-        self.journal.clear();
-        self.back_journaled = true;
-    }
-
     /// Delta republish: patches the compiled tables instead of rebuilding
     /// them. `plan` must be the last published plan with only *validated*
     /// in-place repairs applied (same cycle length, same per-slot member
@@ -389,15 +359,13 @@ impl PublishPipeline {
     /// and `dirty[i]` must be true for every slot whose member set changed
     /// (both the old and new slot of every moved node).
     ///
-    /// The back buffer is first reconciled with the served front program:
-    /// after a previous patch the two halves differ only at the records
-    /// that patch journaled, so reconciliation replays the journal in
-    /// O(patched); after a full publish the spare buffer is arbitrarily
-    /// stale and a full bit-copy seeds it instead. The patch lane's
-    /// steady-state cost therefore has no O(n) copy floor — it scales
-    /// with what actually changed. Dirty slots are then re-assigned
-    /// ascending with the *identical* §3.1 per-slot rules as [`publish`]:
-    /// rank-sorted members, root/parent preference, lowest-free fallback.
+    /// The back buffer is first seeded with one bit-copy of the served
+    /// front program's route tables, so each patch pays one memcpy-grade
+    /// O(n) copy; keeping the spare buffer in sync instead would cost
+    /// every full publish a copy whether or not a patch ever follows.
+    /// Dirty slots are then re-assigned ascending with the *identical*
+    /// §3.1 per-slot rules as [`publish`]: rank-sorted members,
+    /// root/parent preference, lowest-free fallback.
     /// Whenever a node's `(channel, slot, switches)` triple moves, its
     /// children's slots are marked dirty — channel switches are cumulative
     /// along root paths, and children always air in strictly later slots,
@@ -437,16 +405,7 @@ impl PublishPipeline {
             plan.len(),
             "cycle length is repack-invariant"
         );
-        if self.back_journaled {
-            // The spare half is last epoch's program, stale only at the
-            // records the last patch journaled.
-            for i in 0..self.journal.len() {
-                self.back.copy_record_from(&self.front, self.journal[i]);
-            }
-        } else {
-            self.back.copy_from(&self.front);
-        }
-        self.journal.clear();
+        self.back.copy_from(&self.front);
 
         for offset in 0..plan.len() {
             if !dirty[offset] {
@@ -494,7 +453,6 @@ impl PublishPipeline {
         }
 
         std::mem::swap(&mut self.front, &mut self.back);
-        self.back_journaled = true;
         &self.front
     }
 
@@ -533,7 +491,6 @@ impl PublishPipeline {
         self.switches[i] = switches;
         if tree.is_data(node) {
             self.back.patch_data(node, slot, switches);
-            self.journal.push(node);
         } else {
             for &c in tree.children(node) {
                 // A moved child's *new* slot is already dirty (the core
@@ -621,8 +578,6 @@ impl PublishPipeline {
         self.channel_of.clear();
         self.slot_of.clear();
         self.switches.clear();
-        self.journal.clear();
-        self.back_journaled = false;
     }
 
     /// Reconstructs the full pointer-grid [`BroadcastProgram`] of the last

@@ -3,11 +3,17 @@
 //! A full [`Publisher::publish`] recomputes the density-sorted preorder,
 //! the `1_To_k` distribution and the compiled route tables from scratch —
 //! 0.54 s warm at one million items — even when only a few hundred weights
-//! drifted since the last epoch. This module adds the O(changed) lane
-//! (ROADMAP item 2): [`Publisher::republish_delta`] diffs the incoming
-//! weight changes against the served program's snapshot and repairs the
-//! program *in place*, falling back to a full publish whenever a validity
-//! check cannot certify bit-identity.
+//! drifted since the last epoch. This module adds the O(changed) lane:
+//! [`Publisher::republish_delta`] diffs the incoming weight changes
+//! against the diff state of the served program and repairs the program
+//! *in place*, falling back to a full publish whenever a validity check
+//! cannot certify bit-identity.
+//!
+//! The diff state belongs to the lane. A full `Sorting` publish leaves
+//! its order and plan in the publisher and only marks them seedable; the
+//! lane's next call builds the state from them (two O(n) passes), and
+//! every patch keeps it in step. A publisher whose lane never runs never
+//! builds it.
 //!
 //! ## Why localized repair is exact
 //!
@@ -42,13 +48,12 @@
 //!    Windows that touch an inner-level (pre-dump) placement, detected by
 //!    conservative per-level position guards read off the full run's
 //!    plan, also abort — inner selection is a global order property.
-//! 4. **Route patch** — [`PublishPipeline::republish_delta`] reconciles
-//!    the back buffer with the served tables (an O(patched) journal
-//!    replay after a previous patch; a full copy only after a full
-//!    publish) and re-runs the per-slot §3.1 assignment only over dirty
-//!    slots, cascading through descendants' slots when a
-//!    `(channel, slot, switches)` triple moves, then swaps — downtime
-//!    stays zero and the steady-state patch has no O(n) copy floor.
+//! 4. **Route patch** — [`PublishPipeline::republish_delta`] seeds the
+//!    back buffer with one copy of the served tables and re-runs the
+//!    per-slot §3.1 assignment only over dirty slots, cascading through
+//!    descendants' slots when a `(channel, slot, switches)` triple
+//!    moves, then swaps — downtime stays zero. The copy is the patch's
+//!    one O(n) step, a memcpy of the route records.
 //!
 //! Every stage either certifies the exact full-publish result or falls
 //! back; `tests/delta_republish.rs` pins delta == full bit-identically
@@ -143,12 +148,29 @@ struct Window {
     cj: u32,
 }
 
-/// Persistent diff state snapshotted after each full `Sorting` publish
-/// (see [`crate::delta`] module docs). All buffers are reused across
-/// epochs; the warm path allocates nothing.
+/// How far the lane's diff state is from usable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Baseline {
+    /// Nothing to build from: no publish yet, or the last one was not a
+    /// successful `Sorting` run.
+    #[default]
+    Cold,
+    /// The last publish was a successful `Sorting` run whose order and
+    /// plan the publisher still holds; the next patch attempt builds the
+    /// state from them.
+    Seedable,
+    /// Built, and kept in step by every patch since.
+    Built,
+}
+
+/// Persistent diff state of the delta lane (see [`crate::delta`] module
+/// docs), built on the lane's first call after a full `Sorting` publish.
+/// All buffers are reused across epochs; a warm patch allocates nothing,
+/// and a publisher whose lane never runs never sizes them.
 #[derive(Debug, Default)]
 pub(crate) struct DeltaState {
-    valid: bool,
+    baseline: Baseline,
+    /// Channel count and node count of the publish the state describes.
     k: usize,
     n: usize,
     /// `seq[node]` = position of the node in the emitted order.
@@ -194,22 +216,29 @@ pub(crate) struct DeltaState {
 }
 
 impl DeltaState {
-    /// Drops the snapshot; the next `republish_delta` takes the full lane.
+    /// Drops the state; the next `republish_delta` takes the full lane.
     pub(crate) fn invalidate(&mut self) {
-        self.valid = false;
+        self.baseline = Baseline::Cold;
     }
 
-    /// Rebuilds the snapshot after a successful full `Sorting` publish:
-    /// two O(n) passes over buffers whose capacity survives, so the warm
-    /// publish path stays allocation-free. The inner-level placements the
-    /// guards cover are read off the plan's slots before the dump.
-    pub(crate) fn rebuild(
-        &mut self,
-        tree: &IndexTree,
-        k: usize,
-        order: &[NodeId],
-        plan: &SlotPlan,
-    ) {
+    /// Records that a successful full `Sorting` publish of `tree` on `k`
+    /// channels left its order and plan in the publisher, so the next
+    /// `republish_delta` can build the state from them. O(1): a
+    /// publisher whose lane never runs pays nothing for it.
+    pub(crate) fn mark_seedable(&mut self, tree: &IndexTree, k: usize) {
+        self.baseline = Baseline::Seedable;
+        self.k = k;
+        self.n = tree.len();
+    }
+
+    /// Builds the state from the order and plan of the last full
+    /// `Sorting` publish: two O(n) passes over buffers whose capacity
+    /// survives, so a warm rebuild allocates nothing. It reads only the
+    /// tree's structure, `k`, the order and the plan, none of which a
+    /// reweight changes, so building it at the lane's first call gives
+    /// what building it at publish time did. The inner-level placements
+    /// the guards cover are read off the plan's slots before the dump.
+    fn rebuild(&mut self, tree: &IndexTree, k: usize, order: &[NodeId], plan: &SlotPlan) {
         let n = tree.len();
         self.seq.clear();
         self.seq.resize(n, 0);
@@ -244,9 +273,7 @@ impl DeltaState {
             self.inner_guard[lvl] = self.inner_guard[lvl].max(self.inner_guard[lvl + 1]);
         }
         self.first_dump_slot = first_dump_slot;
-        self.valid = true;
-        self.k = k;
-        self.n = n;
+        self.baseline = Baseline::Built;
     }
 }
 
@@ -264,6 +291,11 @@ impl Publisher {
     /// heuristics always take the full lane. The tree *structure* must be
     /// unchanged since the last publish — only weights may move.
     ///
+    /// The first call after a full `Sorting` publish also builds the
+    /// lane's diff state from that publish's order and plan (see the
+    /// [module docs](crate::delta)), so it costs two O(n) passes more
+    /// than the patches after it.
+    ///
     /// # Errors
     /// Propagates pipeline feasibility errors from the full-publish
     /// fallback (the patch lane itself is infallible once validated).
@@ -279,7 +311,7 @@ impl Publisher {
         let total = tree.len();
         let gate = if heuristic != PublishHeuristic::Sorting {
             Some(FullReason::UnsupportedHeuristic)
-        } else if !self.delta.valid {
+        } else if self.delta.baseline == Baseline::Cold {
             Some(FullReason::ColdState)
         } else if self.delta.k != k || self.delta.n != total {
             Some(FullReason::EpochShape)
@@ -288,16 +320,21 @@ impl Publisher {
         };
         let reason = match gate {
             Some(r) => r,
-            None => match self.try_patch(tree, changes, k, delta) {
-                Ok(touched) => {
-                    return Ok(DeltaReport {
-                        lane: DeltaLane::Patched,
-                        touched,
-                        total,
-                    })
+            None => {
+                if self.delta.baseline == Baseline::Seedable {
+                    self.delta.rebuild(tree, k, &self.order, &self.plan);
                 }
-                Err(r) => r,
-            },
+                match self.try_patch(tree, changes, k, delta) {
+                    Ok(touched) => {
+                        return Ok(DeltaReport {
+                            lane: DeltaLane::Patched,
+                            touched,
+                            total,
+                        })
+                    }
+                    Err(r) => r,
+                }
+            }
         };
         self.publish(tree, k, heuristic, opts)?;
         Ok(DeltaReport {
@@ -655,4 +692,101 @@ fn resim_region(
         st.pos_slot[p as usize] = s_new;
     }
     Ok(st.region_pos.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bcast_index_tree::knary;
+
+    /// A 400-item Zipf tree of fanout 4, built like a tenant's boot tree.
+    fn zipf_tree(items: usize) -> IndexTree {
+        let weights: Vec<Weight> = (0..items)
+            .map(|i| Weight::new(1.0 / (i + 1) as f64).unwrap())
+            .collect();
+        knary::build_weight_balanced_unlabeled(&weights, 4).unwrap()
+    }
+
+    /// Lifts the lightest leaf under the last parent of two or more leaves
+    /// just above the next lightest, so two siblings swap places. Applies
+    /// the change to `tree` and returns it.
+    fn lift_one_leaf(tree: &mut IndexTree) -> Vec<(NodeId, Weight)> {
+        let leaves_of = |n: &NodeId| -> Vec<NodeId> {
+            let siblings = tree.children(tree.parent(*n).unwrap());
+            siblings
+                .iter()
+                .copied()
+                .filter(|&c| tree.is_data(c))
+                .collect()
+        };
+        let mut leaves = tree
+            .data_nodes()
+            .iter()
+            .rev()
+            .map(leaves_of)
+            .find(|leaves| leaves.len() > 1)
+            .unwrap();
+        leaves.sort_by(|a, b| tree.weight(*a).get().total_cmp(&tree.weight(*b).get()));
+        let lifted = Weight::new(1.01 * tree.weight(leaves[1]).get()).unwrap();
+        let change = vec![(leaves[0], lifted)];
+        tree.reweight(&change);
+        change
+    }
+
+    #[test]
+    fn the_lane_builds_its_baseline_on_its_first_call() {
+        let (k, opts) = (3, PublishOptions::default());
+        let budget = DeltaOptions { max_touched: 1.0 };
+        let mut tree = zipf_tree(400);
+        let mut p = Publisher::new();
+        p.publish(&tree, k, PublishHeuristic::Sorting, opts)
+            .unwrap();
+        // The publish only marks its order and plan seedable: no diff
+        // state is built, and none of its buffers is even sized.
+        let st = &p.delta;
+        assert_eq!(st.baseline, Baseline::Seedable);
+        for buffer in [&st.seq, &st.pos_slot, &st.slot_positions, &st.inner_guard] {
+            assert_eq!(buffer.capacity(), 0);
+        }
+
+        // The lane's first call builds the state and patches, exactly as
+        // a full publish of the reweighted tree would come out.
+        let mut twin = Publisher::new();
+        for _ in 0..2 {
+            let change = lift_one_leaf(&mut tree);
+            let report = p
+                .republish_delta(&tree, &change, k, PublishHeuristic::Sorting, opts, budget)
+                .unwrap();
+            assert_eq!(report.lane, DeltaLane::Patched);
+            assert!(report.touched > 0, "the change reorders siblings");
+            assert_eq!(p.delta.baseline, Baseline::Built);
+            twin.publish(&tree, k, PublishHeuristic::Sorting, opts)
+                .unwrap();
+            assert_eq!(p.current(), twin.current());
+            assert_eq!(p.plan(), twin.plan());
+        }
+
+        // A Frontier publish leaves nothing to build from.
+        p.publish(&tree, k, PublishHeuristic::Frontier, opts)
+            .unwrap();
+        let change = lift_one_leaf(&mut tree);
+        let report = p
+            .republish_delta(&tree, &change, k, PublishHeuristic::Sorting, opts, budget)
+            .unwrap();
+        assert_eq!(report.lane, DeltaLane::Full(FullReason::ColdState));
+        assert_eq!(p.delta.baseline, Baseline::Seedable);
+
+        // Its Sorting fallback seeds the next call; a tree of another
+        // size still cannot patch against it.
+        let other = zipf_tree(300);
+        let report = p
+            .republish_delta(&other, &[], k, PublishHeuristic::Sorting, opts, budget)
+            .unwrap();
+        assert_eq!(report.lane, DeltaLane::Full(FullReason::EpochShape));
+        let change = lift_one_leaf(&mut tree);
+        let report = p
+            .republish_delta(&tree, &change, k, PublishHeuristic::Sorting, opts, budget)
+            .unwrap();
+        assert_eq!(report.lane, DeltaLane::Full(FullReason::EpochShape));
+    }
 }

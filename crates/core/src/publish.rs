@@ -7,6 +7,11 @@
 //! packed into a reused [`SlotPlan`], and compiled into the pipeline's
 //! double-buffered route tables in a single traversal.
 //!
+//! A publish builds nothing for the delta lane. A successful `Sorting`
+//! run only records that its order and plan can seed the lane's diff
+//! state; [`Publisher::republish_delta`] builds that state on its first
+//! call, so a publisher that never calls it never pays for it.
+//!
 //! The output is bit-identical to the legacy three-pass path
 //! (`Schedule` → `Allocation::from_slot_schedule` →
 //! `BroadcastProgram::build` → `CompiledProgram::compile`) because the
@@ -67,9 +72,10 @@ pub struct Publisher {
     pub(crate) order: Vec<NodeId>,
     pub(crate) plan: SlotPlan,
     pub(crate) pipeline: PublishPipeline,
-    /// Persistent diff state for the incremental republish lane
-    /// ([`Publisher::republish_delta`] in [`crate::delta`]); rebuilt after
-    /// every successful full `Sorting` publish, invalid otherwise.
+    /// Diff state of the incremental republish lane
+    /// ([`Publisher::republish_delta`] in [`crate::delta`]). A publish
+    /// only records whether its order and plan can seed it; the lane
+    /// builds it from them on its first call.
     pub(crate) delta: crate::delta::DeltaState,
 }
 
@@ -115,16 +121,14 @@ impl Publisher {
             PublishHeuristic::Preorder => tree.preorder(),
         };
         greedy_pack_into(order, tree, k, &mut self.pack, &mut self.plan);
+        // Only the Sorting heuristic has an incremental twin, so only a
+        // successful Sorting run leaves an order and plan the delta lane
+        // can build its baseline from; anything else, a failure included,
+        // makes the next `republish_delta` fall back cleanly.
+        self.delta.invalidate();
         self.pipeline.publish(tree, &self.plan, k)?;
-        // Snapshot the diff state the delta lane repairs against. Only the
-        // Sorting heuristic has an incremental twin; any other publish
-        // invalidates the state so `republish_delta` falls back cleanly.
-        match heuristic {
-            PublishHeuristic::Sorting => {
-                self.delta.rebuild(tree, k, &self.order, &self.plan);
-                self.pipeline.preseed_back();
-            }
-            _ => self.delta.invalidate(),
+        if heuristic == PublishHeuristic::Sorting {
+            self.delta.mark_seedable(tree, k);
         }
         Ok(self.pipeline.current())
     }

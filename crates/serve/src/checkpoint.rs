@@ -536,22 +536,15 @@ impl ServeLoop {
     /// validates; [`CheckpointError::Io`] if the directory cannot be
     /// scanned.
     pub fn restore(dir: impl AsRef<Path>, threads: usize) -> Result<ServeLoop, CheckpointError> {
-        for path in manifest_paths(dir.as_ref())? {
-            let Some(words) = decode_file(&path) else {
-                continue;
-            };
-            let mut r = WordReader::new(payload_of(&words));
-            let Some(section) = r.u32() else { continue };
+        restore_first_valid(dir.as_ref(), |r| {
+            let section = r.u32()?;
             if section != SECTION_SERVICE && section != SECTION_DRIVER {
-                continue;
+                return None;
             }
             // A driver manifest is a superset: the service section
             // restores the same way, the driver tail is simply unused.
-            if let Some(svc) = ServeLoop::import_state(&mut r, threads) {
-                return Ok(svc);
-            }
-        }
-        Err(CheckpointError::NoValidManifest)
+            ServeLoop::import_state(r, threads)
+        })
     }
 }
 

@@ -787,9 +787,8 @@ mod tests {
 
     #[test]
     fn snapshot_image_captures_cache_booted_and_restored_tenants() {
-        // A cache-booted or restored tenant holds a one-leaf stand-in
-        // tree until its first rebuild; capturing it must still record
-        // the program on air with the full catalog.
+        // A cache-booted or restored tenant holds no tree; capturing it
+        // must still record the program on air with the full catalog.
         let images = |svc: &ServeLoop| -> Vec<Vec<u32>> {
             svc.tenants()
                 .iter()

@@ -1,6 +1,8 @@
-//! One tenant of the serving loop: an index tree, a double-buffered
-//! publisher, a demand estimator and a degradation tracker, advanced one
-//! time slice at a time.
+//! One tenant of the serving loop: a double-buffered publisher, a demand
+//! estimator and a degradation tracker, advanced one time slice at a
+//! time. A tenant keeps only what its rebuild lane reads: the delta lane
+//! keeps the boot index tree it reweights, while the full lane builds a
+//! tree for each rebuild and drops it once published.
 //!
 //! A tenant is a *self-contained* state machine: every random draw it
 //! makes (request sampling, tune-in slots, channel faults) derives from
@@ -175,106 +177,83 @@ impl TenantConfig {
 /// phase, typically).
 #[derive(Debug, Clone)]
 struct Window {
-    requests: u64,
-    delivered: u64,
-    failed: u64,
-    retries: u64,
+    /// The window's counters, in the snapshot that reports them; the
+    /// three fields [`snapshot`](Window::snapshot) derives stay 0 here.
+    counts: SloSnapshot,
     hist: LatencyHistogram,
-    max_cycle_len: u32,
-    rebuilds: u64,
-    degraded_rebuilds: u64,
-    downtime_slots: u64,
-    delta_rebuilds: u64,
-    full_rebuilds: u64,
     /// Schedule positions touched / positions total, summed over the
     /// window's rebuilds (exact integers → deterministic ppm).
     touched_nodes: u64,
     touched_total: u64,
-    /// Programs installed from a snapshot image during the window.
-    snapshot_loads: u64,
-    /// Periodic republish points gated off by `rebuild_min_drift`.
-    skipped_rebuilds: u64,
-    /// Wall nanoseconds inside rebuilds — side channel, never compared.
-    rebuild_wall_ns: u64,
-    /// Demand-sampler alias tables rebuilt — cache-miss side channel.
-    alias_rebuilds: u64,
-    /// Panics caught and turned into quarantine entries.
-    quarantined: u64,
-    /// Successful readmission probes out of quarantine.
-    readmitted: u64,
-    /// Requests refused by the overload-shedding admission controller.
-    shed: u64,
 }
 
 impl Window {
     fn new(hist_bound: u32) -> Self {
         Window {
-            requests: 0,
-            delivered: 0,
-            failed: 0,
-            retries: 0,
+            counts: SloSnapshot::default(),
             hist: LatencyHistogram::with_bound(hist_bound.max(1)),
-            max_cycle_len: 0,
-            rebuilds: 0,
-            degraded_rebuilds: 0,
-            downtime_slots: 0,
-            delta_rebuilds: 0,
-            full_rebuilds: 0,
             touched_nodes: 0,
             touched_total: 0,
-            snapshot_loads: 0,
-            skipped_rebuilds: 0,
-            rebuild_wall_ns: 0,
-            alias_rebuilds: 0,
-            quarantined: 0,
-            readmitted: 0,
-            shed: 0,
         }
     }
 
+    /// The counters, with the p99 and mean access time read off the
+    /// histogram and the touched share in parts per million.
     fn snapshot(&self) -> SloSnapshot {
+        let (p99_slots, mean_access_slots) = if self.hist.is_empty() {
+            (0, 0.0)
+        } else {
+            (self.hist.percentile(0.99), self.hist.mean())
+        };
         SloSnapshot {
-            requests: self.requests,
-            delivered: self.delivered,
-            failed: self.failed,
-            retries: self.retries,
-            p99_slots: if self.hist.is_empty() {
-                0
-            } else {
-                self.hist.percentile(0.99)
-            },
-            mean_access_slots: if self.hist.is_empty() {
-                0.0
-            } else {
-                self.hist.mean()
-            },
-            max_cycle_len: self.max_cycle_len,
-            rebuilds: self.rebuilds,
-            degraded_rebuilds: self.degraded_rebuilds,
-            rebuild_downtime_slots: self.downtime_slots,
-            delta_rebuilds: self.delta_rebuilds,
-            full_rebuilds: self.full_rebuilds,
+            p99_slots,
+            mean_access_slots,
             touched_ppm: (self.touched_nodes * 1_000_000)
                 .checked_div(self.touched_total)
                 .unwrap_or(0),
-            snapshot_loads: self.snapshot_loads,
-            skipped_rebuilds: self.skipped_rebuilds,
-            rebuild_wall_ns: self.rebuild_wall_ns,
-            alias_rebuilds: self.alias_rebuilds,
-            quarantined: self.quarantined,
-            readmitted: self.readmitted,
-            shed_requests: self.shed,
+            ..self.counts
         }
+    }
+
+    /// The counters a checkpoint stores after the window's histogram and
+    /// cycle length, in manifest order: the one list both
+    /// [`TenantRuntime::export_state`] and the restore walk.
+    fn checkpoint_tail<'a>(
+        c: &'a mut SloSnapshot,
+        touched_nodes: &'a mut u64,
+        touched_total: &'a mut u64,
+    ) -> [&'a mut u64; 14] {
+        [
+            &mut c.rebuilds,
+            &mut c.degraded_rebuilds,
+            &mut c.rebuild_downtime_slots,
+            &mut c.delta_rebuilds,
+            &mut c.full_rebuilds,
+            touched_nodes,
+            touched_total,
+            &mut c.snapshot_loads,
+            &mut c.skipped_rebuilds,
+            &mut c.rebuild_wall_ns,
+            &mut c.alias_rebuilds,
+            &mut c.quarantined,
+            &mut c.readmitted,
+            &mut c.shed_requests,
+        ]
     }
 }
 
-/// A live tenant: tree + publisher + estimator + degradation tracker,
-/// advanced by [`run_slice`](TenantRuntime::run_slice).
+/// A live tenant: publisher + estimator + degradation tracker (+ the
+/// boot tree on the delta lane), advanced by
+/// [`run_slice`](TenantRuntime::run_slice).
 #[derive(Debug)]
 pub struct TenantRuntime {
     config: TenantConfig,
     seed: u64,
-    tree: IndexTree,
+    /// The boot tree a [`RebuildLane::Delta`] tenant reweights and
+    /// republishes. `None` on the full lane: each full rebuild builds a
+    /// tree, publishes it and drops it, since serving reads only the
+    /// program and the item → node map.
+    tree: Option<IndexTree>,
     data_nodes: Vec<NodeId>,
     publisher: Publisher,
     estimator: EmaEstimator,
@@ -364,6 +343,7 @@ impl TenantRuntime {
             )
             .expect("bundled heuristics produce feasible allocations");
         let data_nodes = tree.data_nodes().to_vec();
+        let keep_tree = matches!(config.rebuild_lane, RebuildLane::Delta { .. });
         let mut t = Self::assemble(
             service_seed,
             config,
@@ -373,7 +353,7 @@ impl TenantRuntime {
             weights,
             None,
         );
-        t.tree = tree;
+        t.tree = keep_tree.then_some(tree);
         t
     }
 
@@ -391,10 +371,10 @@ impl TenantRuntime {
     /// observable difference is the window's `snapshot_loads` count.
     ///
     /// The boot index tree is *not* reconstructed (that is the cost
-    /// being skipped); a one-node stand-in holds its place until the
-    /// first rebuild derives a fresh tree from estimator weights, which
-    /// is why only [`RebuildLane::Full`] tenants may boot this way —
-    /// the delta lane patches against the boot tree's structure.
+    /// being skipped), and a full-lane tenant keeps no tree anyway: its
+    /// first rebuild derives a fresh one from estimator weights. Only
+    /// [`RebuildLane::Full`] tenants may boot this way — the delta lane
+    /// patches against the boot tree's structure.
     ///
     /// # Errors
     /// [`SnapshotError::Corrupt`] if the image's catalog size or channel
@@ -450,10 +430,9 @@ impl TenantRuntime {
     /// air). The tenant seed derives from `service_seed` and the config's
     /// id; everything else starts as before a tenant's first phase.
     ///
-    /// The tree is a one-leaf stand-in, O(1) to build: a program
-    /// installed from an image or a checkpoint comes without its tree,
-    /// and the first full rebuild derives a real one. [`new`] swaps in
-    /// the tree it published from.
+    /// The tenant holds no tree: a program installed from an image or a
+    /// checkpoint comes without one, and a full-lane tenant needs none.
+    /// [`new`] hands a delta-lane tenant the tree it published from.
     ///
     /// [`new`]: TenantRuntime::new
     fn assemble(
@@ -468,11 +447,9 @@ impl TenantRuntime {
         let window = window.unwrap_or_else(|| {
             Window::new(PHASE_HIST_CYCLES * (publisher.current().cycle_len() as u32).max(1))
         });
-        let tree = knary::build_weight_balanced_unlabeled(&[Weight::from(1u32)], config.fanout)
-            .expect("a single weight builds a valid tree");
         TenantRuntime {
             seed: mix2(service_seed, config.id),
-            tree,
+            tree: None,
             data_nodes,
             publisher,
             estimator,
@@ -551,8 +528,8 @@ impl TenantRuntime {
 
     /// Starts a new observation window with a new script: demand shape,
     /// channel condition and SLO for the next `slices` slices. Resets the
-    /// window accumulator; estimator, tree and degradation state carry
-    /// over (a tenant's demand history does not reset at phase
+    /// window accumulator; estimator, program and degradation state
+    /// carry over (a tenant's demand history does not reset at phase
     /// boundaries).
     pub fn begin_phase(
         &mut self,
@@ -567,7 +544,7 @@ impl TenantRuntime {
         self.phase_slices = slices;
         self.slice_in_phase = 0;
         self.window = Window::new(PHASE_HIST_CYCLES * self.cycle_len().max(1));
-        self.window.snapshot_loads = std::mem::take(&mut self.pending_snapshot_loads);
+        self.window.counts.snapshot_loads = std::mem::take(&mut self.pending_snapshot_loads);
     }
 
     /// Clears the degradation tracker's transient hysteresis/cooldown
@@ -633,12 +610,12 @@ impl TenantRuntime {
         match body {
             Ok(()) => {
                 if !parked && self.quarantine.take().is_some() {
-                    self.window.readmitted += 1;
+                    self.window.counts.readmitted += 1;
                 }
             }
             Err(payload) => {
                 drop(payload);
-                self.window.quarantined += 1;
+                self.window.counts.quarantined += 1;
                 let term = self
                     .quarantine
                     .map_or(QUARANTINE_BASE_SLICES, |q| q.next_backoff);
@@ -697,11 +674,11 @@ impl TenantRuntime {
                 self.sampler.rebuild(&self.pmf, |i| data_nodes[i].0);
                 self.sampler_shape = Some(self.demand.shape);
                 self.sampler_stale = false;
-                self.window.alias_rebuilds += 1;
+                self.window.counts.alias_rebuilds += 1;
             } else if self.sampler_stale {
                 self.sampler.retag(|i| data_nodes[i].0);
                 self.sampler_stale = false;
-                self.window.alias_rebuilds += 1;
+                self.window.counts.alias_rebuilds += 1;
             }
             let mut state = mix2(slice_seed, 1);
 
@@ -721,7 +698,7 @@ impl TenantRuntime {
                     rate,
                     chunked,
                 );
-                self.window.downtime_slots += 1;
+                self.window.counts.rebuild_downtime_slots += 1;
             } else {
                 if admitted > 0 {
                     let opts = ServeOptions {
@@ -775,8 +752,8 @@ impl TenantRuntime {
                     chunked,
                 );
                 if shed > 0 {
-                    self.window.requests += u64::from(shed);
-                    self.window.shed += u64::from(shed);
+                    self.window.counts.requests += u64::from(shed);
+                    self.window.counts.shed_requests += u64::from(shed);
                     self.total_requests += u64::from(shed);
                 }
                 if admitted > 0 {
@@ -793,7 +770,7 @@ impl TenantRuntime {
                             .is_some_and(|t| t.observe(rate_served));
                     if fire {
                         self.rebuild();
-                        self.window.degraded_rebuilds += 1;
+                        self.window.counts.degraded_rebuilds += 1;
                     }
                 }
             }
@@ -816,7 +793,7 @@ impl TenantRuntime {
                     .rebuild_min_drift
                     .is_some_and(|floor| self.estimator.drift_since_publish() < floor);
                 if quiet {
-                    self.window.skipped_rebuilds += 1;
+                    self.window.counts.skipped_rebuilds += 1;
                 } else {
                     self.rebuild();
                 }
@@ -887,11 +864,13 @@ impl TenantRuntime {
     /// intermediate metrics struct. The access times are already in the
     /// window's histogram: the kernel recorded them there.
     fn absorb_session(&mut self) {
-        self.window.requests += self.session.requests();
-        self.window.delivered += self.session.delivered();
-        self.window.failed += self.session.failed();
-        self.window.retries += self.session.retries();
-        self.window.max_cycle_len = self.window.max_cycle_len.max(self.cycle_len());
+        let cycle_len = self.cycle_len();
+        let counts = &mut self.window.counts;
+        counts.requests += self.session.requests();
+        counts.delivered += self.session.delivered();
+        counts.failed += self.session.failed();
+        counts.retries += self.session.retries();
+        counts.max_cycle_len = counts.max_cycle_len.max(cycle_len);
         self.total_requests += self.session.requests();
     }
 
@@ -926,31 +905,36 @@ impl TenantRuntime {
                     .expect("bundled heuristics produce feasible allocations");
                 self.data_nodes.clear();
                 self.data_nodes.extend_from_slice(tree.data_nodes());
-                self.tree = tree;
                 // The sampler's tags bake in the item→node map this
                 // rebuild just reminted, so the next serving slice
                 // re-tags it (the delta lane keeps node ids stable and
                 // skips this).
                 self.sampler_stale = true;
-                self.window.full_rebuilds += 1;
-                let total = self.tree.len() as u64;
+                self.window.counts.full_rebuilds += 1;
+                let total = tree.len() as u64;
                 self.window.touched_nodes += total;
                 self.window.touched_total += total;
+                // The tree is dropped here: serving reads only the
+                // program and `data_nodes`.
             }
             RebuildLane::Delta { max_touched } => {
                 // Structure stays at its boot shape: only weights move,
                 // so `data_nodes` keeps mapping item i → leaf i.
+                let tree = self
+                    .tree
+                    .as_mut()
+                    .expect("a delta-lane tenant keeps its boot tree");
                 self.node_changes.clear();
                 self.node_changes.extend(
                     self.changes
                         .iter()
                         .map(|&(i, w)| (self.data_nodes[i as usize], w)),
                 );
-                self.tree.reweight(&self.node_changes);
+                tree.reweight(&self.node_changes);
                 let report = self
                     .publisher
                     .republish_delta(
-                        &self.tree,
+                        tree,
                         &self.node_changes,
                         self.config.channels,
                         self.config.heuristic,
@@ -959,17 +943,17 @@ impl TenantRuntime {
                     )
                     .expect("bundled heuristics produce feasible allocations");
                 match report.lane {
-                    DeltaLane::Patched => self.window.delta_rebuilds += 1,
-                    DeltaLane::Full(_) => self.window.full_rebuilds += 1,
+                    DeltaLane::Patched => self.window.counts.delta_rebuilds += 1,
+                    DeltaLane::Full(_) => self.window.counts.full_rebuilds += 1,
                 }
                 self.window.touched_nodes += report.touched as u64;
                 self.window.touched_total += report.total as u64;
             }
         }
-        self.window.rebuilds += 1;
-        self.window.max_cycle_len = self.window.max_cycle_len.max(self.cycle_len());
+        self.window.counts.rebuilds += 1;
+        self.window.counts.max_cycle_len = self.window.counts.max_cycle_len.max(self.cycle_len());
         self.total_rebuilds += 1;
-        self.window.rebuild_wall_ns += started.elapsed().as_nanos() as u64;
+        self.window.counts.rebuild_wall_ns += started.elapsed().as_nanos() as u64;
     }
 
     /// Serializes the tenant's complete mutable state into the
@@ -1081,31 +1065,18 @@ impl TenantRuntime {
 
         // The window, histogram included.
         let win = &self.window;
-        w.u64(win.requests);
-        w.u64(win.delivered);
-        w.u64(win.failed);
-        w.u64(win.retries);
+        let mut counts = win.counts;
+        w.u64(counts.requests);
+        w.u64(counts.delivered);
+        w.u64(counts.failed);
+        w.u64(counts.retries);
         let mut scratch = Vec::new();
         win.hist.export_state(&mut scratch);
         w.u64_slice(&scratch);
-        w.u32(win.max_cycle_len);
-        for x in [
-            win.rebuilds,
-            win.degraded_rebuilds,
-            win.downtime_slots,
-            win.delta_rebuilds,
-            win.full_rebuilds,
-            win.touched_nodes,
-            win.touched_total,
-            win.snapshot_loads,
-            win.skipped_rebuilds,
-            win.rebuild_wall_ns,
-            win.alias_rebuilds,
-            win.quarantined,
-            win.readmitted,
-            win.shed,
-        ] {
-            w.u64(x);
+        w.u32(counts.max_cycle_len);
+        let (mut touched_nodes, mut touched_total) = (win.touched_nodes, win.touched_total);
+        for x in Window::checkpoint_tail(&mut counts, &mut touched_nodes, &mut touched_total) {
+            w.u64(*x);
         }
 
         // Adaptive state: estimator trajectory, tracker hysteresis.
@@ -1164,9 +1135,9 @@ impl TenantRuntime {
     /// words. Fails closed (`None`) on any truncation, range violation
     /// or image corruption — a checkpoint never restores approximately.
     ///
-    /// Mirrors [`from_snapshot`](Self::from_snapshot): the boot index
-    /// tree is a one-leaf stand-in until the next full rebuild derives
-    /// the real one from the restored weights, so only
+    /// Mirrors [`from_snapshot`](Self::from_snapshot): a checkpoint
+    /// stores no tree and the restored tenant holds none, since its next
+    /// full rebuild derives one from the restored weights. So only
     /// [`RebuildLane::Full`] tenants restore this way.
     /// `cache` is the already-restored boot-image section of the same
     /// manifest, each image pre-decoded to its program once by the
@@ -1269,15 +1240,18 @@ impl TenantRuntime {
         };
         let chaos_panic_slices = r.u64_vec()?;
 
-        let requests = r.u64()?;
-        let delivered = r.u64()?;
-        let failed = r.u64()?;
-        let retries = r.u64()?;
+        let mut counts = SloSnapshot {
+            requests: r.u64()?,
+            delivered: r.u64()?,
+            failed: r.u64()?,
+            retries: r.u64()?,
+            ..SloSnapshot::default()
+        };
         let hist_words = r.u64_vec()?;
-        let max_cycle_len = r.u32()?;
-        let mut tail = [0u64; 14];
-        for slot in &mut tail {
-            *slot = r.u64()?;
+        counts.max_cycle_len = r.u32()?;
+        let (mut touched_nodes, mut touched_total) = (0, 0);
+        for x in Window::checkpoint_tail(&mut counts, &mut touched_nodes, &mut touched_total) {
+            *x = r.u64()?;
         }
 
         let est_words = r.u64_vec()?;
@@ -1294,26 +1268,10 @@ impl TenantRuntime {
             return None;
         }
         let window = Window {
-            requests,
-            delivered,
-            failed,
-            retries,
+            counts,
             hist,
-            max_cycle_len,
-            rebuilds: tail[0],
-            degraded_rebuilds: tail[1],
-            downtime_slots: tail[2],
-            delta_rebuilds: tail[3],
-            full_rebuilds: tail[4],
-            touched_nodes: tail[5],
-            touched_total: tail[6],
-            snapshot_loads: tail[7],
-            skipped_rebuilds: tail[8],
-            rebuild_wall_ns: tail[9],
-            alias_rebuilds: tail[10],
-            quarantined: tail[11],
-            readmitted: tail[12],
-            shed: tail[13],
+            touched_nodes,
+            touched_total,
         };
         let degradation = match (r.u32()?, config.degradation) {
             (0, None) => None,
@@ -1693,7 +1651,7 @@ mod tests {
         let view = image.view().unwrap();
         let mut warm = TenantRuntime::from_snapshot(config, 0xB007, &view).unwrap();
         // 12 slices cross the periodic rebuild at slice 8, so the warm
-        // tenant's first full rebuild (replacing the stand-in tree) is
+        // tenant's first full rebuild (its first tree since the image) is
         // inside the window being compared.
         for t in [&mut cold, &mut warm] {
             t.begin_phase(demand(150), None, SloSpec::lossless(), 12);
@@ -1705,6 +1663,43 @@ mod tests {
         assert!(warm.phase_violations().is_empty());
         assert_eq!(cold.phase_snapshot().snapshot_loads, 0);
         assert_eq!(warm.phase_snapshot().snapshot_loads, 1);
+    }
+
+    #[test]
+    fn only_a_delta_lane_tenant_keeps_a_tree() {
+        // The full lane holds no tree after boot, after a rebuild, after
+        // a snapshot boot and after a restore.
+        let mut t = TenantRuntime::new(TenantConfig::new(3, 64), 0x7EE);
+        assert!(t.tree.is_none());
+        t.begin_phase(demand(200), None, SloSpec::lossless(), 9);
+        for _ in 0..9 {
+            t.run_slice();
+        }
+        assert_eq!(t.phase_snapshot().full_rebuilds, 1);
+        assert!(t.tree.is_none());
+        let image = t.snapshot_image();
+        let warm =
+            TenantRuntime::from_snapshot(t.config.clone(), 0x7EE, &image.view().unwrap()).unwrap();
+        assert!(warm.tree.is_none());
+        let mut w = WordWriter::new();
+        t.export_state(&mut w, None);
+        let words = w.into_words();
+        let restored = TenantRuntime::import_state(0x7EE, &mut WordReader::new(&words), &[])
+            .expect("a full-lane tenant restores");
+        assert!(restored.tree.is_none());
+
+        // The delta lane keeps its boot tree, reweighted in place, across
+        // rebuilds.
+        let mut config = TenantConfig::new(3, 64);
+        config.rebuild_lane = RebuildLane::Delta { max_touched: 0.25 };
+        let mut d = TenantRuntime::new(config, 0x7EE);
+        d.begin_phase(demand(200), None, SloSpec::lossless(), 9);
+        for _ in 0..9 {
+            d.run_slice();
+        }
+        assert_eq!(d.phase_snapshot().rebuilds, 1);
+        let tree = d.tree.as_ref().expect("the delta lane keeps its boot tree");
+        assert_eq!(tree.data_nodes(), &d.data_nodes[..]);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! arbitrary probability mass function into a Walker **alias table**
 //! (O(items) build) and then draws with one SplitMix64 step, one
 //! multiply-shift index map and one comparison per sample. The table and
-//! the generator state are deliberately separate: a long-lived caller (the
-//! serving loop's tenants) builds the table once per demand shape and
-//! reseeds a plain `u64` state per slice — [`AliasTable::rebuild`] even
-//! reuses the table's buffers, so steady-state sampling allocates nothing.
-//! [`RequestStream`] bundles the two back together for one-shot callers.
+//! the generator state are deliberately separate: a long-lived caller
+//! builds the table once per demand shape and reseeds a plain `u64` state
+//! per slice, so steady-state sampling allocates nothing. The serving
+//! loop's tenants keep only a [`TaggedAliasTable`], whose fused columns
+//! are derived from a plain table built as a temporary.
+//! [`RequestStream`] bundles a table and a state back together for
+//! one-shot callers.
 //!
 //! Deterministic given an explicit `u64` seed, like every generator in
 //! this crate.
@@ -20,46 +22,21 @@ use bcast_types::prefetch::prefetch;
 /// A Walker alias table over a fixed probability mass function: the
 /// state-free half of a [`RequestStream`], sharable across draws whose
 /// generator state lives elsewhere.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AliasTable {
     /// Acceptance threshold per column, scaled to `u32::MAX + 1`.
     threshold: Vec<u32>,
     /// Alias item per column.
     alias: Vec<u32>,
-    /// Vose construction worklists, retained so rebuilds allocate nothing
-    /// once the buffers reach steady-state size.
-    scaled: Vec<f64>,
-    small: Vec<u32>,
-    large: Vec<u32>,
 }
 
 impl AliasTable {
-    /// An empty table (no items). Sampling panics until the first
-    /// [`rebuild`](Self::rebuild) fills it.
-    pub fn new() -> Self {
-        AliasTable::default()
-    }
-
     /// Builds a table with draw probability proportional to each weight.
     ///
     /// # Panics
     /// Panics if `weights` is empty, contains a negative or non-finite
     /// value, or sums to zero.
     pub fn from_weights(weights: &[f64]) -> Self {
-        let mut table = AliasTable::new();
-        table.rebuild(weights);
-        table
-    }
-
-    /// Rebuilds the table in place over a new pmf, reusing every buffer —
-    /// allocation-free once capacities have grown to the item count. The
-    /// construction is exactly [`from_weights`](Self::from_weights)', so a
-    /// rebuilt table samples bit-identically to a fresh one.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty, contains a negative or non-finite
-    /// value, or sums to zero.
-    pub fn rebuild(&mut self, weights: &[f64]) {
         let n = weights.len();
         assert!(n > 0, "need at least one item");
         let total: f64 = weights
@@ -72,34 +49,30 @@ impl AliasTable {
         assert!(total > 0.0, "weights must not all be zero");
         // Vose's stable alias construction: scale each probability by n,
         // then pair every under-full column with an over-full donor.
-        self.scaled.clear();
-        self.scaled
-            .extend(weights.iter().map(|&w| w * n as f64 / total));
-        self.small.clear();
-        self.large.clear();
-        for (i, &s) in self.scaled.iter().enumerate() {
+        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
+        let (mut small, mut large) = (Vec::new(), Vec::new());
+        for (i, &s) in scaled.iter().enumerate() {
             if s < 1.0 {
-                self.small.push(i as u32);
+                small.push(i as u32);
             } else {
-                self.large.push(i as u32);
+                large.push(i as u32);
             }
         }
-        self.threshold.clear();
-        self.threshold.resize(n, u32::MAX);
-        self.alias.clear();
-        self.alias.extend(0..n as u32);
-        while let (Some(s), Some(l)) = (self.small.pop(), self.large.pop()) {
-            self.threshold[s as usize] = (self.scaled[s as usize] * (u32::MAX as f64 + 1.0)) as u32;
-            self.alias[s as usize] = l;
-            self.scaled[l as usize] -= 1.0 - self.scaled[s as usize];
-            if self.scaled[l as usize] < 1.0 {
-                self.small.push(l);
+        let mut threshold = vec![u32::MAX; n];
+        let mut alias: Vec<u32> = (0..n as u32).collect();
+        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+            threshold[s as usize] = (scaled[s as usize] * (u32::MAX as f64 + 1.0)) as u32;
+            alias[s as usize] = l;
+            scaled[l as usize] -= 1.0 - scaled[s as usize];
+            if scaled[l as usize] < 1.0 {
+                small.push(l);
             } else {
-                self.large.push(l);
+                large.push(l);
             }
         }
         // Leftovers (either list) are exactly full up to rounding: always
         // accept.
+        AliasTable { threshold, alias }
     }
 
     /// Number of distinct items.
@@ -107,7 +80,7 @@ impl AliasTable {
         self.threshold.len()
     }
 
-    /// True until the first build.
+    /// Always false — tables have at least one item by construction.
     pub fn is_empty(&self) -> bool {
         self.threshold.is_empty()
     }
@@ -116,9 +89,6 @@ impl AliasTable {
     /// step: O(1), allocation-free. The caller owns the state, so one
     /// table serves any number of independent streams — reseeding costs a
     /// single store.
-    ///
-    /// # Panics
-    /// Panics (index out of bounds) on an empty table.
     #[inline]
     pub fn sample(&self, state: &mut u64) -> usize {
         let z = splitmix_next(state);
@@ -184,13 +154,10 @@ struct TaggedColumn {
 /// `(item, tag)` outcomes in one 16-byte record, so a draw costs one
 /// SplitMix64 step and a single random cache-line read. Draw decisions
 /// are bit-identical to [`AliasTable`] built over the same pmf — the
-/// construction *is* [`AliasTable::rebuild`], the tags ride along.
+/// construction *is* [`AliasTable::from_weights`], the tags ride along.
 #[derive(Debug, Clone, Default)]
 pub struct TaggedAliasTable {
     columns: Vec<TaggedColumn>,
-    /// Plain table retained for the Vose construction (and as the oracle
-    /// the fused columns are derived from); rebuilds reuse its buffers.
-    base: AliasTable,
 }
 
 impl TaggedAliasTable {
@@ -200,24 +167,23 @@ impl TaggedAliasTable {
         TaggedAliasTable::default()
     }
 
-    /// Rebuilds in place over a new pmf, attaching `tag(item)` to every
-    /// branch outcome — allocation-free once capacities have grown to the
-    /// item count.
+    /// Rebuilds over a new pmf, attaching `tag(item)` to every branch
+    /// outcome. The plain [`AliasTable`] the columns are read off is a
+    /// temporary; only the columns are kept, in their reused buffer.
     ///
     /// # Panics
     /// Panics if `weights` is empty, contains a negative or non-finite
     /// value, or sums to zero.
     pub fn rebuild(&mut self, weights: &[f64], mut tag: impl FnMut(usize) -> u32) {
-        self.base.rebuild(weights);
+        let base = AliasTable::from_weights(weights);
         self.columns.clear();
-        self.columns.reserve(weights.len());
-        for col in 0..weights.len() {
-            let alias = self.base.alias[col] as usize;
+        self.columns.reserve(base.len());
+        for (col, (&threshold, &alias)) in base.threshold.iter().zip(&base.alias).enumerate() {
             self.columns.push(TaggedColumn {
-                threshold: self.base.threshold[col],
+                threshold,
                 accept_tag: tag(col),
-                alias_item: alias as u32,
-                alias_tag: tag(alias),
+                alias_item: alias,
+                alias_tag: tag(alias as usize),
             });
         }
     }
@@ -235,9 +201,7 @@ impl TaggedAliasTable {
     /// Rebuilds a table from [`export_columns`](Self::export_columns)'s
     /// words — a straight copy, bit-identical draws, no Vose
     /// reconstruction. `None` if the word count is not a multiple of
-    /// four or an alias index is out of range. The plain base table is
-    /// left empty: it is a construction-time oracle, not a sampling
-    /// dependency, and the next [`rebuild`](Self::rebuild) regrows it.
+    /// four or an alias index is out of range.
     pub fn import_columns(words: &[u32]) -> Option<TaggedAliasTable> {
         if !words.len().is_multiple_of(4) {
             return None;
@@ -255,10 +219,7 @@ impl TaggedAliasTable {
                 alias_tag: q[3],
             });
         }
-        Some(TaggedAliasTable {
-            columns,
-            base: AliasTable::default(),
-        })
+        Some(TaggedAliasTable { columns })
     }
 
     /// Replaces every column's tags with `tag`'s, keeping thresholds and
@@ -533,26 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reuses_buffers_and_samples_identically() {
-        let a: Vec<f64> = (0..32).map(|i| (i + 1) as f64).collect();
-        let b = [5.0, 1.0, 3.0, 1.0];
-        let mut reused = AliasTable::from_weights(&a);
-        reused.rebuild(&b);
-        let fresh = AliasTable::from_weights(&b);
-        let (mut s1, mut s2) = (9u64, 9u64);
-        for _ in 0..1000 {
-            assert_eq!(reused.sample(&mut s1), fresh.sample(&mut s2));
-        }
-        // Growing back to the larger pmf works too.
-        reused.rebuild(&a);
-        let fresh = AliasTable::from_weights(&a);
-        let (mut s1, mut s2) = (11u64, 11u64);
-        for _ in 0..1000 {
-            assert_eq!(reused.sample(&mut s1), fresh.sample(&mut s2));
-        }
-    }
-
-    #[test]
     fn reseeding_state_replays_the_slice_sequence() {
         // The serving loop's usage: one cached table, a fresh state per
         // slice — equal to building a fresh stream per slice.
@@ -599,6 +540,31 @@ mod tests {
         }
     }
 
+    #[test]
+    fn rebuild_reuses_buffers_and_samples_identically() {
+        // A rebuilt table keeps its column buffer whether the pmf shrinks
+        // it or grows it back, and draws exactly as a fresh one does.
+        let a: Vec<f64> = (0..32).map(|i| (i + 1) as f64).collect();
+        let b = [5.0, 1.0, 3.0, 1.0];
+        let mut reused = TaggedAliasTable::new();
+        reused.rebuild(&a, |i| i as u32);
+        let buffer = reused.columns.as_ptr();
+        for (pmf, seed) in [(&b[..], 9u64), (&a[..], 11u64)] {
+            reused.rebuild(pmf, |i| 2 * i as u32);
+            assert_eq!(reused.columns.as_ptr(), buffer);
+            assert_eq!(reused.len(), pmf.len());
+            let mut fresh = TaggedAliasTable::new();
+            fresh.rebuild(pmf, |i| 2 * i as u32);
+            let plain = AliasTable::from_weights(pmf);
+            let (mut s1, mut s2, mut s3) = (seed, seed, seed);
+            for _ in 0..1000 {
+                let drawn = reused.sample(&mut s1);
+                assert_eq!(drawn, fresh.sample(&mut s2));
+                assert_eq!(drawn.0 as usize, plain.sample(&mut s3));
+            }
+        }
+    }
+
     fn columns(table: &TaggedAliasTable) -> Vec<u32> {
         let mut words = Vec::new();
         table.export_columns(&mut words);
@@ -614,8 +580,8 @@ mod tests {
         rebuilt.rebuild(&weights, |i| 7 * i as u32 + 1);
         retagged.retag(|i| 7 * i as u32 + 1);
         assert_eq!(columns(&retagged), columns(&rebuilt));
-        // A restored table has no plain base to rebuild from; its columns
-        // re-tag all the same.
+        // A restored table, copied straight from its columns, re-tags
+        // all the same.
         let mut restored =
             TaggedAliasTable::import_columns(&columns(&rebuilt)).expect("valid columns");
         restored.retag(|i| i as u32 ^ 0xFFFF);

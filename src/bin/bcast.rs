@@ -38,8 +38,36 @@ use broadcast_alloc::tree::{knary, IndexTree, TreeStats};
 use broadcast_alloc::types::Slot;
 use broadcast_alloc::workloads::{FrequencyDist, RequestStream};
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
+
+/// `print!` for command output; see [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for command output; see [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes command output to stdout. A reader that closes the pipe early
+/// (`bcast gen … | head -1`) ends the command quietly with status 0:
+/// output nobody reads is no error. Any other write failure is reported
+/// and exits with status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("bcast: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -133,7 +161,7 @@ fn run(args: &[String]) -> Result<(), String> {
             cmd_serve(&opts)
         }
         "help" | "--help" | "-h" => {
-            println!("{}", HELP);
+            outln!("{}", HELP);
             Ok(())
         }
         other => Err(format!("unknown command '{other}'")),
@@ -251,8 +279,8 @@ fn print_schedule(tree: &IndexTree, schedule: &Schedule, k: usize) -> Result<(),
     let alloc = schedule
         .into_allocation(tree, k)
         .map_err(|e| format!("schedule infeasible: {e}"))?;
-    print!("{}", alloc.render(tree));
-    println!(
+    out!("{}", alloc.render(tree));
+    outln!(
         "cycle {} slots | average data wait {:.4} buckets",
         alloc.cycle_len(),
         schedule.average_data_wait(tree)
@@ -280,9 +308,10 @@ fn cmd_optimal(opts: &Flags) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("{e} (try `bcast heuristic`)"))?;
-    println!(
+    outln!(
         "optimal via {:?} ({} states expanded)",
-        result.strategy_used, result.nodes_expanded
+        result.strategy_used,
+        result.nodes_expanded
     );
     let s = result.stats;
     if s.bound_inc_updates + s.bound_full_evals > 0 {
@@ -293,7 +322,7 @@ fn cmd_optimal(opts: &Flags) -> Result<(), String> {
         } else {
             100.0 * s.table_hits as f64 / s.table_probes as f64
         };
-        println!(
+        outln!(
             "bound: {} incremental + {} full evals ({:.2} entries/state) | \
              dominance: {} probes, {:.1}% hits | arena {} KiB",
             s.bound_inc_updates,
@@ -318,13 +347,14 @@ fn cmd_heuristic(opts: &Flags) -> Result<(), String> {
         "frontier" => baselines::greedy_frontier(&tree, k),
         other => return Err(format!("unknown method '{other}'")),
     };
-    println!("heuristic: {method}");
+    outln!("heuristic: {method}");
     print_schedule(&tree, &schedule, k)?;
     if let Some(max_r) = opts.parse::<u32>("replicas")? {
         let best = replication::optimal_replication(&schedule, &tree, max_r.max(1));
-        println!(
+        outln!(
             "best root replication <= {max_r}: r = {} (expected access {:.2} slots)",
-            best.replicas, best.expected_access_time
+            best.replicas,
+            best.expected_access_time
         );
     }
     Ok(())
@@ -346,8 +376,8 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
     let program = BroadcastProgram::build(&alloc, &tree).map_err(|e| e.to_string())?;
     let tune_in = Slot(opts.parse::<u32>("tune-in")?.unwrap_or(1).max(1));
     let trace = simulator::access(&program, &tree, target, tune_in).map_err(|e| e.to_string())?;
-    print!("{}", alloc.render(&tree));
-    println!(
+    out!("{}", alloc.render(&tree));
+    outln!(
         "fetch '{item}' tuning in at slot {}: probe {} + data {} = {} slots, \
          {} buckets read, {} channel switch(es)",
         tune_in.0,
@@ -358,9 +388,10 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
         trace.channel_switches
     );
     let agg = simulator::aggregate_metrics(&program, &tree).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "fleet expectation: access {:.2} slots, tuning {:.2} buckets",
-        agg.avg_access_time, agg.avg_tuning_time
+        agg.avg_access_time,
+        agg.avg_tuning_time
     );
     if opts.get("loss").is_some() || opts.get("burst").is_some() {
         simulate_lossy(opts, &tree, &program, target, tune_in)?;
@@ -413,7 +444,7 @@ fn simulate_lossy(
         ..defaults
     };
     let compiled = CompiledProgram::compile(program, tree).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "\nlossy channel (expected loss {:.2}%, retries <= {}, root replicas {}):",
         100.0 * plan.expected_loss(),
         policy.max_retries,
@@ -423,14 +454,14 @@ fn simulate_lossy(
         .access_lossy(target, tune_in, &plan, 0, &policy)
         .map_err(|e| e.to_string())?
     {
-        RequestOutcome::Delivered(d) => println!(
+        RequestOutcome::Delivered(d) => outln!(
             "  this access: delivered after {} retr{} (+{} recovery slots, {} total)",
             d.retries,
             if d.retries == 1 { "y" } else { "ies" },
             d.extra_wait,
             d.total_access_time()
         ),
-        RequestOutcome::Failed(f) => println!("  this access: {f}"),
+        RequestOutcome::Failed(f) => outln!("  this access: {f}"),
     }
     let requests: usize = opts.parse("requests")?.unwrap_or(10_000);
     let data = tree.data_nodes();
@@ -450,7 +481,7 @@ fn simulate_lossy(
             },
         )
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "  {} requests: {:.2}% delivered ({} failed), mean access {:.2} slots \
          (+{:.2} recovery), {:.3} retries/request",
         m.requests,
@@ -465,8 +496,8 @@ fn simulate_lossy(
 
 fn cmd_render(opts: &Flags) -> Result<(), String> {
     let tree = load_tree(opts)?;
-    print!("{}", tree.render());
-    println!("{}", TreeStats::of(&tree));
+    out!("{}", tree.render());
+    outln!("{}", TreeStats::of(&tree));
     Ok(())
 }
 
@@ -474,13 +505,13 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
     let tree = load_tree(opts)?;
     let k = opts.channels()?;
     let lower = broadcast_alloc::channel::cost::data_wait_lower_bound(&tree, k);
-    println!(
+    outln!(
         "{} nodes, {k} channels, analytic floor {lower:.3} buckets\n",
         tree.len()
     );
-    println!("{:<22} {:>12} {:>10}", "method", "data wait", "vs floor");
+    outln!("{:<22} {:>12} {:>10}", "method", "data wait", "vs floor");
     let show = |name: &str, wait: f64| {
-        println!(
+        outln!(
             "{name:<22} {wait:>12.4} {:>9.1}%",
             100.0 * (wait - lower) / lower.max(1e-9)
         );
@@ -495,7 +526,7 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
         },
     ) {
         Ok(r) => show(&format!("optimal ({:?})", r.strategy_used), r.data_wait),
-        Err(e) => println!("{:<22} {:>12}", "optimal", format!("({e})")),
+        Err(e) => outln!("{:<22} {:>12}", "optimal", format!("({e})")),
     }
     show(
         "sorting",
@@ -614,7 +645,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         let (outcome, stats) = driver.into_outcome_with_stats();
         let held = print_outcome(&outcome);
         print_pool_stats(&stats);
-        println!(
+        outln!(
             "  checkpoint: manifests in {dir} every {checkpoint_every} slice(s), resumed at slice {resumed_at}"
         );
         return if held {
@@ -640,7 +671,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
 /// Renders one scenario outcome as a per-phase table; returns whether
 /// every phase SLO held.
 fn print_outcome(outcome: &ScenarioOutcome) -> bool {
-    println!(
+    outln!(
         "scenario {} (seed {:#x}) — {} requests, {} rebuilds, fingerprint {:016x}",
         outcome.name,
         outcome.seed,
@@ -648,7 +679,7 @@ fn print_outcome(outcome: &ScenarioOutcome) -> bool {
         outcome.total_rebuilds(),
         outcome.fingerprint()
     );
-    println!(
+    outln!(
         "  {:<12} {:>7} {:>10} {:>9} {:>9} {:>8} {:>6} {:>5} {:>9} {:>10} {:>9} {:>6}  slo",
         "phase",
         "tenants",
@@ -695,7 +726,7 @@ fn print_outcome(outcome: &ScenarioOutcome) -> bool {
         // is missing inside a phase.
         let alias: u64 = p.tenants.iter().map(|t| t.snapshot.alias_rebuilds).sum();
         all_held &= violated == 0;
-        println!(
+        outln!(
             "  {:<12} {:>7} {:>10} {:>9.3} {:>9} {:>8} {:>6} {:>5} {:>9} {:>10.3} {:>9} {:>6}  {}",
             p.name,
             p.tenants.len(),
@@ -717,7 +748,7 @@ fn print_outcome(outcome: &ScenarioOutcome) -> bool {
         );
     }
     for (phase, tenant, v) in outcome.violations() {
-        println!("  ! [{phase}] tenant {tenant}: {v}");
+        outln!("  ! [{phase}] tenant {tenant}: {v}");
     }
     all_held
 }
@@ -731,7 +762,7 @@ fn print_pool_stats(stats: &PoolStats) {
         .iter()
         .map(|&ns| format!("{:.2}ms", ns as f64 / 1e6))
         .collect();
-    println!(
+    outln!(
         "  pool: {} worker{}, {} pooled slices, lane busy [{}], imbalance {} ppm",
         stats.workers,
         if stats.workers == 1 { "" } else { "s" },
@@ -761,7 +792,7 @@ fn cmd_snapshot_save(opts: &Flags) -> Result<(), String> {
     let publish_time = started.elapsed();
     let image = publisher.snapshot_image(&tree);
     image.save(&output).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "snapshot {}: {} bytes, {} data items over {} channels, cycle {} slots \
          (publish took {:.3} ms)",
         output,
@@ -780,7 +811,7 @@ fn cmd_snapshot_load(opts: &Flags) -> Result<(), String> {
     let mapped = MappedSnapshot::open(&path).map_err(|e| format!("{path}: {e}"))?;
     let view = mapped.view().map_err(|e| format!("{path}: {e}"))?;
     let elapsed = started.elapsed();
-    println!(
+    outln!(
         "snapshot {}: ok — {} bytes, {} nodes ({} data) over {} channels, \
          cycle {} slots, verified in {:.1} us (zero-copy)",
         path,
@@ -818,12 +849,12 @@ fn cmd_snapshot_serve(opts: &Flags) -> Result<(), String> {
             },
         )
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "cold-start from {} in {:.1} us (load + verify + install)",
         path,
         cold_start.as_secs_f64() * 1e6
     );
-    println!(
+    outln!(
         "  {} requests: {:.2}% delivered, mean access {:.2} slots, \
          {:.3} switches/request",
         m.requests,
@@ -855,6 +886,6 @@ fn cmd_gen(opts: &Flags) -> Result<(), String> {
     };
     let weights = dist.sample(items, seed);
     let tree = knary::build_weight_balanced(&weights, fanout).map_err(|e| e.to_string())?;
-    print!("{}", textfmt::format_tree(&tree));
+    out!("{}", textfmt::format_tree(&tree));
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! Black-box tests of the `bcast` CLI binary.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::process::{Command, Stdio};
 
 fn bcast() -> Command {
@@ -82,6 +82,27 @@ fn gen_pipes_into_optimal() {
     let out = child.wait_with_output().expect("wait");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("average data wait"));
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_ends_the_command_quietly() {
+    // `bcast gen … | head -1`: the tree text outgrows the pipe buffer,
+    // so the writer is still writing when the reader goes away.
+    let mut child = bcast()
+        .args(["gen", "--items", "20000", "--dist", "zipf"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 16];
+    stdout.read_exact(&mut head).expect("read the first bytes");
+    assert!(head.starts_with(b"index"));
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }
 
 #[test]
