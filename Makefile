@@ -17,10 +17,12 @@ BENCH_MANIFEST := crates/bench/src/bin/bcast_bench/Cargo.toml
 # every crate under crates/), the benchmark's own tests, then every
 # #[ignore]-gated test whose name contains `stress`, in release mode
 # (search_golden's balanced-d4 twin, the million-item publish, delta,
-# 1_To_k and serving runs, and the pooled-loop soak), and the deep oracle
+# 1_To_k and serving runs, and the pooled-loop soak), the deep oracle
 # sweep that checks every exact strategy and bound against exhaustive
-# enumeration (about a minute in release).
-check: fmt-check clippy doc build test bench-test stress
+# enumeration (about a minute in release), and the crash-recovery storm
+# (`make crash`, about 2 s in release once built), which drives every
+# checkpoint codec through kill-and-restore cycles.
+check: fmt-check clippy doc build test bench-test stress crash
 
 build:
 	$(CARGO) build --release $(OFFLINE)

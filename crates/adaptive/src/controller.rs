@@ -5,6 +5,8 @@
 //! the hysteresis/cooldown state machine the serving loop keeps one of
 //! per tenant.
 
+use bcast_types::{WordReader, WordWriter};
+
 /// Degraded-feedback configuration: when and how delivery-rate drops
 /// (each served slice's `ServeSession::delivery_rate` in the serving
 /// loop) trigger an out-of-schedule rebuild.
@@ -126,32 +128,27 @@ impl DegradationTracker {
         self.degraded_rebuilds
     }
 
-    /// Appends the tracker's mutable state (streak, lockout, escalated
-    /// backoff, lifetime count) to `out` — the policy itself is immutable
-    /// configuration and travels separately. Inverse of
+    /// Writes the tracker's mutable state (streak, lockout, escalated
+    /// backoff, lifetime count) for a checkpoint — the policy itself is
+    /// immutable configuration and travels separately. Inverse of
     /// [`import_state`](DegradationTracker::import_state).
-    pub fn export_state(&self, out: &mut Vec<u64>) {
-        out.push(u64::from(self.degraded_streak));
-        out.push(self.cooldown_left);
-        out.push(self.next_cooldown);
-        out.push(self.degraded_rebuilds);
+    pub fn export_state(&self, w: &mut WordWriter) {
+        w.u32(self.degraded_streak);
+        w.u64(self.cooldown_left);
+        w.u64(self.next_cooldown);
+        w.u64(self.degraded_rebuilds);
     }
 
-    /// Rebuilds a tracker for `policy` from a word stream written by
-    /// [`export_state`](DegradationTracker::export_state), consuming
-    /// exactly the words it reads. Fails closed on truncation.
-    pub fn import_state(policy: DegradationPolicy, words: &mut &[u64]) -> Option<Self> {
-        if words.len() < 4 {
-            return None;
-        }
-        let (head, rest) = words.split_at(4);
-        *words = rest;
+    /// Rebuilds a tracker for `policy` from the state
+    /// [`export_state`](DegradationTracker::export_state) wrote. Fails
+    /// closed on truncation.
+    pub fn import_state(policy: DegradationPolicy, r: &mut WordReader<'_>) -> Option<Self> {
         Some(DegradationTracker {
             policy,
-            degraded_streak: u32::try_from(head[0]).ok()?,
-            cooldown_left: head[1],
-            next_cooldown: head[2],
-            degraded_rebuilds: head[3],
+            degraded_streak: r.u32()?,
+            cooldown_left: r.u64()?,
+            next_cooldown: r.u64()?,
+            degraded_rebuilds: r.u64()?,
         })
     }
 }

@@ -8,7 +8,12 @@
 //! decay factor `alpha`.
 
 use bcast_types::prefetch::prefetch;
-use bcast_types::Weight;
+use bcast_types::{Weight, WordReader, WordWriter};
+
+/// The least weight an item is published at: an item never requested
+/// keeps a small positive weight, so it stays broadcastable and
+/// tie-breakable.
+const FLOOR: f64 = 1e-6;
 
 /// Exponential-moving-average frequency estimator.
 ///
@@ -37,9 +42,14 @@ pub struct EmaEstimator {
     counts: Vec<u32>,
     estimate: Vec<f64>,
     epochs: u64,
-    /// Floored weights as of the last [`EmaEstimator::drain_changed`] —
-    /// the published snapshot the changed-set diffs against.
-    published: Vec<f64>,
+    /// The published snapshot: each item's floored weight as of the last
+    /// [`EmaEstimator::drain_changed`] that published it. It starts at
+    /// the floor for every item, the weights a boot tree is built from.
+    published: Vec<Weight>,
+    /// Whether a drain has published the estimates yet. Until one has,
+    /// every roll marks every item dirty and drift is infinite, whatever
+    /// `published` holds.
+    published_yet: bool,
     /// Items whose floored weight bits moved vs `published`, deduplicated.
     dirty: Vec<u32>,
     dirty_flag: Vec<bool>,
@@ -59,7 +69,8 @@ impl EmaEstimator {
             counts: vec![0; items],
             estimate: vec![0.0; items],
             epochs: 0,
-            published: vec![f64::NAN; items], // NaN ⇒ everything dirty at first drain
+            published: vec![Weight::new(FLOOR).expect("the floor is a weight"); items],
+            published_yet: false,
             dirty: Vec::new(),
             dirty_flag: vec![false; items],
         }
@@ -122,10 +133,12 @@ impl EmaEstimator {
     /// mispredict where dirty and clean items interleave. The float ops
     /// and their order are the original ones, so estimates, dirty marks
     /// and their order are bit-identical (a twin proptest pins this
-    /// against the original loop).
+    /// against the original loop). Before the first publish every item
+    /// counts as moved.
     pub fn roll_epoch(&mut self) {
         let n = self.counts.len();
         let (alpha, keep) = (self.alpha, 1.0 - self.alpha);
+        let unpublished = !self.published_yet;
         let counts = &mut self.counts[..n];
         let estimate = &mut self.estimate[..n];
         let published = &self.published[..n];
@@ -135,8 +148,8 @@ impl EmaEstimator {
             estimate[i] = est;
             counts[i] = 0;
             let dirty = dirty_flag[i];
-            let seen = published[if dirty { 0 } else { i }];
-            if !dirty & (est.max(1e-6).to_bits() != seen.to_bits()) {
+            let seen = published[if dirty { 0 } else { i }].get();
+            if !dirty & (unpublished | (est.max(FLOOR).to_bits() != seen.to_bits())) {
                 dirty_flag[i] = true;
                 self.dirty.push(i as u32);
             }
@@ -145,14 +158,16 @@ impl EmaEstimator {
     }
 
     /// The original [`roll_epoch`](EmaEstimator::roll_epoch) loop, kept
-    /// verbatim as the oracle the fast loop is pinned against.
+    /// as the oracle the fast loop is pinned against.
     #[cfg(test)]
     fn roll_epoch_oracle(&mut self) {
         for (i, (est, cnt)) in self.estimate.iter_mut().zip(&mut self.counts).enumerate() {
             *est = self.alpha * (*cnt as f64) + (1.0 - self.alpha) * *est;
             *cnt = 0;
             let floored = est.max(1e-6);
-            if floored.to_bits() != self.published[i].to_bits() && !self.dirty_flag[i] {
+            let moved =
+                !self.published_yet || floored.to_bits() != self.published[i].get().to_bits();
+            if moved && !self.dirty_flag[i] {
                 self.dirty_flag[i] = true;
                 self.dirty.push(i as u32);
             }
@@ -168,21 +183,31 @@ impl EmaEstimator {
 
     /// Drains the changed set into `out` as `(item, new weight)` pairs
     /// (ascending by item, appended) and advances the published snapshot —
-    /// O(changed), so rebuild callers no longer clone the full weight
-    /// vector. Weights match [`weights`](EmaEstimator::weights) exactly:
-    /// the same `max(1e-6)` floor, bit for bit.
+    /// O(changed), so a rebuild reads the whole snapshot from
+    /// [`published`](EmaEstimator::published) without copying it. Weights
+    /// match [`weights`](EmaEstimator::weights) exactly: the same
+    /// `max(1e-6)` floor, bit for bit.
     pub fn drain_changed(&mut self, out: &mut Vec<(u32, Weight)>) {
         self.dirty.sort_unstable();
+        // Until the first publish a roll marks every item dirty, so the
+        // first drain with anything to publish publishes every item.
+        self.published_yet |= !self.dirty.is_empty();
         for &i in &self.dirty {
-            let w = self.estimate[i as usize].max(1e-6);
+            let w = Weight::new(self.estimate[i as usize].max(FLOOR))
+                .expect("EMA of counts is finite, non-negative");
             self.published[i as usize] = w;
             self.dirty_flag[i as usize] = false;
-            out.push((
-                i,
-                Weight::new(w).expect("EMA of counts is finite, non-negative"),
-            ));
+            out.push((i, w));
         }
         self.dirty.clear();
+    }
+
+    /// The published snapshot: each item's weight as of the
+    /// [`drain_changed`](EmaEstimator::drain_changed) that last published
+    /// it, and the floor weight `1e-6` before any drain has — the weights
+    /// a boot tree is built from.
+    pub fn published(&self) -> &[Weight] {
+        &self.published
     }
 
     /// Relative L1 drift of the current floored estimates against the
@@ -197,14 +222,14 @@ impl EmaEstimator {
     /// no-op rebuilds without ever missing a real change. O(items), no
     /// allocation, deterministic.
     pub fn drift_since_publish(&self) -> f64 {
+        if !self.published_yet {
+            return f64::INFINITY;
+        }
         let mut moved = 0.0f64;
         let mut base = 0.0f64;
         for (est, pub_w) in self.estimate.iter().zip(&self.published) {
-            if pub_w.is_nan() {
-                return f64::INFINITY;
-            }
-            moved += (est.max(1e-6) - pub_w).abs();
-            base += pub_w;
+            moved += (est.max(FLOOR) - pub_w.get()).abs();
+            base += pub_w.get();
         }
         if base > 0.0 {
             moved / base
@@ -224,7 +249,7 @@ impl EmaEstimator {
     pub fn weights(&self) -> Vec<Weight> {
         self.estimate
             .iter()
-            .map(|&e| Weight::new(e.max(1e-6)).expect("EMA of counts is finite, non-negative"))
+            .map(|&e| Weight::new(e.max(FLOOR)).expect("EMA of counts is finite, non-negative"))
             .collect()
     }
 
@@ -233,115 +258,72 @@ impl EmaEstimator {
         self.estimate[item]
     }
 
-    /// Appends the estimator's complete state to `out` as `u64` words —
-    /// float bit patterns, never rounded values, so a restored estimator
-    /// continues the exact trajectory of the original (the checkpoint
-    /// path depends on this bit-identity). The inverse is
+    /// Writes the estimator's complete state for a checkpoint — float
+    /// bit patterns, never rounded values, so a restored estimator
+    /// continues the exact trajectory of the original. The item count is
+    /// the caller's to carry; the inverse is
     /// [`import_state`](EmaEstimator::import_state).
-    /// Mid-epoch counts are encoded sparsely (`item << 32 | count`,
-    /// ascending): a checkpoint is taken at an epoch boundary where
-    /// [`roll_epoch`](EmaEstimator::roll_epoch) has just zeroed them, so
-    /// the dense array would be `items` words of zeros. Dirty items pack
-    /// two per word, order preserved — at snapshot scale these two runs
-    /// would otherwise dominate the estimator section.
-    pub fn export_state(&self, out: &mut Vec<u64>) {
-        out.push(self.alpha.to_bits());
-        out.push(self.counts.len() as u64);
-        out.push(self.epochs);
+    /// Mid-epoch counts are written sparsely as ascending `(item, count)`
+    /// word pairs: a checkpoint is taken at an epoch boundary, where
+    /// [`roll_epoch`](EmaEstimator::roll_epoch) has just zeroed them.
+    pub fn export_state(&self, w: &mut WordWriter) {
+        w.f64(self.alpha);
+        w.u64(self.epochs);
         let occupied = self.counts.iter().filter(|&&c| c != 0).count();
-        out.push(occupied as u64);
-        out.extend(
-            self.counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0)
-                .map(|(i, &c)| ((i as u64) << 32) | u64::from(c)),
-        );
-        out.extend(self.estimate.iter().map(|e| e.to_bits()));
-        out.extend(self.published.iter().map(|p| p.to_bits()));
-        out.push(self.dirty.len() as u64);
-        out.extend(
-            self.dirty.chunks(2).map(|pair| {
-                u64::from(pair[0]) | (pair.get(1).map_or(0, |&hi| u64::from(hi)) << 32)
-            }),
-        );
+        w.u64(occupied as u64);
+        for (i, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c != 0) {
+            w.u32(i as u32);
+            w.u32(c);
+        }
+        w.u64_run(&self.estimate, f64::to_bits);
+        w.u32(u32::from(self.published_yet));
+        w.u64_run(&self.published, |p| p.get().to_bits());
+        w.u32_slice(&self.dirty);
     }
 
-    /// Rebuilds an estimator from a word stream written by
-    /// [`export_state`](EmaEstimator::export_state), consuming exactly
-    /// the words it reads from the front of `*words`. Fails closed:
-    /// a truncated or structurally invalid stream yields `None`, never a
-    /// half-restored estimator. So does an estimate that is not finite or
-    /// is below zero, which no export writes: the next
+    /// Rebuilds an estimator over `items` items from the state
+    /// [`export_state`](EmaEstimator::export_state) wrote. `items` bounds
+    /// every run before it is allocated, so it must come from state the
+    /// caller has already validated. Fails closed: a truncated or
+    /// structurally invalid stream yields `None`, never a half-restored
+    /// estimator. So does an estimate that is not finite or is below
+    /// zero, which no export writes: the next
     /// [`drain_changed`](EmaEstimator::drain_changed) could not turn it
     /// into a [`Weight`].
-    pub fn import_state(words: &mut &[u64]) -> Option<EmaEstimator> {
-        fn take<'a>(words: &mut &'a [u64], n: usize) -> Option<&'a [u64]> {
-            if words.len() < n {
-                return None;
-            }
-            let (head, rest) = words.split_at(n);
-            *words = rest;
-            Some(head)
-        }
-        let header = take(words, 4)?;
-        let alpha = f64::from_bits(header[0]);
-        let items = usize::try_from(header[1]).ok()?;
-        let epochs = header[2];
+    pub fn import_state(r: &mut WordReader<'_>, items: usize) -> Option<EmaEstimator> {
+        let alpha = r.f64()?;
+        let epochs = r.u64()?;
         if !(alpha > 0.0 && alpha <= 1.0) || items == 0 {
             return None;
         }
-        let occupied = usize::try_from(header[3]).ok()?;
-        if occupied > items {
-            return None;
-        }
-        // Allocate nothing the stream cannot back: the occupied pairs, the
-        // two dense runs and the dirty length must all be present first.
-        let needed = items
-            .checked_mul(2)
-            .and_then(|n| n.checked_add(occupied))
-            .and_then(|n| n.checked_add(1))?;
-        if words.len() < needed {
-            return None;
-        }
+        let occupied = r.count(items)?;
+        let pairs = r.take(occupied.checked_mul(2)?)?;
         let mut counts = vec![0u32; items];
         let mut prev: Option<usize> = None;
-        for &pair in take(words, occupied)? {
-            let i = usize::try_from(pair >> 32).ok()?;
-            let c = pair as u32;
+        for pair in pairs.chunks_exact(2) {
+            let (i, c) = (pair[0] as usize, pair[1]);
             if i >= items || prev.is_some_and(|p| p >= i) || c == 0 {
                 return None;
             }
             prev = Some(i);
             counts[i] = c;
         }
-        let estimate: Vec<f64> = take(words, items)?
-            .iter()
-            .map(|&w| f64::from_bits(w))
-            .collect();
-        if !estimate.iter().all(|e| e.is_finite() && *e >= 0.0) {
+        let estimate = r.u64_run(items, |b| {
+            let e = f64::from_bits(b);
+            (e.is_finite() && e >= 0.0).then_some(e)
+        })?;
+        let published_yet = match r.u32()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let published = r.u64_run(items, |b| Weight::new(f64::from_bits(b)).ok())?;
+        if estimate.len() != items || published.len() != items {
             return None;
         }
-        let published: Vec<f64> = take(words, items)?
-            .iter()
-            .map(|&w| f64::from_bits(w))
-            .collect();
-        let dirty_len = usize::try_from(*take(words, 1)?.first()?).ok()?;
-        if dirty_len > items {
-            return None;
-        }
-        let packed = take(words, dirty_len.div_ceil(2))?;
-        let mut dirty = Vec::with_capacity(dirty_len);
-        for k in 0..dirty_len {
-            let word = packed[k / 2];
-            dirty.push(if k % 2 == 0 {
-                word as u32
-            } else {
-                (word >> 32) as u32
-            });
-        }
+        let dirty = r.u32_slice()?;
         let mut dirty_flag = vec![false; items];
-        for &d in &dirty {
+        for &d in dirty {
             let flag = dirty_flag.get_mut(d as usize)?;
             if *flag {
                 return None; // duplicate dirty entry
@@ -354,7 +336,8 @@ impl EmaEstimator {
             estimate,
             epochs,
             published,
-            dirty,
+            published_yet,
+            dirty: dirty.to_vec(),
             dirty_flag,
         })
     }
@@ -504,14 +487,16 @@ mod tests {
         }
         // Mid-epoch counts survive too.
         e.observe(3);
-        let mut words = Vec::new();
-        e.export_state(&mut words);
-        let mut cursor = &words[..];
-        let mut back = EmaEstimator::import_state(&mut cursor).expect("valid stream");
-        assert!(cursor.is_empty(), "import must consume exactly its words");
+        let mut w = WordWriter::new();
+        e.export_state(&mut w);
+        let words = w.into_words();
+        let mut r = WordReader::new(&words);
+        let mut back = EmaEstimator::import_state(&mut r, 5).expect("valid stream");
+        assert!(r.is_empty(), "import must consume exactly its words");
         // Same continuation: identical epochs, weights, drift and
         // changed-set behaviour after more traffic on both copies.
         assert_eq!(back.epochs(), e.epochs());
+        assert_eq!(back.published(), e.published());
         assert_eq!(
             back.drift_since_publish().to_bits(),
             e.drift_since_publish().to_bits()
@@ -529,9 +514,8 @@ mod tests {
         }
         // Truncations fail closed at every cut.
         for cut in 0..words.len() {
-            let mut cursor = &words[..cut];
             assert!(
-                EmaEstimator::import_state(&mut cursor).is_none(),
+                EmaEstimator::import_state(&mut WordReader::new(&words[..cut]), 5).is_none(),
                 "cut {cut}"
             );
         }
@@ -539,11 +523,25 @@ mod tests {
 
     #[test]
     fn a_huge_item_count_fails_closed_before_allocating() {
-        // A header claiming 2^40 items over an empty body must be refused
-        // from its length, not by an allocation the input cannot back.
-        let words = [0.5f64.to_bits(), 1 << 40, 0, 0];
-        let mut cursor = &words[..];
-        assert!(EmaEstimator::import_state(&mut cursor).is_none());
+        // The caller's item count bounds every run: an estimate run
+        // claiming 2^40 values over an empty body is refused from its
+        // length, not by an allocation the input cannot back.
+        let mut w = WordWriter::new();
+        w.f64(0.5);
+        w.u64(0);
+        w.u64(0);
+        w.u64(1 << 40);
+        assert!(EmaEstimator::import_state(&mut WordReader::new(w.words()), 5).is_none());
+        // A 5-item estimator neither restores as 4 items (its runs are
+        // longer than that bound) nor as 6 (its runs are shorter).
+        let mut e = EmaEstimator::new(5, 0.5);
+        e.observe(2);
+        let mut w = WordWriter::new();
+        e.export_state(&mut w);
+        for items in [4, 6] {
+            assert!(EmaEstimator::import_state(&mut WordReader::new(w.words()), items).is_none());
+        }
+        assert!(EmaEstimator::import_state(&mut WordReader::new(w.words()), 5).is_some());
     }
 
     #[test]
@@ -551,19 +549,87 @@ mod tests {
         let mut e = EmaEstimator::new(3, 0.5);
         e.observe(1);
         e.roll_epoch();
-        let mut words = Vec::new();
-        e.export_state(&mut words);
-        assert!(EmaEstimator::import_state(&mut &words[..]).is_some());
-        // The roll zeroed the counts, so no count pairs follow the 4-word
-        // header and the estimates start at word 4.
+        let restore = |e: &EmaEstimator| {
+            let mut w = WordWriter::new();
+            e.export_state(&mut w);
+            EmaEstimator::import_state(&mut WordReader::new(w.words()), 3)
+        };
+        assert!(restore(&e).is_some());
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0] {
             for item in 0..3 {
-                let mut tampered = words.clone();
-                tampered[4 + item] = bad.to_bits();
+                let mut tampered = e.clone();
+                tampered.estimate[item] = bad;
                 assert!(
-                    EmaEstimator::import_state(&mut &tampered[..]).is_none(),
+                    restore(&tampered).is_none(),
                     "estimate {bad} of item {item}"
                 );
+            }
+        }
+    }
+
+    /// The estimator as it was before its published snapshot became
+    /// `Weight`s with a published-yet flag: `f64`s that start NaN, so a
+    /// roll marks every unpublished item dirty and drift is infinite
+    /// until a drain overwrites them. The oracle the flag is pinned
+    /// against.
+    struct NanSentinel {
+        alpha: f64,
+        counts: Vec<u32>,
+        estimate: Vec<f64>,
+        published: Vec<f64>,
+        dirty: Vec<u32>,
+        dirty_flag: Vec<bool>,
+    }
+
+    impl NanSentinel {
+        fn new(items: usize, alpha: f64) -> Self {
+            NanSentinel {
+                alpha,
+                counts: vec![0; items],
+                estimate: vec![0.0; items],
+                published: vec![f64::NAN; items],
+                dirty: Vec::new(),
+                dirty_flag: vec![false; items],
+            }
+        }
+
+        fn roll_epoch(&mut self) {
+            for (i, (est, cnt)) in self.estimate.iter_mut().zip(&mut self.counts).enumerate() {
+                *est = self.alpha * (*cnt as f64) + (1.0 - self.alpha) * *est;
+                *cnt = 0;
+                let floored = est.max(1e-6);
+                if floored.to_bits() != self.published[i].to_bits() && !self.dirty_flag[i] {
+                    self.dirty_flag[i] = true;
+                    self.dirty.push(i as u32);
+                }
+            }
+        }
+
+        fn drain_changed(&mut self, out: &mut Vec<(u32, f64)>) {
+            self.dirty.sort_unstable();
+            for &i in &self.dirty {
+                let w = self.estimate[i as usize].max(1e-6);
+                self.published[i as usize] = w;
+                self.dirty_flag[i as usize] = false;
+                out.push((i, w));
+            }
+            self.dirty.clear();
+        }
+
+        fn drift_since_publish(&self) -> f64 {
+            let mut moved = 0.0f64;
+            let mut base = 0.0f64;
+            for (est, pub_w) in self.estimate.iter().zip(&self.published) {
+                if pub_w.is_nan() {
+                    return f64::INFINITY;
+                }
+                moved += (est.max(1e-6) - pub_w).abs();
+                base += pub_w;
+            }
+            if base > 0.0 {
+                moved / base
+            } else {
+                f64::INFINITY
             }
         }
     }
@@ -611,7 +677,7 @@ mod tests {
 
         /// The fast roll against the original loop. Random per-epoch
         /// counts, drains at random epochs (rolls before the first one run
-        /// against the all-NaN "nothing published" snapshot), and a quiet
+        /// against the not-yet-published snapshot), and a quiet
         /// tail long enough that every requested item decays across the
         /// `1e-6` floor. After every roll the two must agree bit for bit.
         #[test]
@@ -641,7 +707,8 @@ mod tests {
                 oracle.roll_epoch_oracle();
                 crossed |= (0..items).any(|i| above[i] && oracle.estimate(i) < 1e-6);
                 prop_assert_eq!(bits(&fast.estimate), bits(&oracle.estimate));
-                prop_assert_eq!(bits(&fast.published), bits(&oracle.published));
+                prop_assert_eq!(fast.published(), oracle.published());
+                prop_assert_eq!(fast.published_yet, oracle.published_yet);
                 prop_assert_eq!(fast.changed(), oracle.changed());
                 prop_assert_eq!(&fast.dirty_flag, &oracle.dirty_flag);
                 prop_assert_eq!(&fast.counts, &oracle.counts);
@@ -661,6 +728,61 @@ mod tests {
                 }
             }
             prop_assert!(crossed || draws.iter().all(|&d| d <= 17), "no item crossed the floor");
+        }
+
+        /// The published snapshot and its flag against the NaN-sentinel
+        /// original, over random observe / roll / drain sequences that may
+        /// drain before the first roll. After every step both must agree
+        /// on `changed()`, the drained pairs and the drift bits, and the
+        /// published weights must equal the original's, reading the
+        /// floor weight where it still held NaN.
+        #[test]
+        fn published_snapshot_matches_the_nan_sentinel_original(
+            items in 1usize..12,
+            alpha in 0.05f64..1.0,
+            early_drain in any::<bool>(),
+            ops in prop::collection::vec(0usize..96, 0..400),
+        ) {
+            let mut est = EmaEstimator::new(items, alpha);
+            let mut oracle = NanSentinel::new(items, alpha);
+            let (mut out, mut out_oracle) = (Vec::new(), Vec::new());
+            // Each draw is an op code (its low three bits) and an item.
+            for code in early_drain.then_some(7).into_iter().chain(ops) {
+                let item = code >> 3;
+                match code & 7 {
+                    0..=4 => {
+                        est.observe(item % items);
+                        oracle.counts[item % items] += 1;
+                    }
+                    5 | 6 => {
+                        est.roll_epoch();
+                        oracle.roll_epoch();
+                    }
+                    _ => {
+                        out.clear();
+                        out_oracle.clear();
+                        est.drain_changed(&mut out);
+                        oracle.drain_changed(&mut out_oracle);
+                        let pairs: Vec<(u32, u64)> =
+                            out.iter().map(|&(i, w)| (i, w.get().to_bits())).collect();
+                        let pairs_oracle: Vec<(u32, u64)> =
+                            out_oracle.iter().map(|&(i, w)| (i, w.to_bits())).collect();
+                        prop_assert_eq!(pairs, pairs_oracle);
+                    }
+                }
+                prop_assert_eq!(est.changed(), &oracle.dirty[..]);
+                prop_assert_eq!(
+                    est.drift_since_publish().to_bits(),
+                    oracle.drift_since_publish().to_bits()
+                );
+                let published: Vec<u64> = est.published().iter().map(|w| w.get().to_bits()).collect();
+                let expected: Vec<u64> = oracle
+                    .published
+                    .iter()
+                    .map(|&p| if p.is_nan() { FLOOR } else { p }.to_bits())
+                    .collect();
+                prop_assert_eq!(published, expected);
+            }
         }
     }
 }

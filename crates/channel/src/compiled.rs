@@ -766,7 +766,6 @@ impl CompiledProgram {
             );
             session.root_gaps_for = Some(gaps_for);
         }
-        session.next_index = 0;
         session.requests = 0;
     }
 
@@ -820,8 +819,8 @@ impl CompiledProgram {
         targets: &[NodeId],
         hist: Option<&mut LatencyHistogram>,
     ) -> Result<(), SimError> {
-        let start = session.next_index;
-        session.next_index += targets.len() as u64;
+        // Requests fed so far number the chunk's first request.
+        let start = session.requests;
         session.requests += targets.len() as u64;
         let ServeSession {
             shard,
@@ -919,7 +918,8 @@ pub struct ServeSession {
     /// The `(cycle_len, root_replicas)` that `root_gaps` was derived for.
     root_gaps_for: Option<(u32, u32)>,
     lossy: bool,
-    next_index: u64,
+    /// Requests fed so far in the armed batch, which is also the global
+    /// index of the next request (tune-in and fault draws key on it).
     requests: u64,
 }
 
@@ -934,7 +934,6 @@ impl ServeSession {
             root_gaps: Vec::new(),
             root_gaps_for: None,
             lossy: false,
-            next_index: 0,
             requests: 0,
         }
     }

@@ -7,6 +7,8 @@
 //! the same value a sorted sample array would. Shards produced by parallel
 //! serving merge by element-wise addition.
 
+use bcast_types::{WordReader, WordWriter};
+
 /// Exact integer-valued histogram with unit-width buckets `0..=bound`.
 ///
 /// Values above the bound are clamped into the top bucket for counting
@@ -279,75 +281,68 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Appends the histogram's complete state (bucket counts and exact
-    /// moments) to `out` as `u64` words, for checkpointing. Inverse of
+    /// Writes the histogram's complete state (bucket counts and exact
+    /// moments) for a checkpoint. Inverse of
     /// [`import_state`](Self::import_state).
     ///
-    /// Occupied buckets are encoded sparsely as ascending
-    /// `(index, count)` pairs: a serving-latency histogram is bounded by
-    /// the broadcast cycle length but populated only around the cycle
-    /// positions traffic actually hits, so the dense bucket array would
-    /// be megabytes of zeros per tenant at snapshot scale.
-    pub fn export_state(&self, out: &mut Vec<u64>) {
-        out.push(self.counts.len() as u64);
-        out.push(self.total);
-        out.push(self.sum);
-        out.push(u64::from(self.min));
-        out.push(u64::from(self.max));
+    /// Occupied buckets are written sparsely as ascending
+    /// `(index, count)` pairs of three words: a serving-latency histogram
+    /// is bounded by the broadcast cycle length but populated only around
+    /// the cycle positions traffic actually hits, so the dense bucket
+    /// array would be megabytes of zeros per tenant at snapshot scale.
+    pub fn export_state(&self, w: &mut WordWriter) {
+        w.u64(self.counts.len() as u64);
+        w.u64(self.total);
+        w.u64(self.sum);
+        w.u32(self.min);
+        w.u32(self.max);
         let occupied = self.counts.iter().filter(|&&c| c != 0).count();
-        out.push(occupied as u64);
-        out.reserve(2 * occupied);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                out.push(i as u64);
-                out.push(c);
-            }
+        w.u64(occupied as u64);
+        for (i, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c != 0) {
+            // The bound is a `u32`, so every bucket index fits one word.
+            w.u32(i as u32);
+            w.u64(c);
         }
     }
 
-    /// Rebuilds a histogram from a word stream written by
-    /// [`export_state`](Self::export_state), consuming exactly the words
-    /// it reads. The stream is sparse, so its length does not bound the
-    /// dense bucket array: the caller supplies `max_buckets` from state it
-    /// has already validated, and a larger count is refused before
-    /// anything is allocated. Fails closed: a truncated stream, a bucket
-    /// count above `max_buckets`, out-of-order or out-of-range bucket
-    /// indices, or counts that do not sum to `total` yield `None`.
-    pub fn import_state(words: &mut &[u64], max_buckets: usize) -> Option<Self> {
-        if words.len() < 6 {
+    /// Rebuilds a histogram from the state
+    /// [`export_state`](Self::export_state) wrote. The state is sparse,
+    /// so its length does not bound the dense bucket array: the caller
+    /// supplies `max_buckets` from state it has already validated, and a
+    /// larger count is refused before anything is allocated. Fails
+    /// closed: a truncated stream, a bucket count above `max_buckets`,
+    /// out-of-order or out-of-range bucket indices, or counts that do not
+    /// sum to `total` yield `None`.
+    pub fn import_state(r: &mut WordReader<'_>, max_buckets: usize) -> Option<Self> {
+        let buckets = r.count(max_buckets)?;
+        let (total, sum, min, max) = (r.u64()?, r.u64()?, r.u32()?, r.u32()?);
+        let occupied = r.count(buckets)?;
+        let pairs = r.take(occupied.checked_mul(3)?)?;
+        if buckets == 0 {
             return None;
         }
-        let (head, rest) = words.split_at(6);
-        let buckets = usize::try_from(head[0]).ok()?;
-        let occupied = usize::try_from(head[5]).ok()?;
-        if buckets == 0 || buckets > max_buckets || occupied > buckets || rest.len() / 2 < occupied
-        {
-            return None;
-        }
-        let (pairs, rest) = rest.split_at(2 * occupied);
-        *words = rest;
         let mut counts = vec![0u64; buckets];
         let mut prev: Option<usize> = None;
         let mut total_check = 0u64;
-        for pair in pairs.chunks_exact(2) {
-            let i = usize::try_from(pair[0]).ok()?;
-            if i >= buckets || prev.is_some_and(|p| p >= i) || pair[1] == 0 {
+        for pair in pairs.chunks_exact(3) {
+            let i = pair[0] as usize;
+            let c = u64::from(pair[1]) | (u64::from(pair[2]) << 32);
+            if i >= buckets || prev.is_some_and(|p| p >= i) || c == 0 {
                 return None;
             }
             prev = Some(i);
-            counts[i] = pair[1];
-            total_check = total_check.checked_add(pair[1])?;
+            counts[i] = c;
+            total_check = total_check.checked_add(c)?;
         }
-        let total = head[1];
         if total_check != total {
             return None;
         }
         Some(LatencyHistogram {
             counts,
             total,
-            sum: head[2],
-            min: u32::try_from(head[3]).ok()?,
-            max: u32::try_from(head[4]).ok()?,
+            sum,
+            min,
+            max,
         })
     }
 }
@@ -544,27 +539,25 @@ mod tests {
         for v in [0u32, 3, 3, 31, 200, 7] {
             h.record(v);
         }
-        let mut words = Vec::new();
-        h.export_state(&mut words);
-        let mut cursor = &words[..];
-        let back = LatencyHistogram::import_state(&mut cursor, 33).expect("valid stream");
-        assert!(cursor.is_empty());
+        let mut w = WordWriter::new();
+        h.export_state(&mut w);
+        let words = w.into_words();
+        let mut r = WordReader::new(&words);
+        let back = LatencyHistogram::import_state(&mut r, 33).expect("valid stream");
+        assert!(r.is_empty());
         assert_eq!(back, h);
         for cut in 0..words.len() {
-            let mut cursor = &words[..cut];
             assert!(
-                LatencyHistogram::import_state(&mut cursor, 33).is_none(),
+                LatencyHistogram::import_state(&mut WordReader::new(&words[..cut]), 33).is_none(),
                 "cut {cut}"
             );
         }
-        // A tampered total is rejected, not adopted.
+        // A tampered total (words 2 and 3) is rejected, not adopted.
         let mut bad = words.clone();
-        bad[1] += 1;
-        let mut cursor = &bad[..];
-        assert!(LatencyHistogram::import_state(&mut cursor, 33).is_none());
+        bad[2] += 1;
+        assert!(LatencyHistogram::import_state(&mut WordReader::new(&bad), 33).is_none());
         // So is a bucket count above the caller's maximum.
-        let mut cursor = &words[..];
-        assert!(LatencyHistogram::import_state(&mut cursor, 32).is_none());
+        assert!(LatencyHistogram::import_state(&mut WordReader::new(&words), 32).is_none());
     }
 
     #[test]
@@ -572,10 +565,12 @@ mod tests {
         // An empty histogram's header claiming 2^40 buckets (an 8 TiB
         // array) or u64::MAX buckets must be refused, not allocated.
         for buckets in [1u64 << 40, u64::MAX] {
-            let words = [buckets, 0, 0, 0, 0, 0];
-            let mut cursor = &words[..];
+            let mut w = WordWriter::new();
+            for x in [buckets, 0, 0, 0, 0] {
+                w.u64(x);
+            }
             assert!(
-                LatencyHistogram::import_state(&mut cursor, 1 << 20).is_none(),
+                LatencyHistogram::import_state(&mut WordReader::new(w.words()), 1 << 20).is_none(),
                 "{buckets} buckets"
             );
         }

@@ -27,12 +27,21 @@
 //!   uninterrupted run — the property the checkpoint tests sweep every
 //!   boundary to pin.
 //!
+//! Every part of the payload — the service, each tenant, and the
+//! estimator, tracker, histogram, sampler and SLO types a tenant holds —
+//! writes and reads itself through the one word codec,
+//! [`bcast_types::words`]. Tenants follow one another with no length
+//! prefix and restore front to back; a restore must consume the payload
+//! exactly, so a part that reads more or fewer words than it wrote fails
+//! it closed.
+//!
 //! [`TenantRuntime`]: crate::tenant::TenantRuntime
 
 use crate::service::ServeLoop;
 use bcast_channel::snapshot::{read_word_file, write_word_file};
 use bcast_core::publish::PublishHeuristic;
 use bcast_types::crc::crc32c;
+use bcast_types::{WordReader, WordWriter};
 use bcast_workloads::DemandShape;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -40,8 +49,9 @@ use std::path::{Path, PathBuf};
 /// Manifest magic: `"BCKP"` as little-endian ASCII words.
 const MANIFEST_MAGIC: u32 = 0x504B_4342;
 
-/// Manifest format version this build writes and reads.
-const MANIFEST_VERSION: u32 = 1;
+/// Manifest format version this build writes and reads; a manifest of
+/// any other version fails closed.
+const MANIFEST_VERSION: u32 = 2;
 
 /// Endianness sentinel (same convention as the snapshot wire format).
 const ENDIAN_MARK: u32 = 0x0102_0304;
@@ -97,328 +107,66 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Shortest equal-value run [`WordWriter::u64_slice`] collapses to a
-/// repeat pair. Breaking a literal batch costs one extra control word and
-/// a repeat pair costs two, so four is the first length that always wins.
-const MIN_REPEAT: usize = 4;
-
-/// Control-word flag marking a repeat run in the `u64` RLE stream.
-const REPEAT_BIT: u64 = 1 << 63;
-
-/// Ceiling on a length-prefixed run's claimed element count
-/// (`u64_vec`/`u32_vec`): far above any real manifest section, far below
-/// an allocation-of-death. RLE means a claimed length cannot be bounded
-/// by the words that remain in the buffer.
-const MAX_RUN_LEN: usize = 1 << 27;
-
-/// Append-only word-stream encoder shared by every manifest section.
-/// `u64`s are split into little-endian `u32` pairs so the whole manifest
-/// stays one `u32` stream — the unit the CRC-32C kernel and the snapshot
-/// wire format already speak.
-#[derive(Debug, Default)]
-pub(crate) struct WordWriter {
-    words: Vec<u32>,
-}
-
-impl WordWriter {
-    pub(crate) fn new() -> Self {
-        WordWriter { words: Vec::new() }
-    }
-
-    pub(crate) fn u32(&mut self, x: u32) {
-        self.words.push(x);
-    }
-
-    pub(crate) fn u64(&mut self, x: u64) {
-        self.words.push(x as u32);
-        self.words.push((x >> 32) as u32);
-    }
-
-    pub(crate) fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-
-    pub(crate) fn opt_u64(&mut self, x: Option<u64>) {
-        match x {
-            None => self.u32(0),
-            Some(v) => {
-                self.u32(1);
-                self.u64(v);
-            }
+/// A [`PublishHeuristic`] as a tag word (plus its node cap for `Shrink`):
+/// the one encoding the tenant config and the boot-image cache keys
+/// share.
+pub(crate) fn write_heuristic(w: &mut WordWriter, h: PublishHeuristic) {
+    match h {
+        PublishHeuristic::Sorting => w.u32(0),
+        PublishHeuristic::Frontier => w.u32(1),
+        PublishHeuristic::Shrink { max_nodes } => {
+            w.u32(2);
+            w.u64(max_nodes as u64);
         }
-    }
-
-    pub(crate) fn opt_f64(&mut self, x: Option<f64>) {
-        match x {
-            None => self.u32(0),
-            Some(v) => {
-                self.u32(1);
-                self.f64(v);
-            }
-        }
-    }
-
-    /// A [`PublishHeuristic`] as a tag word (plus its node cap for
-    /// `Shrink`) — the one encoding the tenant config and the boot-image
-    /// cache keys share.
-    pub(crate) fn heuristic(&mut self, h: PublishHeuristic) {
-        match h {
-            PublishHeuristic::Sorting => self.u32(0),
-            PublishHeuristic::Frontier => self.u32(1),
-            PublishHeuristic::Shrink { max_nodes } => {
-                self.u32(2);
-                self.u64(max_nodes as u64);
-            }
-            PublishHeuristic::Preorder => self.u32(3),
-        }
-    }
-
-    /// A [`DemandShape`] as a tag word and its parameters — the one
-    /// encoding the phase script and the live sampler share.
-    pub(crate) fn demand_shape(&mut self, shape: DemandShape) {
-        match shape {
-            DemandShape::Zipf { theta } => {
-                self.u32(0);
-                self.f64(theta);
-            }
-            DemandShape::HotSet {
-                hot_items,
-                hot_mass,
-                offset,
-            } => {
-                self.u32(1);
-                self.u64(hot_items as u64);
-                self.f64(hot_mass);
-                self.u64(offset as u64);
-            }
-        }
-    }
-
-    /// Length-prefixed `u64` run, run-length encoded. Manifests carry
-    /// runs of tens of thousands of words (estimator trajectories,
-    /// weight snapshots), and several of them are dominated by one
-    /// repeated value — boot-uniform weights, the not-yet-published NaN
-    /// sentinel — so repeats of [`MIN_REPEAT`] or more collapse to a
-    /// `(count, value)` pair. Distinct data passes through as literal
-    /// batches costing one control word each, so the worst case is
-    /// within one word of the flat encoding.
-    pub(crate) fn u64_slice(&mut self, xs: &[u64]) {
-        self.words.reserve(2 * xs.len() + 4);
-        self.u64(xs.len() as u64);
-        let mut lit_start = 0;
-        let mut i = 0;
-        while i < xs.len() {
-            let v = xs[i];
-            let mut j = i + 1;
-            while j < xs.len() && xs[j] == v {
-                j += 1;
-            }
-            if j - i >= MIN_REPEAT {
-                self.u64_literals(&xs[lit_start..i]);
-                self.u64(REPEAT_BIT | (j - i) as u64);
-                self.u64(v);
-                lit_start = j;
-            }
-            i = j;
-        }
-        self.u64_literals(&xs[lit_start..]);
-    }
-
-    /// One literal batch of the [`u64_slice`](Self::u64_slice) encoding:
-    /// a count control word followed by the raw values.
-    fn u64_literals(&mut self, xs: &[u64]) {
-        if xs.is_empty() {
-            return;
-        }
-        self.u64(xs.len() as u64);
-        self.words
-            .extend(xs.iter().flat_map(|&x| [x as u32, (x >> 32) as u32]));
-    }
-
-    /// Length-prefixed raw `u32` run (snapshot images embed this way).
-    pub(crate) fn u32_slice(&mut self, xs: &[u32]) {
-        self.u64(xs.len() as u64);
-        self.words.extend_from_slice(xs);
-    }
-
-    /// Reserves one word whose value is only known after later writes —
-    /// block-length prefixes backpatch through [`patch`](Self::patch).
-    pub(crate) fn placeholder(&mut self) -> usize {
-        let at = self.words.len();
-        self.words.push(0);
-        at
-    }
-
-    pub(crate) fn patch(&mut self, at: usize, value: u32) {
-        self.words[at] = value;
-    }
-
-    /// Words written so far (block-length backpatching measures spans).
-    pub(crate) fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Consumes the writer, yielding the raw word stream (tests encode
-    /// and decode in memory without the file framing).
-    #[cfg(test)]
-    pub(crate) fn into_words(self) -> Vec<u32> {
-        self.words
+        PublishHeuristic::Preorder => w.u32(3),
     }
 }
 
-/// One batch of the `u64` RLE stream: `count` copies of a value, or a
-/// literal block of little-endian `u32` pairs.
-enum U64Batch<'a> {
-    Repeat(usize, u64),
-    Literal(&'a [u32]),
+/// Inverse of [`write_heuristic`]; fails closed on unknown tags.
+pub(crate) fn read_heuristic(r: &mut WordReader<'_>) -> Option<PublishHeuristic> {
+    Some(match r.u32()? {
+        0 => PublishHeuristic::Sorting,
+        1 => PublishHeuristic::Frontier,
+        2 => PublishHeuristic::Shrink {
+            max_nodes: usize::try_from(r.u64()?).ok()?,
+        },
+        3 => PublishHeuristic::Preorder,
+        _ => return None,
+    })
 }
 
-/// Cursor over a manifest payload. Every read fails closed (`None`) on
-/// truncation; decoders bubble the `None` so a short or gnawed manifest
-/// is rejected as a unit, never half-applied.
-#[derive(Debug)]
-pub(crate) struct WordReader<'a> {
-    words: &'a [u32],
+/// A [`DemandShape`] as a tag word and its parameters: the one encoding
+/// the phase script and the live sampler share.
+pub(crate) fn write_demand_shape(w: &mut WordWriter, shape: DemandShape) {
+    match shape {
+        DemandShape::Zipf { theta } => {
+            w.u32(0);
+            w.f64(theta);
+        }
+        DemandShape::HotSet {
+            hot_items,
+            hot_mass,
+            offset,
+        } => {
+            w.u32(1);
+            w.u64(hot_items as u64);
+            w.f64(hot_mass);
+            w.u64(offset as u64);
+        }
+    }
 }
 
-impl<'a> WordReader<'a> {
-    pub(crate) fn new(words: &'a [u32]) -> Self {
-        WordReader { words }
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        let (&first, rest) = self.words.split_first()?;
-        self.words = rest;
-        Some(first)
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        let lo = self.u32()?;
-        let hi = self.u32()?;
-        Some(u64::from(lo) | (u64::from(hi) << 32))
-    }
-
-    pub(crate) fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    pub(crate) fn opt_u64(&mut self) -> Option<Option<u64>> {
-        match self.u32()? {
-            0 => Some(None),
-            1 => Some(Some(self.u64()?)),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn opt_f64(&mut self) -> Option<Option<f64>> {
-        match self.u32()? {
-            0 => Some(None),
-            1 => Some(Some(self.f64()?)),
-            _ => None,
-        }
-    }
-
-    /// Inverse of [`WordWriter::heuristic`]; fails closed on unknown tags.
-    pub(crate) fn heuristic(&mut self) -> Option<PublishHeuristic> {
-        Some(match self.u32()? {
-            0 => PublishHeuristic::Sorting,
-            1 => PublishHeuristic::Frontier,
-            2 => PublishHeuristic::Shrink {
-                max_nodes: usize::try_from(self.u64()?).ok()?,
-            },
-            3 => PublishHeuristic::Preorder,
-            _ => return None,
-        })
-    }
-
-    /// Inverse of [`WordWriter::demand_shape`]; fails closed on unknown
-    /// tags.
-    pub(crate) fn demand_shape(&mut self) -> Option<DemandShape> {
-        Some(match self.u32()? {
-            0 => DemandShape::Zipf { theta: self.f64()? },
-            1 => DemandShape::HotSet {
-                hot_items: usize::try_from(self.u64()?).ok()?,
-                hot_mass: self.f64()?,
-                offset: usize::try_from(self.u64()?).ok()?,
-            },
-            _ => return None,
-        })
-    }
-
-    /// Inverse of [`WordWriter::u64_slice`]. Fails closed on a zero or
-    /// over-long batch count, a length beyond [`MAX_RUN_LEN`] (an RLE
-    /// stream's claimed length is not bounded by the buffer it sits in,
-    /// so corruption must not become a giant allocation), or truncation.
-    /// The whole stream is validated on a copy of the cursor before the
-    /// one allocation, so a stream that fails allocates nothing.
-    pub(crate) fn u64_vec(&mut self) -> Option<Vec<u64>> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        if len > MAX_RUN_LEN {
-            return None;
-        }
-        WordReader::new(self.words).u64_batches(len, |_| {})?;
-        let mut out = Vec::with_capacity(len);
-        self.u64_batches(len, |batch| match batch {
-            U64Batch::Repeat(count, v) => out.resize(out.len() + count, v),
-            // Flat pair decode: manifests carry multi-million-word runs
-            // and the restore path is wall-clock bound, so no per-element
-            // cursor.
-            U64Batch::Literal(run) => out.extend(
-                run.chunks_exact(2)
-                    .map(|p| u64::from(p[0]) | (u64::from(p[1]) << 32)),
-            ),
-        })?;
-        Some(out)
-    }
-
-    /// Walks the batches of a [`u64_vec`](Self::u64_vec) stream of `len`
-    /// values, handing each to `emit`; `None` on a zero or over-long
-    /// count or on truncation.
-    fn u64_batches(&mut self, len: usize, mut emit: impl FnMut(U64Batch<'a>)) -> Option<()> {
-        let mut filled = 0;
-        while filled < len {
-            let ctrl = self.u64()?;
-            let count = usize::try_from(ctrl & !REPEAT_BIT).ok()?;
-            if count == 0 || count > len - filled {
-                return None;
-            }
-            if ctrl & REPEAT_BIT != 0 {
-                emit(U64Batch::Repeat(count, self.u64()?));
-            } else {
-                emit(U64Batch::Literal(self.take(count.checked_mul(2)?)?));
-            }
-            filled += count;
-        }
-        Some(())
-    }
-
-    /// Takes the next `n` words as a raw borrowed block. Length-prefixed
-    /// tenant blocks split off this way so they can decode independently
-    /// (and in parallel) without advancing a shared cursor.
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u32]> {
-        if n > self.words.len() {
-            return None;
-        }
-        let (run, rest) = self.words.split_at(n);
-        self.words = rest;
-        Some(run)
-    }
-
-    /// True once every word has been consumed — block decoders assert
-    /// this so a tenant block with trailing garbage fails closed.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    pub(crate) fn u32_vec(&mut self) -> Option<Vec<u32>> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        if len > self.words.len() {
-            return None;
-        }
-        let (run, rest) = self.words.split_at(len);
-        self.words = rest;
-        Some(run.to_vec())
-    }
+/// Inverse of [`write_demand_shape`]; fails closed on unknown tags.
+pub(crate) fn read_demand_shape(r: &mut WordReader<'_>) -> Option<DemandShape> {
+    Some(match r.u32()? {
+        0 => DemandShape::Zipf { theta: r.f64()? },
+        1 => DemandShape::HotSet {
+            hot_items: usize::try_from(r.u64()?).ok()?,
+            hot_mass: r.f64()?,
+            offset: usize::try_from(r.u64()?).ok()?,
+        },
+        _ => return None,
+    })
 }
 
 /// Seals `payload` into a full manifest word buffer: header, payload,
@@ -521,15 +269,17 @@ impl ServeLoop {
         let mut w = WordWriter::new();
         w.u32(SECTION_SERVICE);
         self.export_state(&mut w)?;
-        write_manifest(dir.as_ref(), self.slices_run(), &w.words)
+        write_manifest(dir.as_ref(), self.slices_run(), w.words())
     }
 
-    /// Restores a service from the newest valid checkpoint manifest in
-    /// `dir`, resuming at the checkpointed slice with every tenant
-    /// serving its checkpointed program. Corrupt or torn newer
-    /// generations fall back to the previous good one; `threads` is an
-    /// execution parameter, never part of the state (a checkpoint taken
-    /// at one thread count restores at any other, bit-identically).
+    /// Restores a service from the newest valid checkpoint manifest
+    /// [`checkpoint`](Self::checkpoint) wrote in `dir`, resuming at the
+    /// checkpointed slice with every tenant serving its checkpointed
+    /// program. Corrupt or torn newer generations fall back to the
+    /// previous good one; `threads` is an execution parameter, never part
+    /// of the state (a checkpoint taken at one thread count restores at
+    /// any other, bit-identically). A scenario driver's manifest restores
+    /// through [`ScenarioDriver::restore`](crate::ScenarioDriver::restore).
     ///
     /// # Errors
     /// [`CheckpointError::NoValidManifest`] if nothing in `dir`
@@ -537,13 +287,13 @@ impl ServeLoop {
     /// scanned.
     pub fn restore(dir: impl AsRef<Path>, threads: usize) -> Result<ServeLoop, CheckpointError> {
         restore_first_valid(dir.as_ref(), |r| {
-            let section = r.u32()?;
-            if section != SECTION_SERVICE && section != SECTION_DRIVER {
+            if r.u32()? != SECTION_SERVICE {
                 return None;
             }
-            // A driver manifest is a superset: the service section
-            // restores the same way, the driver tail is simply unused.
-            ServeLoop::import_state(r, threads)
+            let svc = ServeLoop::import_state(r, threads)?;
+            // Tenants decode front to back with no length prefix, so a
+            // part that reads fewer words than it wrote shows here.
+            r.is_empty().then_some(svc)
         })
     }
 }
@@ -558,7 +308,7 @@ pub(crate) fn write_driver_manifest(
 ) -> Result<PathBuf, CheckpointError> {
     let mut w = WordWriter::new();
     build(&mut w)?;
-    write_manifest(dir, slice, &w.words)
+    write_manifest(dir, slice, w.words())
 }
 
 /// Walks manifests newest-first handing each decoded payload to `try_restore`
@@ -606,73 +356,48 @@ mod tests {
         let mut flip = words.clone();
         flip[HEADER_WORDS] ^= 0x8000;
         assert!(unseal(&flip).is_none(), "payload bit flip");
-        let mut skew = words.clone();
-        skew[1] = MANIFEST_VERSION + 1;
-        let last = skew.len() - 1;
-        skew[last] = crc32c(&skew[..last]);
-        assert!(unseal(&skew).is_none(), "version skew with a valid crc");
-    }
-
-    #[test]
-    fn word_codec_round_trips_and_fails_closed() {
-        let mut w = WordWriter::new();
-        w.u32(5);
-        w.u64(u64::MAX - 3);
-        w.f64(-0.25);
-        w.opt_u64(None);
-        w.opt_u64(Some(9));
-        w.opt_f64(Some(1.5));
-        w.u64_slice(&[1, 2, 3]);
-        w.u32_slice(&[10, 20]);
-        let mut r = WordReader::new(&w.words);
-        assert_eq!(r.u32(), Some(5));
-        assert_eq!(r.u64(), Some(u64::MAX - 3));
-        assert_eq!(r.f64(), Some(-0.25));
-        assert_eq!(r.opt_u64(), Some(None));
-        assert_eq!(r.opt_u64(), Some(Some(9)));
-        assert_eq!(r.opt_f64(), Some(Some(1.5)));
-        assert_eq!(r.u64_vec(), Some(vec![1, 2, 3]));
-        assert_eq!(r.u32_vec(), Some(vec![10, 20]));
-        assert_eq!(r.u32(), None, "exhausted");
-        // Truncation at every cut of the stream fails closed.
-        for cut in 0..w.words.len() {
-            let mut r = WordReader::new(&w.words[..cut]);
-            let mut ok = true;
-            ok &= r.u32().is_some();
-            ok &= r.u64().is_some();
-            ok &= r.f64().is_some();
-            ok &= r.opt_u64().is_some();
-            ok &= r.opt_u64().is_some();
-            ok &= r.opt_f64().is_some();
-            ok &= r.u64_vec().is_some();
-            ok &= r.u32_vec().is_some();
-            assert!(!ok, "cut at {cut} must fail somewhere");
+        // Version skew with a valid crc, a version 1 manifest included.
+        for version in [1, MANIFEST_VERSION + 1] {
+            let mut skew = words.clone();
+            skew[1] = version;
+            let last = skew.len() - 1;
+            skew[last] = crc32c(&skew[..last]);
+            assert!(unseal(&skew).is_none(), "version {version}");
         }
-        // A length prefix larger than the remaining buffer is corruption,
-        // not an allocation request.
-        let mut w = WordWriter::new();
-        w.u64(u64::MAX);
-        assert!(WordReader::new(&w.words).u64_vec().is_none());
-        assert!(WordReader::new(&w.words).u32_vec().is_none());
     }
 
     #[test]
     fn a_truncated_run_fails_before_it_allocates() {
         use bcast_types::alloc_counter::allocation_count;
-        // A length prefix claiming MAX_RUN_LEN values (1 GiB of u64s),
-        // followed by nothing, then by one repeat batch that covers only
-        // part of it: both streams end early and must be rejected before
-        // anything is allocated.
+        // A run claiming 2^20 values, followed by nothing, then by a
+        // repeat batch that covers only part of it: both streams end
+        // early and must be refused before anything is allocated, even
+        // under a bound that admits the claimed length.
         let mut w = WordWriter::new();
-        w.u64(MAX_RUN_LEN as u64);
-        let header_only = w.words.clone();
-        w.u64(REPEAT_BIT | 5);
+        w.u64(1 << 20);
+        let header_only = w.words().to_vec();
+        w.u64((1 << 63) | 5);
         w.u64(7);
-        for words in [&header_only[..], &w.words[..]] {
+        for words in [&header_only[..], w.words()] {
             let before = allocation_count();
-            assert!(WordReader::new(words).u64_vec().is_none());
+            assert!(WordReader::new(words).u64_run(1 << 20, Some).is_none());
             assert_eq!(allocation_count(), before, "{} words", words.len());
         }
+    }
+
+    #[test]
+    fn a_run_longer_than_its_bound_is_refused_with_no_allocation() {
+        use bcast_types::alloc_counter::allocation_count;
+        // Four words of repeat batch claim 2^27 values, 1 GiB of u64s: a
+        // well-formed run that an unbounded reader allocates and fills.
+        // Bounded by a 65,536-item catalog, it allocates nothing.
+        let mut w = WordWriter::new();
+        w.u64(1 << 27);
+        w.u64((1 << 63) | (1 << 27));
+        w.u64(7);
+        let before = allocation_count();
+        assert!(WordReader::new(w.words()).u64_run(1 << 16, Some).is_none());
+        assert_eq!(allocation_count(), before);
     }
 
     #[test]

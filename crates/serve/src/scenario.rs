@@ -16,10 +16,10 @@
 //! different thread counts or reruns, and [`ScenarioOutcome::fingerprint`]
 //! folds the whole outcome into one `u64` for cheap cross-run comparison.
 
-use crate::checkpoint::{self, CheckpointError, WordReader, WordWriter, SECTION_DRIVER};
+use crate::checkpoint::{self, CheckpointError, SECTION_DRIVER};
 use crate::service::{PoolStats, ServeLoop};
 use crate::tenant::{RebuildLane, TenantConfig};
-use bcast_types::{SloSnapshot, SloSpec, SloViolation};
+use bcast_types::{SloSnapshot, SloSpec, SloViolation, WordReader};
 use bcast_workloads::{PhaseSpec, ScenarioSpec};
 use std::path::{Path, PathBuf};
 
@@ -382,10 +382,8 @@ impl ScenarioDriver {
                 w.u64(report.tenants.len() as u64);
                 for t in &report.tenants {
                     w.u64(t.tenant);
-                    w.f64(t.slo.min_delivery_rate);
-                    w.f64(t.slo.max_p99_cycles);
-                    w.u64(t.slo.max_rebuild_downtime_slots);
-                    write_snapshot(w, &t.snapshot);
+                    t.slo.export_state(w);
+                    t.snapshot.export_state(w);
                 }
             }
             Ok(())
@@ -452,12 +450,8 @@ impl ScenarioDriver {
             let mut tenants = Vec::with_capacity(n_tenants.min(1024));
             for _ in 0..n_tenants {
                 let tenant = r.u64()?;
-                let slo = SloSpec {
-                    min_delivery_rate: r.f64()?,
-                    max_p99_cycles: r.f64()?,
-                    max_rebuild_downtime_slots: r.u64()?,
-                };
-                let snapshot = read_snapshot(r)?;
+                let slo = SloSpec::import_state(r)?;
+                let snapshot = SloSnapshot::import_state(r)?;
                 // Verdicts are derived data: recompute instead of trust.
                 let violations = snapshot.check(&slo);
                 tenants.push(TenantPhaseReport {
@@ -472,6 +466,11 @@ impl ScenarioDriver {
                 slices: phase.slices,
                 tenants,
             });
+        }
+        // The driver section ends the manifest: a word left over means
+        // some part decoded fewer words than it wrote.
+        if !r.is_empty() {
+            return None;
         }
         Some(ScenarioDriver {
             spec: spec.clone(),
@@ -515,57 +514,6 @@ fn spec_tag(spec: &ScenarioSpec) -> u64 {
         h = eat(h, p.overrides.len() as u64);
     }
     h
-}
-
-/// Serializes every field of a snapshot (wall-clock side channels
-/// included — a restored report prints what the original measured).
-fn write_snapshot(w: &mut WordWriter, s: &SloSnapshot) {
-    w.u64(s.requests);
-    w.u64(s.delivered);
-    w.u64(s.failed);
-    w.u64(s.retries);
-    w.u32(s.p99_slots);
-    w.f64(s.mean_access_slots);
-    w.u32(s.max_cycle_len);
-    w.u64(s.rebuilds);
-    w.u64(s.degraded_rebuilds);
-    w.u64(s.rebuild_downtime_slots);
-    w.u64(s.delta_rebuilds);
-    w.u64(s.full_rebuilds);
-    w.u64(s.touched_ppm);
-    w.u64(s.snapshot_loads);
-    w.u64(s.skipped_rebuilds);
-    w.u64(s.rebuild_wall_ns);
-    w.u64(s.alias_rebuilds);
-    w.u64(s.quarantined);
-    w.u64(s.readmitted);
-    w.u64(s.shed_requests);
-}
-
-/// Inverse of [`write_snapshot`].
-fn read_snapshot(r: &mut WordReader<'_>) -> Option<SloSnapshot> {
-    Some(SloSnapshot {
-        requests: r.u64()?,
-        delivered: r.u64()?,
-        failed: r.u64()?,
-        retries: r.u64()?,
-        p99_slots: r.u32()?,
-        mean_access_slots: r.f64()?,
-        max_cycle_len: r.u32()?,
-        rebuilds: r.u64()?,
-        degraded_rebuilds: r.u64()?,
-        rebuild_downtime_slots: r.u64()?,
-        delta_rebuilds: r.u64()?,
-        full_rebuilds: r.u64()?,
-        touched_ppm: r.u64()?,
-        snapshot_loads: r.u64()?,
-        skipped_rebuilds: r.u64()?,
-        rebuild_wall_ns: r.u64()?,
-        alias_rebuilds: r.u64()?,
-        quarantined: r.u64()?,
-        readmitted: r.u64()?,
-        shed_requests: r.u64()?,
-    })
 }
 
 #[cfg(test)]

@@ -26,11 +26,11 @@
 //!   placement cannot affect any tenant's outcome anyway (isolation), so
 //!   scheduling is free to chase balance.
 
-use crate::checkpoint::{CheckpointError, WordReader, WordWriter};
+use crate::checkpoint::{read_heuristic, write_heuristic, CheckpointError};
 use crate::tenant::{mix2, RebuildLane, TenantConfig, TenantRuntime};
 use bcast_channel::SnapshotImage;
 use bcast_core::publish::PublishHeuristic;
-use bcast_types::WorkerPool;
+use bcast_types::{WordReader, WordWriter, WorkerPool};
 use std::collections::HashMap;
 
 /// Seed salt for the overload shedder's per-slice remainder lottery,
@@ -526,19 +526,13 @@ impl ServeLoop {
             w.u64(key.items as u64);
             w.u64(key.fanout as u64);
             w.u64(key.channels as u64);
-            w.heuristic(key.heuristic);
+            write_heuristic(w, key.heuristic);
             w.u32_slice(image.words());
         }
+        // The roster follows, one tenant after another: restore reads
+        // them front to back.
         w.u64(self.tenants.len() as u64);
-        // Each tenant block carries a backpatched word-length prefix so
-        // restore can split the roster into independent slices and decode
-        // them in parallel — at snapshot scale the per-tenant payload
-        // (estimator trajectory, weights, on-air program image) dominates
-        // the manifest, and a sequential decode dominates the
-        // restore-to-serving wall.
         for t in &self.tenants {
-            let at = w.placeholder();
-            let start = w.len();
             let key = boot_key(t.config());
             let boot = self
                 .boot_images
@@ -546,17 +540,16 @@ impl ServeLoop {
                 .find(|(k, _)| *k == key)
                 .map(|(_, image)| image);
             t.export_state(w, boot);
-            let span = w.len() - start;
-            w.patch(at, u32::try_from(span).expect("tenant block fits u32"));
         }
         Ok(())
     }
 
     /// Rebuilds a service from [`export_state`](Self::export_state)'s
-    /// word stream. Fails closed (`None`) on any truncation or invariant
-    /// violation — a roster out of id order, a boot image that does not
-    /// self-validate, a tenant that does not decode. `threads` comes
-    /// from the caller, not the manifest.
+    /// word stream, tenant by tenant in roster order. Fails closed
+    /// (`None`) on any truncation or invariant violation — a roster out
+    /// of id order, a boot image that does not self-validate, a tenant
+    /// that does not decode. `threads` comes from the caller, not the
+    /// manifest: it sizes the restored loop's pool.
     pub(crate) fn import_state(r: &mut WordReader<'_>, threads: usize) -> Option<ServeLoop> {
         let seed = r.u64()?;
         let next_id = r.u64()?;
@@ -571,9 +564,9 @@ impl ServeLoop {
                 items: usize::try_from(r.u64()?).ok()?,
                 fanout: usize::try_from(r.u64()?).ok()?,
                 channels: usize::try_from(r.u64()?).ok()?,
-                heuristic: r.heuristic()?,
+                heuristic: read_heuristic(r)?,
             };
-            let image = SnapshotImage::from_words(r.u32_vec()?);
+            let image = SnapshotImage::from_words(r.u32_slice()?.to_vec());
             // Validate and decode the image exactly once here; every
             // tenant that references it clones the result instead of
             // re-walking the same megabytes.
@@ -592,19 +585,13 @@ impl ServeLoop {
             boot_images.push((key, image));
         }
         let n_tenants = usize::try_from(r.u64()?).ok()?;
-        let mut blocks = Vec::with_capacity(n_tenants.min(1024));
+        let mut tenants: Vec<TenantRuntime> = Vec::with_capacity(n_tenants.min(1024));
         for _ in 0..n_tenants {
-            let span = usize::try_from(r.u32()?).ok()?;
-            blocks.push(r.take(span)?);
-        }
-        let tenants = decode_tenant_blocks(seed, &blocks, &boot_programs, threads)?;
-        for (i, t) in tenants.iter().enumerate() {
-            if t.id() >= next_id {
+            let t = TenantRuntime::import_state(seed, r, &boot_programs)?;
+            if t.id() >= next_id || tenants.last().is_some_and(|prev| prev.id() >= t.id()) {
                 return None;
             }
-            if i > 0 && tenants[i - 1].id() >= t.id() {
-                return None;
-            }
+            tenants.push(t);
         }
         let mut svc = ServeLoop {
             tenants,
@@ -625,42 +612,6 @@ impl ServeLoop {
         svc.rebuild_index();
         Some(svc)
     }
-}
-
-/// Decodes the length-prefixed tenant blocks of a manifest, fanning the
-/// work across up to `threads` scoped workers. The blocks are
-/// independent by construction — each carries its full word span — so
-/// order-preserving chunked decode is safe; any malformed or
-/// not-fully-consumed block fails the whole restore closed (`None`).
-/// Worker count is execution-only: the decoded roster is identical at
-/// any `threads`.
-fn decode_tenant_blocks(
-    seed: u64,
-    blocks: &[&[u32]],
-    cache: &[(BootKey, CachedProgram)],
-    threads: usize,
-) -> Option<Vec<TenantRuntime>> {
-    fn one(seed: u64, block: &[u32], cache: &[(BootKey, CachedProgram)]) -> Option<TenantRuntime> {
-        let mut r = WordReader::new(block);
-        let t = TenantRuntime::import_state(seed, &mut r, cache)?;
-        r.is_empty().then_some(t)
-    }
-    let workers = threads.max(1).min(blocks.len());
-    if workers <= 1 {
-        return blocks.iter().map(|b| one(seed, b, cache)).collect();
-    }
-    let chunk = blocks.len().div_ceil(workers);
-    let decoded: Vec<Option<TenantRuntime>> = std::thread::scope(|s| {
-        let handles: Vec<_> = blocks
-            .chunks(chunk)
-            .map(|run| s.spawn(move || run.iter().map(|b| one(seed, b, cache)).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("tenant decode worker never panics"))
-            .collect()
-    });
-    decoded.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -983,6 +934,47 @@ mod tests {
         for cut in 0..words.len().min(200) {
             assert!(ServeLoop::import_state(&mut WordReader::new(&words[..cut]), 1).is_none());
         }
+    }
+
+    #[test]
+    fn a_tenant_read_one_word_short_or_long_fails_the_restore_closed() {
+        use bcast_channel::snapshot::{read_word_file, write_word_file};
+        let dir = std::env::temp_dir().join(format!("bcast-tenant-span-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut svc = boot(1, 3);
+        svc.run_slices(2);
+        svc.checkpoint(&dir).unwrap();
+        svc.run_slices(2);
+        let newest = svc.checkpoint(&dir).unwrap();
+        let words = read_word_file(&newest).unwrap();
+        // No length prefix marks where a tenant ends, so a tenant whose
+        // words gain one (the next part starts a word late) or lose one
+        // (it reads into the next part) must still be refused: for the
+        // middle tenant and for the last one, whose neighbor is the end
+        // of the manifest.
+        for id in [1, 2] {
+            let t = svc.tenant(id).unwrap();
+            let key = boot_key(t.config());
+            let cached = svc.boot_images.iter().find(|(k, _)| *k == key);
+            let mut w = WordWriter::new();
+            t.export_state(&mut w, cached.map(|(_, image)| image));
+            let block = w.into_words();
+            let at = words
+                .windows(block.len())
+                .position(|run| run == block)
+                .expect("the tenant's words are in the manifest");
+            let end = at + block.len();
+            let longer = [&words[..end], &[0], &words[end..]].concat();
+            let shorter = [&words[..end - 1], &words[end..]].concat();
+            for mut tampered in [longer, shorter] {
+                let last = tampered.len() - 1;
+                tampered[last] = bcast_types::crc::crc32c(&tampered[..last]);
+                write_word_file(&newest, &tampered).unwrap();
+                let restored = ServeLoop::restore(&dir, 1).unwrap();
+                assert_eq!(restored.slices_run(), 2, "tenant {id}: fell back");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

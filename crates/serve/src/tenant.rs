@@ -13,7 +13,7 @@
 //! lets the isolation tests demand *exact* equality between a tenant's
 //! solo run and its run amid noisy co-tenants.
 
-use crate::checkpoint::{WordReader, WordWriter};
+use crate::checkpoint::{read_demand_shape, read_heuristic, write_demand_shape, write_heuristic};
 use bcast_adaptive::{DegradationPolicy, DegradationTracker, EmaEstimator};
 use bcast_channel::{
     compiled::{CompiledProgram, ServeOptions, ServeSession, SERVE_CHUNK},
@@ -25,7 +25,9 @@ use bcast_core::publish::{PublishHeuristic, PublishOptions, Publisher};
 use bcast_core::{DeltaLane, DeltaOptions};
 use bcast_index_tree::{knary, IndexTree};
 use bcast_types::prefetch::PREFETCH_MIN_LEN;
-use bcast_types::{mix64, NodeId, SloSnapshot, SloSpec, SloViolation, Weight};
+use bcast_types::{
+    mix64, NodeId, SloSnapshot, SloSpec, SloViolation, Weight, WordReader, WordWriter,
+};
 use bcast_workloads::{DemandShape, DemandSpec, FaultScenario, TaggedAliasTable};
 use std::time::Instant;
 
@@ -177,8 +179,9 @@ impl TenantConfig {
 /// phase, typically).
 #[derive(Debug, Clone)]
 struct Window {
-    /// The window's counters, in the snapshot that reports them; the
-    /// three fields [`snapshot`](Window::snapshot) derives stay 0 here.
+    /// The window's counters, in the snapshot that reports them and the
+    /// encoding that checkpoints them; the three fields
+    /// [`snapshot`](Window::snapshot) derives stay 0 here.
     counts: SloSnapshot,
     hist: LatencyHistogram,
     /// Schedule positions touched / positions total, summed over the
@@ -213,32 +216,6 @@ impl Window {
                 .unwrap_or(0),
             ..self.counts
         }
-    }
-
-    /// The counters a checkpoint stores after the window's histogram and
-    /// cycle length, in manifest order: the one list both
-    /// [`TenantRuntime::export_state`] and the restore walk.
-    fn checkpoint_tail<'a>(
-        c: &'a mut SloSnapshot,
-        touched_nodes: &'a mut u64,
-        touched_total: &'a mut u64,
-    ) -> [&'a mut u64; 14] {
-        [
-            &mut c.rebuilds,
-            &mut c.degraded_rebuilds,
-            &mut c.rebuild_downtime_slots,
-            &mut c.delta_rebuilds,
-            &mut c.full_rebuilds,
-            touched_nodes,
-            touched_total,
-            &mut c.snapshot_loads,
-            &mut c.skipped_rebuilds,
-            &mut c.rebuild_wall_ns,
-            &mut c.alias_rebuilds,
-            &mut c.quarantined,
-            &mut c.readmitted,
-            &mut c.shed_requests,
-        ]
     }
 }
 
@@ -300,10 +277,6 @@ pub struct TenantRuntime {
     /// EWMA of recent slice request counts — the deterministic cost
     /// input to the service's load-balanced lane assignment.
     ewma_cost: u64,
-    /// Popularity snapshot the next rebuild consumes, patched in place
-    /// from the estimator's changed set — rebuilds no longer clone the
-    /// full weight vector.
-    weights: Vec<Weight>,
     /// Scratch for [`EmaEstimator::drain_changed`] (item-indexed).
     changes: Vec<(u32, Weight)>,
     /// The same changes mapped onto tree data nodes for the delta lane.
@@ -330,8 +303,7 @@ impl TenantRuntime {
     pub fn new(config: TenantConfig, service_seed: u64) -> Self {
         assert!(config.items > 0, "tenant needs at least one item");
         let estimator = EmaEstimator::new(config.items, config.alpha);
-        let weights = estimator.weights();
-        let tree = knary::build_weight_balanced_unlabeled(&weights, config.fanout)
+        let tree = knary::build_weight_balanced_unlabeled(estimator.published(), config.fanout)
             .expect("uniform weights build a valid tree");
         let mut publisher = Publisher::new();
         publisher
@@ -344,15 +316,7 @@ impl TenantRuntime {
             .expect("bundled heuristics produce feasible allocations");
         let data_nodes = tree.data_nodes().to_vec();
         let keep_tree = matches!(config.rebuild_lane, RebuildLane::Delta { .. });
-        let mut t = Self::assemble(
-            service_seed,
-            config,
-            publisher,
-            data_nodes,
-            estimator,
-            weights,
-            None,
-        );
+        let mut t = Self::assemble(service_seed, config, publisher, data_nodes, estimator, None);
         t.tree = keep_tree.then_some(tree);
         t
     }
@@ -406,26 +370,17 @@ impl TenantRuntime {
             ));
         }
         let estimator = EmaEstimator::new(config.items, config.alpha);
-        let weights = estimator.weights();
         let data_nodes: Vec<NodeId> = view.data_nodes().collect();
         let mut publisher = Publisher::new();
         publisher.adopt_snapshot(view.to_program(), config.channels);
-        let mut t = Self::assemble(
-            service_seed,
-            config,
-            publisher,
-            data_nodes,
-            estimator,
-            weights,
-            None,
-        );
+        let mut t = Self::assemble(service_seed, config, publisher, data_nodes, estimator, None);
         t.pending_snapshot_loads = 1;
         Ok(t)
     }
 
     /// Assembles a tenant from the parts its boot paths differ in: the
     /// program on air and the item → node map it serves by, the
-    /// estimator with the weight snapshot rebuilds consume, and a
+    /// estimator whose published weights rebuilds consume, and a
     /// restored window (`None`: a fresh one sized for the program on
     /// air). The tenant seed derives from `service_seed` and the config's
     /// id; everything else starts as before a tenant's first phase.
@@ -441,7 +396,6 @@ impl TenantRuntime {
         publisher: Publisher,
         data_nodes: Vec<NodeId>,
         estimator: EmaEstimator,
-        weights: Vec<Weight>,
         window: Option<Window>,
     ) -> Self {
         let window = window.unwrap_or_else(|| {
@@ -471,7 +425,6 @@ impl TenantRuntime {
             draws: ChunkDraws::new(),
             session: ServeSession::new(),
             ewma_cost: 0,
-            weights,
             changes: Vec::new(),
             node_changes: Vec::new(),
             quarantine: None,
@@ -884,17 +837,18 @@ impl TenantRuntime {
     fn rebuild(&mut self) {
         let started = Instant::now();
         // O(changed) estimator handoff, shared by both lanes: the
-        // persistent snapshot absorbs only the weights that moved.
+        // estimator's published snapshot absorbs only the weights that
+        // moved. The full lane builds from that snapshot, the delta lane
+        // reweights by the moves.
         self.changes.clear();
         self.estimator.drain_changed(&mut self.changes);
-        for &(i, w) in &self.changes {
-            self.weights[i as usize] = w;
-        }
         match self.config.rebuild_lane {
             RebuildLane::Full => {
-                let tree =
-                    knary::build_weight_balanced_unlabeled(&self.weights, self.config.fanout)
-                        .expect("estimator weights are positive");
+                let tree = knary::build_weight_balanced_unlabeled(
+                    self.estimator.published(),
+                    self.config.fanout,
+                )
+                .expect("estimator weights are positive");
                 self.publisher
                     .publish(
                         &tree,
@@ -957,17 +911,18 @@ impl TenantRuntime {
     }
 
     /// Serializes the tenant's complete mutable state into the
-    /// checkpoint word stream: config, phase script, lifetime counters,
-    /// the full window (histogram included), estimator and degradation
-    /// trajectories, quarantine state, armed chaos points, the weight
-    /// snapshot and the program on air (as a CRC-sealed
-    /// [`SnapshotImage`](bcast_channel::SnapshotImage)). The admission
-    /// cap is deliberately absent — it is per-slice transient state the
-    /// service re-derives after a restore — and so is the session
-    /// scratch. The sampler is stored only while its tags match the
-    /// program on air; otherwise the first restored slice rebuilds it
-    /// deterministically (only the equality-excluded `alias_rebuilds`
-    /// side channel can tell).
+    /// checkpoint word stream: config, the program on air (as a
+    /// CRC-sealed [`SnapshotImage`](bcast_channel::SnapshotImage)), phase
+    /// script, lifetime counters, quarantine state, armed chaos points,
+    /// the full window (histogram included), and the estimator and
+    /// degradation trajectories. The estimator carries the weight
+    /// snapshot the next full rebuild builds from. The admission cap is
+    /// deliberately absent — it is per-slice transient state the service
+    /// re-derives after a restore — and so is the session scratch. The
+    /// sampler is stored only while its tags match the program on air;
+    /// otherwise the first restored slice rebuilds it deterministically
+    /// (only the equality-excluded `alias_rebuilds` side channel can
+    /// tell).
     ///
     /// `boot` is the service's cached boot image for this tenant's shape
     /// (if any): when the program on air is still bit-identical to it —
@@ -987,7 +942,7 @@ impl TenantRuntime {
         w.u64(c.items as u64);
         w.u64(c.fanout as u64);
         w.u64(c.channels as u64);
-        w.heuristic(c.heuristic);
+        write_heuristic(w, c.heuristic);
         w.f64(c.alpha);
         w.opt_u64(c.rebuild_every);
         w.opt_f64(c.rebuild_min_drift);
@@ -1014,10 +969,23 @@ impl TenantRuntime {
             }
         }
 
+        // The program on air, right after the config: its catalog
+        // confirms the item count that bounds every run below. A
+        // reference into the boot-image cache when it is still the boot
+        // program, a self-validating embedded snapshot image otherwise.
+        let image = self.snapshot_image();
+        match boot {
+            Some(b) if b.words() == image.words() => w.u32(IMAGE_BOOT_REF),
+            _ => {
+                w.u32(IMAGE_EMBEDDED);
+                w.u32_slice(image.words());
+            }
+        }
+
         // Phase script. The fault scenario's `&'static str` name cannot
         // round-trip; it never reaches serving, so restore substitutes a
         // literal (outcome-neutral by construction).
-        w.demand_shape(self.demand.shape);
+        write_demand_shape(w, self.demand.shape);
         w.u32(self.demand.start_rate);
         w.u32(self.demand.end_rate);
         match &self.faults {
@@ -1037,9 +1005,7 @@ impl TenantRuntime {
                 }
             }
         }
-        w.f64(self.slo.min_delivery_rate);
-        w.f64(self.slo.max_p99_cycles);
-        w.u64(self.slo.max_rebuild_downtime_slots);
+        self.slo.export_state(w);
         w.u32(self.phase_slices);
         w.u32(self.slice_in_phase);
 
@@ -1052,7 +1018,8 @@ impl TenantRuntime {
 
         // Quarantine and armed chaos points (a pending poison must
         // survive a checkpoint, or the restored run would diverge from
-        // the uninterrupted one).
+        // the uninterrupted one). The points are written flat, two words
+        // each, so the words that follow bound their count.
         match &self.quarantine {
             None => w.u32(0),
             Some(q) => {
@@ -1061,42 +1028,27 @@ impl TenantRuntime {
                 w.u64(q.next_backoff);
             }
         }
-        w.u64_slice(&self.chaos_panic_slices);
+        w.u64(self.chaos_panic_slices.len() as u64);
+        for &slice in &self.chaos_panic_slices {
+            w.u64(slice);
+        }
 
         // The window, histogram included.
         let win = &self.window;
-        let mut counts = win.counts;
-        w.u64(counts.requests);
-        w.u64(counts.delivered);
-        w.u64(counts.failed);
-        w.u64(counts.retries);
-        let mut scratch = Vec::new();
-        win.hist.export_state(&mut scratch);
-        w.u64_slice(&scratch);
-        w.u32(counts.max_cycle_len);
-        let (mut touched_nodes, mut touched_total) = (win.touched_nodes, win.touched_total);
-        for x in Window::checkpoint_tail(&mut counts, &mut touched_nodes, &mut touched_total) {
-            w.u64(*x);
-        }
+        win.counts.export_state(w);
+        win.hist.export_state(w);
+        w.u64(win.touched_nodes);
+        w.u64(win.touched_total);
 
         // Adaptive state: estimator trajectory, tracker hysteresis.
-        scratch.clear();
-        self.estimator.export_state(&mut scratch);
-        w.u64_slice(&scratch);
+        self.estimator.export_state(w);
         match &self.degradation {
             None => w.u32(0),
             Some(t) => {
                 w.u32(1);
-                scratch.clear();
-                t.export_state(&mut scratch);
-                w.u64_slice(&scratch);
+                t.export_state(w);
             }
         }
-
-        // The weight snapshot rebuilds consume, bit for bit.
-        scratch.clear();
-        scratch.extend(self.weights.iter().map(|wt| wt.get().to_bits()));
-        w.u64_slice(&scratch);
 
         // The demand sampler, when one is live: the fused alias columns
         // themselves, not the pmf they were built from. Both derive
@@ -1110,35 +1062,24 @@ impl TenantRuntime {
         match self.sampler_shape {
             Some(shape) if !self.sampler_stale && self.sampler.len() == c.items => {
                 w.u32(1);
-                w.demand_shape(shape);
-                let mut cols = Vec::new();
-                self.sampler.export_columns(&mut cols);
-                w.u32_slice(&cols);
+                write_demand_shape(w, shape);
+                self.sampler.export_state(w);
             }
             _ => w.u32(0),
-        }
-
-        // The program on air: a reference into the boot-image cache when
-        // it is still the boot program, a self-validating embedded
-        // snapshot image otherwise.
-        let image = self.snapshot_image();
-        match boot {
-            Some(b) if b.words() == image.words() => w.u32(IMAGE_BOOT_REF),
-            _ => {
-                w.u32(IMAGE_EMBEDDED);
-                w.u32_slice(image.words());
-            }
         }
     }
 
     /// Rebuilds a tenant from [`export_state`](Self::export_state)'s
     /// words. Fails closed (`None`) on any truncation, range violation
     /// or image corruption — a checkpoint never restores approximately.
+    /// Every run is bounded before it is allocated: by the item count
+    /// once the program's catalog has confirmed it, by the window's
+    /// bucket cap, or by the words that follow.
     ///
     /// Mirrors [`from_snapshot`](Self::from_snapshot): a checkpoint
     /// stores no tree and the restored tenant holds none, since its next
-    /// full rebuild derives one from the restored weights. So only
-    /// [`RebuildLane::Full`] tenants restore this way.
+    /// full rebuild derives one from the estimator's published weights.
+    /// So only [`RebuildLane::Full`] tenants restore this way.
     /// `cache` is the already-restored boot-image section of the same
     /// manifest, each image pre-decoded to its program once by the
     /// service: a by-reference program record clones the shared decode
@@ -1153,7 +1094,7 @@ impl TenantRuntime {
             items: usize::try_from(r.u64()?).ok()?,
             fanout: usize::try_from(r.u64()?).ok()?,
             channels: usize::try_from(r.u64()?).ok()?,
-            heuristic: r.heuristic()?,
+            heuristic: read_heuristic(r)?,
             alpha: r.f64()?,
             rebuild_every: r.opt_u64()?,
             rebuild_min_drift: r.opt_f64()?,
@@ -1189,8 +1130,32 @@ impl TenantRuntime {
             return None;
         }
 
+        // The program on air: a boot-cache reference clones the decode
+        // the service already shares across every tenant of this shape;
+        // an embedded image decodes here, borrowed from the manifest.
+        // Either way the program must match the config it claims to
+        // serve, so from here on `items` is backed by the catalog's words.
+        let (program, data_nodes) = match r.u32()? {
+            IMAGE_BOOT_REF => {
+                let key = crate::service::boot_key(&config);
+                let cached = &cache.iter().find(|(k, _)| *k == key)?.1;
+                if cached.data_nodes.len() != items || cached.channels != channels {
+                    return None;
+                }
+                (cached.program.clone(), cached.data_nodes.clone())
+            }
+            IMAGE_EMBEDDED => {
+                let view = SnapshotView::new(r.u32_slice()?).ok()?;
+                if view.num_data() != items || view.channels() != channels {
+                    return None;
+                }
+                (view.to_program(), view.data_nodes().collect())
+            }
+            _ => return None,
+        };
+
         let demand = DemandSpec {
-            shape: r.demand_shape()?,
+            shape: read_demand_shape(r)?,
             start_rate: r.u32()?,
             end_rate: r.u32()?,
         };
@@ -1216,11 +1181,7 @@ impl TenantRuntime {
             }
             _ => return None,
         };
-        let slo = SloSpec {
-            min_delivery_rate: r.f64()?,
-            max_p99_cycles: r.f64()?,
-            max_rebuild_downtime_slots: r.u64()?,
-        };
+        let slo = SloSpec::import_state(r)?;
         let phase_slices = r.u32()?;
         let slice_in_phase = r.u32()?;
 
@@ -1238,75 +1199,35 @@ impl TenantRuntime {
             }),
             _ => return None,
         };
-        let chaos_panic_slices = r.u64_vec()?;
+        let armed = r.count(r.remaining() / 2)?;
+        let chaos_panic_slices = (0..armed).map(|_| r.u64()).collect::<Option<Vec<_>>>()?;
 
-        let mut counts = SloSnapshot {
-            requests: r.u64()?,
-            delivered: r.u64()?,
-            failed: r.u64()?,
-            retries: r.u64()?,
-            ..SloSnapshot::default()
-        };
-        let hist_words = r.u64_vec()?;
-        counts.max_cycle_len = r.u32()?;
-        let (mut touched_nodes, mut touched_total) = (0, 0);
-        for x in Window::checkpoint_tail(&mut counts, &mut touched_nodes, &mut touched_total) {
-            *x = r.u64()?;
-        }
-
-        let est_words = r.u64_vec()?;
-        let mut cur = &est_words[..];
-        let estimator = EmaEstimator::import_state(&mut cur)?;
-        if !cur.is_empty() || estimator.len() != items {
-            return None;
-        }
-        // The window histogram decodes only now that `items` is backed by
-        // the estimator's stream, which bounds its bucket count.
-        let mut cur = &hist_words[..];
-        let hist = LatencyHistogram::import_state(&mut cur, max_window_buckets(items))?;
-        if !cur.is_empty() {
-            return None;
-        }
         let window = Window {
-            counts,
-            hist,
-            touched_nodes,
-            touched_total,
+            counts: SloSnapshot::import_state(r)?,
+            hist: LatencyHistogram::import_state(r, max_window_buckets(items))?,
+            touched_nodes: r.u64()?,
+            touched_total: r.u64()?,
         };
+        let estimator = EmaEstimator::import_state(r, items)?;
         let degradation = match (r.u32()?, config.degradation) {
             (0, None) => None,
-            (1, Some(policy)) => {
-                let words = r.u64_vec()?;
-                let mut cur = &words[..];
-                let tracker = DegradationTracker::import_state(policy, &mut cur)?;
-                if !cur.is_empty() {
-                    return None;
-                }
-                Some(tracker)
-            }
+            (1, Some(policy)) => Some(DegradationTracker::import_state(policy, r)?),
             _ => return None,
         };
 
-        let weight_bits = r.u64_vec()?;
-        if weight_bits.len() != items {
-            return None;
-        }
-        let weights = weight_bits
-            .iter()
-            .map(|&b| Weight::new(f64::from_bits(b)).ok())
-            .collect::<Option<Vec<_>>>()?;
-
         // The live sampler, if the checkpoint carried one: the fused
         // alias columns restore by straight copy (structurally validated
-        // — word count, alias ranges, item count — so a malformed
-        // manifest fails closed; the tags are checked against the
-        // program below).
+        // — column count, alias ranges — so a malformed manifest fails
+        // closed). Every tag must name the node the restored program
+        // serves its item at, as the rebuild that wrote the sampler
+        // attached them: a sampler re-sealed with other tags would serve
+        // the wrong nodes.
         let sampler_state = match r.u32()? {
             0 => None,
             1 => {
-                let shape = r.demand_shape()?;
-                let table = TaggedAliasTable::import_columns(&r.u32_vec()?)?;
-                if table.len() != items {
+                let shape = read_demand_shape(r)?;
+                let table = TaggedAliasTable::import_state(r, items)?;
+                if !table.tagged_by(|i| data_nodes[i].0) {
                     return None;
                 }
                 Some((shape, table))
@@ -1314,37 +1235,6 @@ impl TenantRuntime {
             _ => return None,
         };
 
-        // The program on air: a boot-cache reference clones the decode
-        // the service already shares across every tenant of this shape;
-        // an embedded image decodes here. Either way the program must
-        // match the config it claims to serve.
-        let (program, data_nodes) = match r.u32()? {
-            IMAGE_BOOT_REF => {
-                let key = crate::service::boot_key(&config);
-                let cached = &cache.iter().find(|(k, _)| *k == key)?.1;
-                if cached.data_nodes.len() != items || cached.channels != channels {
-                    return None;
-                }
-                (cached.program.clone(), cached.data_nodes.clone())
-            }
-            IMAGE_EMBEDDED => {
-                let image = bcast_channel::SnapshotImage::from_words(r.u32_vec()?);
-                let view = image.view().ok()?;
-                if view.num_data() != items || view.channels() != channels {
-                    return None;
-                }
-                (view.to_program(), view.data_nodes().collect())
-            }
-            _ => return None,
-        };
-        // Every tag must name the node the restored program serves its
-        // item at, as the rebuild that wrote the sampler attached them: a
-        // sampler re-sealed with other tags would serve the wrong nodes.
-        if let Some((_, table)) = &sampler_state {
-            if !table.tagged_by(|i| data_nodes[i].0) {
-                return None;
-            }
-        }
         let mut publisher = Publisher::new();
         publisher.adopt_snapshot(program, channels);
         let mut t = Self::assemble(
@@ -1353,7 +1243,6 @@ impl TenantRuntime {
             publisher,
             data_nodes,
             estimator,
-            weights,
             Some(window),
         );
         t.degradation = degradation;
@@ -1985,16 +1874,19 @@ mod tests {
         let newest = svc.checkpoint(&dir).unwrap();
 
         // Give column 0 column 60's accept tag in the newest manifest and
-        // re-seal its CRC, so only the tag check can catch it.
-        let mut columns = Vec::new();
-        svc.tenants()[0].sampler.export_columns(&mut columns);
-        assert_ne!(columns[1], columns[4 * 60 + 1]);
+        // re-seal its CRC, so only the tag check can catch it. The
+        // columns follow their two-word count, four words each.
+        let mut w = WordWriter::new();
+        svc.tenants()[0].sampler.export_state(&mut w);
+        let columns = w.into_words();
+        let tag = |column: usize| 2 + 4 * column + 1;
+        assert_ne!(columns[tag(0)], columns[tag(60)]);
         let mut words = read_word_file(&newest).unwrap();
         let at = words
             .windows(columns.len())
             .position(|run| run == columns)
             .expect("the sampler columns are in the manifest");
-        words[at + 1] = columns[4 * 60 + 1];
+        words[at + tag(0)] = columns[tag(60)];
         let last = words.len() - 1;
         words[last] = bcast_types::crc::crc32c(&words[..last]);
         write_word_file(&newest, &words).unwrap();
@@ -2025,9 +1917,9 @@ mod tests {
                 t.run_slice_on(chunked);
                 snaps.push(t.phase_snapshot());
             }
-            let mut estimator = Vec::new();
+            let mut estimator = WordWriter::new();
             t.estimator.export_state(&mut estimator);
-            (snaps, estimator)
+            (snaps, estimator.into_words())
         };
         let fused = run(false);
         assert_eq!(fused, run(true));
@@ -2079,19 +1971,18 @@ mod tests {
 
         // Make item 0's estimate +inf in the newest manifest, in place,
         // and re-seal its CRC, so only the estimator's own check can
-        // catch it. The slice's roll left no counts, so the estimates
-        // follow the four header words.
-        let encode = |state: &[u64]| {
-            let mut w = WordWriter::new();
-            w.u64_slice(state);
-            w.into_words()
-        };
-        let mut state = Vec::new();
-        svc.tenants()[0].estimator.export_state(&mut state);
-        let good = encode(&state);
-        state[4] = f64::INFINITY.to_bits();
-        let bad = encode(&state);
-        assert_eq!(bad.len(), good.len());
+        // catch it. The slice's roll left no counts, so the estimate run
+        // starts at word 6 (alpha, epochs, a zero count of count pairs):
+        // its length, then the control word of a literal batch whose
+        // first value is item 0's.
+        let mut w = WordWriter::new();
+        svc.tenants()[0].estimator.export_state(&mut w);
+        let good = w.into_words();
+        assert_eq!(good[4..6], [0, 0], "no counts pending");
+        assert_eq!(good[9] >> 31, 0, "a literal batch leads the run");
+        let mut bad = good.clone();
+        let inf = f64::INFINITY.to_bits();
+        bad[10..12].copy_from_slice(&[inf as u32, (inf >> 32) as u32]);
         let mut words = read_word_file(&newest).unwrap();
         let at = words
             .windows(good.len())
@@ -2123,24 +2014,19 @@ mod tests {
             |words: &[u32]| TenantRuntime::import_state(0x5EED, &mut WordReader::new(words), &[]);
         assert!(restore(&words).is_some(), "the untampered state restores");
 
-        // Swap the histogram's encoding for one whose header claims
-        // 2^40 buckets (an 8 TiB array) or u64::MAX: the restore must
-        // fail closed instead of aborting on the allocation.
-        let encode = |hist: &[u64]| {
-            let mut w = WordWriter::new();
-            w.u64_slice(hist);
-            w.into_words()
-        };
-        let mut hist = Vec::new();
-        t.window.hist.export_state(&mut hist);
-        let good = encode(&hist);
+        // Make the histogram's header claim 2^40 buckets (an 8 TiB
+        // array), u64::MAX, or one more than the catalog allows: the
+        // restore must fail closed instead of aborting on the allocation.
+        let mut w = WordWriter::new();
+        t.window.hist.export_state(&mut w);
+        let good = w.into_words();
         let at = words
             .windows(good.len())
             .position(|run| run == good)
             .expect("the window histogram is in the stream");
-        for buckets in [1u64 << 40, u64::MAX] {
-            hist[0] = buckets;
-            let bad = [&words[..at], &encode(&hist), &words[at + good.len()..]].concat();
+        for buckets in [1u64 << 40, u64::MAX, max_window_buckets(48) as u64 + 1] {
+            let mut bad = words.clone();
+            bad[at..at + 2].copy_from_slice(&[buckets as u32, (buckets >> 32) as u32]);
             assert!(restore(&bad).is_none(), "{buckets} buckets");
         }
     }

@@ -27,7 +27,9 @@
 //!   hardware/software CRC-32C engine sealing snapshots, wire buckets and
 //!   the service checkpoint manifest,
 //! * [`prefetch`](mod@prefetch) — the bounds-checked software prefetch
-//!   and the table size from which the request path uses it.
+//!   and the table size from which the request path uses it,
+//! * [`words`] — the word codec ([`WordWriter`], [`WordReader`]) every
+//!   checkpointed type writes and reads its state through.
 //!
 //! The identifiers, [`Weight`] and [`BitSet`] are plain data: `Copy` where
 //! possible, no interior mutability, no allocation beyond the bitset's
@@ -44,6 +46,7 @@ pub mod pool;
 pub mod prefetch;
 pub mod slo;
 mod weight;
+pub mod words;
 
 pub use bitset::{bits, mix64, BitSet};
 pub use dominance::DominanceTable;
@@ -51,3 +54,4 @@ pub use ids::{BucketAddr, ChannelId, NodeId, Slot};
 pub use pool::WorkerPool;
 pub use slo::{SloSnapshot, SloSpec, SloViolation};
 pub use weight::{Weight, WeightError};
+pub use words::{WordReader, WordWriter};

@@ -14,6 +14,8 @@
 //! rebuilds changing the cycle length. The check multiplies by the
 //! largest cycle length observed in the window.
 
+use crate::words::{WordReader, WordWriter};
+
 /// Per-phase service-level objective for one tenant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
@@ -62,6 +64,24 @@ impl SloSpec {
             max_p99_cycles: p99_cycles,
             max_rebuild_downtime_slots: 0,
         }
+    }
+
+    /// Writes the spec for a checkpoint. Inverse:
+    /// [`import_state`](Self::import_state).
+    pub fn export_state(&self, w: &mut WordWriter) {
+        w.f64(self.min_delivery_rate);
+        w.f64(self.max_p99_cycles);
+        w.u64(self.max_rebuild_downtime_slots);
+    }
+
+    /// Reads a spec [`export_state`](Self::export_state) wrote; `None` on
+    /// truncation.
+    pub fn import_state(r: &mut WordReader<'_>) -> Option<Self> {
+        Some(SloSpec {
+            min_delivery_rate: r.f64()?,
+            max_p99_cycles: r.f64()?,
+            max_rebuild_downtime_slots: r.u64()?,
+        })
     }
 }
 
@@ -190,6 +210,59 @@ impl SloSnapshot {
         } else {
             self.delivered as f64 / self.requests as f64
         }
+    }
+
+    /// Writes every field for a checkpoint, the side channels included:
+    /// a restored report prints what the original measured. Inverse:
+    /// [`import_state`](Self::import_state).
+    pub fn export_state(&self, w: &mut WordWriter) {
+        w.u64(self.requests);
+        w.u64(self.delivered);
+        w.u64(self.failed);
+        w.u64(self.retries);
+        w.u32(self.p99_slots);
+        w.f64(self.mean_access_slots);
+        w.u32(self.max_cycle_len);
+        w.u64(self.rebuilds);
+        w.u64(self.degraded_rebuilds);
+        w.u64(self.rebuild_downtime_slots);
+        w.u64(self.delta_rebuilds);
+        w.u64(self.full_rebuilds);
+        w.u64(self.touched_ppm);
+        w.u64(self.snapshot_loads);
+        w.u64(self.skipped_rebuilds);
+        w.u64(self.rebuild_wall_ns);
+        w.u64(self.alias_rebuilds);
+        w.u64(self.quarantined);
+        w.u64(self.readmitted);
+        w.u64(self.shed_requests);
+    }
+
+    /// Reads a snapshot [`export_state`](Self::export_state) wrote; `None`
+    /// on truncation.
+    pub fn import_state(r: &mut WordReader<'_>) -> Option<Self> {
+        Some(SloSnapshot {
+            requests: r.u64()?,
+            delivered: r.u64()?,
+            failed: r.u64()?,
+            retries: r.u64()?,
+            p99_slots: r.u32()?,
+            mean_access_slots: r.f64()?,
+            max_cycle_len: r.u32()?,
+            rebuilds: r.u64()?,
+            degraded_rebuilds: r.u64()?,
+            rebuild_downtime_slots: r.u64()?,
+            delta_rebuilds: r.u64()?,
+            full_rebuilds: r.u64()?,
+            touched_ppm: r.u64()?,
+            snapshot_loads: r.u64()?,
+            skipped_rebuilds: r.u64()?,
+            rebuild_wall_ns: r.u64()?,
+            alias_rebuilds: r.u64()?,
+            quarantined: r.u64()?,
+            readmitted: r.u64()?,
+            shed_requests: r.u64()?,
+        })
     }
 
     /// Checks the window against `spec`, returning every violated

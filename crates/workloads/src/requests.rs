@@ -18,6 +18,7 @@
 //! this crate.
 
 use bcast_types::prefetch::prefetch;
+use bcast_types::{WordReader, WordWriter};
 
 /// A Walker alias table over a fixed probability mass function: the
 /// state-free half of a [`RequestStream`], sharable across draws whose
@@ -188,28 +189,32 @@ impl TaggedAliasTable {
         }
     }
 
-    /// Appends each fused column as four words — threshold, accept tag,
-    /// alias item, alias tag — for checkpointing. Inverse:
-    /// [`import_columns`](Self::import_columns).
-    pub fn export_columns(&self, out: &mut Vec<u32>) {
-        out.reserve(4 * self.columns.len());
+    /// Writes the column count, then each fused column as four words —
+    /// threshold, accept tag, alias item, alias tag — for a checkpoint.
+    /// Inverse: [`import_state`](Self::import_state).
+    pub fn export_state(&self, w: &mut WordWriter) {
+        w.u64(self.columns.len() as u64);
         for c in &self.columns {
-            out.extend_from_slice(&[c.threshold, c.accept_tag, c.alias_item, c.alias_tag]);
+            w.u32(c.threshold);
+            w.u32(c.accept_tag);
+            w.u32(c.alias_item);
+            w.u32(c.alias_tag);
         }
     }
 
-    /// Rebuilds a table from [`export_columns`](Self::export_columns)'s
-    /// words — a straight copy, bit-identical draws, no Vose
-    /// reconstruction. `None` if the word count is not a multiple of
-    /// four or an alias index is out of range.
-    pub fn import_columns(words: &[u32]) -> Option<TaggedAliasTable> {
-        if !words.len().is_multiple_of(4) {
+    /// Rebuilds a table of `items` columns from the state
+    /// [`export_state`](Self::export_state) wrote — a straight copy,
+    /// bit-identical draws, no Vose reconstruction. `None` if the stream
+    /// holds another column count, ends early or has an alias index out
+    /// of range.
+    pub fn import_state(r: &mut WordReader<'_>, items: usize) -> Option<TaggedAliasTable> {
+        if r.u64()? != items as u64 {
             return None;
         }
-        let n = words.len() / 4;
-        let mut columns = Vec::with_capacity(n);
+        let words = r.take(items.checked_mul(4)?)?;
+        let mut columns = Vec::with_capacity(items);
         for q in words.chunks_exact(4) {
-            if q[2] as usize >= n {
+            if q[2] as usize >= items {
                 return None;
             }
             columns.push(TaggedColumn {
@@ -226,7 +231,7 @@ impl TaggedAliasTable {
     /// alias items: the same table a [`rebuild`](Self::rebuild) over the
     /// same pmf with `tag` makes, in one O(items) pass with no pmf and no
     /// Vose construction. Works on a table restored by
-    /// [`import_columns`](Self::import_columns) too, since it reads only
+    /// [`import_state`](Self::import_state) too, since it reads only
     /// the columns.
     pub fn retag(&mut self, mut tag: impl FnMut(usize) -> u32) {
         for (i, c) in self.columns.iter_mut().enumerate() {
@@ -238,7 +243,7 @@ impl TaggedAliasTable {
     /// True if every column carries the tags [`rebuild`](Self::rebuild)
     /// attaches for `tag`: column `i`'s accept tag is `tag(i)` and its
     /// alias tag is `tag` of its alias item. A restore checks this against
-    /// its own item map, since [`import_columns`](Self::import_columns)
+    /// its own item map, since [`import_state`](Self::import_state)
     /// can only check the columns' structure.
     pub fn tagged_by(&self, mut tag: impl FnMut(usize) -> u32) -> bool {
         self.columns
@@ -566,9 +571,9 @@ mod tests {
     }
 
     fn columns(table: &TaggedAliasTable) -> Vec<u32> {
-        let mut words = Vec::new();
-        table.export_columns(&mut words);
-        words
+        let mut w = WordWriter::new();
+        table.export_state(&mut w);
+        w.into_words()
     }
 
     #[test]
@@ -582,8 +587,12 @@ mod tests {
         assert_eq!(columns(&retagged), columns(&rebuilt));
         // A restored table, copied straight from its columns, re-tags
         // all the same.
-        let mut restored =
-            TaggedAliasTable::import_columns(&columns(&rebuilt)).expect("valid columns");
+        let words = columns(&rebuilt);
+        let mut restored = TaggedAliasTable::import_state(&mut WordReader::new(&words), 300)
+            .expect("valid columns");
+        for items in [299, 301] {
+            assert!(TaggedAliasTable::import_state(&mut WordReader::new(&words), items).is_none());
+        }
         restored.retag(|i| i as u32 ^ 0xFFFF);
         let mut fresh = TaggedAliasTable::new();
         fresh.rebuild(&weights, |i| i as u32 ^ 0xFFFF);
