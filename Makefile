@@ -19,10 +19,14 @@ BENCH_MANIFEST := crates/bench/src/bin/bcast_bench/Cargo.toml
 # (search_golden's balanced-d4 twin, the million-item publish, delta,
 # 1_To_k and serving runs, and the pooled-loop soak), the deep oracle
 # sweep that checks every exact strategy and bound against exhaustive
-# enumeration (about a minute in release), and the crash-recovery storm
-# (`make crash`, about 2 s in release once built), which drives every
-# checkpoint codec through kill-and-restore cycles.
-check: fmt-check clippy doc build test bench-test stress crash
+# enumeration (about a minute in release), the chaos storms (`make
+# chaos`: the crash-recovery storm of `make crash`, which drives every
+# checkpoint codec through kill-and-restore cycles, plus the lossy-channel
+# and tenant-isolation storms), and the scaled day-in-the-life scenarios
+# (`make scenarios`), which drive the sampler and republish paths at
+# load. Once built, the chaos storms and the scenario day take about a
+# second each in release on a 2-core container.
+check: fmt-check clippy doc build test bench-test stress chaos scenarios
 
 build:
 	$(CARGO) build --release $(OFFLINE)

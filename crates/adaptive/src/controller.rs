@@ -77,11 +77,6 @@ impl DegradationTracker {
         }
     }
 
-    /// The policy this tracker enforces.
-    pub fn policy(&self) -> &DegradationPolicy {
-        &self.policy
-    }
-
     /// Feeds one epoch's delivery rate. Returns `true` when the caller
     /// should rebuild *now* — the tracker has already recorded the rebuild
     /// (streak cleared, cooldown armed), so the caller only performs it.
@@ -111,16 +106,6 @@ impl DegradationTracker {
             return true;
         }
         false
-    }
-
-    /// Forgets all transient state (streak, lockout, escalated backoff)
-    /// but keeps the lifetime rebuild count — a tenant re-joining after
-    /// churn, or a channel re-provisioned out of band, starts with a
-    /// clean slate instead of a stale cooldown.
-    pub fn reset(&mut self) {
-        self.degraded_streak = 0;
-        self.cooldown_left = 0;
-        self.next_cooldown = self.policy.cooldown_epochs;
     }
 
     /// Rebuilds this tracker has triggered.
@@ -264,24 +249,5 @@ mod tests {
         assert!(!b.observe(0.3));
         assert!(b.observe(0.3));
         assert_eq!(b.degraded_rebuilds(), 1);
-    }
-
-    #[test]
-    fn reset_clears_the_lockout_but_keeps_history() {
-        let d = DegradationPolicy {
-            sustain_epochs: 2,
-            cooldown_epochs: 16,
-            max_cooldown_epochs: 64,
-            ..DegradationPolicy::default()
-        };
-        let mut t = DegradationTracker::new(d);
-        assert!(!t.observe(0.3));
-        assert!(t.observe(0.3));
-        // Locked out for 16 epochs now; a churned-in tenant resets.
-        t.reset();
-        assert!(!t.observe(0.3));
-        assert!(t.observe(0.3), "reset must drop the cooldown lockout");
-        assert_eq!(t.degraded_rebuilds(), 2, "lifetime count survives reset");
-        assert_eq!(t.policy(), &d);
     }
 }

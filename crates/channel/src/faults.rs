@@ -341,6 +341,17 @@ impl Default for RecoveryPolicy {
     }
 }
 
+impl RecoveryPolicy {
+    /// True if the recovery protocol can run this policy on a cycle of at
+    /// most `max_cycle` slots: a backoff cap below 64, so the skip
+    /// `2^min(f, cap)` fits a `u64`, and at most `max_cycle` root
+    /// replicas, so the replica grid of [`root_occurrence_gaps`] is sized
+    /// by the program, not by the policy.
+    pub fn fits(&self, max_cycle: usize) -> bool {
+        self.backoff_cap < 64 && self.root_replicas as usize <= max_cycle
+    }
+}
+
 /// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailReason {
@@ -411,11 +422,6 @@ pub enum RequestOutcome {
 }
 
 impl RequestOutcome {
-    /// True for delivered requests.
-    pub fn is_delivered(&self) -> bool {
-        matches!(self, RequestOutcome::Delivered(_))
-    }
-
     /// The delivered trace, if any.
     pub fn delivered(&self) -> Option<&DeliveredTrace> {
         match self {

@@ -118,12 +118,6 @@ impl SlotPlan {
             .push(u32::try_from(self.members.len()).expect("members fit in u32"));
     }
 
-    /// Discards any uncommitted members of the open slot.
-    #[inline]
-    pub fn abandon_open_slot(&mut self) {
-        self.members.truncate(self.node_count());
-    }
-
     /// The members of committed slot `i` (0-based).
     #[inline]
     pub fn slot(&self, i: usize) -> &[NodeId] {

@@ -28,12 +28,22 @@
 //!   boundary to pin.
 //!
 //! Every part of the payload — the service, each tenant, and the
-//! estimator, tracker, histogram, sampler and SLO types a tenant holds —
-//! writes and reads itself through the one word codec,
-//! [`bcast_types::words`]. Tenants follow one another with no length
-//! prefix and restore front to back; a restore must consume the payload
-//! exactly, so a part that reads more or fewer words than it wrote fails
-//! it closed.
+//! estimator, tracker, histogram and SLO types a tenant holds — writes
+//! and reads itself through the one word codec, [`bcast_types::words`].
+//! Tenants follow one another with no length prefix and restore front to
+//! back; a restore must consume the payload exactly, so a part that reads
+//! more or fewer words than it wrote fails it closed. Each fact is
+//! written once: state a tenant can derive from what the manifest holds,
+//! such as its demand sampler (the phase's demand shape plus the
+//! item → node map), is rebuilt after a restore, not stored. Every
+//! decoded value that serving later acts on is checked against the rule
+//! its constructor applies, so a manifest that passes its CRC still
+//! cannot restore a tenant that panics or over-allocates on its first
+//! slice.
+//!
+//! A manifest is built in one word buffer that starts with its header;
+//! the CRC-32C is appended to that same buffer, which is then written as
+//! is, so no checkpoint copies its manifest.
 //!
 //! [`TenantRuntime`]: crate::tenant::TenantRuntime
 
@@ -51,7 +61,7 @@ const MANIFEST_MAGIC: u32 = 0x504B_4342;
 
 /// Manifest format version this build writes and reads; a manifest of
 /// any other version fails closed.
-const MANIFEST_VERSION: u32 = 2;
+const MANIFEST_VERSION: u32 = 3;
 
 /// Endianness sentinel (same convention as the snapshot wire format).
 const ENDIAN_MARK: u32 = 0x0102_0304;
@@ -135,8 +145,7 @@ pub(crate) fn read_heuristic(r: &mut WordReader<'_>) -> Option<PublishHeuristic>
     })
 }
 
-/// A [`DemandShape`] as a tag word and its parameters: the one encoding
-/// the phase script and the live sampler share.
+/// A [`DemandShape`] as a tag word and its parameters.
 pub(crate) fn write_demand_shape(w: &mut WordWriter, shape: DemandShape) {
     match shape {
         DemandShape::Zipf { theta } => {
@@ -156,9 +165,12 @@ pub(crate) fn write_demand_shape(w: &mut WordWriter, shape: DemandShape) {
     }
 }
 
-/// Inverse of [`write_demand_shape`]; fails closed on unknown tags.
-pub(crate) fn read_demand_shape(r: &mut WordReader<'_>) -> Option<DemandShape> {
-    Some(match r.u32()? {
+/// Inverse of [`write_demand_shape`] for an `items`-item tenant; fails
+/// closed on unknown tags and on a shape with no pmf over `items`
+/// ([`DemandShape::fits`]), which the restored tenant's sampler build
+/// would otherwise panic on.
+pub(crate) fn read_demand_shape(r: &mut WordReader<'_>, items: usize) -> Option<DemandShape> {
+    let shape = match r.u32()? {
         0 => DemandShape::Zipf { theta: r.f64()? },
         1 => DemandShape::HotSet {
             hot_items: usize::try_from(r.u64()?).ok()?,
@@ -166,17 +178,26 @@ pub(crate) fn read_demand_shape(r: &mut WordReader<'_>) -> Option<DemandShape> {
             offset: usize::try_from(r.u64()?).ok()?,
         },
         _ => return None,
-    })
+    };
+    shape.fits(items).then_some(shape)
 }
 
-/// Seals `payload` into a full manifest word buffer: header, payload,
-/// trailing CRC-32C over everything before it.
-fn seal(payload: &[u32]) -> Vec<u32> {
-    let mut words = Vec::with_capacity(HEADER_WORDS + payload.len() + 1);
-    words.extend_from_slice(&[MANIFEST_MAGIC, MANIFEST_VERSION, ENDIAN_MARK, 0]);
-    words.extend_from_slice(payload);
-    words.push(crc32c(&words));
-    words
+/// A manifest buffer holding the header words and then the `section`
+/// tag: the payload is written after them, and
+/// [`write_manifest`] appends the CRC-32C in place.
+pub(crate) fn manifest_writer(section: u32) -> WordWriter {
+    let mut w = WordWriter::new();
+    for word in [MANIFEST_MAGIC, MANIFEST_VERSION, ENDIAN_MARK, 0, section] {
+        w.u32(word);
+    }
+    w
+}
+
+/// Seals a manifest [`manifest_writer`] began: appends the CRC-32C of
+/// every word before it to the same buffer.
+fn append_crc(w: &mut WordWriter) {
+    let crc = crc32c(w.words());
+    w.u32(crc);
 }
 
 /// Validates a manifest word buffer and returns its payload slice.
@@ -201,15 +222,20 @@ fn manifest_name(slice: u64) -> String {
     format!("manifest-{slice:020}.bcp")
 }
 
-/// Writes a sealed manifest atomically through [`write_word_file`]
-/// (`.tmp` sibling → fsync → rename → directory fsync): a crash at any
-/// point leaves either the previous generation or the complete new one,
-/// never a torn file. Older generations beyond [`KEEP_GENERATIONS`] are
-/// pruned afterwards.
-fn write_manifest(dir: &Path, slice: u64, payload: &[u32]) -> Result<PathBuf, CheckpointError> {
+/// Seals the manifest `w` holds and writes it atomically through
+/// [`write_word_file`] (`.tmp` sibling → fsync → rename → directory
+/// fsync): a crash at any point leaves either the previous generation or
+/// the complete new one, never a torn file. Older generations beyond
+/// [`KEEP_GENERATIONS`] are pruned afterwards.
+pub(crate) fn write_manifest(
+    dir: &Path,
+    slice: u64,
+    mut w: WordWriter,
+) -> Result<PathBuf, CheckpointError> {
+    append_crc(&mut w);
     fs::create_dir_all(dir)?;
     let final_path = dir.join(manifest_name(slice));
-    write_word_file(&final_path, &seal(payload))?;
+    write_word_file(&final_path, w.words())?;
     for stale in manifest_paths(dir)?.into_iter().skip(KEEP_GENERATIONS) {
         // Pruning is best-effort: a leftover old generation is harmless.
         let _ = fs::remove_file(stale);
@@ -233,22 +259,6 @@ fn manifest_paths(dir: &Path) -> Result<Vec<PathBuf>, CheckpointError> {
     Ok(names.into_iter().map(|n| dir.join(n)).collect())
 }
 
-/// Reads one manifest file and validates its seal, returning the full
-/// word buffer (slice the payload out with [`payload_of`]). `None` on
-/// any I/O or validation failure — the restore loop treats both as "try
-/// the next generation".
-fn decode_file(path: &Path) -> Option<Vec<u32>> {
-    let words = read_word_file(path).ok()?;
-    unseal(&words)?;
-    Some(words)
-}
-
-/// The payload slice of a buffer [`decode_file`] validated — header and
-/// trailing CRC trimmed without re-hashing or copying.
-fn payload_of(words: &[u32]) -> &[u32] {
-    &words[HEADER_WORDS..words.len() - 1]
-}
-
 /// Section tag: the manifest holds a bare service (no driver state).
 pub(crate) const SECTION_SERVICE: u32 = 0;
 
@@ -266,10 +276,9 @@ impl ServeLoop {
     /// through the delta lane; [`CheckpointError::Io`] on filesystem
     /// failure.
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<PathBuf, CheckpointError> {
-        let mut w = WordWriter::new();
-        w.u32(SECTION_SERVICE);
+        let mut w = manifest_writer(SECTION_SERVICE);
         self.export_state(&mut w)?;
-        write_manifest(dir.as_ref(), self.slices_run(), w.words())
+        write_manifest(dir.as_ref(), self.slices_run(), w)
     }
 
     /// Restores a service from the newest valid checkpoint manifest
@@ -286,44 +295,36 @@ impl ServeLoop {
     /// validates; [`CheckpointError::Io`] if the directory cannot be
     /// scanned.
     pub fn restore(dir: impl AsRef<Path>, threads: usize) -> Result<ServeLoop, CheckpointError> {
-        restore_first_valid(dir.as_ref(), |r| {
-            if r.u32()? != SECTION_SERVICE {
-                return None;
-            }
-            let svc = ServeLoop::import_state(r, threads)?;
-            // Tenants decode front to back with no length prefix, so a
-            // part that reads fewer words than it wrote shows here.
-            r.is_empty().then_some(svc)
-        })
+        let mut svc = restore_first_valid(dir.as_ref(), |r| decode_service(r, threads))?;
+        svc.build_samplers();
+        Ok(svc)
     }
 }
 
-/// Driver-level checkpoint plumbing used by
-/// [`ScenarioDriver`](crate::scenario::ScenarioDriver): same manifest
-/// framing, with the driver section appended after the service state.
-pub(crate) fn write_driver_manifest(
-    dir: &Path,
-    slice: u64,
-    build: impl FnOnce(&mut WordWriter) -> Result<(), CheckpointError>,
-) -> Result<PathBuf, CheckpointError> {
-    let mut w = WordWriter::new();
-    build(&mut w)?;
-    write_manifest(dir, slice, w.words())
+/// Decodes a bare service manifest's payload. Tenants decode front to
+/// back with no length prefix, so a part that reads fewer words than it
+/// wrote shows as words left over, and fails the decode.
+fn decode_service(r: &mut WordReader<'_>, threads: usize) -> Option<ServeLoop> {
+    if r.u32()? != SECTION_SERVICE {
+        return None;
+    }
+    let svc = ServeLoop::import_state(r, threads)?;
+    r.is_empty().then_some(svc)
 }
 
-/// Walks manifests newest-first handing each decoded payload to `try_restore`
-/// until one fully validates; `None` results fall back to older
-/// generations.
+/// Walks manifests newest-first handing each unsealed payload to
+/// `try_restore` until one fully validates. A file that cannot be read
+/// or unsealed, or a `None` from `try_restore`, falls back to the next
+/// older generation.
 pub(crate) fn restore_first_valid<T>(
     dir: &Path,
     mut try_restore: impl FnMut(&mut WordReader<'_>) -> Option<T>,
 ) -> Result<T, CheckpointError> {
     for path in manifest_paths(dir)? {
-        let Some(words) = decode_file(&path) else {
+        let Ok(words) = read_word_file(&path) else {
             continue;
         };
-        let mut r = WordReader::new(payload_of(&words));
-        if let Some(v) = try_restore(&mut r) {
+        if let Some(v) = unseal(&words).and_then(|p| try_restore(&mut WordReader::new(p))) {
             return Ok(v);
         }
     }
@@ -334,16 +335,30 @@ pub(crate) fn restore_first_valid<T>(
 mod tests {
     use super::*;
 
+    /// A sealed service manifest whose payload after the section tag is
+    /// `body`, built the way a checkpoint builds one.
+    fn sealed(body: &[u32]) -> Vec<u32> {
+        let mut w = manifest_writer(SECTION_SERVICE);
+        for &word in body {
+            w.u32(word);
+        }
+        append_crc(&mut w);
+        w.into_words()
+    }
+
     #[test]
     fn seal_and_unseal_round_trip() {
-        let payload = [7u32, 8, 9, 0xDEAD_BEEF];
-        let words = seal(&payload);
-        assert_eq!(unseal(&words), Some(&payload[..]));
+        let words = sealed(&[7, 8, 9, 0xDEAD_BEEF]);
+        assert_eq!(words.len(), HEADER_WORDS + 6, "header, section, body, crc");
+        assert_eq!(
+            unseal(&words),
+            Some(&[SECTION_SERVICE, 7, 8, 9, 0xDEAD_BEEF][..])
+        );
     }
 
     #[test]
     fn unseal_rejects_every_header_and_crc_tamper() {
-        let words = seal(&[1, 2, 3]);
+        let words = sealed(&[1, 2, 3]);
         assert!(unseal(&words[..3]).is_none(), "truncated below header");
         let mut short = words.clone();
         short.pop();
@@ -356,8 +371,8 @@ mod tests {
         let mut flip = words.clone();
         flip[HEADER_WORDS] ^= 0x8000;
         assert!(unseal(&flip).is_none(), "payload bit flip");
-        // Version skew with a valid crc, a version 1 manifest included.
-        for version in [1, MANIFEST_VERSION + 1] {
+        // Version skew with a valid crc, versions 1 and 2 included.
+        for version in [1, 2, MANIFEST_VERSION + 1] {
             let mut skew = words.clone();
             skew[1] = version;
             let last = skew.len() - 1;
@@ -406,7 +421,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         for slice in [3u64, 12, 7] {
-            write_manifest(&dir, slice, &[slice as u32]).unwrap();
+            let mut w = manifest_writer(SECTION_SERVICE);
+            w.u32(slice as u32);
+            write_manifest(&dir, slice, w).unwrap();
         }
         fs::write(dir.join("manifest-99999999999999999999.bcp.tmp"), b"torn").unwrap();
         let paths = manifest_paths(&dir).unwrap();
@@ -414,8 +431,66 @@ mod tests {
         assert_eq!(paths.len(), KEEP_GENERATIONS);
         assert!(paths[0].to_str().unwrap().contains(&manifest_name(12)));
         assert!(paths[1].to_str().unwrap().contains(&manifest_name(7)));
-        let words = decode_file(&paths[0]).expect("newest manifest validates");
-        assert_eq!(payload_of(&words), &[12u32]);
+        let words = read_word_file(&paths[0]).unwrap();
+        assert_eq!(unseal(&words), Some(&[SECTION_SERVICE, 12][..]));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn no_payload_word_set_to_an_extreme_panics_the_decode_or_allocates_past_a_cap() {
+        use crate::tenant::TenantConfig;
+        use bcast_types::alloc_counter::take_largest_allocation;
+        use bcast_types::SloSpec;
+        use bcast_workloads::{brownout_channel, DemandShape, DemandSpec};
+        /// No decode of this manifest may ask for a larger block: a
+        /// count that reserves ahead of what it decodes (1,024 tenant
+        /// runtimes are 5.7 MB) fails it.
+        const CAP: usize = 64 << 10;
+        // A real manifest: two 64-item tenants, tenant 1 on the brownout
+        // channel, past the slice-8 full republish so that both programs
+        // are embedded.
+        let mut svc = ServeLoop::new(0xF022, 1);
+        for id in 0..2 {
+            svc.join(TenantConfig::new(id, 64));
+            let (faults, slo) = match id {
+                0 => (None, SloSpec::lossless()),
+                _ => (Some(brownout_channel()), SloSpec::degraded(0.5, 8.0)),
+            };
+            let demand = DemandSpec::flat(DemandShape::Zipf { theta: 0.9 }, 300);
+            svc.tenant_mut(id)
+                .unwrap()
+                .begin_phase(demand, faults, slo, 12);
+        }
+        svc.run_slices(10);
+        let mut w = manifest_writer(SECTION_SERVICE);
+        svc.export_state(&mut w).unwrap();
+        append_crc(&mut w);
+        let words = w.into_words();
+        let decode =
+            |words: &[u32]| unseal(words).and_then(|p| decode_service(&mut WordReader::new(p), 1));
+        take_largest_allocation();
+        assert!(decode(&words).is_some(), "the untampered manifest restores");
+        let honest = take_largest_allocation();
+        assert!(honest <= CAP, "{honest} bytes");
+        // Each payload word in turn at u32::MAX and at 0, with the CRC
+        // resealed, so only the decode's own checks stand in the way.
+        let last = words.len() - 1;
+        let mut tampered = words.clone();
+        let mut refused = 0;
+        for at in HEADER_WORDS..last {
+            for value in [u32::MAX, 0] {
+                tampered.copy_from_slice(&words);
+                tampered[at] = value;
+                tampered[last] = crc32c(&tampered[..last]);
+                take_largest_allocation();
+                refused += usize::from(decode(&tampered).is_none());
+                let size = take_largest_allocation();
+                assert!(
+                    size <= CAP,
+                    "word {at} = {value:#x}: a {size}-byte allocation"
+                );
+            }
+        }
+        assert!(refused > last, "most tampers are refused: {refused}");
     }
 }

@@ -371,23 +371,21 @@ impl ScenarioDriver {
     /// # Errors
     /// Propagates [`ServeLoop::checkpoint`]'s error conditions.
     pub fn checkpoint(&self, dir: impl AsRef<Path>) -> Result<PathBuf, CheckpointError> {
-        checkpoint::write_driver_manifest(dir.as_ref(), self.svc.slices_run(), |w| {
-            w.u32(SECTION_DRIVER);
-            self.svc.export_state(w)?;
-            w.u64(spec_tag(&self.spec));
-            w.u64(self.phase_idx as u64);
-            w.u32(self.slices_done);
-            w.u64(self.completed.len() as u64);
-            for report in &self.completed {
-                w.u64(report.tenants.len() as u64);
-                for t in &report.tenants {
-                    w.u64(t.tenant);
-                    t.slo.export_state(w);
-                    t.snapshot.export_state(w);
-                }
+        let mut w = checkpoint::manifest_writer(SECTION_DRIVER);
+        self.svc.export_state(&mut w)?;
+        w.u64(spec_tag(&self.spec));
+        w.u64(self.phase_idx as u64);
+        w.u32(self.slices_done);
+        w.u64(self.completed.len() as u64);
+        for report in &self.completed {
+            w.u64(report.tenants.len() as u64);
+            for t in &report.tenants {
+                w.u64(t.tenant);
+                t.slo.export_state(&mut w);
+                t.snapshot.export_state(&mut w);
             }
-            Ok(())
-        })
+        }
+        checkpoint::write_manifest(dir.as_ref(), self.svc.slices_run(), w)
     }
 
     /// Restores a run from the newest valid driver manifest in `dir`,
@@ -407,10 +405,14 @@ impl ScenarioDriver {
             Self::decode(r, spec, threads, &mut mismatched)
         });
         match result {
+            Ok(mut driver) => {
+                driver.svc.build_samplers();
+                Ok(driver)
+            }
             Err(CheckpointError::NoValidManifest) if mismatched => {
                 Err(CheckpointError::SpecMismatch)
             }
-            other => other,
+            Err(e) => Err(e),
         }
     }
 
@@ -446,8 +448,8 @@ impl ScenarioDriver {
         }
         let mut completed = Vec::with_capacity(n_reports);
         for phase in &spec.phases[..n_reports] {
-            let n_tenants = usize::try_from(r.u64()?).ok()?;
-            let mut tenants = Vec::with_capacity(n_tenants.min(1024));
+            let n_tenants = r.count(r.remaining())?;
+            let mut tenants = Vec::new();
             for _ in 0..n_tenants {
                 let tenant = r.u64()?;
                 let slo = SloSpec::import_state(r)?;

@@ -31,7 +31,6 @@ use crate::tenant::{mix2, RebuildLane, TenantConfig, TenantRuntime};
 use bcast_channel::SnapshotImage;
 use bcast_core::publish::PublishHeuristic;
 use bcast_types::{WordReader, WordWriter, WorkerPool};
-use std::collections::HashMap;
 
 /// Seed salt for the overload shedder's per-slice remainder lottery,
 /// keeping its draw stream disjoint from every tenant's request stream
@@ -130,9 +129,6 @@ pub struct ServeLoop {
     boot_images: Vec<(BootKey, SnapshotImage)>,
     /// Joins served from the cache (lifetime).
     snapshot_boots: u64,
-    /// Tenant id → roster index, rebuilt on join/leave so id lookups on
-    /// the request path are O(1) instead of a roster scan.
-    index_of: HashMap<u64, usize>,
     /// Persistent workers, created on the first pooled slice and parked
     /// between slices for the life of the loop.
     pool: Option<WorkerPool>,
@@ -162,7 +158,6 @@ impl ServeLoop {
             slices_run: 0,
             boot_images: Vec::new(),
             snapshot_boots: 0,
-            index_of: HashMap::new(),
             pool: None,
             sched: SchedScratch::default(),
             scheduled_slices: 0,
@@ -298,7 +293,6 @@ impl ServeLoop {
         };
         let at = self.tenants.partition_point(|t| t.id() < id);
         self.tenants.insert(at, runtime);
-        self.rebuild_index();
         id
     }
 
@@ -316,23 +310,20 @@ impl ServeLoop {
     /// Removes a tenant from the roster. Returns `false` if no tenant
     /// with that id is present.
     pub fn leave(&mut self, id: u64) -> bool {
-        match self.index_of.get(&id).copied() {
+        match self.position(id) {
             Some(at) => {
                 self.tenants.remove(at);
-                self.rebuild_index();
                 true
             }
             None => false,
         }
     }
 
-    /// Re-derives the id → index map after a roster mutation. O(roster),
-    /// paid only on join/leave — every per-slice lookup stays O(1).
-    fn rebuild_index(&mut self) {
-        self.index_of.clear();
-        for (i, t) in self.tenants.iter().enumerate() {
-            self.index_of.insert(t.id(), i);
-        }
+    /// The roster index of tenant `id`: a binary search, since
+    /// [`join`](Self::join) keeps the roster sorted by id and a restore
+    /// refuses one that is not.
+    fn position(&self, id: u64) -> Option<usize> {
+        self.tenants.binary_search_by_key(&id, |t| t.id()).ok()
     }
 
     /// The roster, in ascending id order.
@@ -345,17 +336,14 @@ impl ServeLoop {
         &mut self.tenants
     }
 
-    /// One tenant by id — an O(1) map lookup.
+    /// One tenant by id.
     pub fn tenant(&self, id: u64) -> Option<&TenantRuntime> {
-        self.index_of.get(&id).map(|&i| &self.tenants[i])
+        self.position(id).map(|i| &self.tenants[i])
     }
 
-    /// One tenant by id, mutably — an O(1) map lookup.
+    /// One tenant by id, mutably.
     pub fn tenant_mut(&mut self, id: u64) -> Option<&mut TenantRuntime> {
-        match self.index_of.get(&id).copied() {
-            Some(i) => Some(&mut self.tenants[i]),
-            None => None,
-        }
+        self.position(id).map(|i| &mut self.tenants[i])
     }
 
     /// Slices the loop has run.
@@ -544,21 +532,35 @@ impl ServeLoop {
         Ok(())
     }
 
+    /// Builds every tenant's demand sampler from its restored demand
+    /// shape and item → node map. A restore calls it after it has freed
+    /// the manifest buffer, so the samplers' columns and build
+    /// temporaries reuse that buffer's memory instead of lying between
+    /// the decoded tenants; DESIGN §13.1 gives what that does to the
+    /// peak memory of a process that restores.
+    pub(crate) fn build_samplers(&mut self) {
+        for t in &mut self.tenants {
+            t.build_sampler();
+        }
+    }
+
     /// Rebuilds a service from [`export_state`](Self::export_state)'s
     /// word stream, tenant by tenant in roster order. Fails closed
     /// (`None`) on any truncation or invariant violation — a roster out
     /// of id order, a boot image that does not self-validate, a tenant
     /// that does not decode. `threads` comes from the caller, not the
-    /// manifest: it sizes the restored loop's pool.
+    /// manifest: it sizes the restored loop's pool. Every element takes
+    /// at least one word, so a count above the words that remain is
+    /// refused, and nothing is reserved ahead of the elements decoded.
     pub(crate) fn import_state(r: &mut WordReader<'_>, threads: usize) -> Option<ServeLoop> {
         let seed = r.u64()?;
         let next_id = r.u64()?;
         let slices_run = r.u64()?;
         let snapshot_boots = r.u64()?;
         let slice_budget = r.opt_u64()?;
-        let n_images = usize::try_from(r.u64()?).ok()?;
-        let mut boot_images = Vec::with_capacity(n_images.min(64));
-        let mut boot_programs = Vec::with_capacity(n_images.min(64));
+        let n_images = r.count(r.remaining())?;
+        let mut boot_images = Vec::new();
+        let mut boot_programs = Vec::new();
         for _ in 0..n_images {
             let key = BootKey {
                 items: usize::try_from(r.u64()?).ok()?,
@@ -584,8 +586,8 @@ impl ServeLoop {
             ));
             boot_images.push((key, image));
         }
-        let n_tenants = usize::try_from(r.u64()?).ok()?;
-        let mut tenants: Vec<TenantRuntime> = Vec::with_capacity(n_tenants.min(1024));
+        let n_tenants = r.count(r.remaining())?;
+        let mut tenants: Vec<TenantRuntime> = Vec::new();
         for _ in 0..n_tenants {
             let t = TenantRuntime::import_state(seed, r, &boot_programs)?;
             if t.id() >= next_id || tenants.last().is_some_and(|prev| prev.id() >= t.id()) {
@@ -593,7 +595,7 @@ impl ServeLoop {
             }
             tenants.push(t);
         }
-        let mut svc = ServeLoop {
+        Some(ServeLoop {
             tenants,
             seed,
             threads,
@@ -601,16 +603,13 @@ impl ServeLoop {
             slices_run,
             boot_images,
             snapshot_boots,
-            index_of: HashMap::new(),
             pool: None,
             sched: SchedScratch::default(),
             scheduled_slices: 0,
             slice_budget,
             admit_order: Vec::new(),
             admit_caps: Vec::new(),
-        };
-        svc.rebuild_index();
-        Some(svc)
+        })
     }
 }
 
@@ -792,8 +791,8 @@ mod tests {
     #[test]
     fn id_lookups_stay_correct_across_churn() {
         let mut svc = boot(1, 4);
-        // The map, not roster order, resolves ids: remove from the
-        // middle, join a high id, then check every survivor.
+        // Ids, not roster positions, resolve: remove from the middle,
+        // join a high id, then check every survivor.
         svc.leave(1);
         svc.join(TenantConfig::new(40, 32));
         svc.leave(0);

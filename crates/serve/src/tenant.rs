@@ -4,6 +4,12 @@
 //! keeps the boot index tree it reweights, while the full lane builds a
 //! tree for each rebuild and drops it once published.
 //!
+//! The demand sampler is derived state: a phase's demand shape plus the
+//! item → node map. A full republish re-mints node ids, so it re-tags a
+//! built sampler on the spot, and the tags always match the program on
+//! air. A checkpoint stores neither the sampler nor any flag about it; a
+//! restore builds it from the restored demand shape and item → node map.
+//!
 //! A tenant is a *self-contained* state machine: every random draw it
 //! makes (request sampling, tune-in slots, channel faults) derives from
 //! its own seed — itself derived only from the service seed and the
@@ -53,14 +59,20 @@ pub(crate) fn mix2(a: u64, b: u64) -> u64 {
 /// for a change of its own.
 const PHASE_HIST_CYCLES: u32 = 16;
 
+/// Longest cycle an `items`-item tenant can air: no cycle is longer than
+/// the tree it schedules, at most `2 × items` nodes, since every index
+/// node of the weight-balanced tree except a one-item root has two or
+/// more children. A restore bounds what it allocates by it.
+fn max_cycle_len(items: usize) -> usize {
+    items.saturating_mul(2)
+}
+
 /// Most buckets a window histogram of an `items`-item tenant can hold —
-/// the restore's allocation cap. A window covers `PHASE_HIST_CYCLES`
-/// cycles plus bucket zero, and no cycle is longer than the tree it
-/// schedules: at most `2 × items` nodes, since every index node of the
-/// weight-balanced tree except a one-item root has two or more children.
+/// the restore's allocation cap: `PHASE_HIST_CYCLES` of the longest
+/// cycles plus bucket zero.
 fn max_window_buckets(items: usize) -> usize {
-    (2 * PHASE_HIST_CYCLES as usize)
-        .saturating_mul(items)
+    (PHASE_HIST_CYCLES as usize)
+        .saturating_mul(max_cycle_len(items))
         .saturating_add(1)
 }
 
@@ -256,17 +268,10 @@ pub struct TenantRuntime {
     /// ([`sampler_shape`](Self::sampler_shape) tracks the shape it was
     /// built for). Within a phase only the request rate interpolates —
     /// the pmf is constant — so steady-state slices skip the O(items)
-    /// Vose construction entirely.
+    /// Vose construction entirely. A full republish re-tags it in place
+    /// (see [`rebuild`](Self::rebuild)); a checkpoint never stores it.
     sampler: TaggedAliasTable,
     sampler_shape: Option<DemandShape>,
-    /// Set by a full republish, which remints the node ids the sampler's
-    /// tags bake in: the next serving slice re-tags the table in place
-    /// (its thresholds and alias items depend on the pmf alone). A
-    /// checkpoint taken meanwhile stores no sampler, since its tags no
-    /// longer match the program on air.
-    sampler_stale: bool,
-    /// Scratch pmf for sampler rebuilds (reused capacity).
-    pmf: Vec<f64>,
     /// Reused staging buffers for one [`SERVE_CHUNK`] of requests: sampled
     /// targets are gathered here and fed straight to the chunked serve
     /// kernel, so a slice never materializes its full request vector.
@@ -420,8 +425,6 @@ impl TenantRuntime {
             window,
             sampler: TaggedAliasTable::new(),
             sampler_shape: None,
-            sampler_stale: false,
-            pmf: Vec::new(),
             draws: ChunkDraws::new(),
             session: ServeSession::new(),
             ewma_cost: 0,
@@ -498,15 +501,6 @@ impl TenantRuntime {
         self.slice_in_phase = 0;
         self.window = Window::new(PHASE_HIST_CYCLES * self.cycle_len().max(1));
         self.window.counts.snapshot_loads = std::mem::take(&mut self.pending_snapshot_loads);
-    }
-
-    /// Clears the degradation tracker's transient hysteresis/cooldown
-    /// state (e.g. after an operator re-provisions the tenant's channel),
-    /// keeping its lifetime rebuild count.
-    pub fn reset_channel_state(&mut self) {
-        if let Some(t) = &mut self.degradation {
-            t.reset();
-        }
     }
 
     /// Advances the tenant by one time slice: sample the slice's
@@ -615,24 +609,7 @@ impl TenantRuntime {
         }
 
         if rate > 0 {
-            // The demand *shape* is constant within a phase (only the
-            // request rate interpolates slice to slice), so the Vose
-            // construction runs once per shape change, not once per
-            // slice. A full republish remints the node ids the table's
-            // tags bake in, but not the pmf, so it costs one re-tag pass.
-            // Same pmf → byte-identical table → identical draws.
-            let data_nodes = &self.data_nodes;
-            if self.sampler_shape != Some(self.demand.shape) {
-                self.demand.shape.pmf_into(self.config.items, &mut self.pmf);
-                self.sampler.rebuild(&self.pmf, |i| data_nodes[i].0);
-                self.sampler_shape = Some(self.demand.shape);
-                self.sampler_stale = false;
-                self.window.counts.alias_rebuilds += 1;
-            } else if self.sampler_stale {
-                self.sampler.retag(|i| data_nodes[i].0);
-                self.sampler_stale = false;
-                self.window.counts.alias_rebuilds += 1;
-            }
+            self.build_sampler();
             let mut state = mix2(slice_seed, 1);
 
             // Serve against the program on air. `current()` is always
@@ -657,7 +634,8 @@ impl TenantRuntime {
                     let opts = ServeOptions {
                         threads: 1,
                         seed: mix2(slice_seed, 2),
-                        faults: fault_plan(self.faults.as_ref(), mix2(slice_seed, 3)),
+                        faults: fault_plan(self.faults.as_ref(), mix2(slice_seed, 3))
+                            .expect("scripted and restored channels hold valid probabilities"),
                         recovery: self.config.recovery,
                     };
                     program.begin_session(&mut self.session, &opts);
@@ -752,6 +730,25 @@ impl TenantRuntime {
                 }
             }
         }
+    }
+
+    /// Builds the demand sampler for the phase's demand shape over the
+    /// item → node map on air, unless it is built for that shape already.
+    /// The shape is constant within a phase (only the request rate
+    /// interpolates slice to slice), so the Vose construction runs once
+    /// per shape change, not once per slice, and once per restore
+    /// ([`ServeLoop::build_samplers`](crate::ServeLoop::build_samplers)).
+    /// Same pmf → byte-identical table → identical draws. The pmf is a
+    /// temporary of this rare event, not kept between builds.
+    pub(crate) fn build_sampler(&mut self) {
+        if self.sampler_shape == Some(self.demand.shape) {
+            return;
+        }
+        let data_nodes = &self.data_nodes;
+        let pmf = self.demand.shape.pmf(self.config.items);
+        self.sampler.rebuild(&pmf, |i| data_nodes[i].0);
+        self.sampler_shape = Some(self.demand.shape);
+        self.window.counts.alias_rebuilds += 1;
     }
 
     /// Deterministic per-slice cost estimate for the service's
@@ -860,10 +857,15 @@ impl TenantRuntime {
                 self.data_nodes.clear();
                 self.data_nodes.extend_from_slice(tree.data_nodes());
                 // The sampler's tags bake in the item→node map this
-                // rebuild just reminted, so the next serving slice
-                // re-tags it (the delta lane keeps node ids stable and
-                // skips this).
-                self.sampler_stale = true;
+                // rebuild just reminted: re-tag a built sampler now, so
+                // its tags always match the program on air. Its
+                // thresholds and alias items depend on the pmf alone. The
+                // delta lane keeps node ids stable and skips this.
+                if !self.sampler.is_empty() {
+                    let data_nodes = &self.data_nodes;
+                    self.sampler.retag(|i| data_nodes[i].0);
+                    self.window.counts.alias_rebuilds += 1;
+                }
                 self.window.counts.full_rebuilds += 1;
                 let total = tree.len() as u64;
                 self.window.touched_nodes += total;
@@ -918,11 +920,10 @@ impl TenantRuntime {
     /// degradation trajectories. The estimator carries the weight
     /// snapshot the next full rebuild builds from. The admission cap is
     /// deliberately absent — it is per-slice transient state the service
-    /// re-derives after a restore — and so is the session scratch. The
-    /// sampler is stored only while its tags match the program on air;
-    /// otherwise the first restored slice rebuilds it deterministically
-    /// (only the equality-excluded `alias_rebuilds` side channel can
-    /// tell).
+    /// re-derives after a restore — and so is the session scratch. So is
+    /// the demand sampler, derived from the phase's demand shape and the
+    /// item → node map: the restore rebuilds it deterministically (only
+    /// the equality-excluded `alias_rebuilds` side channel can tell).
     ///
     /// `boot` is the service's cached boot image for this tenant's shape
     /// (if any): when the program on air is still bit-identical to it —
@@ -1049,24 +1050,6 @@ impl TenantRuntime {
                 t.export_state(w);
             }
         }
-
-        // The demand sampler, when one is live: the fused alias columns
-        // themselves, not the pmf they were built from. Both derive
-        // deterministically from the demand shape, but the columns are
-        // the finished product — a restored tenant copies them straight
-        // back and samples immediately, skipping both the pmf
-        // derivation (a `powf` per item for Zipf) and the Vose
-        // construction on its first slice. Stale tags (a full republish
-        // since the last serving slice) are not stored: the restore
-        // checks every tag against the program, and would refuse them.
-        match self.sampler_shape {
-            Some(shape) if !self.sampler_stale && self.sampler.len() == c.items => {
-                w.u32(1);
-                write_demand_shape(w, shape);
-                self.sampler.export_state(w);
-            }
-            _ => w.u32(0),
-        }
     }
 
     /// Rebuilds a tenant from [`export_state`](Self::export_state)'s
@@ -1074,12 +1057,19 @@ impl TenantRuntime {
     /// or image corruption — a checkpoint never restores approximately.
     /// Every run is bounded before it is allocated: by the item count
     /// once the program's catalog has confirmed it, by the window's
-    /// bucket cap, or by the words that follow.
+    /// bucket cap, or by the words that follow. Every value the slice
+    /// path acts on is held to the rule its constructor applies: a
+    /// recovery policy that [fits](RecoveryPolicy::fits) the longest
+    /// cycle the tenant can air, a demand shape with a pmf over its
+    /// items, and channel probabilities in `[0, 1]`.
     ///
     /// Mirrors [`from_snapshot`](Self::from_snapshot): a checkpoint
     /// stores no tree and the restored tenant holds none, since its next
     /// full rebuild derives one from the estimator's published weights.
-    /// So only [`RebuildLane::Full`] tenants restore this way.
+    /// So only [`RebuildLane::Full`] tenants restore this way. Nor does
+    /// it build the demand sampler: the restore builds every tenant's
+    /// once the manifest is decoded and freed
+    /// ([`ServeLoop::build_samplers`](crate::ServeLoop::build_samplers)).
     /// `cache` is the already-restored boot-image section of the same
     /// manifest, each image pre-decoded to its program once by the
     /// service: a by-reference program record clones the shared decode
@@ -1126,7 +1116,12 @@ impl TenantRuntime {
         let (items, fanout, channels) = (config.items, config.fanout, config.channels);
         // The delta lane patches against the live boot tree, which a
         // checkpoint does not carry (documented restore limit).
-        if items == 0 || fanout < 2 || channels == 0 || config.rebuild_lane != RebuildLane::Full {
+        if items == 0
+            || fanout < 2
+            || channels == 0
+            || config.rebuild_lane != RebuildLane::Full
+            || !config.recovery.fits(max_cycle_len(items))
+        {
             return None;
         }
 
@@ -1155,7 +1150,7 @@ impl TenantRuntime {
         };
 
         let demand = DemandSpec {
-            shape: read_demand_shape(r)?,
+            shape: read_demand_shape(r, items)?,
             start_rate: r.u32()?,
             end_rate: r.u32()?,
         };
@@ -1173,11 +1168,13 @@ impl TenantRuntime {
                     }),
                     _ => return None,
                 };
-                Some(FaultScenario {
+                let scenario = FaultScenario {
                     name: "restored",
                     erasure_p,
                     burst,
-                })
+                };
+                fault_plan(Some(&scenario), 0)?;
+                Some(scenario)
             }
             _ => return None,
         };
@@ -1215,26 +1212,6 @@ impl TenantRuntime {
             _ => return None,
         };
 
-        // The live sampler, if the checkpoint carried one: the fused
-        // alias columns restore by straight copy (structurally validated
-        // — column count, alias ranges — so a malformed manifest fails
-        // closed). Every tag must name the node the restored program
-        // serves its item at, as the rebuild that wrote the sampler
-        // attached them: a sampler re-sealed with other tags would serve
-        // the wrong nodes.
-        let sampler_state = match r.u32()? {
-            0 => None,
-            1 => {
-                let shape = read_demand_shape(r)?;
-                let table = TaggedAliasTable::import_state(r, items)?;
-                if !table.tagged_by(|i| data_nodes[i].0) {
-                    return None;
-                }
-                Some((shape, table))
-            }
-            _ => return None,
-        };
-
         let mut publisher = Publisher::new();
         publisher.adopt_snapshot(program, channels);
         let mut t = Self::assemble(
@@ -1255,10 +1232,6 @@ impl TenantRuntime {
         t.total_requests = total_requests;
         t.total_rebuilds = total_rebuilds;
         t.pending_snapshot_loads = pending_snapshot_loads;
-        if let Some((shape, table)) = sampler_state {
-            t.sampler = table;
-            t.sampler_shape = Some(shape);
-        }
         t.ewma_cost = ewma_cost;
         t.quarantine = quarantine;
         t.chaos_panic_slices = chaos_panic_slices;
@@ -1375,26 +1348,26 @@ impl ChunkDraws {
 }
 
 /// Interprets a workload-crate [`FaultScenario`] (plain numbers) as a
-/// channel-crate [`FaultPlan`] seeded for one slice.
-fn fault_plan(scenario: Option<&FaultScenario>, seed: u64) -> FaultPlan {
-    match scenario {
-        None => FaultPlan::none(),
-        Some(s) => match s.burst {
-            Some(b) => FaultPlan::gilbert_elliott(
-                GilbertElliott {
-                    p_good_to_bad: b.p_good_to_bad,
-                    p_bad_to_good: b.p_bad_to_good,
-                    loss_good: b.loss_good,
-                    loss_bad: b.loss_bad,
-                },
-                seed,
-            )
-            .expect("scenario presets are valid probabilities"),
-            None if s.erasure_p > 0.0 => {
-                FaultPlan::erasure(s.erasure_p, seed).expect("scenario presets are valid")
-            }
-            None => FaultPlan::none(),
-        },
+/// channel-crate [`FaultPlan`] seeded for one slice. `None` if a
+/// probability the plan uses lies outside `[0, 1]`, which the plan's
+/// constructors refuse; a restore refuses such a channel up front.
+fn fault_plan(scenario: Option<&FaultScenario>, seed: u64) -> Option<FaultPlan> {
+    let Some(s) = scenario else {
+        return Some(FaultPlan::none());
+    };
+    match s.burst {
+        Some(b) => FaultPlan::gilbert_elliott(
+            GilbertElliott {
+                p_good_to_bad: b.p_good_to_bad,
+                p_bad_to_good: b.p_bad_to_good,
+                loss_good: b.loss_good,
+                loss_bad: b.loss_bad,
+            },
+            seed,
+        )
+        .ok(),
+        None if s.erasure_p > 0.0 => FaultPlan::erasure(s.erasure_p, seed).ok(),
+        None => Some(FaultPlan::none()),
     }
 }
 
@@ -1720,11 +1693,13 @@ mod tests {
     /// Replays the slice a tenant just ran through the path its window
     /// used to be fed by — serve into the session's own histogram, then
     /// absorb that into the window. `program` is the program the slice
-    /// served from, captured before it ran; the sampler cannot have
-    /// changed since it served.
+    /// served from and `data_nodes` the item → node map it served by,
+    /// both captured before it ran: the sampler's draws cannot have
+    /// changed since it served, but a republish re-tags them.
     fn absorb_twin_slice(
         t: &TenantRuntime,
         program: &CompiledProgram,
+        data_nodes: &[NodeId],
         slice_seed: u64,
         rate: u32,
         window: &mut LatencyHistogram,
@@ -1732,7 +1707,7 @@ mod tests {
         let opts = ServeOptions {
             threads: 1,
             seed: mix2(slice_seed, 2),
-            faults: fault_plan(t.faults.as_ref(), mix2(slice_seed, 3)),
+            faults: fault_plan(t.faults.as_ref(), mix2(slice_seed, 3)).unwrap(),
             recovery: t.config.recovery,
         };
         let mut session = ServeSession::new();
@@ -1743,7 +1718,7 @@ mod tests {
         while remaining > 0 {
             let n = remaining.min(SERVE_CHUNK);
             chunk.clear();
-            chunk.extend((0..n).map(|_| NodeId(t.sampler.sample(&mut state).1)));
+            chunk.extend((0..n).map(|_| data_nodes[t.sampler.sample(&mut state).0 as usize]));
             program.serve_chunk(&mut session, &chunk).unwrap();
             remaining -= n;
         }
@@ -1761,10 +1736,10 @@ mod tests {
             let mut twin = LatencyHistogram::with_bound(PHASE_HIST_CYCLES * boot_cycle);
             let mut clamped = false;
             for _ in 0..16 {
-                let program = t.publisher.current().clone();
+                let (program, data_nodes) = (t.publisher.current().clone(), t.data_nodes.clone());
                 let (slice_seed, rate) = (mix2(t.seed, t.slices_run), t.next_rate());
                 t.run_slice();
-                absorb_twin_slice(&t, &program, slice_seed, rate, &mut twin);
+                absorb_twin_slice(&t, &program, &data_nodes, slice_seed, rate, &mut twin);
                 assert_eq!(t.window.hist, twin, "faults {faults:?}");
                 clamped |= twin.count() > 0 && twin.max() as usize > 8 * program.cycle_len();
             }
@@ -1861,42 +1836,99 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_a_sampler_whose_tags_disagree_with_the_program() {
-        use bcast_channel::snapshot::{read_word_file, write_word_file};
-        let dir = std::env::temp_dir().join(format!("bcast-sampler-tags-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut svc = crate::ServeLoop::new(7, 1);
-        svc.join(TenantConfig::new(0, 64));
-        svc.tenants_mut()[0].begin_phase(demand(500), None, SloSpec::lossless(), 4);
-        svc.run_slices(1);
-        svc.checkpoint(&dir).unwrap();
-        svc.run_slices(1);
-        let newest = svc.checkpoint(&dir).unwrap();
-
-        // Give column 0 column 60's accept tag in the newest manifest and
-        // re-seal its CRC, so only the tag check can catch it. The
-        // columns follow their two-word count, four words each.
-        let mut w = WordWriter::new();
-        svc.tenants()[0].sampler.export_state(&mut w);
-        let columns = w.into_words();
-        let tag = |column: usize| 2 + 4 * column + 1;
-        assert_ne!(columns[tag(0)], columns[tag(60)]);
-        let mut words = read_word_file(&newest).unwrap();
-        let at = words
-            .windows(columns.len())
-            .position(|run| run == columns)
-            .expect("the sampler columns are in the manifest");
-        words[at + tag(0)] = columns[tag(60)];
-        let last = words.len() - 1;
-        words[last] = bcast_types::crc::crc32c(&words[..last]);
-        write_word_file(&newest, &words).unwrap();
-
-        let restored = crate::ServeLoop::restore(&dir, 1).unwrap();
-        assert_eq!(
-            restored.slices_run(),
-            1,
-            "fell back to the older generation"
-        );
+    fn restore_refuses_script_and_policy_values_the_slice_path_cannot_run() {
+        use bcast_workloads::BurstProfile;
+        const ITEMS: usize = 64;
+        fn burst(loss_bad: f64) -> Option<FaultScenario> {
+            let brownout = bcast_workloads::brownout_channel().burst.unwrap();
+            Some(FaultScenario {
+                name: "burst",
+                erasure_p: 0.0,
+                burst: Some(BurstProfile {
+                    loss_bad,
+                    ..brownout
+                }),
+            })
+        }
+        fn erasure(erasure_p: f64) -> Option<FaultScenario> {
+            Some(FaultScenario {
+                name: "erasure",
+                erasure_p,
+                burst: None,
+            })
+        }
+        fn hot(hot_items: usize, hot_mass: f64, offset: usize) -> DemandShape {
+            DemandShape::HotSet {
+                hot_items,
+                hot_mass,
+                offset,
+            }
+        }
+        fn zipf(theta: f64) -> DemandShape {
+            DemandShape::Zipf { theta }
+        }
+        let dir = std::env::temp_dir().join(format!("bcast-bad-values-{}", std::process::id()));
+        // Each value is written by the checkpoint itself, so the manifest
+        // carries a valid CRC and only the restore's own checks stand
+        // between it and a tenant that panics or over-allocates once it
+        // serves. Values one past a bound must fall back a generation;
+        // values at the bound must restore the newest.
+        type Tamper = fn(&mut TenantRuntime);
+        let cases: [(&str, bool, Tamper); 17] = [
+            ("loss_bad 2.0", false, |t| t.faults = burst(2.0)),
+            ("loss_bad 1.0", true, |t| t.faults = burst(1.0)),
+            ("erasure 1.5", false, |t| t.faults = erasure(1.5)),
+            ("erasure 1.0", true, |t| t.faults = erasure(1.0)),
+            ("theta NaN", false, |t| t.demand.shape = zipf(f64::NAN)),
+            ("theta -1", false, |t| t.demand.shape = zipf(-1.0)),
+            ("theta 0", true, |t| t.demand.shape = zipf(0.0)),
+            ("empty hot block", false, |t| {
+                t.demand.shape = hot(0, 0.5, 0)
+            }),
+            ("hot block past items", false, |t| {
+                t.demand.shape = hot(ITEMS + 1, 0.5, 0)
+            }),
+            ("hot mass 1.5", false, |t| t.demand.shape = hot(4, 1.5, 0)),
+            ("all-zero pmf", false, |t| {
+                t.demand.shape = hot(ITEMS, 0.0, 0)
+            }),
+            ("whole-catalog hot block", true, |t| {
+                t.demand.shape = hot(ITEMS, 1.0, 0)
+            }),
+            ("offset usize::MAX", true, |t| {
+                t.demand.shape = hot(4, 0.9, usize::MAX)
+            }),
+            ("backoff cap 64", false, |t| {
+                t.config.recovery.backoff_cap = 64
+            }),
+            ("backoff cap 63", true, |t| {
+                t.config.recovery.backoff_cap = 63
+            }),
+            ("replicas 2 x items + 1", false, |t| {
+                t.config.recovery.root_replicas = 2 * ITEMS as u32 + 1
+            }),
+            ("replicas 2 x items", true, |t| {
+                t.config.recovery.root_replicas = 2 * ITEMS as u32
+            }),
+        ];
+        for (what, restores, tamper) in cases {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut svc = crate::ServeLoop::new(7, 1);
+            svc.join(TenantConfig::new(0, ITEMS));
+            let brownout = Some(bcast_workloads::brownout_channel());
+            let slo = SloSpec::degraded(0.5, 8.0);
+            svc.tenants_mut()[0].begin_phase(demand(500), brownout, slo, 4);
+            svc.run_slices(1);
+            svc.checkpoint(&dir).unwrap();
+            svc.run_slices(1);
+            tamper(&mut svc.tenants_mut()[0]);
+            svc.checkpoint(&dir).unwrap();
+            let mut restored = crate::ServeLoop::restore(&dir, 1).unwrap();
+            let newest = if restores { 2 } else { 1 };
+            assert_eq!(restored.slices_run(), newest, "{what}");
+            restored.run_slices(1);
+            assert!(!restored.tenants()[0].is_quarantined(), "{what}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1930,10 +1962,9 @@ mod tests {
 
     #[test]
     fn a_checkpoint_right_after_a_full_republish_restores_that_slice() {
-        // Slice 8 ends in the periodic full republish, which leaves the
-        // sampler's tags stale until the next slice re-tags it. The
-        // checkpoint taken in between must store no sampler: stale tags
-        // would fail the restore's tag check and fall back to slice 4.
+        // Slice 8 ends in the periodic full republish, which re-mints
+        // every node id: it must re-tag the sampler on the spot, and the
+        // checkpoint taken right after it must restore that slice.
         let dir = std::env::temp_dir().join(format!("bcast-stale-tags-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut svc = crate::ServeLoop::new(11, 1);
@@ -1942,8 +1973,16 @@ mod tests {
         svc.run_slices(4);
         svc.checkpoint(&dir).unwrap();
         svc.run_slices(4);
-        assert_eq!(svc.tenants()[0].phase_snapshot().full_rebuilds, 1);
-        assert!(svc.tenants()[0].sampler_stale);
+        let t = &svc.tenants()[0];
+        assert_eq!(t.phase_snapshot().full_rebuilds, 1);
+        let mut state = 0x7A6;
+        for _ in 0..1_000 {
+            let (item, tag) = t.sampler.sample(&mut state);
+            assert_eq!(
+                tag, t.data_nodes[item as usize].0,
+                "tags match the program on air"
+            );
+        }
         svc.checkpoint(&dir).unwrap();
         let mut restored = crate::ServeLoop::restore(&dir, 1).unwrap();
         assert_eq!(restored.slices_run(), 8, "the newest manifest restores");

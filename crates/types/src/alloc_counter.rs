@@ -9,9 +9,13 @@
 //! counter with [`allocation_count`], runs the hot path again and asserts
 //! the delta is zero.
 //!
-//! The counter is a plain thread-local [`Cell<u64>`] with a `const`
-//! initializer: no lazy allocation, no destructor registration, so it is
-//! safe to touch from inside the allocator itself. Counts are per thread —
+//! Beside the count it keeps a high-water mark of the largest single
+//! request ([`take_largest_allocation`]), so a decode test can show that
+//! no value it reads makes it allocate more than a fixed cap.
+//!
+//! Both are plain thread-local [`Cell`]s with `const` initializers: no
+//! lazy allocation, no destructor registration, so they are safe to touch
+//! from inside the allocator itself. Counts are per thread —
 //! a zero-alloc assertion on the calling thread says nothing about worker
 //! threads, which is exactly right: the deterministic parallel paths *do*
 //! allocate (thread stacks, scope bookkeeping) and the zero-alloc guarantee
@@ -22,12 +26,27 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Number of heap allocations performed by the current thread since it
 /// started (only meaningful under a [`CountingAlloc`] global allocator).
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// The largest single allocation, in bytes, the current thread asked for
+/// since its last call (a `realloc` counts its new size), and resets the
+/// mark to zero. Only meaningful under a [`CountingAlloc`] global
+/// allocator.
+pub fn take_largest_allocation() -> usize {
+    LARGEST.with(|c| c.replace(0))
+}
+
+/// Counts one allocation of `size` bytes.
+fn record(size: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
 /// A [`System`]-backed global allocator that counts allocations per thread.
@@ -39,17 +58,17 @@ pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        record(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 

@@ -10,7 +10,12 @@
 //! builds the table once per demand shape and reseeds a plain `u64` state
 //! per slice, so steady-state sampling allocates nothing. The serving
 //! loop's tenants keep only a [`TaggedAliasTable`], whose fused columns
-//! are derived from a plain table built as a temporary.
+//! the Vose construction fills in place; [`AliasTable`] is the same
+//! table with every tag zero. A build allocates the columns, the scaled
+//! weights and one work buffer, nothing that grows. The tagged table is
+//! derived state through and through — a demand shape's pmf plus the
+//! item → node map — so it has no checkpoint encoding: a restore builds
+//! it afresh.
 //! [`RequestStream`] bundles a table and a state back together for
 //! one-shot callers.
 //!
@@ -18,18 +23,13 @@
 //! this crate.
 
 use bcast_types::prefetch::prefetch;
-use bcast_types::{WordReader, WordWriter};
 
 /// A Walker alias table over a fixed probability mass function: the
 /// state-free half of a [`RequestStream`], sharable across draws whose
-/// generator state lives elsewhere.
+/// generator state lives elsewhere. It is a [`TaggedAliasTable`] whose
+/// tags are all zero, so both draw the same items by construction.
 #[derive(Debug, Clone)]
-pub struct AliasTable {
-    /// Acceptance threshold per column, scaled to `u32::MAX + 1`.
-    threshold: Vec<u32>,
-    /// Alias item per column.
-    alias: Vec<u32>,
-}
+pub struct AliasTable(TaggedAliasTable);
 
 impl AliasTable {
     /// Builds a table with draw probability proportional to each weight.
@@ -38,52 +38,19 @@ impl AliasTable {
     /// Panics if `weights` is empty, contains a negative or non-finite
     /// value, or sums to zero.
     pub fn from_weights(weights: &[f64]) -> Self {
-        let n = weights.len();
-        assert!(n > 0, "need at least one item");
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(w.is_finite() && w >= 0.0, "weights must be finite and >= 0");
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "weights must not all be zero");
-        // Vose's stable alias construction: scale each probability by n,
-        // then pair every under-full column with an over-full donor.
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
-        let (mut small, mut large) = (Vec::new(), Vec::new());
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-        let mut threshold = vec![u32::MAX; n];
-        let mut alias: Vec<u32> = (0..n as u32).collect();
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            threshold[s as usize] = (scaled[s as usize] * (u32::MAX as f64 + 1.0)) as u32;
-            alias[s as usize] = l;
-            scaled[l as usize] -= 1.0 - scaled[s as usize];
-            if scaled[l as usize] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Leftovers (either list) are exactly full up to rounding: always
-        // accept.
-        AliasTable { threshold, alias }
+        let mut table = TaggedAliasTable::new();
+        table.rebuild(weights, |_| 0);
+        AliasTable(table)
     }
 
     /// Number of distinct items.
     pub fn len(&self) -> usize {
-        self.threshold.len()
+        self.0.len()
     }
 
     /// Always false — tables have at least one item by construction.
     pub fn is_empty(&self) -> bool {
-        self.threshold.is_empty()
+        self.0.is_empty()
     }
 
     /// Draws the next item index, advancing `state` by one SplitMix64
@@ -92,13 +59,7 @@ impl AliasTable {
     /// single store.
     #[inline]
     pub fn sample(&self, state: &mut u64) -> usize {
-        let z = splitmix_next(state);
-        let col = column(z, self.threshold.len());
-        if coin(z) <= self.threshold[col] {
-            col
-        } else {
-            self.alias[col] as usize
-        }
+        self.0.sample(state).0 as usize
     }
 }
 
@@ -133,7 +94,7 @@ fn coin(z: u64) -> u32 {
 /// into 16 bytes so a draw touches exactly one cache line beyond the
 /// generator state. The accept-branch item is the column index itself and
 /// is not stored.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct TaggedColumn {
     /// Acceptance threshold, scaled to `u32::MAX + 1`.
     threshold: u32,
@@ -145,17 +106,17 @@ struct TaggedColumn {
     alias_tag: u32,
 }
 
-/// An [`AliasTable`] fused with a per-item `u32` tag, resolved at build
-/// time so the sampling hot path never chases a second lookup table.
+/// A Walker alias table fused with a per-item `u32` tag, resolved at
+/// build time so the sampling hot path never chases a second lookup
+/// table.
 ///
 /// The serving loop's tenants sample an item *and* immediately map it to
-/// the catalog node serving it; with a plain [`AliasTable`] that is up to
-/// three dependent random reads per request (threshold, alias, item→node
-/// map). Here each column carries the threshold and both possible
+/// the catalog node serving it; with separate threshold, alias and
+/// item→node tables that is up to three dependent random reads per
+/// request. Here each column carries the threshold and both possible
 /// `(item, tag)` outcomes in one 16-byte record, so a draw costs one
-/// SplitMix64 step and a single random cache-line read. Draw decisions
-/// are bit-identical to [`AliasTable`] built over the same pmf — the
-/// construction *is* [`AliasTable::from_weights`], the tags ride along.
+/// SplitMix64 step and a single random cache-line read. [`AliasTable`]
+/// is this table with every tag zero.
 #[derive(Debug, Clone, Default)]
 pub struct TaggedAliasTable {
     columns: Vec<TaggedColumn>,
@@ -169,87 +130,79 @@ impl TaggedAliasTable {
     }
 
     /// Rebuilds over a new pmf, attaching `tag(item)` to every branch
-    /// outcome. The plain [`AliasTable`] the columns are read off is a
-    /// temporary; only the columns are kept, in their reused buffer.
+    /// outcome. The construction writes thresholds and alias items
+    /// straight into the columns, kept in their reused buffer, and the
+    /// tags follow in one [`retag`](Self::retag) pass. Its two work
+    /// stacks share one buffer, one growing from the front and the other
+    /// from the back, so a build allocates that buffer and the scaled
+    /// weights once each, and nothing that grows.
     ///
     /// # Panics
     /// Panics if `weights` is empty, contains a negative or non-finite
     /// value, or sums to zero.
-    pub fn rebuild(&mut self, weights: &[f64], mut tag: impl FnMut(usize) -> u32) {
-        let base = AliasTable::from_weights(weights);
-        self.columns.clear();
-        self.columns.reserve(base.len());
-        for (col, (&threshold, &alias)) in base.threshold.iter().zip(&base.alias).enumerate() {
-            self.columns.push(TaggedColumn {
-                threshold,
-                accept_tag: tag(col),
-                alias_item: alias,
-                alias_tag: tag(alias as usize),
-            });
-        }
-    }
-
-    /// Writes the column count, then each fused column as four words —
-    /// threshold, accept tag, alias item, alias tag — for a checkpoint.
-    /// Inverse: [`import_state`](Self::import_state).
-    pub fn export_state(&self, w: &mut WordWriter) {
-        w.u64(self.columns.len() as u64);
-        for c in &self.columns {
-            w.u32(c.threshold);
-            w.u32(c.accept_tag);
-            w.u32(c.alias_item);
-            w.u32(c.alias_tag);
-        }
-    }
-
-    /// Rebuilds a table of `items` columns from the state
-    /// [`export_state`](Self::export_state) wrote — a straight copy,
-    /// bit-identical draws, no Vose reconstruction. `None` if the stream
-    /// holds another column count, ends early or has an alias index out
-    /// of range.
-    pub fn import_state(r: &mut WordReader<'_>, items: usize) -> Option<TaggedAliasTable> {
-        if r.u64()? != items as u64 {
-            return None;
-        }
-        let words = r.take(items.checked_mul(4)?)?;
-        let mut columns = Vec::with_capacity(items);
-        for q in words.chunks_exact(4) {
-            if q[2] as usize >= items {
-                return None;
+    pub fn rebuild(&mut self, weights: &[f64], tag: impl FnMut(usize) -> u32) {
+        let n = weights.len();
+        assert!(n > 0, "need at least one item");
+        assert!(
+            weights.iter().all(|&w| w.is_finite() && w >= 0.0),
+            "weights must be finite and >= 0"
+        );
+        let total: f64 = weights.iter().sum();
+        assert!(total > 0.0, "weights must not all be zero");
+        // Every column starts out always accepting. Vose's stable
+        // construction scales each probability by n, then pairs every
+        // under-full column with an over-full donor.
+        let columns = &mut self.columns;
+        columns.clear();
+        columns.extend((0..n as u32).map(|item| TaggedColumn {
+            threshold: u32::MAX,
+            alias_item: item,
+            ..TaggedColumn::default()
+        }));
+        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
+        // Under-full columns in `stacks[..small]`, over-full ones in
+        // `stacks[large..]`, each popped from its inner end.
+        let mut stacks = vec![0u32; n];
+        let (mut small, mut large) = (0, n);
+        for (i, &s) in scaled.iter().enumerate() {
+            if s < 1.0 {
+                stacks[small] = i as u32;
+                small += 1;
+            } else {
+                large -= 1;
+                stacks[large] = i as u32;
             }
-            columns.push(TaggedColumn {
-                threshold: q[0],
-                accept_tag: q[1],
-                alias_item: q[2],
-                alias_tag: q[3],
-            });
         }
-        Some(TaggedAliasTable { columns })
+        while small > 0 && large < n {
+            small -= 1;
+            let s = stacks[small] as usize;
+            let l = stacks[large];
+            large += 1;
+            columns[s].threshold = (scaled[s] * (u32::MAX as f64 + 1.0)) as u32;
+            columns[s].alias_item = l;
+            scaled[l as usize] -= 1.0 - scaled[s];
+            if scaled[l as usize] < 1.0 {
+                stacks[small] = l;
+                small += 1;
+            } else {
+                large -= 1;
+                stacks[large] = l;
+            }
+        }
+        // Leftovers (either stack) are exactly full up to rounding: they
+        // keep accepting.
+        self.retag(tag);
     }
 
     /// Replaces every column's tags with `tag`'s, keeping thresholds and
     /// alias items: the same table a [`rebuild`](Self::rebuild) over the
     /// same pmf with `tag` makes, in one O(items) pass with no pmf and no
-    /// Vose construction. Works on a table restored by
-    /// [`import_state`](Self::import_state) too, since it reads only
-    /// the columns.
+    /// Vose construction.
     pub fn retag(&mut self, mut tag: impl FnMut(usize) -> u32) {
         for (i, c) in self.columns.iter_mut().enumerate() {
             c.accept_tag = tag(i);
             c.alias_tag = tag(c.alias_item as usize);
         }
-    }
-
-    /// True if every column carries the tags [`rebuild`](Self::rebuild)
-    /// attaches for `tag`: column `i`'s accept tag is `tag(i)` and its
-    /// alias tag is `tag` of its alias item. A restore checks this against
-    /// its own item map, since [`import_state`](Self::import_state)
-    /// can only check the columns' structure.
-    pub fn tagged_by(&self, mut tag: impl FnMut(usize) -> u32) -> bool {
-        self.columns
-            .iter()
-            .enumerate()
-            .all(|(i, c)| c.accept_tag == tag(i) && c.alias_tag == tag(c.alias_item as usize))
     }
 
     /// Number of distinct items.
@@ -570,12 +523,6 @@ mod tests {
         }
     }
 
-    fn columns(table: &TaggedAliasTable) -> Vec<u32> {
-        let mut w = WordWriter::new();
-        table.export_state(&mut w);
-        w.into_words()
-    }
-
     #[test]
     fn retag_matches_a_rebuild_with_the_new_tags() {
         let weights: Vec<f64> = (0..300).map(|i| 1.0 / ((i % 37) + 1) as f64).collect();
@@ -584,20 +531,7 @@ mod tests {
         let mut rebuilt = TaggedAliasTable::new();
         rebuilt.rebuild(&weights, |i| 7 * i as u32 + 1);
         retagged.retag(|i| 7 * i as u32 + 1);
-        assert_eq!(columns(&retagged), columns(&rebuilt));
-        // A restored table, copied straight from its columns, re-tags
-        // all the same.
-        let words = columns(&rebuilt);
-        let mut restored = TaggedAliasTable::import_state(&mut WordReader::new(&words), 300)
-            .expect("valid columns");
-        for items in [299, 301] {
-            assert!(TaggedAliasTable::import_state(&mut WordReader::new(&words), items).is_none());
-        }
-        restored.retag(|i| i as u32 ^ 0xFFFF);
-        let mut fresh = TaggedAliasTable::new();
-        fresh.rebuild(&weights, |i| i as u32 ^ 0xFFFF);
-        assert_eq!(columns(&restored), columns(&fresh));
-        assert!(restored.tagged_by(|i| i as u32 ^ 0xFFFF));
+        assert_eq!(retagged.columns, rebuilt.columns);
     }
 
     proptest! {

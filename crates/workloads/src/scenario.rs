@@ -50,11 +50,31 @@ pub enum DemandShape {
 }
 
 impl DemandShape {
+    /// True if this shape has a pmf over `items` item ids: a finite,
+    /// non-negative θ (the rule `RequestStream::zipf` applies), or a hot
+    /// block in `1..=items` whose mass lies in `[0, 1]` and leaves some
+    /// item a nonzero probability. Any offset fits: it wraps modulo the
+    /// item count.
+    pub fn fits(&self, items: usize) -> bool {
+        match *self {
+            DemandShape::Zipf { theta } => theta.is_finite() && theta >= 0.0,
+            DemandShape::HotSet {
+                hot_items,
+                hot_mass,
+                ..
+            } => {
+                (1..=items).contains(&hot_items)
+                    && (0.0..=1.0).contains(&hot_mass)
+                    && (hot_mass > 0.0 || hot_items < items)
+            }
+        }
+    }
+
     /// The probability mass function over `items` item ids.
     ///
     /// # Panics
-    /// Panics if `items == 0`, or on a `HotSet` whose block is empty or
-    /// larger than the item count.
+    /// Panics if `items == 0`, or if the shape does not
+    /// [`fit`](Self::fits) `items`.
     pub fn pmf(&self, items: usize) -> Vec<f64> {
         let mut out = Vec::new();
         self.pmf_into(items, &mut out);
@@ -66,10 +86,11 @@ impl DemandShape {
     /// [`pmf`](Self::pmf) (identical values, bit for bit).
     ///
     /// # Panics
-    /// Panics if `items == 0`, or on a `HotSet` whose block is empty or
-    /// larger than the item count.
+    /// Panics if `items == 0`, or if the shape does not
+    /// [`fit`](Self::fits) `items`.
     pub fn pmf_into(&self, items: usize, out: &mut Vec<f64>) {
         assert!(items > 0, "need at least one item");
+        assert!(self.fits(items), "{self:?} has no pmf over {items} items");
         out.clear();
         match *self {
             DemandShape::Zipf { theta } => {
@@ -80,11 +101,6 @@ impl DemandShape {
                 hot_mass,
                 offset,
             } => {
-                assert!(
-                    hot_items > 0 && hot_items <= items,
-                    "hot block must be in 1..=items"
-                );
-                assert!((0.0..=1.0).contains(&hot_mass), "hot_mass is a fraction");
                 let cold_items = items - hot_items;
                 let hot_p = hot_mass / hot_items as f64;
                 let cold_p = if cold_items == 0 {
@@ -93,6 +109,8 @@ impl DemandShape {
                     (1.0 - hot_mass) / cold_items as f64
                 };
                 out.resize(items, cold_p);
+                // Reduced first, so `offset + i` cannot overflow.
+                let offset = offset % items;
                 for i in 0..hot_items {
                     out[(offset + i) % items] = hot_p;
                 }

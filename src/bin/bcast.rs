@@ -347,9 +347,18 @@ fn cmd_heuristic(opts: &Flags) -> Result<(), String> {
         "frontier" => baselines::greedy_frontier(&tree, k),
         other => return Err(format!("unknown method '{other}'")),
     };
+    let max_replicas = opts.parse::<u32>("replicas")?;
+    // Each candidate factor r places r root copies, so r is bounded by
+    // the slots they spread over.
+    if let Some(max_r) = max_replicas.filter(|&r| r as usize > schedule.len()) {
+        return Err(format!(
+            "--replicas {max_r} exceeds the schedule length {}",
+            schedule.len()
+        ));
+    }
     outln!("heuristic: {method}");
     print_schedule(&tree, &schedule, k)?;
-    if let Some(max_r) = opts.parse::<u32>("replicas")? {
+    if let Some(max_r) = max_replicas {
         let best = replication::optimal_replication(&schedule, &tree, max_r.max(1));
         outln!(
             "best root replication <= {max_r}: r = {} (expected access {:.2} slots)",
@@ -443,6 +452,13 @@ fn simulate_lossy(
         root_replicas: opts.parse::<u32>("replicas")?.unwrap_or(1).max(1),
         ..defaults
     };
+    if !policy.fits(program.cycle_len()) {
+        return Err(format!(
+            "--replicas {} exceeds the cycle length {}",
+            policy.root_replicas,
+            program.cycle_len()
+        ));
+    }
     let compiled = CompiledProgram::compile(program, tree).map_err(|e| e.to_string())?;
     outln!(
         "\nlossy channel (expected loss {:.2}%, retries <= {}, root replicas {}):",

@@ -126,6 +126,63 @@ fn helpful_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("no node labeled"));
 }
 
+/// `--replicas` sizes the root-copy grid, so each command refuses one
+/// more replica than the slots they spread over — the schedule length of
+/// the demo tree on one channel (9), and the cycle length of its lossy
+/// simulation on two (5) — and accepts the bound itself.
+#[test]
+fn replicas_past_the_cycle_are_refused() {
+    let heuristic = ["heuristic", "--demo", "--channels", "1", "--replicas"];
+    let simulate = [
+        "simulate",
+        "--demo",
+        "--channels",
+        "2",
+        "--item",
+        "C",
+        "--loss",
+        "0.1",
+        "--replicas",
+    ];
+    for (args, bound, what) in [
+        (&heuristic[..], 9, "schedule length 9"),
+        (&simulate[..], 5, "cycle length 5"),
+    ] {
+        let at = bound.to_string();
+        run_ok(&[args, &[at.as_str()]].concat());
+        let over = (bound + 1).to_string();
+        let out = bcast().args(args).arg(&over).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?} {over}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("--replicas {over} exceeds the {what}")),
+            "{err}"
+        );
+    }
+}
+
+/// Loss probabilities past 1 are refused before any lossy work, through
+/// the fault plan's own constructors; 1 itself is a channel that loses
+/// everything.
+#[test]
+fn loss_probabilities_past_one_are_refused() {
+    let simulate = ["simulate", "--demo", "--channels", "2", "--item", "C"];
+    run_ok(&[&simulate[..], &["--loss", "1"]].concat());
+    for (flag, value, name) in [
+        ("--loss", "1.5", "erasure_p = 1.5"),
+        ("--burst", "0.1,0.2,0,2", "loss_bad = 2"),
+    ] {
+        let out = bcast()
+            .args(simulate)
+            .args([flag, value])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{name} outside [0, 1]")), "{err}");
+    }
+}
+
 #[test]
 fn zero_channels_is_a_clean_error() {
     let out = bcast()
