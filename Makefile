@@ -24,8 +24,9 @@ BENCH_MANIFEST := crates/bench/src/bin/bcast_bench/Cargo.toml
 # checkpoint codec through kill-and-restore cycles, plus the lossy-channel
 # and tenant-isolation storms), and the scaled day-in-the-life scenarios
 # (`make scenarios`), which drive the sampler and republish paths at
-# load. Once built, the chaos storms and the scenario day take about a
-# second each in release on a 2-core container.
+# load. Each #[ignore]-gated test runs once: `scenarios` skips the storms
+# `chaos` already ran. Once built, the chaos storms and the scenario day
+# take about a second each in release on a 2-core container.
 check: fmt-check clippy doc build test bench-test stress chaos scenarios
 
 build:
@@ -136,10 +137,12 @@ chaos: crash
 # Tier-2 "day in the life" sweep: the four canonical scenarios (flash
 # crowd, diurnal drift, brownout, tenant churn) through the multi-tenant
 # serving loop at scaled load, including the #[ignore]-gated long runs,
-# plus the scenario-determinism property suite — all in release mode.
+# plus the scenario-determinism property suite and the tenant-isolation
+# tests — all in release mode. The tenant-isolation chaos storm is left
+# to `make chaos` (`--skip chaos`), so `make check` runs it once.
 scenarios:
 	$(CARGO) test --release $(OFFLINE) --test scenarios \
-		--test scenario_determinism --test tenant_isolation -- --include-ignored
+		--test scenario_determinism --test tenant_isolation -- --include-ignored --skip chaos
 
 bench:
 	$(CARGO) bench $(OFFLINE) -p bcast-bench --bench search_strategies

@@ -44,10 +44,20 @@
 //! [`PREFETCH_MIN_LEN`] records or more, each chunk first prefetches the
 //! records of its own targets and, before the flush, the histogram bucket
 //! of each access time, so a chunk's cache misses overlap instead of
-//! queuing; a smaller table stays cached and skips both passes. The
-//! original per-request loop survives as
+//! queuing; a smaller table stays cached and skips both passes.
+//!
+//! Lossy requests are served the same way, one chunk at a time: prefetch
+//! the records, fold the sentinel and refuse the chunk before anything is
+//! recorded (the rule both paths share), draw each tune-in with
+//! `FastMod` and run the recovery protocol from it into a stack buffer
+//! of delivered totals, then prefetch their buckets and flush them with
+//! one [`LatencyHistogram::record_batch_clamped`] at the lossy bound. The
+//! fault model's draws are integer compares and a one-root retry is one
+//! multiply, so no request pays a hardware division.
+//!
+//! The original per-request loops, clean and lossy, survive as
 //! [`serve_batch_scalar`](CompiledProgram::serve_batch_scalar) — the
-//! oracle the chunked kernel is pinned bit-identical to at any thread
+//! oracle the chunked kernels are pinned bit-identical to at any thread
 //! count.
 
 use crate::faults::{self, FaultPlan, RecoveryPolicy, RequestOutcome};
@@ -408,9 +418,10 @@ impl CompiledProgram {
     }
 
     /// [`serve_batch`](Self::serve_batch) through the original per-request
-    /// scalar loop — the bit-identity oracle for the chunked kernel.
-    /// Results are pinned equal to `serve_batch` for every input and
-    /// thread count (property-tested); the only difference is speed.
+    /// scalar loop, clean or lossy — the bit-identity oracle for the
+    /// chunked kernels. Results are pinned equal to `serve_batch` for
+    /// every input, fault plan and thread count (property-tested); the
+    /// only difference is speed.
     ///
     /// # Errors
     /// [`SimError::NotADataNode`] if any target is not a routed data node.
@@ -490,14 +501,13 @@ impl CompiledProgram {
         // histogram bound gets headroom (values beyond it clamp in
         // percentile queries; the mean stays exact).
         let mut shard = Shard::new(self.hist_bound(true));
-        self.serve_lossy_into(
-            &mut shard.tally,
-            &mut shard.hist,
-            targets,
-            start,
-            opts,
-            root_gaps,
-        )?;
+        let (tally, hist) = (&mut shard.tally, &mut shard.hist);
+        match kernel {
+            Kernel::Reference => {
+                self.serve_lossy_reference(tally, hist, targets, start, opts, root_gaps)
+            }
+            Kernel::Chunked => self.serve_lossy_into(tally, hist, targets, start, opts, root_gaps),
+        }?;
         Ok(shard)
     }
 
@@ -514,14 +524,116 @@ impl CompiledProgram {
         }
     }
 
-    /// Lossy per-request loop, accumulating into a caller-owned tally and
-    /// histogram — shared by [`serve_shard`](Self::serve_shard) and the
-    /// streaming [`serve_chunk`](Self::serve_chunk) path. `start` is the
-    /// global index of `targets[0]`, which keys both the tune-in draw and
-    /// the fault link, so feeding any chunking of a batch through this
-    /// loop is bit-identical to one pass over the whole batch. Access
+    /// Chunked lossy kernel body, accumulating into a caller-owned tally
+    /// and histogram — shared by [`serve_shard`](Self::serve_shard) and
+    /// the streaming [`serve_chunk`](Self::serve_chunk) path. `start` is
+    /// the global index of `targets[0]`, which keys both the tune-in draw
+    /// and the fault link, so feeding any chunking of a batch through
+    /// this body is bit-identical to one pass over the whole batch. Access
     /// times clamp at the lossy bound whatever `hist`'s own bound is.
+    ///
+    /// Each [`SERVE_CHUNK`] runs four passes: prefetch the targets' route
+    /// records (large tables only); fold the `slot == 0` sentinel and
+    /// refuse the chunk through [`first_unrouted`] before anything is
+    /// recorded, as the clean kernel does; draw each tune-in with
+    /// [`FastMod`] and run the recovery protocol from it, buffering the
+    /// delivered totals and keeping the tally's sums in locals; then
+    /// prefetch the totals' buckets (large tables only) and flush them in
+    /// one [`LatencyHistogram::record_batch_clamped`]. Every step is the
+    /// exact integer work of [`serve_lossy_reference`] on the same draws,
+    /// so the two record bit-identical shards.
+    ///
+    /// [`first_unrouted`]: CompiledProgram::first_unrouted
+    /// [`serve_lossy_reference`]: CompiledProgram::serve_lossy_reference
     fn serve_lossy_into(
+        &self,
+        tally: &mut Tally,
+        hist: &mut LatencyHistogram,
+        targets: &[NodeId],
+        start: u64,
+        opts: &ServeOptions,
+        root_gaps: &[u64],
+    ) -> Result<(), SimError> {
+        if targets.is_empty() {
+            return Ok(());
+        }
+        let cap = self.hist_bound(true);
+        let fm = FastMod::new(u64::from(self.cycle_len));
+        let prefetching = self.routes.len() >= PREFETCH_MIN_LEN;
+        let mut totals = [0u32; SERVE_CHUNK];
+        for (chunk_no, chunk) in targets.chunks(SERVE_CHUNK).enumerate() {
+            let first = start + (chunk_no * SERVE_CHUNK) as u64;
+            if prefetching {
+                for &target in chunk {
+                    bcast_types::prefetch::prefetch(&self.routes, target.index());
+                }
+            }
+            if chunk
+                .iter()
+                .fold(false, |bad, &t| bad | (self.record(t)[0] == 0))
+            {
+                return Err(self.first_unrouted(chunk));
+            }
+            let mut delivered = 0usize;
+            let (mut wait_sum, mut tune_sum, mut switch_sum) = (0u64, 0u64, 0u64);
+            let (mut extra_sum, mut retries, mut failed) = (0u64, 0u64, 0u64);
+            for (c, &target) in chunk.iter().enumerate() {
+                let [slot, route] = self.record(target);
+                let index = first + c as u64;
+                let s = fm.rem(mix64(opts.seed, index)) as u32 + 1;
+                let base = AccessTrace {
+                    probe_wait: self.cycle_len - (s - 1),
+                    data_wait: slot - 1,
+                    tuning_time: path_len(route) + 1,
+                    channel_switches: switches(route),
+                };
+                let mut link = opts.faults.link(index);
+                let outcome = faults::recover_in_cycle(
+                    base,
+                    s,
+                    self.cycle_len,
+                    &mut link,
+                    &opts.recovery,
+                    root_gaps,
+                );
+                match outcome {
+                    RequestOutcome::Delivered(d) => {
+                        totals[delivered] =
+                            u32::try_from(d.total_access_time()).unwrap_or(u32::MAX);
+                        delivered += 1;
+                        wait_sum += u64::from(d.trace.data_wait);
+                        tune_sum += u64::from(d.trace.tuning_time);
+                        switch_sum += u64::from(d.trace.channel_switches);
+                        extra_sum += d.extra_wait;
+                        retries += u64::from(d.retries);
+                    }
+                    RequestOutcome::Failed(f) => {
+                        retries += u64::from(f.retries);
+                        failed += 1;
+                    }
+                }
+            }
+            let totals = &totals[..delivered];
+            if prefetching {
+                hist.prefetch_buckets(totals, cap);
+            }
+            hist.record_batch_clamped(totals, cap);
+            tally.wait_sum += wait_sum;
+            tally.tune_sum += tune_sum;
+            tally.switch_sum += switch_sum;
+            tally.extra_sum += extra_sum;
+            tally.retries += retries;
+            tally.delivered += delivered as u64;
+            tally.failed += failed;
+        }
+        Ok(())
+    }
+
+    /// Lossy serving, one request at a time — the original loop, kept
+    /// verbatim as the oracle [`serve_lossy_into`] is pinned against.
+    ///
+    /// [`serve_lossy_into`]: CompiledProgram::serve_lossy_into
+    fn serve_lossy_reference(
         &self,
         tally: &mut Tally,
         hist: &mut LatencyHistogram,
@@ -798,9 +910,10 @@ impl CompiledProgram {
     /// Every other session aggregate accumulates as usual.
     ///
     /// # Errors
-    /// As [`serve_chunk`](Self::serve_chunk). A refused clean chunk
-    /// records nothing; on the lossy path the requests before the first
-    /// unrouted target are recorded, as they are by `serve_chunk`.
+    /// As [`serve_chunk`](Self::serve_chunk). On either path, clean or
+    /// lossy, a refused [`SERVE_CHUNK`] records nothing: the session's
+    /// tally and `hist` stay as they were before it (a longer `targets`
+    /// keeps the whole chunks served before the refused one).
     pub fn serve_chunk_into(
         &self,
         session: &mut ServeSession,
@@ -856,8 +969,9 @@ impl CompiledProgram {
 /// quantiles saturate at 8 cycles; the mean stays exact.
 const LOSSY_HIST_CYCLES: u32 = 8;
 
-/// Which fault-free shard body to run — the production chunked kernel or
-/// the per-request reference loop it is pinned bit-identical to.
+/// Which shard body to run, clean or lossy — the production chunked
+/// kernel or the per-request reference loop it is pinned bit-identical
+/// to.
 #[derive(Debug, Clone, Copy)]
 enum Kernel {
     Chunked,
@@ -1008,7 +1122,7 @@ struct Shard {
 /// The exact, order-independent integer sums of a kernel pass — kept
 /// apart from the histogram so a pass can record access times into a
 /// histogram the shard does not own.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Tally {
     wait_sum: u64,
     tune_sum: u64,
@@ -1669,6 +1783,135 @@ mod tests {
             c.serve_batch(&targets, &opts).unwrap_err(),
             SimError::NotADataNode(NodeId(3))
         );
+    }
+
+    /// The brownout scenario's Gilbert–Elliott channel.
+    fn brownout(seed: u64) -> FaultPlan {
+        let b = bcast_workloads::brownout_channel().burst.unwrap();
+        let ge = faults::GilbertElliott {
+            p_good_to_bad: b.p_good_to_bad,
+            p_bad_to_good: b.p_bad_to_good,
+            loss_good: b.loss_good,
+            loss_bad: b.loss_bad,
+        };
+        FaultPlan::gilbert_elliott(ge, seed).unwrap()
+    }
+
+    #[test]
+    fn a_lossy_route_table_past_the_prefetch_size_serves_like_the_oracle() {
+        // The lossy sibling of the clean case above: the chunked lossy
+        // kernel prefetches each chunk's records and histogram buckets,
+        // and must still equal the per-request loop in the batch, in a
+        // session and in a window.
+        let nodes = PREFETCH_MIN_LEN + 5;
+        let cycle_len = 30_000u32;
+        let slot: Vec<u32> = (0..nodes as u32)
+            .map(|i| {
+                if i % 4 == 0 {
+                    0
+                } else {
+                    1 + mix64(11, u64::from(i)) as u32 % cycle_len
+                }
+            })
+            .collect();
+        let route: Vec<u32> = slot
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                if s == 0 {
+                    0
+                } else {
+                    route_word(2 + i as u32 % 7, i as u32 % 3 % 2)
+                }
+            })
+            .collect();
+        let routed = slot.iter().filter(|&&s| s != 0).count();
+        let c = CompiledProgram::from_columns(cycle_len, &slot, &route, routed);
+        let data = c.routed_nodes();
+        let targets: Vec<NodeId> = (0..6 * SERVE_CHUNK + 29)
+            .map(|i| data[mix64(5, i as u64) as usize % data.len()])
+            .collect();
+        let opts = ServeOptions {
+            seed: 0xB0,
+            faults: brownout(0xB1),
+            ..ServeOptions::default()
+        };
+        let batch = c.serve_batch(&targets, &opts).unwrap();
+        assert!(batch.retries > 0 && batch.delivered > 0, "{batch:?}");
+        assert_eq!(batch, c.serve_batch_scalar(&targets, &opts).unwrap());
+        let threaded = ServeOptions { threads: 3, ..opts };
+        assert_eq!(batch, c.serve_batch_scalar(&targets, &threaded).unwrap());
+        assert_eq!(batch, c.serve_batch(&targets, &threaded).unwrap());
+        let mut session = ServeSession::new();
+        c.begin_session(&mut session, &opts);
+        for part in targets.chunks(SERVE_CHUNK) {
+            c.serve_chunk(&mut session, part).unwrap();
+        }
+        assert_eq!(session.to_metrics(), batch);
+        let mut window = LatencyHistogram::with_bound(16 * cycle_len);
+        let mut absorbed = window.clone();
+        absorbed.absorb(&batch.histogram);
+        c.begin_session(&mut session, &opts);
+        for part in targets.chunks(SERVE_CHUNK) {
+            c.serve_chunk_into(&mut session, part, &mut window).unwrap();
+        }
+        assert_eq!(window, absorbed);
+        assert_eq!(session.retries(), batch.retries);
+    }
+
+    #[test]
+    fn a_refused_chunk_records_nothing_on_either_path() {
+        // An unrouted target mid-chunk: both kernels report it, and a
+        // session that has served one good chunk keeps exactly that
+        // chunk's tally and histogram through the refused one.
+        let (t, p) = fig2b();
+        let c = CompiledProgram::compile(&p, &t).unwrap();
+        let data = t.data_nodes();
+        let good: Vec<NodeId> = (0..SERVE_CHUNK)
+            .map(|i| data[(i * 3) % data.len()])
+            .collect();
+        let mut bad = good.clone();
+        let idx = t.find_by_label("2").unwrap();
+        bad[SERVE_CHUNK / 2 + 9] = idx;
+        bad[SERVE_CHUNK - 1] = NodeId::from_index(t.len() + 4);
+        let clean = ServeOptions {
+            seed: 0x5EF,
+            ..ServeOptions::default()
+        };
+        let lossy = ServeOptions {
+            faults: brownout(0x5F0),
+            ..clean
+        };
+        // The session's request count moves on; its tally and histogram
+        // must not.
+        let kept =
+            |session: &ServeSession| (session.shard.tally.clone(), session.shard.hist.clone());
+        for opts in [clean, lossy] {
+            let both = [good.clone(), bad.clone()].concat();
+            let err = c.serve_batch(&both, &opts).unwrap_err();
+            assert_eq!(err, SimError::NotADataNode(idx));
+            assert_eq!(err, c.serve_batch_scalar(&both, &opts).unwrap_err());
+
+            let mut session = ServeSession::new();
+            c.begin_session(&mut session, &opts);
+            c.serve_chunk(&mut session, &good).unwrap();
+            let before = kept(&session);
+            assert_eq!(c.serve_chunk(&mut session, &bad).unwrap_err(), err);
+            assert_eq!(kept(&session), before);
+
+            let mut window = LatencyHistogram::with_bound(16 * c.cycle_len() as u32);
+            c.begin_session(&mut session, &opts);
+            c.serve_chunk_into(&mut session, &good, &mut window)
+                .unwrap();
+            let (before, window_before) = (kept(&session), window.clone());
+            assert_eq!(
+                c.serve_chunk_into(&mut session, &bad, &mut window)
+                    .unwrap_err(),
+                err
+            );
+            assert_eq!(kept(&session), before);
+            assert_eq!(window, window_before);
+        }
     }
 
     #[test]

@@ -39,13 +39,24 @@
 //! so bursts correlate consecutive attempts; backoff doubles the
 //! occurrences skipped and therefore escapes bad states geometrically.
 //!
+//! A draw `x` stands for the uniform `(x >> 11) / 2⁵³`, and it falls below
+//! probability `p` exactly when `x >> 11 < ⌈p·2⁵³⌉`. A plan computes these
+//! integer thresholds once, for every probability it holds (the
+//! Gilbert–Elliott chain's stationary bad share included), so each draw is
+//! a shift and an integer compare. The threshold never falls as `p` rises,
+//! so the coupling survives.
+//!
 //! Retry waits are charged in *slots*: a probe retry only costs time when
 //! the probes wrap past the cycle boundary (the root broadcast that would
 //! have been caught is missed); a root retry costs the gap to the next
 //! root occurrence; an interior/data retry costs whole cycles (which keeps
 //! the slot arithmetic of the unreplicated grid exact). Root-replica gaps
 //! are the analytical overlay of `bcast_core::replication::analyze` —
-//! primary-path waits still use the unreplicated program.
+//! primary-path waits still use the unreplicated program. A budget thus
+//! bounds every delivered access
+//! ([`RecoveryPolicy::max_delivered_access`]), and
+//! [`RecoveryPolicy::fits`] refuses a budget whose bound would overflow
+//! the serving kernel's `u32` access times.
 
 use crate::compiled::mix64;
 use crate::program::{BroadcastProgram, Bucket};
@@ -54,10 +65,24 @@ use bcast_index_tree::IndexTree;
 use bcast_types::{occurrences, NodeId, Slot};
 use std::fmt;
 
-/// Maps a 64-bit draw to the unit interval `[0, 1)`.
+/// The integer threshold of probability `p`: `⌈p·2⁵³⌉`. A 64-bit draw
+/// `x` stands for the uniform `(x >> 11) / 2⁵³` on `[0, 1)`, and that
+/// uniform is below `p` exactly when `x >> 11 < threshold(p)`: the
+/// quotient, the product `p·2⁵³` and its ceiling are all exact in `f64`
+/// (scaling by a power of two, values at most 2⁵³), and an integer is
+/// below a real `r` exactly when it is below `⌈r⌉`. A draw is thus one
+/// shift and one integer compare.
 #[inline]
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
+fn threshold(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Whether draw `x` falls below the probability whose
+/// [`threshold`] is `below`.
+#[inline]
+fn hit(x: u64, below: u64) -> bool {
+    x >> 11 < below
 }
 
 /// An invalid fault-model parameter.
@@ -124,11 +149,30 @@ impl GilbertElliott {
     }
 }
 
+/// A Gilbert–Elliott chain's probabilities as draw thresholds
+/// ([`threshold`]), computed once per plan so that a link's draws are
+/// integer compares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct GeThresholds {
+    to_bad: u64,
+    to_good: u64,
+    loss_good: u64,
+    loss_bad: u64,
+    /// Of [`GilbertElliott::stationary_bad`]: a link's starting state.
+    start_bad: u64,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FaultModel {
     None,
-    Erasure { p: f64 },
-    GilbertElliott(GilbertElliott),
+    Erasure {
+        p: f64,
+        lost_below: u64,
+    },
+    GilbertElliott {
+        ge: GilbertElliott,
+        below: GeThresholds,
+    },
 }
 
 /// A seeded, reproducible description of channel faults.
@@ -158,10 +202,12 @@ impl FaultPlan {
     /// # Errors
     /// [`FaultError::BadProbability`] if `p` escapes `[0, 1]`.
     pub fn erasure(p: f64, seed: u64) -> Result<Self, FaultError> {
+        let p = check_prob("erasure_p", p)?;
         Ok(FaultPlan {
             seed,
             model: FaultModel::Erasure {
-                p: check_prob("erasure_p", p)?,
+                p,
+                lost_below: threshold(p),
             },
         })
     }
@@ -172,13 +218,16 @@ impl FaultPlan {
     /// # Errors
     /// [`FaultError::BadProbability`] if any parameter escapes `[0, 1]`.
     pub fn gilbert_elliott(ge: GilbertElliott, seed: u64) -> Result<Self, FaultError> {
-        check_prob("p_good_to_bad", ge.p_good_to_bad)?;
-        check_prob("p_bad_to_good", ge.p_bad_to_good)?;
-        check_prob("loss_good", ge.loss_good)?;
-        check_prob("loss_bad", ge.loss_bad)?;
+        let below = GeThresholds {
+            to_bad: threshold(check_prob("p_good_to_bad", ge.p_good_to_bad)?),
+            to_good: threshold(check_prob("p_bad_to_good", ge.p_bad_to_good)?),
+            loss_good: threshold(check_prob("loss_good", ge.loss_good)?),
+            loss_bad: threshold(check_prob("loss_bad", ge.loss_bad)?),
+            start_bad: threshold(ge.stationary_bad()),
+        };
         Ok(FaultPlan {
             seed,
-            model: FaultModel::GilbertElliott(ge),
+            model: FaultModel::GilbertElliott { ge, below },
         })
     }
 
@@ -193,8 +242,8 @@ impl FaultPlan {
     pub fn expected_loss(&self) -> f64 {
         match self.model {
             FaultModel::None => 0.0,
-            FaultModel::Erasure { p } => p,
-            FaultModel::GilbertElliott(ge) => ge.expected_loss(),
+            FaultModel::Erasure { p, .. } => p,
+            FaultModel::GilbertElliott { ge, .. } => ge.expected_loss(),
         }
     }
 
@@ -204,15 +253,15 @@ impl FaultPlan {
         let key = mix64(self.seed, request_index);
         let kind = match self.model {
             FaultModel::None => LinkKind::Perfect,
-            FaultModel::Erasure { p } => LinkKind::Erasure { key, p },
-            FaultModel::GilbertElliott(ge) => {
+            FaultModel::Erasure { lost_below, .. } => LinkKind::Erasure { key, lost_below },
+            FaultModel::GilbertElliott { below, .. } => {
                 let mut link = SeqLink {
                     state: key,
                     bad: false,
-                    ge,
+                    below,
                 };
                 // Stationary start so short requests see the long-run mix.
-                link.bad = link.next_unit() < ge.stationary_bad();
+                link.bad = hit(link.next_draw(), below.start_bad);
                 LinkKind::Gilbert(link)
             }
         };
@@ -231,33 +280,33 @@ impl Default for FaultPlan {
 struct SeqLink {
     state: u64,
     bad: bool,
-    ge: GilbertElliott,
+    below: GeThresholds,
 }
 
 impl SeqLink {
     #[inline]
-    fn next_unit(&mut self) -> f64 {
+    fn next_draw(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        unit(mix64(0xC2B2_AE3D_27D4_EB4F, self.state))
+        mix64(0xC2B2_AE3D_27D4_EB4F, self.state)
     }
 
+    /// One transition: the chain leaves its state when the draw falls
+    /// below that state's exit probability.
     #[inline]
     fn step(&mut self) {
-        let u = self.next_unit();
-        if self.bad {
-            if u < self.ge.p_bad_to_good {
-                self.bad = false;
-            }
-        } else if u < self.ge.p_good_to_bad {
-            self.bad = true;
-        }
+        let exit = if self.bad {
+            self.below.to_good
+        } else {
+            self.below.to_bad
+        };
+        self.bad ^= hit(self.next_draw(), exit);
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LinkKind {
     Perfect,
-    Erasure { key: u64, p: f64 },
+    Erasure { key: u64, lost_below: u64 },
     Gilbert(SeqLink),
 }
 
@@ -277,22 +326,23 @@ impl ClientLink {
     ///
     /// For erasure links the draw is a pure hash of `(pos, attempt)` with
     /// a shared uniform — losses at probability `p` contain the losses at
-    /// every `p' < p` (monotone coupling).
+    /// every `p' < p` (monotone coupling: the draw is compared with
+    /// `threshold(p)`, which never falls as `p` rises).
     #[inline]
     pub fn read_lost(&mut self, pos: u32, attempt: u32) -> bool {
         match &mut self.kind {
             LinkKind::Perfect => false,
-            LinkKind::Erasure { key, p } => {
+            LinkKind::Erasure { key, lost_below } => {
                 let draw = mix64(*key, (u64::from(pos) << 32) | u64::from(attempt));
-                unit(draw) < *p
+                hit(draw, *lost_below)
             }
             LinkKind::Gilbert(link) => {
-                let lost_p = if link.bad {
-                    link.ge.loss_bad
+                let lost_below = if link.bad {
+                    link.below.loss_bad
                 } else {
-                    link.ge.loss_good
+                    link.below.loss_good
                 };
-                let lost = link.next_unit() < lost_p;
+                let lost = hit(link.next_draw(), lost_below);
                 link.step();
                 lost
             }
@@ -344,11 +394,42 @@ impl Default for RecoveryPolicy {
 impl RecoveryPolicy {
     /// True if the recovery protocol can run this policy on a cycle of at
     /// most `max_cycle` slots: a backoff cap below 64, so the skip
-    /// `2^min(f, cap)` fits a `u64`, and at most `max_cycle` root
-    /// replicas, so the replica grid of [`root_occurrence_gaps`] is sized
-    /// by the program, not by the policy.
+    /// `2^min(f, cap)` fits a `u64`; at most `max_cycle` root replicas, so
+    /// the replica grid of [`root_occurrence_gaps`] is sized by the
+    /// program, not by the policy; and a
+    /// [`max_delivered_access`](Self::max_delivered_access) on
+    /// `max_cycle` that fits the serving kernel's `u32` access times, so
+    /// every delivered access is recorded at its true value. The bound
+    /// grows with the cycle, so a policy that fits `max_cycle` fits every
+    /// shorter cycle too.
     pub fn fits(&self, max_cycle: usize) -> bool {
-        self.backoff_cap < 64 && self.root_replicas as usize <= max_cycle
+        self.backoff_cap < 64
+            && self.root_replicas as usize <= max_cycle
+            && self.max_delivered_access(max_cycle) <= u64::from(u32::MAX)
+    }
+
+    /// The longest total access time, in slots, of a request delivered
+    /// under this policy on a cycle of `cycle_len` slots (saturating at
+    /// `u64::MAX`): `2·cycle − 1` of fault-free access plus
+    /// `(cycle + root_replicas − 1)·Σ_{f<max_retries} 2^min(f, backoff_cap)`
+    /// of recovery wait. A failed read's `f`-th retry at one position
+    /// waits `2^min(f, cap)` occurrences of at most `cycle + replicas − 1`
+    /// slots each (a probe retry waits at most one cycle), and splitting
+    /// the retry budget over several positions restarts `f` at 0, which
+    /// only shortens the sum.
+    pub fn max_delivered_access(&self, cycle_len: usize) -> u64 {
+        let pow2 = |e: u128| 1u128.checked_shl(e as u32).unwrap_or(u128::MAX);
+        let (retries, cap) = (u128::from(self.max_retries), u128::from(self.backoff_cap));
+        // Skips double for the first `cap + 1` retries, then stay at 2^cap.
+        let doubling = retries.min(cap + 1);
+        let skips =
+            (pow2(doubling) - 1).saturating_add((retries - doubling).saturating_mul(pow2(cap)));
+        let cycle = cycle_len as u128;
+        let occurrence = cycle + u128::from(self.root_replicas.max(1)) - 1;
+        let worst = (2 * cycle)
+            .saturating_sub(1)
+            .saturating_add(occurrence.saturating_mul(skips));
+        u64::try_from(worst).unwrap_or(u64::MAX)
     }
 }
 
@@ -549,17 +630,24 @@ fn recover_path_read(
     while link.read_lost(pos, f) {
         budget.charge_retry()?;
         let skip = 1u64 << f.min(budget.policy.backoff_cap);
-        let wait = if pos == 1 {
-            // Next root occurrence(s): walk the cyclic replica gaps.
-            let mut w = 0u64;
-            for t in 0..skip {
-                w += root_gaps[(*root_idx + t as usize) % root_gaps.len()];
-            }
-            *root_idx = (*root_idx + skip as usize) % root_gaps.len();
-            w
-        } else {
+        let wait = if pos != 1 {
             // Whole cycles keep the slot arithmetic of the grid exact.
             u64::from(cycle_len) * skip
+        } else if let [gap] = root_gaps {
+            // One root occurrence per cycle: the walk below sums `skip`
+            // copies of its one gap and stays at index 0.
+            gap * skip
+        } else {
+            // Next root occurrence(s): walk the cyclic replica gaps.
+            let mut w = 0u64;
+            for _ in 0..skip {
+                w += root_gaps[*root_idx];
+                *root_idx += 1;
+                if *root_idx == root_gaps.len() {
+                    *root_idx = 0;
+                }
+            }
+            w
         };
         budget.charge_wait(wait)?;
         link.doze(skip - 1);
@@ -573,8 +661,9 @@ fn recover_path_read(
 /// oracle ([`access_lossy`]) must produce the identical outcome for the
 /// same link; property tests pin the two together.
 ///
-/// `tune_slot` must be the 1-based in-cycle tune-in slot and `root_gaps`
-/// the output of [`root_occurrence_gaps`] for this cycle and policy.
+/// `tune_slot` is a 1-based tune-in slot (wrapped into the cycle) and
+/// `root_gaps` the output of [`root_occurrence_gaps`] for this cycle and
+/// policy.
 pub fn recover_access(
     base: AccessTrace,
     tune_slot: Slot,
@@ -585,6 +674,24 @@ pub fn recover_access(
 ) -> RequestOutcome {
     debug_assert!(cycle_len >= 1);
     let s = ((tune_slot.0 - 1) % cycle_len) + 1;
+    recover_in_cycle(base, s, cycle_len, link, policy, root_gaps)
+}
+
+/// [`recover_access`] from a tune-in slot `s` already in `1..=cycle_len`
+/// — the serving kernel's entry, whose division-free draw lands there.
+#[inline]
+pub(crate) fn recover_in_cycle(
+    base: AccessTrace,
+    s: u32,
+    cycle_len: u32,
+    link: &mut ClientLink,
+    policy: &RecoveryPolicy,
+    root_gaps: &[u64],
+) -> RequestOutcome {
+    debug_assert!(
+        (1..=cycle_len).contains(&s),
+        "tune-in slot {s} outside the cycle"
+    );
     let mut budget = Budget::new(policy);
     if let Err(e) = recover_probe(s, cycle_len, link, &mut budget) {
         return RequestOutcome::Failed(e);
@@ -916,6 +1023,137 @@ mod tests {
             }
         }
         assert!(checked > 0, "no request with a probe-only loss found");
+    }
+
+    #[test]
+    fn integer_thresholds_decide_every_draw_as_the_float_compare_did() {
+        // The uniform on `[0, 1)` a draw stands for; `unit(x) < p` is the
+        // float compare each threshold must reproduce.
+        fn unit(x: u64) -> f64 {
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        }
+        let brownout = bcast_workloads::brownout_channel().burst.unwrap();
+        let ge = GilbertElliott {
+            p_good_to_bad: brownout.p_good_to_bad,
+            p_bad_to_good: brownout.p_bad_to_good,
+            loss_good: brownout.loss_good,
+            loss_bad: brownout.loss_bad,
+        };
+        let eps = 1.0 / (1u64 << 53) as f64;
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        let probabilities = [
+            0.0,
+            eps,
+            subnormal,
+            0.1,
+            0.5,
+            1.0 - eps,
+            1.0,
+            ge.p_good_to_bad,
+            ge.p_bad_to_good,
+            ge.loss_good,
+            ge.loss_bad,
+            ge.stationary_bad(),
+        ];
+        for p in probabilities {
+            let t = threshold(p);
+            // The draws on either side of the threshold, with the low
+            // bits the shift drops both clear and set.
+            let below = t.checked_sub(1);
+            let at = Some(t).filter(|&t| t < 1 << 53);
+            for y in [below, at].into_iter().flatten() {
+                for low in [0, 0x7FF] {
+                    let x = y << 11 | low;
+                    assert_eq!(unit(x) < p, hit(x, t), "p {p:e}, x >> 11 = {y}");
+                }
+            }
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(eps), 1);
+        assert_eq!(threshold(subnormal), 1);
+        assert_eq!(threshold(1.0), 1 << 53);
+    }
+
+    #[test]
+    fn root_retries_wait_the_replica_gaps_they_skip() {
+        // A channel that loses every read retries the root until the
+        // budget runs out; its extra wait is then the gaps walked, one
+        // skip `2^min(f, cap)` at a time, from the first root occurrence.
+        let plan = FaultPlan::erasure(1.0, 3).unwrap();
+        for replicas in 1..=5u32 {
+            for cycle in [1usize, 2, 5, 17] {
+                let gaps = root_occurrence_gaps(cycle, replicas);
+                let policy = RecoveryPolicy {
+                    max_retries: 9,
+                    backoff_cap: 2,
+                    root_replicas: replicas,
+                    ..RecoveryPolicy::default()
+                };
+                let mut budget = Budget::new(&policy);
+                let (mut link, mut idx) = (plan.link(0), 0);
+                let err =
+                    recover_path_read(1, cycle as u32, &mut link, &mut budget, &gaps, &mut idx)
+                        .unwrap_err();
+                let mut walked = 0u64;
+                let mut expect = 0u64;
+                for f in 0..policy.max_retries {
+                    for _ in 0..1u64 << f.min(policy.backoff_cap) {
+                        expect += gaps[walked as usize % gaps.len()];
+                        walked += 1;
+                    }
+                }
+                assert_eq!(err.extra_wait, expect, "replicas {replicas} cycle {cycle}");
+                assert_eq!(idx, walked as usize % gaps.len());
+                assert!(
+                    err.extra_wait <= policy.max_delivered_access(cycle) - (2 * cycle as u64 - 1),
+                    "replicas {replicas} cycle {cycle}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn max_delivered_access_sums_the_backoff_in_closed_form() {
+        for cap in [0u32, 1, 4, 63] {
+            for retries in [0u32, 1, 2, 5, 9, 40] {
+                let policy = RecoveryPolicy {
+                    max_retries: retries,
+                    backoff_cap: cap,
+                    root_replicas: 3,
+                    ..RecoveryPolicy::default()
+                };
+                let skips: u128 = (0..retries).map(|f| 1u128 << f.min(cap)).sum();
+                let worst = 2 * 10 - 1 + (10 + 3 - 1) * skips;
+                let expect = u64::try_from(worst).unwrap_or(u64::MAX);
+                assert_eq!(
+                    policy.max_delivered_access(10),
+                    expect,
+                    "cap {cap} retries {retries}"
+                );
+            }
+        }
+        // The default policy on a 65,536-item tenant's longest cycle.
+        let default = RecoveryPolicy::default();
+        assert_eq!(
+            default.max_delivered_access(1 << 17),
+            (2 << 17) - 1 + (1 << 17) * 79
+        );
+        assert!(default.fits(1 << 17));
+        // Saturating, not wrapping, at the extremes.
+        let huge = RecoveryPolicy {
+            max_retries: u32::MAX,
+            backoff_cap: u32::MAX,
+            root_replicas: u32::MAX,
+            ..default
+        };
+        assert_eq!(huge.max_delivered_access(usize::MAX), u64::MAX);
+        assert!(!huge.fits(usize::MAX));
+        let retries = RecoveryPolicy {
+            max_retries: u32::MAX,
+            ..default
+        };
+        assert!(!retries.fits(2));
     }
 
     #[test]

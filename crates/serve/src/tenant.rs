@@ -1243,10 +1243,10 @@ impl TenantRuntime {
 /// recorded them into, returning the window to `mark`. The slice's first
 /// `fed` requests (the refused chunk included) are replayed from the
 /// sampler state `state` through a scratch session: draws, tune-ins and
-/// fault links depend only on that state and the request index, and the
-/// refused chunk records the same prefix again before it is refused, so
-/// the replayed histogram holds exactly what the slice recorded. Cold:
-/// it runs only on the way to a panic.
+/// fault links depend only on that state and the request index, and a
+/// refused chunk records nothing on either path, clean or lossy, in the
+/// slice or in the replay, so the replayed histogram holds exactly what
+/// the slice recorded. Cold: it runs only on the way to a panic.
 #[cold]
 fn take_back(
     program: &CompiledProgram,
@@ -1873,8 +1873,29 @@ mod tests {
         // between it and a tenant that panics or over-allocates once it
         // serves. Values one past a bound must fall back a generation;
         // values at the bound must restore the newest.
+        // The largest retry budget whose worst delivered access on the
+        // tenant's longest cycle still fits the kernel's `u32`.
+        fn last_fitting_retries(t: &TenantRuntime) -> u32 {
+            let fits = |max_retries| {
+                let policy = RecoveryPolicy {
+                    max_retries,
+                    ..t.config.recovery
+                };
+                policy.fits(max_cycle_len(ITEMS))
+            };
+            let (mut lo, mut hi) = (0u32, u32::MAX);
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if fits(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            lo
+        }
         type Tamper = fn(&mut TenantRuntime);
-        let cases: [(&str, bool, Tamper); 17] = [
+        let cases: [(&str, bool, Tamper); 20] = [
             ("loss_bad 2.0", false, |t| t.faults = burst(2.0)),
             ("loss_bad 1.0", true, |t| t.faults = burst(1.0)),
             ("erasure 1.5", false, |t| t.faults = erasure(1.5)),
@@ -1909,6 +1930,15 @@ mod tests {
             }),
             ("replicas 2 x items", true, |t| {
                 t.config.recovery.root_replicas = 2 * ITEMS as u32
+            }),
+            ("max_retries u32::MAX", false, |t| {
+                t.config.recovery.max_retries = u32::MAX
+            }),
+            ("max_retries past the bound", false, |t| {
+                t.config.recovery.max_retries = last_fitting_retries(t) + 1
+            }),
+            ("max_retries at the bound", true, |t| {
+                t.config.recovery.max_retries = last_fitting_retries(t)
             }),
         ];
         for (what, restores, tamper) in cases {

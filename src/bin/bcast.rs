@@ -452,11 +452,20 @@ fn simulate_lossy(
         root_replicas: opts.parse::<u32>("replicas")?.unwrap_or(1).max(1),
         ..defaults
     };
-    if !policy.fits(program.cycle_len()) {
+    let cycle = program.cycle_len();
+    if policy.root_replicas as usize > cycle {
         return Err(format!(
-            "--replicas {} exceeds the cycle length {}",
-            policy.root_replicas,
-            program.cycle_len()
+            "--replicas {} exceeds the cycle length {cycle}",
+            policy.root_replicas
+        ));
+    }
+    if !policy.fits(cycle) {
+        return Err(format!(
+            "--retries {} lets a delivered access take up to {} slots on this \
+             {cycle}-slot cycle, more than the {} the serving kernel can record",
+            policy.max_retries,
+            policy.max_delivered_access(cycle),
+            u32::MAX
         ));
     }
     let compiled = CompiledProgram::compile(program, tree).map_err(|e| e.to_string())?;

@@ -161,6 +161,38 @@ fn replicas_past_the_cycle_are_refused() {
     }
 }
 
+/// `--retries` bounds how long a delivered access can take, and the
+/// serving kernel records each access time as a `u32`: on the demo's
+/// 5-slot cycle (default backoff cap 4, one root) 53,687,094 retries
+/// reach at most 9 + 5 × (31 + 16 × 53,687,089) = 4,294,967,284 slots,
+/// and one more retry could pass `u32::MAX`, so it is refused by name.
+#[test]
+fn retries_past_the_access_time_bound_are_refused() {
+    let simulate = [
+        "simulate",
+        "--demo",
+        "--channels",
+        "2",
+        "--item",
+        "C",
+        "--loss",
+        "0.1",
+        "--requests",
+        "100",
+        "--retries",
+    ];
+    run_ok(&[&simulate[..], &["53687094"]].concat());
+    let out = bcast()
+        .args(simulate)
+        .arg("53687095")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--retries 53687095"), "{err}");
+    assert!(!err.contains("--replicas"), "{err}");
+}
+
 /// Loss probabilities past 1 are refused before any lossy work, through
 /// the fault plan's own constructors; 1 itself is a channel that loses
 /// everything.

@@ -166,6 +166,119 @@ proptest! {
         // Re-serving the identical batch is bit-identical (pure function).
         prop_assert_eq!(&m1, &compiled.serve_batch(&targets, &base).expect("rerun"));
     }
+
+    /// The chunked lossy kernel (`serve_batch` under faults) is
+    /// *bit-identical* to the per-request reference loop
+    /// (`serve_batch_scalar`) — `==` on the whole `BatchMetrics`,
+    /// histogram included — across random trees, k ∈ {1,2,3}, both fault
+    /// models with loss probabilities 0 and 1 among the draws, 1–5 root
+    /// replicas, retry budgets 0–10 under a finite timeout, batch lengths
+    /// on both sides of the 256-request chunk and over several whole
+    /// chunks, and 1 or 3 threads.
+    #[test]
+    fn chunked_lossy_kernel_is_bit_identical_to_scalar(
+        n in 2usize..40,
+        fanout in 2usize..5,
+        k in 1usize..4,
+        seed in 0u64..100_000,
+        variant in 0usize..2,
+        p_pick in 0usize..4,
+        p in 0.0f64..1.0,
+        replicas in 1u32..6,
+        retries in 0u32..11,
+        timeout in 0u64..5_000,
+        len_pick in 0usize..8,
+        threads in 0usize..2,
+    ) {
+        let cfg = RandomTreeConfig {
+            data_nodes: n,
+            max_fanout: fanout,
+            weights: FrequencyDist::Zipf { theta: 0.9, scale: 100.0 },
+        };
+        let tree = random_tree(&cfg, seed);
+        let schedule = sorting::sorting_schedule(&tree, k);
+        let (_, compiled) = build(&tree, &schedule, k);
+        let data = tree.data_nodes();
+        let len = [0usize, 1, 255, 256, 257, 512, 768, 1041][len_pick];
+        let targets: Vec<NodeId> = RequestStream::zipf(data.len(), 1.0, seed ^ 0x7A1)
+            .take(len)
+            .map(|i| data[i])
+            .collect();
+        let p = [0.0, 1.0, p, p][p_pick];
+        let opts = ServeOptions {
+            threads: 1 + 2 * threads,
+            seed,
+            faults: plan_for(variant, p, seed ^ 0x1055),
+            recovery: RecoveryPolicy {
+                max_retries: retries,
+                timeout_slots: timeout,
+                root_replicas: replicas,
+                ..RecoveryPolicy::default()
+            },
+        };
+        let chunked = compiled.serve_batch(&targets, &opts).expect("routable");
+        let scalar = compiled.serve_batch_scalar(&targets, &opts).expect("routable");
+        prop_assert_eq!(chunked, scalar);
+    }
+
+    /// No access delivered under a policy that `fits` the cycle takes
+    /// longer than `RecoveryPolicy::max_delivered_access`, so the kernel's
+    /// `u32` access times always hold the true value: random trees, both
+    /// fault models, 1–5 root replicas (at most one per slot), backoff
+    /// caps 0–5 and budgets up to 12 retries with no timeout.
+    #[test]
+    fn delivered_access_never_exceeds_the_policy_bound(
+        n in 2usize..20,
+        fanout in 2usize..5,
+        k in 1usize..4,
+        seed in 0u64..100_000,
+        variant in 0usize..2,
+        p in 0.0f64..0.95,
+        replicas in 1u32..6,
+        retries in 0u32..13,
+        cap in 0u32..6,
+    ) {
+        let cfg = RandomTreeConfig {
+            data_nodes: n,
+            max_fanout: fanout,
+            weights: FrequencyDist::Uniform { lo: 1.0, hi: 100.0 },
+        };
+        let tree = random_tree(&cfg, seed);
+        let schedule = sorting::sorting_schedule(&tree, k);
+        let (_, compiled) = build(&tree, &schedule, k);
+        let cycle = compiled.cycle_len();
+        let policy = RecoveryPolicy {
+            max_retries: retries,
+            timeout_slots: u64::MAX,
+            backoff_cap: cap,
+            root_replicas: replicas.min(cycle as u32),
+        };
+        prop_assert!(policy.fits(cycle));
+        let bound = policy.max_delivered_access(cycle);
+        let plan = plan_for(variant, p, seed ^ 0xB0B);
+        let c = cycle as u32;
+        for &d in tree.data_nodes() {
+            for tune in [1, c / 2 + 1, c] {
+                for request in 0..16u64 {
+                    let out = compiled
+                        .access_lossy(d, Slot(tune), &plan, request, &policy)
+                        .expect("routable");
+                    if let RequestOutcome::Delivered(del) = out {
+                        prop_assert!(
+                            del.total_access_time() <= bound,
+                            "{} > {} (node {:?} tune {} request {})",
+                            del.total_access_time(), bound, d, tune, request
+                        );
+                    }
+                }
+            }
+        }
+        let data = tree.data_nodes();
+        let targets: Vec<NodeId> = (0..600).map(|i| data[i % data.len()]).collect();
+        let opts = ServeOptions { seed, faults: plan, recovery: policy, ..ServeOptions::default() };
+        let m = compiled.serve_batch(&targets, &opts).expect("routable");
+        prop_assert!(m.histogram.is_empty() || u64::from(m.histogram.max()) <= bound);
+    }
 }
 
 /// `make chaos`: a hostile channel at scale. 100k weighted requests over a

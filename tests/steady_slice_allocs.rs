@@ -7,9 +7,10 @@
 //! after that on this thread. The roster is drift-gated clean tenants,
 //! whose cadence points fall inside the counted window and are gated off,
 //! plus one tenant on the brownout channel, so the lossy kernel path is
-//! counted too, and one tenant large enough for the prefetching chunk path
-//! (`PREFETCH_MIN_LEN` items, republishes off), so that path is counted as
-//! well.
+//! counted too, and two tenants large enough for the prefetching chunk
+//! paths (`PREFETCH_MIN_LEN` items, republishes and degradation feedback
+//! off), one clean and one on the brownout channel, so that the clean and
+//! the lossy prefetching chunks are counted as well.
 
 use broadcast_alloc::serve::{ServeLoop, TenantConfig};
 use broadcast_alloc::types::alloc_counter::{allocation_count, CountingAlloc};
@@ -35,19 +36,22 @@ const COUNTED: u32 = 16;
 fn warm_steady_slices_do_not_allocate() {
     let brownout_id = CLEAN_TENANTS;
     let large_id = brownout_id + 1;
+    let large_brownout_id = large_id + 1;
     let mut svc = ServeLoop::new(0x5EED, 1);
     for id in 0..=brownout_id {
         let mut config = TenantConfig::new(id, ITEMS);
         config.rebuild_min_drift = Some(0.3);
         svc.join(config);
     }
-    let mut large = TenantConfig::new(large_id, PREFETCH_MIN_LEN);
-    large.rebuild_every = None;
-    large.degradation = None;
-    svc.join(large);
+    for id in [large_id, large_brownout_id] {
+        let mut large = TenantConfig::new(id, PREFETCH_MIN_LEN);
+        large.rebuild_every = None;
+        large.degradation = None;
+        svc.join(large);
+    }
     for t in svc.tenants_mut() {
         let demand = DemandSpec::flat(DemandShape::Zipf { theta: 0.9 }, RATE);
-        let (faults, slo) = if t.id() == brownout_id {
+        let (faults, slo) = if t.id() == brownout_id || t.id() == large_brownout_id {
             (Some(brownout_channel()), SloSpec::degraded(0.90, 8.0))
         } else {
             (None, SloSpec::lossless())
@@ -65,6 +69,11 @@ fn warm_steady_slices_do_not_allocate() {
         if t.id() == large_id {
             assert_eq!(snap.rebuilds, 0, "{snap:?}");
             assert_eq!(snap.delivered, snap.requests, "{snap:?}");
+            continue;
+        }
+        if t.id() == large_brownout_id {
+            assert_eq!(snap.rebuilds, 0, "{snap:?}");
+            assert!(snap.retries > 0, "{snap:?}");
             continue;
         }
         assert_eq!(snap.rebuilds, 1, "tenant {}: {snap:?}", t.id());
