@@ -189,6 +189,23 @@ impl EmaEstimator {
     /// `max(1e-6)` floor, bit for bit.
     pub fn drain_changed(&mut self, out: &mut Vec<(u32, Weight)>) {
         self.dirty.sort_unstable();
+        self.publish_dirty(|i, w| out.push((i, w)));
+    }
+
+    /// [`drain_changed`](EmaEstimator::drain_changed) without its list:
+    /// advances the published snapshot over the changed set and clears
+    /// it, for a rebuild that reads the whole snapshot from
+    /// [`published`](EmaEstimator::published) and never the changes.
+    /// O(changed) and allocation-free; the set is not sorted, since only
+    /// the list's order depends on it.
+    pub fn publish_changed(&mut self) {
+        self.publish_dirty(|_, _| {});
+    }
+
+    /// Publishes every dirty item's floored estimate, handing each
+    /// `(item, weight)` to `emit` in the changed set's order, and clears
+    /// the set.
+    fn publish_dirty(&mut self, mut emit: impl FnMut(u32, Weight)) {
         // Until the first publish a roll marks every item dirty, so the
         // first drain with anything to publish publishes every item.
         self.published_yet |= !self.dirty.is_empty();
@@ -197,7 +214,7 @@ impl EmaEstimator {
                 .expect("EMA of counts is finite, non-negative");
             self.published[i as usize] = w;
             self.dirty_flag[i as usize] = false;
-            out.push((i, w));
+            emit(i, w);
         }
         self.dirty.clear();
     }
@@ -782,6 +799,50 @@ mod tests {
                     .map(|&p| if p.is_nan() { FLOOR } else { p }.to_bits())
                     .collect();
                 prop_assert_eq!(published, expected);
+            }
+        }
+
+        /// The list-free drain against `drain_changed`, over random
+        /// observe / roll / drain sequences that may drain before the
+        /// first roll: after every step the estimator that only advances
+        /// its snapshot must equal a twin that drained the list, in the
+        /// published weights, the published-yet flag, the dirty flags,
+        /// `changed()` and the drift bits.
+        #[test]
+        fn the_list_free_drain_is_drain_changed_without_its_list(
+            items in 1usize..12,
+            alpha in 0.05f64..1.0,
+            early_drain in any::<bool>(),
+            ops in prop::collection::vec(0usize..96, 0..400),
+        ) {
+            let mut est = EmaEstimator::new(items, alpha);
+            let mut twin = EmaEstimator::new(items, alpha);
+            let mut out = Vec::new();
+            // Each draw is an op code (its low three bits) and an item.
+            for code in early_drain.then_some(7).into_iter().chain(ops) {
+                let item = code >> 3;
+                match code & 7 {
+                    0..=4 => {
+                        est.observe(item % items);
+                        twin.observe(item % items);
+                    }
+                    5 | 6 => {
+                        est.roll_epoch();
+                        twin.roll_epoch();
+                    }
+                    _ => {
+                        est.publish_changed();
+                        twin.drain_changed(&mut out);
+                    }
+                }
+                prop_assert_eq!(est.published(), twin.published());
+                prop_assert_eq!(est.published_yet, twin.published_yet);
+                prop_assert_eq!(&est.dirty_flag, &twin.dirty_flag);
+                prop_assert_eq!(est.changed(), twin.changed());
+                prop_assert_eq!(
+                    est.drift_since_publish().to_bits(),
+                    twin.drift_since_publish().to_bits()
+                );
             }
         }
     }

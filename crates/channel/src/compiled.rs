@@ -252,12 +252,15 @@ impl CompiledProgram {
     }
 
     /// Resets the tables for `n` nodes and `cycle_len` slots, keeping the
-    /// backing capacity — the fused pipeline's rebuild entry point
-    /// (`clear` + `resize` never reallocates once the buffer has grown
-    /// to steady-state size).
+    /// backing capacity — the fused pipeline's rebuild entry point. A
+    /// buffer too small for `n` grows to exactly `n` records, not by
+    /// doubling: the table goes on to serve a program of `n` nodes, and
+    /// a spare that now and then grows by a few records costs less than
+    /// every served table carrying twice its size.
     pub(crate) fn reset(&mut self, n: usize, cycle_len: u32) {
         self.cycle_len = cycle_len;
         self.routes.clear();
+        self.routes.reserve_exact(n);
         self.routes.resize(n, [0; 2]);
         self.num_data = 0;
     }
@@ -287,10 +290,16 @@ impl CompiledProgram {
         *rec = [slot, route_word(path_len(rec[1]), switches)];
     }
 
+    /// Route records this program's buffer can hold without growing.
+    pub(crate) fn capacity(&self) -> usize {
+        self.routes.capacity()
+    }
+
     /// Makes `self` a bit-identical copy of `other`, reusing this buffer's
     /// capacity (`Vec::clone_from` — memcpy-grade, no allocation once
-    /// capacities match). The delta lane seeds the back buffer from the
-    /// served front program before patching dirty records.
+    /// capacities match). The delta lane seeds the spare table from the
+    /// served program before patching dirty records, and a publish hands
+    /// a program over this way when the spare is far larger than it.
     pub(crate) fn copy_from(&mut self, other: &CompiledProgram) {
         self.cycle_len = other.cycle_len;
         self.routes.clone_from(&other.routes);

@@ -29,8 +29,9 @@
 //!   [`LatencyHistogram`];
 //! * [`publish`] — the fused zero-allocation path from a heuristic's
 //!   [`SlotPlan`] straight to a servable [`CompiledProgram`]
-//!   ([`PublishPipeline`]), double-buffered so a rebuild never disturbs
-//!   the program currently being served;
+//!   ([`PublishPipeline`]), which builds into a spare route table and
+//!   swaps it in only on success, so a rebuild never disturbs the program
+//!   currently being served and one pipeline can publish for many;
 //! * [`snapshot`] — versioned, CRC-sealed, fixed-layout binary images
 //!   of a [`CompiledProgram`] ([`SnapshotImage`]): a publish persisted
 //!   once cold-starts any number of later tenants with a bounds-checked

@@ -20,13 +20,19 @@
 //! `T(Di)`, path lengths and cumulative channel switches directly into a
 //! [`CompiledProgram`] — the same single-DFS argument as PR 3's compile
 //! step, except the "DFS" degenerates to the slot sweep because parents
-//! always occupy strictly earlier slots. The pipeline is double-buffered:
-//! each publish builds into the back buffer and swaps, so the previously
-//! served tables stay untouched mid-rebuild and their capacity is recycled
-//! on the next epoch. After warm-up the whole fused path performs zero
-//! heap allocations (asserted by `tests/publish_pipeline.rs` under the
-//! `alloc-count` counting allocator). The delta lane's
-//! [`PublishPipeline::republish_delta`] seeds the spare buffer with one
+//! always occupy strictly earlier slots.
+//!
+//! The pipeline is scratch only, held apart from the program it publishes
+//! for. Each publish builds into the spare route table the pipeline keeps
+//! and, on success, swaps it with the served program the caller passes
+//! in, so the served tables stay untouched mid-rebuild (and after a failed
+//! one) and their capacity is recycled on the next epoch. Every publish
+//! initializes each buffer before it reads it, so one pipeline can publish
+//! for any number of served programs in turn: a serving lane shares one
+//! among all its tenants. After warm-up the whole fused path performs
+//! zero heap allocations (asserted by `tests/publish_pipeline.rs` under
+//! the `alloc-count` counting allocator). The delta lane's
+//! [`PublishPipeline::republish_delta`] seeds the spare table with one
 //! copy of the served tables before it patches.
 //!
 //! [`SlotPlan`] is the flat schedule representation the heuristics emit
@@ -184,8 +190,10 @@ impl SlotPlan {
     }
 }
 
-/// The fused publisher: reusable flat state turning a [`SlotPlan`] into a
-/// servable [`CompiledProgram`] in one pass (see the module docs).
+/// The fused publisher's scratch: reusable flat state turning a
+/// [`SlotPlan`] into a servable [`CompiledProgram`] in one pass (see the
+/// module docs). It holds no served program, only the spare route table
+/// the next publish builds into.
 #[derive(Debug, Default)]
 pub struct PublishPipeline {
     /// Channel of each placed node this publish; `u16::MAX` = unplaced.
@@ -200,13 +208,12 @@ pub struct PublishPipeline {
     ordered: Vec<NodeId>,
     /// Members deferred to the lowest-free pass, in rank order.
     deferred: Vec<NodeId>,
-    /// Channel count of the last successful publish.
+    /// Channel count of the last successful publish, which the placement
+    /// columns describe (`0` if none, or forgotten).
     num_channels: usize,
-    /// The program currently being served (last successful publish).
-    front: CompiledProgram,
-    /// The buffer the next publish builds into (previous epoch's tables,
-    /// capacity recycled).
-    back: CompiledProgram,
+    /// The route table the next publish builds into: the tables a served
+    /// program held before its last publish, capacity recycled.
+    spare: CompiledProgram,
 }
 
 impl PublishPipeline {
@@ -215,19 +222,18 @@ impl PublishPipeline {
         PublishPipeline::default()
     }
 
-    /// The route tables of the most recent successful [`publish`]
-    /// (empty tables if none yet).
-    ///
-    /// [`publish`]: PublishPipeline::publish
-    pub fn current(&self) -> &CompiledProgram {
-        &self.front
-    }
-
     /// Fused publish: assigns channels to `plan`'s slots with the §3.1
     /// rules, validates feasibility inline, and emits the compiled route
     /// tables — all in one pass over flat arrays. On success the new
-    /// program is swapped to the front buffer and returned; on error the
-    /// front buffer (the program being served) is left untouched.
+    /// program replaces `served` and `served`'s old tables become the
+    /// pipeline's spare; on error `served` (the program being served) is
+    /// left untouched.
+    ///
+    /// The hand-over is a swap, unless the spare holds more than twice
+    /// the records the new program needs: then the program is copied into
+    /// `served` and the spare kept, so a pipeline shared by catalogs of
+    /// different sizes never leaves a small one holding a large one's
+    /// tables.
     ///
     /// The result is bit-identical to the three-pass path
     /// `Allocation::from_slot_schedule` → `BroadcastProgram::build` →
@@ -256,7 +262,8 @@ impl PublishPipeline {
         tree: &IndexTree,
         plan: &SlotPlan,
         num_channels: usize,
-    ) -> Result<&CompiledProgram, FeasibilityError> {
+        served: &mut CompiledProgram,
+    ) -> Result<(), FeasibilityError> {
         assert!(num_channels > 0, "need at least one channel");
         if tree.depth() > MAX_ROUTE_DEPTH {
             return Err(FeasibilityError::TreeTooDeep(tree.depth()));
@@ -272,7 +279,7 @@ impl PublishPipeline {
         self.switches.resize(n, 0);
         self.used.clear();
         self.used.resize(k, false);
-        self.back
+        self.spare
             .reset(n, u32::try_from(plan.len()).expect("cycle fits in u32"));
 
         let levels = tree.level_table();
@@ -341,8 +348,12 @@ impl PublishPipeline {
         }
 
         self.num_channels = k;
-        std::mem::swap(&mut self.front, &mut self.back);
-        Ok(&self.front)
+        if self.spare.capacity() > 2 * n {
+            served.copy_from(&self.spare);
+        } else {
+            std::mem::swap(served, &mut self.spare);
+        }
+        Ok(())
     }
 
     /// Delta republish: patches the compiled tables instead of rebuilding
@@ -353,10 +364,10 @@ impl PublishPipeline {
     /// and `dirty[i]` must be true for every slot whose member set changed
     /// (both the old and new slot of every moved node).
     ///
-    /// The back buffer is first seeded with one bit-copy of the served
-    /// front program's route tables, so each patch pays one memcpy-grade
-    /// O(n) copy; keeping the spare buffer in sync instead would cost
-    /// every full publish a copy whether or not a patch ever follows.
+    /// The spare table is first seeded with one bit-copy of `served`'s
+    /// route tables, so each patch pays one memcpy-grade O(n) copy;
+    /// keeping the spare in sync instead would cost every full publish a
+    /// copy whether or not a patch ever follows.
     /// Dirty slots are then re-assigned ascending with the *identical*
     /// §3.1 per-slot rules as [`publish`]: rank-sorted members,
     /// root/parent preference, lowest-free fallback.
@@ -369,11 +380,11 @@ impl PublishPipeline {
     /// bit-identical to a full [`publish`] of the patched plan, pinned by
     /// `tests/delta_republish.rs`.
     ///
-    /// On return the patched program has been swapped to the front buffer.
+    /// On return the patched program has been swapped into `served`.
     ///
     /// # Panics
     /// Panics if no publish succeeded yet, or `tree` / `num_channels` /
-    /// `dirty.len()` disagree with the last published epoch.
+    /// `dirty.len()` / `served` disagree with the last published epoch.
     ///
     /// [`publish`]: PublishPipeline::publish
     pub fn republish_delta(
@@ -382,7 +393,8 @@ impl PublishPipeline {
         plan: &SlotPlan,
         num_channels: usize,
         dirty: &mut [bool],
-    ) -> &CompiledProgram {
+        served: &mut CompiledProgram,
+    ) {
         let k = num_channels;
         assert_eq!(
             k, self.num_channels,
@@ -395,11 +407,11 @@ impl PublishPipeline {
         );
         assert_eq!(dirty.len(), plan.len(), "one dirty flag per slot");
         assert_eq!(
-            self.front.cycle_len(),
+            served.cycle_len(),
             plan.len(),
             "cycle length is repack-invariant"
         );
-        self.back.copy_from(&self.front);
+        self.spare.copy_from(served);
 
         for offset in 0..plan.len() {
             if !dirty[offset] {
@@ -446,8 +458,7 @@ impl PublishPipeline {
             }
         }
 
-        std::mem::swap(&mut self.front, &mut self.back);
-        &self.front
+        std::mem::swap(served, &mut self.spare);
     }
 
     /// [`republish_delta`]'s placement: recomputes `node`'s
@@ -484,7 +495,7 @@ impl PublishPipeline {
         self.slot_of[i] = slot;
         self.switches[i] = switches;
         if tree.is_data(node) {
-            self.back.patch_data(node, slot, switches);
+            self.spare.patch_data(node, slot, switches);
         } else {
             for &c in tree.children(node) {
                 // A moved child's *new* slot is already dirty (the core
@@ -534,41 +545,29 @@ impl PublishPipeline {
             // `path_len` is the bucket count on the root..=data pointer
             // path, which the pointer-graph DFS counts one hop at a time —
             // but it is exactly the node's level, already cached.
-            self.back.record_data(node, slot, levels[i], switches);
+            self.spare.record_data(node, slot, levels[i], switches);
         }
         Ok(())
     }
 
-    /// Channel count of the last successful publish (`0` if none yet).
+    /// Channel count of the last successful publish (`0` if none yet, or
+    /// after [`forget_placement`](PublishPipeline::forget_placement)).
     pub fn num_channels(&self) -> usize {
         self.num_channels
     }
 
-    /// Captures the served program into a [`SnapshotImage`]
-    /// (`data_nodes` is the publish's item catalog, in item order) —
-    /// the persistence half of the microsecond cold-start path.
-    ///
-    /// [`SnapshotImage`]: crate::snapshot::SnapshotImage
-    pub fn snapshot_image(&self, data_nodes: &[NodeId]) -> crate::snapshot::SnapshotImage {
-        crate::snapshot::SnapshotImage::capture(&self.front, self.num_channels, data_nodes)
-    }
-
-    /// Installs an externally built program (a validated snapshot load)
-    /// as the served front buffer — the restore half of the cold-start
-    /// path. The placement arrays stay empty: [`addr`] answers `None`
-    /// and [`materialize_program`] is unavailable until the next full
-    /// [`publish`] re-derives them, but serving and a full republish
-    /// need only the route tables installed here.
+    /// Forgets the placement of the last publish, for a publisher that
+    /// installs a program it did not derive (a validated snapshot load):
+    /// [`addr`] answers `None` and [`materialize_program`] is unavailable
+    /// until the next full [`publish`] re-derives the placement, so
+    /// neither (nor the delta lane) can trust columns that describe
+    /// another program.
     ///
     /// [`addr`]: PublishPipeline::addr
     /// [`materialize_program`]: PublishPipeline::materialize_program
     /// [`publish`]: PublishPipeline::publish
-    pub fn adopt_program(&mut self, program: CompiledProgram, num_channels: usize) {
-        assert!(num_channels > 0, "need at least one channel");
-        self.front = program;
-        self.num_channels = num_channels;
-        // No placement state: the adopted program serves, but the delta
-        // lane and the address queries must not trust stale arrays.
+    pub fn forget_placement(&mut self) {
+        self.num_channels = 0;
         self.channel_of.clear();
         self.slot_of.clear();
         self.switches.clear();
@@ -590,7 +589,8 @@ impl PublishPipeline {
             tree.len(),
             "materialize_program requires a prior publish over the same tree"
         );
-        let cycle_len = self.front.cycle_len();
+        // Every slot of a plan holds a node, so the last slot is the cycle.
+        let cycle_len = self.slot_of.iter().copied().max().unwrap_or(0) as usize;
         let mut grid = vec![vec![Bucket::Empty; cycle_len]; self.num_channels];
         for i in 0..tree.len() {
             let node = NodeId::from_index(i);
@@ -676,9 +676,9 @@ mod tests {
         let program = BroadcastProgram::build(&alloc, &t).unwrap();
         let compiled = CompiledProgram::compile(&program, &t).unwrap();
 
-        let mut pipe = PublishPipeline::new();
-        let fused = pipe.publish(&t, &plan, 2).unwrap();
-        assert_eq!(*fused, compiled);
+        let (mut pipe, mut served) = (PublishPipeline::new(), CompiledProgram::default());
+        pipe.publish(&t, &plan, 2, &mut served).unwrap();
+        assert_eq!(served, compiled);
         assert_eq!(pipe.materialize_program(&t), program);
         for i in 0..t.len() {
             let n = NodeId::from_index(i);
@@ -690,9 +690,9 @@ mod tests {
     fn republish_reuses_buffers_and_preserves_front_on_error() {
         let t = builders::paper_example();
         let plan = fig2b_plan(&t);
-        let mut pipe = PublishPipeline::new();
-        pipe.publish(&t, &plan, 2).unwrap();
-        let good = pipe.current().clone();
+        let (mut pipe, mut served) = (PublishPipeline::new(), CompiledProgram::default());
+        pipe.publish(&t, &plan, 2, &mut served).unwrap();
+        let good = served.clone();
 
         // An infeasible plan: three members into two channels.
         let mut bad = SlotPlan::new();
@@ -702,14 +702,14 @@ mod tests {
             }
             bad.commit_slot();
         }
-        let err = pipe.publish(&t, &bad, 2).unwrap_err();
+        let err = pipe.publish(&t, &bad, 2, &mut served).unwrap_err();
         assert!(matches!(err, FeasibilityError::BucketCollision(_)));
         // The served program is untouched by the failed rebuild.
-        assert_eq!(*pipe.current(), good);
+        assert_eq!(served, good);
 
         // And a successful republish swaps buffers without losing content.
-        let again = pipe.publish(&t, &plan, 2).unwrap();
-        assert_eq!(*again, good);
+        pipe.publish(&t, &plan, 2, &mut served).unwrap();
+        assert_eq!(served, good);
     }
 
     #[test]
@@ -726,7 +726,9 @@ mod tests {
         }
         plan.commit_slot();
         let mut pipe = PublishPipeline::new();
-        let err = pipe.publish(&t, &plan, 2).unwrap_err();
+        let err = pipe
+            .publish(&t, &plan, 2, &mut CompiledProgram::default())
+            .unwrap_err();
         assert!(matches!(err, FeasibilityError::ChildBeforeParent { .. }));
     }
 
@@ -739,7 +741,9 @@ mod tests {
         }
         plan.commit_slot();
         let mut pipe = PublishPipeline::new();
-        let err = pipe.publish(&t, &plan, 2).unwrap_err();
+        let err = pipe
+            .publish(&t, &plan, 2, &mut CompiledProgram::default())
+            .unwrap_err();
         assert!(matches!(err, FeasibilityError::NodeUnplaced(_)));
     }
 
@@ -770,22 +774,22 @@ mod tests {
     #[test]
     fn too_deep_a_tree_is_refused_and_the_served_program_kept() {
         let t = builders::paper_example();
-        let mut pipe = PublishPipeline::new();
-        pipe.publish(&t, &fig2b_plan(&t), 2).unwrap();
-        let good = pipe.current().clone();
+        let (mut pipe, mut served) = (PublishPipeline::new(), CompiledProgram::default());
+        pipe.publish(&t, &fig2b_plan(&t), 2, &mut served).unwrap();
+        let good = served.clone();
 
         // 65,535 items: 65,536 levels, one more than a route word counts.
         let (deep, plan) = zigzag_chain(65_535);
-        let err = pipe.publish(&deep, &plan, 2).unwrap_err();
+        let err = pipe.publish(&deep, &plan, 2, &mut served).unwrap_err();
         assert_eq!(err, FeasibilityError::TreeTooDeep(65_536));
-        assert_eq!(*pipe.current(), good);
+        assert_eq!(served, good);
 
         // One level shallower publishes, bit-identical to the three-pass
         // path, with both route fields at their largest real values.
         let (t, plan) = zigzag_chain(65_534);
         assert_eq!(t.depth(), MAX_ROUTE_DEPTH);
-        let fused = pipe.publish(&t, &plan, 2).unwrap().clone();
-        let program = pipe.materialize_program(&t);
+        pipe.publish(&t, &plan, 2, &mut served).unwrap();
+        let (fused, program) = (served, pipe.materialize_program(&t));
         assert_eq!(fused, CompiledProgram::compile(&program, &t).unwrap());
         let last = *t.data_nodes().last().unwrap();
         let trace = fused.access(last, Slot::FIRST).unwrap();
@@ -807,8 +811,44 @@ mod tests {
         let alloc = Allocation::from_sequence(&seq, &t).unwrap();
         let program = BroadcastProgram::build(&alloc, &t).unwrap();
         let compiled = CompiledProgram::compile(&program, &t).unwrap();
-        let mut pipe = PublishPipeline::new();
-        assert_eq!(*pipe.publish(&t, &plan, 1).unwrap(), compiled);
+        let (mut pipe, mut served) = (PublishPipeline::new(), CompiledProgram::default());
+        pipe.publish(&t, &plan, 1, &mut served).unwrap();
+        assert_eq!(served, compiled);
         assert_eq!(pipe.materialize_program(&t), program);
+    }
+
+    #[test]
+    fn a_shared_pipeline_publishes_each_program_as_a_fresh_one_would() {
+        // One pipeline publishing for a large program and a small one in
+        // turn: each comes out as a pipeline of its own would build it,
+        // and the small one never takes over the large one's tables.
+        let (small_tree, small_plan) = zigzag_chain(8);
+        let (large_tree, large_plan) = zigzag_chain(200);
+        let fresh = |tree: &IndexTree, plan: &SlotPlan| {
+            let mut served = CompiledProgram::default();
+            PublishPipeline::new()
+                .publish(tree, plan, 2, &mut served)
+                .unwrap();
+            served
+        };
+        let (small_alone, large_alone) = (
+            fresh(&small_tree, &small_plan),
+            fresh(&large_tree, &large_plan),
+        );
+        let mut pipe = PublishPipeline::new();
+        let (mut small, mut large) = (CompiledProgram::default(), CompiledProgram::default());
+        for _ in 0..3 {
+            pipe.publish(&large_tree, &large_plan, 2, &mut large)
+                .unwrap();
+            assert_eq!(large, large_alone);
+            pipe.publish(&small_tree, &small_plan, 2, &mut small)
+                .unwrap();
+            assert_eq!(small, small_alone);
+            assert!(
+                small.capacity() <= 2 * small_tree.len(),
+                "{}",
+                small.capacity()
+            );
+        }
     }
 }

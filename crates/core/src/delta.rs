@@ -49,7 +49,7 @@
 //!    conservative per-level position guards read off the full run's
 //!    plan, also abort — inner selection is a global order property.
 //! 4. **Route patch** — [`PublishPipeline::republish_delta`] seeds the
-//!    back buffer with one copy of the served tables and re-runs the
+//!    spare table with one copy of the served tables and re-runs the
 //!    per-slot §3.1 assignment only over dirty slots, cascading through
 //!    descendants' slots when a `(channel, slot, switches)` triple
 //!    moves, then swaps — downtime stays zero. The copy is the patch's
@@ -322,7 +322,8 @@ impl Publisher {
             Some(r) => r,
             None => {
                 if self.delta.baseline == Baseline::Seedable {
-                    self.delta.rebuild(tree, k, &self.order, &self.plan);
+                    self.delta
+                        .rebuild(tree, k, &self.work.order, &self.work.plan);
                 }
                 match self.try_patch(tree, changes, k, delta) {
                     Ok(touched) => {
@@ -355,6 +356,7 @@ impl Publisher {
     ) -> Result<usize, FullReason> {
         let n = tree.len();
         let st = &mut self.delta;
+        let work = &mut self.work;
 
         // Stage 1: dirty frontier — proper ancestors of changed leaves.
         if st.stamp.len() != n {
@@ -385,7 +387,7 @@ impl Publisher {
         // are structural and fixed).
         let weights = tree.subtree_weight_table();
         let sizes = tree.subtree_size_table();
-        let keys = &mut self.sort.keys;
+        let keys = &mut work.sort.keys;
         for &(id, _) in changes {
             keys[id.index()] = density_key(weights[id.index()].get(), sizes[id.index()]);
         }
@@ -396,7 +398,7 @@ impl Publisher {
         // Stage 2: re-sort dirty child ranges, diff old vs new → windows.
         st.windows.clear();
         let flat = tree.flat_children();
-        let sorted = &mut self.sort.sorted;
+        let sorted = &mut work.sort.sorted;
         for &p in &st.dirty_parents {
             let r = tree.child_range(p);
             if r.len() <= 1 {
@@ -472,7 +474,7 @@ impl Publisher {
                     if st.pos_slot[p as usize] < st.first_dump_slot {
                         return Err(FullReason::InnerPlacement);
                     }
-                    let lvl = levels[self.order[p as usize].index()] as usize;
+                    let lvl = levels[work.order[p as usize].index()] as usize;
                     if p < st.inner_guard[lvl] {
                         return Err(FullReason::InnerPlacement);
                     }
@@ -489,12 +491,12 @@ impl Publisher {
             let mut cursor = w.lo as usize;
             for c in w.ci..w.cj {
                 st.stack.clear();
-                st.stack.push(self.sort.sorted[r.start + c as usize]);
+                st.stack.push(work.sort.sorted[r.start + c as usize]);
                 while let Some(nd) = st.stack.pop() {
-                    self.order[cursor] = nd;
+                    work.order[cursor] = nd;
                     st.seq[nd.index()] = cursor as u32;
                     cursor += 1;
-                    for &cc in self.sort.sorted[tree.child_range(nd)].iter().rev() {
+                    for &cc in work.sort.sorted[tree.child_range(nd)].iter().rev() {
                         st.stack.push(cc);
                     }
                 }
@@ -503,18 +505,23 @@ impl Publisher {
         }
 
         st.dirty_slots.clear();
-        st.dirty_slots.resize(self.plan.len(), false);
+        st.dirty_slots.resize(work.plan.len(), false);
 
         if k == 1 {
             // One slot per position: patch members directly.
             for w in &st.windows {
                 for p in w.lo..w.hi {
-                    self.plan.set_member(p as usize, self.order[p as usize]);
+                    work.plan.set_member(p as usize, work.order[p as usize]);
                     st.dirty_slots[p as usize] = true;
                 }
             }
-            self.pipeline
-                .republish_delta(tree, &self.plan, k, &mut st.dirty_slots);
+            work.pipeline.republish_delta(
+                tree,
+                &work.plan,
+                k,
+                &mut st.dirty_slots,
+                &mut self.served,
+            );
             return Ok(touched);
         }
 
@@ -538,7 +545,7 @@ impl Publisher {
                 st.regions[ri].1 = st.regions[ri].1.max(nxt.1);
             }
             let (sa, sb) = st.regions[ri];
-            touched += resim_region(st, tree, &self.order, &mut self.plan, k, sa, sb)?;
+            touched += resim_region(st, tree, &work.order, &mut work.plan, k, sa, sb)?;
             if touched > budget {
                 return Err(FullReason::OverBudget);
             }
@@ -550,8 +557,8 @@ impl Publisher {
         }
 
         // Stage 4: patch the route tables over the dirty slots and swap.
-        self.pipeline
-            .republish_delta(tree, &self.plan, k, &mut st.dirty_slots);
+        work.pipeline
+            .republish_delta(tree, &work.plan, k, &mut st.dirty_slots, &mut self.served);
         Ok(touched)
     }
 }

@@ -44,5 +44,5 @@ pub mod topo_tree;
 
 pub use delta::{DeltaLane, DeltaOptions, DeltaReport, FullReason};
 pub use optimal::{find_optimal, OptimalOptions, OptimalResult, SearchError, Strategy};
-pub use publish::{PublishHeuristic, PublishOptions, Publisher};
+pub use publish::{PublishHeuristic, PublishOptions, PublishWorkspace, Publisher};
 pub use schedule::Schedule;

@@ -1,22 +1,28 @@
 //! One-call fused publish: heuristic order → slot plan → compiled routes.
 //!
-//! [`Publisher`] owns every scratch buffer the heuristics and the fused
-//! [`PublishPipeline`] need, so a steady-state republish — the adaptive
-//! controller's rebuild loop, a periodic workload refresh — performs no
-//! heap allocation after warm-up: orders are emitted into a reused `Vec`,
-//! packed into a reused [`SlotPlan`], and compiled into the pipeline's
-//! double-buffered route tables in a single traversal.
+//! A [`PublishWorkspace`] owns every scratch buffer the heuristics and
+//! the fused [`PublishPipeline`] need, so a steady-state republish — the
+//! adaptive controller's rebuild loop, a periodic workload refresh —
+//! performs no heap allocation after warm-up: orders are emitted into a
+//! reused `Vec`, packed into a reused [`SlotPlan`], and compiled into the
+//! pipeline's spare route table in a single traversal. A [`Publisher`]
+//! holds the program it serves and publishes either through a workspace
+//! of its own ([`Publisher::publish`]) or through one it borrows
+//! ([`Publisher::publish_in`]); both run the same code. A serving lane
+//! lends one workspace to every tenant it runs, so each tenant keeps only
+//! its program between republishes.
 //!
 //! A publish builds nothing for the delta lane. A successful `Sorting`
-//! run only records that its order and plan can seed the lane's diff
-//! state; [`Publisher::republish_delta`] builds that state on its first
-//! call, so a publisher that never calls it never pays for it.
+//! run through the publisher's own workspace only records that its order
+//! and plan can seed the lane's diff state;
+//! [`Publisher::republish_delta`] builds that state on its first call, so
+//! a publisher that never calls it never pays for it.
 //!
 //! The output is bit-identical to the legacy three-pass path
 //! (`Schedule` → `Allocation::from_slot_schedule` →
 //! `BroadcastProgram::build` → `CompiledProgram::compile`) because the
 //! heuristic entry points are thin wrappers over the same `_into` engines
-//! this struct drives (property-tested in `tests/publish_pipeline.rs`).
+//! this module drives (property-tested in `tests/publish_pipeline.rs`).
 
 use crate::heuristics::shrink::combine_order_into;
 use crate::heuristics::sorting::{density_rank_into, sorted_preorder_into, SortScratch};
@@ -59,7 +65,60 @@ pub enum PublishHeuristic {
 #[non_exhaustive]
 pub struct PublishOptions;
 
-/// Reusable publish engine: heuristic scratch + slot plan + fused pipeline.
+/// Every buffer a publish writes and then leaves idle until the next one:
+/// the heuristics' scratch, the node order, the slot plan, and the fused
+/// pipeline's placement columns and spare route table.
+///
+/// A publish initializes each buffer before it reads it, so one workspace
+/// serves any number of publishers in turn and carries nothing from one
+/// to the next; a publish abandoned midway (a panic caught above it)
+/// leaves nothing the next one reads. The buffers grow to the largest
+/// catalog published through them and are never shrunk.
+#[derive(Debug, Default)]
+pub struct PublishWorkspace {
+    pub(crate) sort: SortScratch,
+    pack: PackScratch,
+    pub(crate) order: Vec<NodeId>,
+    pub(crate) plan: SlotPlan,
+    pub(crate) pipeline: PublishPipeline,
+}
+
+impl PublishWorkspace {
+    /// An empty workspace; it allocates nothing until its first publish.
+    pub fn new() -> Self {
+        PublishWorkspace::default()
+    }
+
+    /// Schedules `tree` onto `k` channels with `heuristic` and compiles
+    /// the route tables into `served` (see [`Publisher::publish`]).
+    fn publish(
+        &mut self,
+        tree: &IndexTree,
+        k: usize,
+        heuristic: PublishHeuristic,
+        served: &mut CompiledProgram,
+    ) -> Result<(), FeasibilityError> {
+        let order: &[NodeId] = match heuristic {
+            PublishHeuristic::Sorting => {
+                sorted_preorder_into(tree, &mut self.sort, &mut self.order);
+                &self.order
+            }
+            PublishHeuristic::Frontier => {
+                density_rank_into(tree, &mut self.sort, &mut self.order);
+                &self.order
+            }
+            PublishHeuristic::Shrink { max_nodes } => {
+                combine_order_into(tree, max_nodes, &mut self.order);
+                &self.order
+            }
+            PublishHeuristic::Preorder => tree.preorder(),
+        };
+        greedy_pack_into(order, tree, k, &mut self.pack, &mut self.plan);
+        self.pipeline.publish(tree, &self.plan, k, served)
+    }
+}
+
+/// The program a tenant serves, plus the means to republish it.
 ///
 /// See the [module docs](self) for the allocation discipline. The program
 /// returned by [`publish`](Publisher::publish) stays valid (and served via
@@ -67,11 +126,14 @@ pub struct PublishOptions;
 /// a failed publish leaves it untouched.
 #[derive(Debug, Default)]
 pub struct Publisher {
-    pub(crate) sort: SortScratch,
-    pack: PackScratch,
-    pub(crate) order: Vec<NodeId>,
-    pub(crate) plan: SlotPlan,
-    pub(crate) pipeline: PublishPipeline,
+    /// The workspace of [`publish`](Publisher::publish) and the delta
+    /// lane. A publisher that only publishes through borrowed workspaces
+    /// never sizes it.
+    pub(crate) work: PublishWorkspace,
+    /// The program on air: the last successful publish.
+    pub(crate) served: CompiledProgram,
+    /// Channel count of the program on air.
+    channels: usize,
     /// Diff state of the incremental republish lane
     /// ([`Publisher::republish_delta`] in [`crate::delta`]). A publish
     /// only records whether its order and plan can seed it; the lane
@@ -86,7 +148,8 @@ impl Publisher {
     }
 
     /// Schedules `tree` onto `k` channels with `heuristic` and compiles the
-    /// route tables, reusing every buffer from previous calls.
+    /// route tables, reusing every buffer of this publisher's own
+    /// workspace from previous calls.
     ///
     /// # Errors
     /// Propagates the pipeline's feasibility errors:
@@ -105,38 +168,49 @@ impl Publisher {
         heuristic: PublishHeuristic,
         _: PublishOptions,
     ) -> Result<&CompiledProgram, FeasibilityError> {
-        let order: &[NodeId] = match heuristic {
-            PublishHeuristic::Sorting => {
-                sorted_preorder_into(tree, &mut self.sort, &mut self.order);
-                &self.order
-            }
-            PublishHeuristic::Frontier => {
-                density_rank_into(tree, &mut self.sort, &mut self.order);
-                &self.order
-            }
-            PublishHeuristic::Shrink { max_nodes } => {
-                combine_order_into(tree, max_nodes, &mut self.order);
-                &self.order
-            }
-            PublishHeuristic::Preorder => tree.preorder(),
-        };
-        greedy_pack_into(order, tree, k, &mut self.pack, &mut self.plan);
         // Only the Sorting heuristic has an incremental twin, so only a
         // successful Sorting run leaves an order and plan the delta lane
         // can build its baseline from; anything else, a failure included,
         // makes the next `republish_delta` fall back cleanly.
         self.delta.invalidate();
-        self.pipeline.publish(tree, &self.plan, k)?;
+        self.work.publish(tree, k, heuristic, &mut self.served)?;
+        self.channels = k;
         if heuristic == PublishHeuristic::Sorting {
             self.delta.mark_seedable(tree, k);
         }
-        Ok(self.pipeline.current())
+        Ok(&self.served)
+    }
+
+    /// [`publish`](Publisher::publish) through a borrowed workspace: the
+    /// same code and the same program, with every buffer it writes left
+    /// in `work`, so this publisher keeps only the program. That leaves
+    /// no order or plan here for the delta lane to build from, so the
+    /// next [`republish_delta`](Publisher::republish_delta) falls back
+    /// to a full publish.
+    ///
+    /// # Errors
+    /// As [`publish`](Publisher::publish); a failure leaves the served
+    /// program untouched.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn publish_in(
+        &mut self,
+        work: &mut PublishWorkspace,
+        tree: &IndexTree,
+        k: usize,
+        heuristic: PublishHeuristic,
+    ) -> Result<&CompiledProgram, FeasibilityError> {
+        self.delta.invalidate();
+        work.publish(tree, k, heuristic, &mut self.served)?;
+        self.channels = k;
+        Ok(&self.served)
     }
 
     /// The route tables of the most recent successful publish (empty
     /// tables if none yet).
     pub fn current(&self) -> &CompiledProgram {
-        self.pipeline.current()
+        &self.served
     }
 
     /// Captures the served program into a checksummed snapshot image
@@ -144,28 +218,37 @@ impl Publisher {
     /// last publish — its data catalog is stored so a cold-start can
     /// rebuild the item → node map without the tree.
     pub fn snapshot_image(&self, tree: &IndexTree) -> bcast_channel::SnapshotImage {
-        self.pipeline.snapshot_image(tree.data_nodes())
+        bcast_channel::SnapshotImage::capture(&self.served, self.channels, tree.data_nodes())
     }
 
     /// Installs a snapshot-loaded program as the served one, bypassing
     /// the publish path entirely — the microsecond cold-start. The
-    /// incremental delta state is invalidated (there is no diff baseline
-    /// for a program this publisher never derived), so the next
-    /// `republish_delta` falls back to a full publish cleanly.
+    /// incremental delta state is invalidated and the workspace's
+    /// placement forgotten (there is no diff baseline for a program this
+    /// publisher never derived), so the next `republish_delta` falls back
+    /// to a full publish cleanly.
+    ///
+    /// # Panics
+    /// Panics if `channels == 0`.
     pub fn adopt_snapshot(&mut self, program: CompiledProgram, channels: usize) {
-        self.pipeline.adopt_program(program, channels);
+        assert!(channels > 0, "need at least one channel");
+        self.served = program;
+        self.channels = channels;
+        self.work.pipeline.forget_placement();
         self.delta.invalidate();
     }
 
-    /// The slot plan behind the most recent publish attempt.
+    /// The slot plan behind the most recent publish attempt through this
+    /// publisher's own workspace.
     pub fn plan(&self) -> &SlotPlan {
-        &self.plan
+        &self.work.plan
     }
 
-    /// The underlying fused pipeline (bucket addresses, program
-    /// materialization for oracle checks).
+    /// The fused pipeline of this publisher's own workspace (bucket
+    /// addresses, program materialization for oracle checks), as its last
+    /// publish left it.
     pub fn pipeline(&self) -> &PublishPipeline {
-        &self.pipeline
+        &self.work.pipeline
     }
 }
 
@@ -225,6 +308,66 @@ mod tests {
         p.publish(&t, 1, PublishHeuristic::Sorting, PublishOptions::default())
             .unwrap();
         assert_ne!(*p.current(), first, "k = 1 republish replaces the program");
+    }
+
+    #[test]
+    fn a_borrowed_workspace_publishes_like_an_own_one_and_seeds_no_delta_lane() {
+        use crate::{DeltaLane, DeltaOptions, FullReason};
+        use bcast_index_tree::knary;
+        use bcast_types::Weight;
+        let zipf: Vec<Weight> = (0..300)
+            .map(|i| Weight::new(1.0 / (i + 1) as f64).unwrap())
+            .collect();
+        let trees = [
+            knary::build_weight_balanced_unlabeled(&zipf, 4).unwrap(),
+            builders::paper_example(),
+        ];
+        // Two publishers take turns on one workspace, alternating a large
+        // and a small tree: each publish must come out as a fresh
+        // publisher's would, whatever the workspace held before. The
+        // workspace first holds a publish abandoned midway: a chain too
+        // deep to route is ordered and packed, then refused.
+        let mut work = PublishWorkspace::new();
+        let mut borrowers = [Publisher::new(), Publisher::new()];
+        let opts = PublishOptions::default();
+        let deep = builders::chain(&vec![Weight::from(1u32); 65_535]).unwrap();
+        let refused = borrowers[0].publish_in(&mut work, &deep, 2, PublishHeuristic::Sorting);
+        assert_eq!(refused, Err(FeasibilityError::TreeTooDeep(65_536)));
+        assert_eq!(*borrowers[0].current(), CompiledProgram::default());
+        for k in [1usize, 3] {
+            for h in [
+                PublishHeuristic::Sorting,
+                PublishHeuristic::Frontier,
+                PublishHeuristic::Shrink { max_nodes: 6 },
+                PublishHeuristic::Preorder,
+            ] {
+                for (p, t) in borrowers.iter_mut().zip(&trees) {
+                    let served = p.publish_in(&mut work, t, k, h).unwrap().clone();
+                    let mut fresh = Publisher::new();
+                    assert_eq!(
+                        served,
+                        *fresh.publish(t, k, h, opts).unwrap(),
+                        "{h:?}, k = {k}"
+                    );
+                }
+            }
+        }
+        // The borrowers sized nothing of their own and left the delta lane
+        // no baseline: its next call falls back to a full publish.
+        let [p, _] = &mut borrowers;
+        assert_eq!(p.work.order.capacity(), 0);
+        assert_eq!(p.plan().node_count(), 0);
+        let report = p
+            .republish_delta(
+                &trees[0],
+                &[],
+                3,
+                PublishHeuristic::Sorting,
+                opts,
+                DeltaOptions { max_touched: 1.0 },
+            )
+            .unwrap();
+        assert_eq!(report.lane, DeltaLane::Full(FullReason::ColdState));
     }
 
     #[test]

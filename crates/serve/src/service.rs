@@ -25,11 +25,20 @@
 //!   The assignment is a pure function of deterministic hints, and lane
 //!   placement cannot affect any tenant's outcome anyway (isolation), so
 //!   scheduling is free to chase balance.
+//! * **One rebuild workspace per lane.** A full republish writes a
+//!   workspace's worth of buffers (sort keys, order, slot plan, placement
+//!   columns, a spare route table) and then leaves them idle until the
+//!   next one. The loop keeps one [`PublishWorkspace`] per lane and lends
+//!   it to each tenant the lane runs, for the boot publish in
+//!   [`join`](ServeLoop::join) and for every full rebuild, so a tenant
+//!   keeps only the program it serves. Lanes run their tenants one after
+//!   another, so one set of buffers per lane is all the roster ever uses
+//!   at once.
 
 use crate::checkpoint::{read_heuristic, write_heuristic, CheckpointError};
 use crate::tenant::{mix2, RebuildLane, TenantConfig, TenantRuntime};
 use bcast_channel::SnapshotImage;
-use bcast_core::publish::PublishHeuristic;
+use bcast_core::publish::{PublishHeuristic, PublishWorkspace};
 use bcast_types::{WordReader, WordWriter, WorkerPool};
 
 /// Seed salt for the overload shedder's per-slice remainder lottery,
@@ -97,6 +106,15 @@ struct TenantsPtr(*mut TenantRuntime);
 // SAFETY: see above — all concurrent accesses go to disjoint elements.
 unsafe impl Sync for TenantsPtr {}
 
+/// Shared mutable access to the per-lane rebuild workspaces for the pool
+/// closure. Lane `l` touches only workspace `l`, and the pool runs each
+/// lane index exactly once per job, so no element is touched by two
+/// lanes.
+struct WorkspacesPtr(*mut PublishWorkspace);
+// SAFETY: see above — every lane reaches one distinct element, which
+// holds only plain buffers.
+unsafe impl Sync for WorkspacesPtr {}
+
 /// Wall-clock execution statistics of the serving loop's worker pool — a
 /// side channel for operators and benches, never part of a deterministic
 /// outcome (lane busy times are wall time).
@@ -143,6 +161,11 @@ pub struct ServeLoop {
     /// Scratch: per-roster-index admitted cap for the coming slice
     /// (`u64::MAX` = uncapped).
     admit_caps: Vec<u64>,
+    /// One rebuild workspace per lane (index = pool lane; lane 0 also
+    /// serves the sequential path and boot publishes), made when a lane
+    /// is first needed and sized by its first publish. Execution-side
+    /// like the pool: never checkpointed, dropped with the loop.
+    workspaces: Vec<PublishWorkspace>,
 }
 
 impl ServeLoop {
@@ -164,6 +187,15 @@ impl ServeLoop {
             slice_budget: None,
             admit_order: Vec::new(),
             admit_caps: Vec::new(),
+            workspaces: Vec::new(),
+        }
+    }
+
+    /// Makes the rebuild workspaces of the first `lanes` lanes that are
+    /// not made yet. A new workspace holds no buffers until it publishes.
+    fn make_workspaces(&mut self, lanes: usize) {
+        if self.workspaces.len() < lanes {
+            self.workspaces.resize_with(lanes, PublishWorkspace::new);
         }
     }
 
@@ -260,7 +292,8 @@ impl ServeLoop {
     /// the real binary round-trip ([`TenantRuntime::from_snapshot`]) —
     /// bit-identical serving, microseconds instead of a publish. The
     /// first join of each shape pays the boot publish and deposits its
-    /// image for the rest.
+    /// image for the rest. A cold boot publishes through lane 0's
+    /// rebuild workspace.
     ///
     /// # Panics
     /// Panics if a tenant with the same id is already on the roster.
@@ -284,7 +317,8 @@ impl ServeLoop {
                 t
             }
             None => {
-                let t = TenantRuntime::new(config, self.seed);
+                self.make_workspaces(1);
+                let t = TenantRuntime::new_in(config, self.seed, &mut self.workspaces[0]);
                 if t.config().rebuild_lane == RebuildLane::Full {
                     self.boot_images.push((key, t.snapshot_image()));
                 }
@@ -363,34 +397,44 @@ impl ServeLoop {
     /// their cost hints and executed in parallel; otherwise the roster
     /// runs sequentially on the calling thread. Either way the result is
     /// bit-identical to every other thread count — lanes own disjoint
-    /// tenants and tenants are self-contained.
+    /// tenants and tenants are self-contained. Each lane lends its rebuild
+    /// workspace to the tenants it runs, one after another.
     pub fn run_slice(&mut self) {
         self.admit_slice();
         let lanes = self.threads.clamp(1, self.tenants.len().max(1));
         if lanes <= 1 {
+            self.make_workspaces(1);
+            let work = &mut self.workspaces[0];
             for t in &mut self.tenants {
-                t.run_slice();
+                t.run_slice_in(work);
             }
         } else {
             let pool_lanes = self.threads;
             self.schedule(lanes, pool_lanes);
+            self.make_workspaces(pool_lanes);
+            let works = WorkspacesPtr(self.workspaces.as_mut_ptr());
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(pool_lanes));
             let base = TenantsPtr(self.tenants.as_mut_ptr());
-            // Capture the `Sync` wrapper by reference, not its raw-pointer
-            // field (closure field-capture would otherwise grab the
-            // non-`Sync` pointer itself).
-            let base = &base;
+            // Capture the `Sync` wrappers by reference, not their
+            // raw-pointer fields (closure field-capture would otherwise
+            // grab the non-`Sync` pointers themselves).
+            let (base, works) = (&base, &works);
             let perm = &self.sched.perm;
             let starts = &self.sched.starts;
             pool.run(|lane| {
                 let lo = starts[lane] as usize;
                 let hi = starts[lane + 1] as usize;
+                // SAFETY: the pool runs each lane index in
+                // `0..pool_lanes` exactly once, and `workspaces` holds at
+                // least `pool_lanes` of them, so this lane's is in bounds
+                // and no other lane reaches it.
+                let work = unsafe { &mut *works.0.add(lane) };
                 for &ti in &perm[lo..hi] {
                     // SAFETY: `perm` is a permutation of the roster
                     // partitioned by lane, so every tenant index is
                     // visited by exactly one lane — accesses through the
                     // shared base pointer are disjoint.
-                    unsafe { (*base.0.add(ti as usize)).run_slice() };
+                    unsafe { (*base.0.add(ti as usize)).run_slice_in(work) };
                 }
             });
             self.scheduled_slices += 1;
@@ -485,9 +529,9 @@ impl ServeLoop {
 
     /// Serializes the full deterministic service state — everything the
     /// slice loop consumes — into the manifest word stream. The worker
-    /// pool, scheduler scratch and wall-clock stats are execution-side
-    /// and excluded (a restore at a different thread count is still
-    /// bit-identical).
+    /// pool, scheduler scratch, rebuild workspaces and wall-clock stats
+    /// are execution-side and excluded (a restore at a different thread
+    /// count is still bit-identical).
     ///
     /// # Errors
     /// [`CheckpointError::DeltaLaneUnsupported`] if any tenant rebuilds
@@ -609,6 +653,7 @@ impl ServeLoop {
             slice_budget,
             admit_order: Vec::new(),
             admit_caps: Vec::new(),
+            workspaces: Vec::new(),
         })
     }
 }

@@ -1,8 +1,11 @@
-//! One tenant of the serving loop: a double-buffered publisher, a demand
+//! One tenant of the serving loop: the program on air, a demand
 //! estimator and a degradation tracker, advanced one time slice at a
-//! time. A tenant keeps only what its rebuild lane reads: the delta lane
-//! keeps the boot index tree it reweights, while the full lane builds a
-//! tree for each rebuild and drops it once published.
+//! time. A tenant keeps only what its rebuild lane reads. The full lane
+//! builds a tree for each rebuild, publishes it through the rebuild
+//! workspace its serving lane lends it, and drops the tree, so between
+//! rebuilds it holds only the program. The delta lane keeps the boot
+//! index tree it reweights, the change lists it diffs by, and a private
+//! publisher whose order and plan its patches start from.
 //!
 //! The demand sampler is derived state: a phase's demand shape plus the
 //! item → node map. A full republish re-mints node ids, so it re-tags a
@@ -27,7 +30,7 @@ use bcast_channel::{
     hist::{HistMark, LatencyHistogram},
     snapshot::{SnapshotError, SnapshotView},
 };
-use bcast_core::publish::{PublishHeuristic, PublishOptions, Publisher};
+use bcast_core::publish::{PublishHeuristic, PublishOptions, PublishWorkspace, Publisher};
 use bcast_core::{DeltaLane, DeltaOptions};
 use bcast_index_tree::{knary, IndexTree};
 use bcast_types::prefetch::PREFETCH_MIN_LEN;
@@ -232,8 +235,8 @@ impl Window {
 }
 
 /// A live tenant: publisher + estimator + degradation tracker (+ the
-/// boot tree on the delta lane), advanced by
-/// [`run_slice`](TenantRuntime::run_slice).
+/// boot tree and change lists on the delta lane), advanced by
+/// [`run_slice_in`](TenantRuntime::run_slice_in).
 #[derive(Debug)]
 pub struct TenantRuntime {
     config: TenantConfig,
@@ -244,6 +247,10 @@ pub struct TenantRuntime {
     /// program and the item → node map.
     tree: Option<IndexTree>,
     data_nodes: Vec<NodeId>,
+    /// The program on air. A full-lane tenant publishes only through
+    /// borrowed workspaces, so its publisher holds the program alone; a
+    /// delta-lane tenant publishes through its own, whose order and plan
+    /// the lane's patches diff against.
     publisher: Publisher,
     estimator: EmaEstimator,
     degradation: Option<DegradationTracker>,
@@ -282,7 +289,8 @@ pub struct TenantRuntime {
     /// EWMA of recent slice request counts — the deterministic cost
     /// input to the service's load-balanced lane assignment.
     ewma_cost: u64,
-    /// Scratch for [`EmaEstimator::drain_changed`] (item-indexed).
+    /// The delta lane's scratch for [`EmaEstimator::drain_changed`]
+    /// (item-indexed); the full lane drains without a list.
     changes: Vec<(u32, Weight)>,
     /// The same changes mapped onto tree data nodes for the delta lane.
     node_changes: Vec<(NodeId, Weight)>,
@@ -299,30 +307,42 @@ pub struct TenantRuntime {
 }
 
 impl TenantRuntime {
-    /// Boots a tenant cold: uniform weights, first program published.
+    /// Boots a tenant cold on its own: [`new_in`](Self::new_in) with a
+    /// workspace of its own, dropped once the boot program is published.
+    ///
+    /// # Panics
+    /// As [`new_in`](Self::new_in).
+    pub fn new(config: TenantConfig, service_seed: u64) -> Self {
+        Self::new_in(config, service_seed, &mut PublishWorkspace::new())
+    }
+
+    /// Boots a tenant cold: uniform weights, first program published. A
+    /// full-lane tenant publishes through `work` (its serving lane's
+    /// rebuild workspace), so it keeps only the program; a delta-lane
+    /// tenant publishes through its private publisher, whose order and
+    /// plan seed the lane.
     ///
     /// # Panics
     /// Panics if `config.items == 0` or the catalog cannot be scheduled
     /// on `config.channels` channels (the bundled heuristics always
     /// produce feasible allocations for sane configs).
-    pub fn new(config: TenantConfig, service_seed: u64) -> Self {
+    pub fn new_in(config: TenantConfig, service_seed: u64, work: &mut PublishWorkspace) -> Self {
         assert!(config.items > 0, "tenant needs at least one item");
         let estimator = EmaEstimator::new(config.items, config.alpha);
         let tree = knary::build_weight_balanced_unlabeled(estimator.published(), config.fanout)
             .expect("uniform weights build a valid tree");
         let mut publisher = Publisher::new();
-        publisher
-            .publish(
-                &tree,
-                config.channels,
-                config.heuristic,
-                PublishOptions::default(),
-            )
-            .expect("bundled heuristics produce feasible allocations");
+        let (k, heuristic) = (config.channels, config.heuristic);
+        let delta_lane = matches!(config.rebuild_lane, RebuildLane::Delta { .. });
+        let published = if delta_lane {
+            publisher.publish(&tree, k, heuristic, PublishOptions::default())
+        } else {
+            publisher.publish_in(work, &tree, k, heuristic)
+        };
+        published.expect("bundled heuristics produce feasible allocations");
         let data_nodes = tree.data_nodes().to_vec();
-        let keep_tree = matches!(config.rebuild_lane, RebuildLane::Delta { .. });
         let mut t = Self::assemble(service_seed, config, publisher, data_nodes, estimator, None);
-        t.tree = keep_tree.then_some(tree);
+        t.tree = delta_lane.then_some(tree);
         t
     }
 
@@ -477,6 +497,12 @@ impl TenantRuntime {
         self.total_rebuilds
     }
 
+    /// The demand estimator: its published snapshot holds the weights
+    /// the last full rebuild built its tree from.
+    pub fn estimator(&self) -> &EmaEstimator {
+        &self.estimator
+    }
+
     /// The SLO the current phase holds this tenant to.
     pub fn slo(&self) -> SloSpec {
         self.slo
@@ -503,10 +529,18 @@ impl TenantRuntime {
         self.window.counts.snapshot_loads = std::mem::take(&mut self.pending_snapshot_loads);
     }
 
+    /// [`run_slice_in`](Self::run_slice_in) for a tenant run on its own:
+    /// a republish gets a workspace of its own, dropped once it is done.
+    pub fn run_slice(&mut self) {
+        self.run_slice_in(&mut PublishWorkspace::new());
+    }
+
     /// Advances the tenant by one time slice: sample the slice's
     /// requests from the scripted demand, serve them against the program
     /// on air, feed the estimator, then run the between-slice control
-    /// actions (degradation feedback, periodic republish). Both rebuild
+    /// actions (degradation feedback, periodic republish). A full-lane
+    /// republish runs in `work`, the rebuild workspace of the serving
+    /// lane running this tenant, and leaves its buffers there. Both rebuild
     /// paths go through the double-buffered publisher swap, so requests
     /// are never held while a program compiles — the downtime counter
     /// stays at zero and the SLO check proves it.
@@ -541,18 +575,18 @@ impl TenantRuntime {
     /// the window ([`SloSnapshot::quarantined`] /
     /// [`SloSnapshot::readmitted`]) and — panics being deterministic
     /// under the chaos hooks — participate in replay equality.
-    pub fn run_slice(&mut self) {
-        self.run_slice_on(self.config.items >= PREFETCH_MIN_LEN);
+    pub fn run_slice_in(&mut self, work: &mut PublishWorkspace) {
+        self.run_slice_on(work, self.config.items >= PREFETCH_MIN_LEN);
     }
 
-    /// [`run_slice`](Self::run_slice) with the request path's form given:
-    /// `chunked` draws and counts a chunk at a time with prefetches.
-    fn run_slice_on(&mut self, chunked: bool) {
+    /// [`run_slice_in`](Self::run_slice_in) with the request path's form
+    /// given: `chunked` draws and counts a chunk at a time with prefetches.
+    fn run_slice_on(&mut self, work: &mut PublishWorkspace, chunked: bool) {
         let parked = self
             .quarantine
             .is_some_and(|q| self.slices_run < q.until_slice);
         let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.slice_body(parked, chunked)
+            self.slice_body(work, parked, chunked)
         }));
         match body {
             Ok(()) => {
@@ -574,12 +608,12 @@ impl TenantRuntime {
         }
     }
 
-    /// The actual slice work (see [`run_slice`](Self::run_slice), which
-    /// wraps it in the panic boundary). `parked` suspends both rebuild
-    /// paths — the quarantined tenant serves from the program already on
-    /// air and its degradation tracker is frozen. `chunked` picks the
-    /// request path's form (see [`ChunkDraws::draw`]).
-    fn slice_body(&mut self, parked: bool, chunked: bool) {
+    /// The actual slice work (see [`run_slice_in`](Self::run_slice_in),
+    /// which wraps it in the panic boundary). `parked` suspends both
+    /// rebuild paths — the quarantined tenant serves from the program
+    /// already on air and its degradation tracker is frozen. `chunked`
+    /// picks the request path's form (see [`ChunkDraws::draw`]).
+    fn slice_body(&mut self, work: &mut PublishWorkspace, parked: bool, chunked: bool) {
         let rate = self
             .demand
             .rate_at(self.slice_in_phase, self.phase_slices.max(1));
@@ -700,7 +734,7 @@ impl TenantRuntime {
                             .as_mut()
                             .is_some_and(|t| t.observe(rate_served));
                     if fire {
-                        self.rebuild();
+                        self.rebuild(work);
                         self.window.counts.degraded_rebuilds += 1;
                     }
                 }
@@ -726,7 +760,7 @@ impl TenantRuntime {
                 if quiet {
                     self.window.counts.skipped_rebuilds += 1;
                 } else {
-                    self.rebuild();
+                    self.rebuild(work);
                 }
             }
         }
@@ -827,32 +861,27 @@ impl TenantRuntime {
     /// Republishes from the estimator's current weights through the
     /// double-buffered swap: the old program serves until the new one is
     /// compiled, then `current()` flips. The configured [`RebuildLane`]
-    /// picks the machinery — a full tree rebuild + publish, or the
-    /// incremental delta lane patching the served schedule in place —
-    /// and the window's lane counters and wall-clock side channel record
-    /// which path ran and how much of the schedule it touched.
-    fn rebuild(&mut self) {
+    /// picks the machinery — a full tree rebuild + publish in `work`, or
+    /// the incremental delta lane patching the served schedule in place
+    /// with its private publisher — and the window's lane counters and
+    /// wall-clock side channel record which path ran and how much of the
+    /// schedule it touched.
+    fn rebuild(&mut self, work: &mut PublishWorkspace) {
         let started = Instant::now();
         // O(changed) estimator handoff, shared by both lanes: the
         // estimator's published snapshot absorbs only the weights that
         // moved. The full lane builds from that snapshot, the delta lane
-        // reweights by the moves.
-        self.changes.clear();
-        self.estimator.drain_changed(&mut self.changes);
+        // also lists the moves to reweight by.
         match self.config.rebuild_lane {
             RebuildLane::Full => {
+                self.estimator.publish_changed();
                 let tree = knary::build_weight_balanced_unlabeled(
                     self.estimator.published(),
                     self.config.fanout,
                 )
                 .expect("estimator weights are positive");
                 self.publisher
-                    .publish(
-                        &tree,
-                        self.config.channels,
-                        self.config.heuristic,
-                        PublishOptions::default(),
-                    )
+                    .publish_in(work, &tree, self.config.channels, self.config.heuristic)
                     .expect("bundled heuristics produce feasible allocations");
                 self.data_nodes.clear();
                 self.data_nodes.extend_from_slice(tree.data_nodes());
@@ -874,6 +903,8 @@ impl TenantRuntime {
                 // program and `data_nodes`.
             }
             RebuildLane::Delta { max_touched } => {
+                self.changes.clear();
+                self.estimator.drain_changed(&mut self.changes);
                 // Structure stays at its boot shape: only weights move,
                 // so `data_nodes` keeps mapping item i → leaf i.
                 let tree = self
@@ -1530,15 +1561,20 @@ mod tests {
     #[test]
     fn only_a_delta_lane_tenant_keeps_a_tree() {
         // The full lane holds no tree after boot, after a rebuild, after
-        // a snapshot boot and after a restore.
+        // a snapshot boot and after a restore, and never a plan of its
+        // own or a change list: it publishes through lent workspaces and
+        // drains without a list.
         let mut t = TenantRuntime::new(TenantConfig::new(3, 64), 0x7EE);
         assert!(t.tree.is_none());
+        assert!(t.publisher.plan().is_empty());
         t.begin_phase(demand(200), None, SloSpec::lossless(), 9);
         for _ in 0..9 {
             t.run_slice();
         }
         assert_eq!(t.phase_snapshot().full_rebuilds, 1);
         assert!(t.tree.is_none());
+        assert!(t.publisher.plan().is_empty());
+        assert_eq!(t.changes.capacity(), 0);
         let image = t.snapshot_image();
         let warm =
             TenantRuntime::from_snapshot(t.config.clone(), 0x7EE, &image.view().unwrap()).unwrap();
@@ -1562,6 +1598,10 @@ mod tests {
         assert_eq!(d.phase_snapshot().rebuilds, 1);
         let tree = d.tree.as_ref().expect("the delta lane keeps its boot tree");
         assert_eq!(tree.data_nodes(), &d.data_nodes[..]);
+        assert!(
+            !d.publisher.plan().is_empty(),
+            "and its own publisher's plan"
+        );
     }
 
     #[test]
@@ -1976,7 +2016,7 @@ mod tests {
                 if slice == 10 {
                     t.set_admitted_cap(Some(300));
                 }
-                t.run_slice_on(chunked);
+                t.run_slice_on(&mut PublishWorkspace::new(), chunked);
                 snaps.push(t.phase_snapshot());
             }
             let mut estimator = WordWriter::new();

@@ -11,9 +11,11 @@
 //!
 //! Beside the count it keeps a high-water mark of the largest single
 //! request ([`take_largest_allocation`]), so a decode test can show that
-//! no value it reads makes it allocate more than a fixed cap.
+//! no value it reads makes it allocate more than a fixed cap, and a
+//! live-byte ledger ([`live_bytes`]: bytes allocated minus bytes freed),
+//! so a test can show how much heap a piece of work leaves behind.
 //!
-//! Both are plain thread-local [`Cell`]s with `const` initializers: no
+//! All three are plain thread-local [`Cell`]s with `const` initializers: no
 //! lazy allocation, no destructor registration, so they are safe to touch
 //! from inside the allocator itself. Counts are per thread —
 //! a zero-alloc assertion on the calling thread says nothing about worker
@@ -27,6 +29,7 @@ use std::cell::Cell;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Number of heap allocations performed by the current thread since it
@@ -43,37 +46,66 @@ pub fn take_largest_allocation() -> usize {
     LARGEST.with(|c| c.replace(0))
 }
 
+/// Heap bytes the current thread has allocated and not freed since it
+/// started: every allocation adds its size, every free subtracts it, and
+/// a `realloc` adds the difference. A block freed on another thread than
+/// the one that allocated it moves bytes between the two threads'
+/// ledgers, so a thread's figure can go negative. Only meaningful under a
+/// [`CountingAlloc`] global allocator.
+pub fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
 /// Counts one allocation of `size` bytes.
 fn record(size: usize) {
     ALLOCATIONS.with(|c| c.set(c.get() + 1));
     LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
-/// A [`System`]-backed global allocator that counts allocations per thread.
+/// Moves the current thread's live-byte ledger by `bytes`.
+fn ledger(bytes: i64) {
+    LIVE.with(|c| c.set(c.get() + bytes));
+}
+
+/// A [`System`]-backed global allocator that counts allocations per thread
+/// and keeps each thread's live-byte ledger.
 ///
-/// `dealloc` is deliberately not counted: the zero-alloc property under
-/// test is "no new heap blocks on the hot path", and frees of warm-up
-/// blocks would only add noise.
+/// A `dealloc` is not counted as an allocation: the zero-alloc property
+/// under test is "no new heap blocks on the hot path", and frees of
+/// warm-up blocks would only add noise. It does come off the ledger.
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
         record(layout.size());
-        System.alloc(layout)
+        if !ptr.is_null() {
+            ledger(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
         record(layout.size());
-        System.alloc_zeroed(layout)
+        if !ptr.is_null() {
+            ledger(layout.size() as i64);
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let moved = System.realloc(ptr, layout, new_size);
         record(new_size);
-        System.realloc(ptr, layout, new_size)
+        if !moved.is_null() {
+            ledger(new_size as i64 - layout.size() as i64);
+        }
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        ledger(-(layout.size() as i64));
     }
 }
 

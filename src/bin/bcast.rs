@@ -385,6 +385,9 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
     let program = BroadcastProgram::build(&alloc, &tree).map_err(|e| e.to_string())?;
     let tune_in = Slot(opts.parse::<u32>("tune-in")?.unwrap_or(1).max(1));
     let trace = simulator::access(&program, &tree, target, tune_in).map_err(|e| e.to_string())?;
+    // Every flag is checked before the first line is printed, so a
+    // refused command leaves nothing on stdout.
+    let lossy = lossy_flags(opts, program.cycle_len())?;
     out!("{}", alloc.render(&tree));
     outln!(
         "fetch '{item}' tuning in at slot {}: probe {} + data {} = {} slots, \
@@ -402,21 +405,24 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
         agg.avg_access_time,
         agg.avg_tuning_time
     );
-    if opts.get("loss").is_some() || opts.get("burst").is_some() {
-        simulate_lossy(opts, &tree, &program, target, tune_in)?;
+    if let Some(lossy) = &lossy {
+        simulate_lossy(lossy, &tree, &program, target, tune_in)?;
     }
     Ok(())
 }
 
-/// The `--loss`/`--burst` extension of `simulate`: replays the same access
-/// over a faulty channel (single recovered trace + a weighted batch).
-fn simulate_lossy(
-    opts: &Flags,
-    tree: &IndexTree,
-    program: &BroadcastProgram,
-    target: broadcast_alloc::types::NodeId,
-    tune_in: Slot,
-) -> Result<(), String> {
+/// The faulty channel `simulate` replays its access over, and how.
+struct Lossy {
+    plan: FaultPlan,
+    policy: RecoveryPolicy,
+    seed: u64,
+    requests: usize,
+}
+
+/// Reads `simulate`'s lossy flags and checks them against the program's
+/// `cycle`: `None` without `--loss` or `--burst`. The recovery policy
+/// (`--retries`, `--timeout`, `--replicas`) is checked either way.
+fn lossy_flags(opts: &Flags, cycle: usize) -> Result<Option<Lossy>, String> {
     let seed: u64 = opts.parse("seed")?.unwrap_or(7);
     let plan = match opts.get("burst") {
         Some(spec) => {
@@ -431,19 +437,18 @@ fn simulate_lossy(
             let [gb, bg, lg, lb] = parts[..] else {
                 return Err("--burst needs four values: GB,BG,LG,LB".into());
             };
-            FaultPlan::gilbert_elliott(
-                GilbertElliott {
-                    p_good_to_bad: gb,
-                    p_bad_to_good: bg,
-                    loss_good: lg,
-                    loss_bad: lb,
-                },
-                seed,
-            )
-            .map_err(|e| e.to_string())?
+            let burst = GilbertElliott {
+                p_good_to_bad: gb,
+                p_bad_to_good: bg,
+                loss_good: lg,
+                loss_bad: lb,
+            };
+            Some(FaultPlan::gilbert_elliott(burst, seed).map_err(|e| e.to_string())?)
         }
-        None => FaultPlan::erasure(opts.parse("loss")?.unwrap_or(0.0), seed)
-            .map_err(|e| e.to_string())?,
+        None => opts
+            .parse("loss")?
+            .map(|loss| FaultPlan::erasure(loss, seed).map_err(|e| e.to_string()))
+            .transpose()?,
     };
     let defaults = RecoveryPolicy::default();
     let policy = RecoveryPolicy {
@@ -452,7 +457,6 @@ fn simulate_lossy(
         root_replicas: opts.parse::<u32>("replicas")?.unwrap_or(1).max(1),
         ..defaults
     };
-    let cycle = program.cycle_len();
     if policy.root_replicas as usize > cycle {
         return Err(format!(
             "--replicas {} exceeds the cycle length {cycle}",
@@ -468,6 +472,30 @@ fn simulate_lossy(
             u32::MAX
         ));
     }
+    let requests: usize = opts.parse("requests")?.unwrap_or(10_000);
+    Ok(plan.map(|plan| Lossy {
+        plan,
+        policy,
+        seed,
+        requests,
+    }))
+}
+
+/// The lossy extension of `simulate`: replays the same access over the
+/// faulty channel (single recovered trace + a weighted batch).
+fn simulate_lossy(
+    lossy: &Lossy,
+    tree: &IndexTree,
+    program: &BroadcastProgram,
+    target: broadcast_alloc::types::NodeId,
+    tune_in: Slot,
+) -> Result<(), String> {
+    let Lossy {
+        plan,
+        policy,
+        seed,
+        requests,
+    } = *lossy;
     let compiled = CompiledProgram::compile(program, tree).map_err(|e| e.to_string())?;
     outln!(
         "\nlossy channel (expected loss {:.2}%, retries <= {}, root replicas {}):",
@@ -488,7 +516,6 @@ fn simulate_lossy(
         ),
         RequestOutcome::Failed(f) => outln!("  this access: {f}"),
     }
-    let requests: usize = opts.parse("requests")?.unwrap_or(10_000);
     let data = tree.data_nodes();
     let weights: Vec<f64> = data.iter().map(|&d| tree.weight(d).get()).collect();
     let targets: Vec<_> = RequestStream::from_weights(&weights, seed ^ 0x7A11)

@@ -193,6 +193,36 @@ fn retries_past_the_access_time_bound_are_refused() {
     assert!(!err.contains("--replicas"), "{err}");
 }
 
+/// A refused lossy flag is refused before `simulate` prints anything, so
+/// a pipeline reading stdout never gets a partial report: a retry budget
+/// past the access-time bound and more root replicas than the demo's
+/// 5-slot cycle, with a lossy channel and without one, and a loss
+/// probability past 1.
+#[test]
+fn refused_lossy_flags_print_nothing() {
+    let simulate = ["simulate", "--demo", "--channels", "2", "--item", "C"];
+    for flags in [
+        &["--retries", "53687095"][..],
+        &["--replicas", "6"],
+        &["--loss", "0.1", "--retries", "53687095"],
+        &["--loss", "0.1", "--replicas", "6"],
+        &["--loss", "1.5"],
+    ] {
+        let out = bcast()
+            .args(simulate)
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{flags:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(!out.stderr.is_empty(), "{flags:?}");
+    }
+}
+
 /// Loss probabilities past 1 are refused before any lossy work, through
 /// the fault plan's own constructors; 1 itself is a channel that loses
 /// everything.
