@@ -16,8 +16,8 @@ BENCH_MANIFEST := crates/bench/src/bin/bcast_bench/Cargo.toml
 # links fail), release build, the full default suite (the root package and
 # every crate under crates/), the benchmark's own tests, then every
 # #[ignore]-gated test whose name contains `stress`, in release mode
-# (search_golden's balanced-d4 twin, the million-item publish, delta,
-# 1_To_k and serving runs, and the pooled-loop soak), the deep oracle
+# (search_golden's balanced-d4 twin, the million-item publish, 1_To_k
+# and serving runs, and the pooled-loop soak), the deep oracle
 # sweep that checks every exact strategy and bound against exhaustive
 # enumeration (about a minute in release), the chaos storms (`make
 # chaos`: the crash-recovery storm of `make crash`, which drives every

@@ -161,7 +161,7 @@ fn publish(pmf: &[f64]) -> SnapshotImage {
             PublishOptions::default(),
         )
         .expect("bundled heuristics produce feasible allocations");
-    publisher.snapshot_image(&tree)
+    SnapshotImage::capture(publisher.current(), CHANNELS, tree.data_nodes())
 }
 
 /// Formula 1's expected data wait Σ pᵢ·T(Dᵢ) / Σ pᵢ of the program in

@@ -22,8 +22,8 @@
 //! # Kernel layout
 //!
 //! Each node owns one 8-byte record `[slot, route]`, stored once and read
-//! by every path: compile, the fused publish, the delta lane's patches,
-//! snapshot capture and install, and all three kernel bodies. `slot` is
+//! by every path: compile, the fused publish, snapshot capture and
+//! install, and all three kernel bodies. `slot` is
 //! `T(Di)`, 1-based, so `slot == 0` doubles as the "unrouted" sentinel —
 //! there is no separate `routed` bitmap to load per request. `route` packs the pointer-path length into its low 16 bits and
 //! the channel switches into its high 16, exactly the snapshot format's
@@ -276,20 +276,6 @@ impl CompiledProgram {
         self.num_data += 1;
     }
 
-    /// Overwrites an *existing* data route record in place — the delta
-    /// republish lane's counterpart of [`record_data`]: `path_len` (the
-    /// node's level) and `num_data` are invariant under a repack, so only
-    /// the slot and switch count move.
-    ///
-    /// [`record_data`]: CompiledProgram::record_data
-    #[inline]
-    pub(crate) fn patch_data(&mut self, node: NodeId, slot: u32, switches: u32) {
-        let rec = &mut self.routes[node.index()];
-        debug_assert!(rec[0] != 0, "patch_data targets an existing record");
-        debug_assert!(slot != 0, "slots are 1-based");
-        *rec = [slot, route_word(path_len(rec[1]), switches)];
-    }
-
     /// Route records this program's buffer can hold without growing.
     pub(crate) fn capacity(&self) -> usize {
         self.routes.capacity()
@@ -297,9 +283,8 @@ impl CompiledProgram {
 
     /// Makes `self` a bit-identical copy of `other`, reusing this buffer's
     /// capacity (`Vec::clone_from` — memcpy-grade, no allocation once
-    /// capacities match). The delta lane seeds the spare table from the
-    /// served program before patching dirty records, and a publish hands
-    /// a program over this way when the spare is far larger than it.
+    /// capacities match). A publish hands a program over this way when
+    /// the spare is far larger than it.
     pub(crate) fn copy_from(&mut self, other: &CompiledProgram) {
         self.cycle_len = other.cycle_len;
         self.routes.clone_from(&other.routes);

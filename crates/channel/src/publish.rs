@@ -31,9 +31,7 @@
 //! for any number of served programs in turn: a serving lane shares one
 //! among all its tenants. After warm-up the whole fused path performs
 //! zero heap allocations (asserted by `tests/publish_pipeline.rs` under
-//! the `alloc-count` counting allocator). The delta lane's
-//! [`PublishPipeline::republish_delta`] seeds the spare table with one
-//! copy of the served tables before it patches.
+//! the `alloc-count` counting allocator).
 //!
 //! [`SlotPlan`] is the flat schedule representation the heuristics emit
 //! into: one members array plus slot boundaries, reusable across rebuilds.
@@ -130,9 +128,7 @@ impl SlotPlan {
         &self.members[self.slot_range(i)]
     }
 
-    /// The `members` index range of committed slot `i` (0-based) — the
-    /// delta republish lane maps its position-space repairs through these
-    /// global offsets.
+    /// The `members` index range of committed slot `i` (0-based).
     #[inline]
     pub fn slot_range(&self, i: usize) -> std::ops::Range<usize> {
         let start = if i == 0 {
@@ -148,16 +144,6 @@ impl SlotPlan {
     #[inline]
     pub fn members(&self) -> &[NodeId] {
         &self.members[..self.node_count()]
-    }
-
-    /// Overwrites the member at global offset `idx` — the delta lane's
-    /// patch-in-place primitive. The slot boundaries are invariant under a
-    /// repack (validated repairs never change per-slot counts), so only
-    /// member identities move.
-    #[inline]
-    pub fn set_member(&mut self, idx: usize, node: NodeId) {
-        debug_assert!(idx < self.node_count(), "patch lands in a committed slot");
-        self.members[idx] = node;
     }
 
     /// Iterates the committed slots as subslices.
@@ -209,7 +195,7 @@ pub struct PublishPipeline {
     /// Members deferred to the lowest-free pass, in rank order.
     deferred: Vec<NodeId>,
     /// Channel count of the last successful publish, which the placement
-    /// columns describe (`0` if none, or forgotten).
+    /// columns describe (`0` if none).
     num_channels: usize,
     /// The route table the next publish builds into: the tables a served
     /// program held before its last publish, capacity recycled.
@@ -356,156 +342,6 @@ impl PublishPipeline {
         Ok(())
     }
 
-    /// Delta republish: patches the compiled tables instead of rebuilding
-    /// them. `plan` must be the last published plan with only *validated*
-    /// in-place repairs applied (same cycle length, same per-slot member
-    /// counts, every member's parent still in a strictly earlier slot —
-    /// `bcast_core`'s delta engine falls back to [`publish`] otherwise),
-    /// and `dirty[i]` must be true for every slot whose member set changed
-    /// (both the old and new slot of every moved node).
-    ///
-    /// The spare table is first seeded with one bit-copy of `served`'s
-    /// route tables, so each patch pays one memcpy-grade O(n) copy;
-    /// keeping the spare in sync instead would cost every full publish a
-    /// copy whether or not a patch ever follows.
-    /// Dirty slots are then re-assigned ascending with the *identical*
-    /// §3.1 per-slot rules as [`publish`]: rank-sorted members,
-    /// root/parent preference, lowest-free fallback.
-    /// Whenever a node's `(channel, slot, switches)` triple moves, its
-    /// children's slots are marked dirty — channel switches are cumulative
-    /// along root paths, and children always air in strictly later slots,
-    /// so the ascending sweep carries every cascade. Slots never marked
-    /// dirty provably re-derive their old assignment (same members, same
-    /// parent state), which is why skipping them is exact: the result is
-    /// bit-identical to a full [`publish`] of the patched plan, pinned by
-    /// `tests/delta_republish.rs`.
-    ///
-    /// On return the patched program has been swapped into `served`.
-    ///
-    /// # Panics
-    /// Panics if no publish succeeded yet, or `tree` / `num_channels` /
-    /// `dirty.len()` / `served` disagree with the last published epoch.
-    ///
-    /// [`publish`]: PublishPipeline::publish
-    pub fn republish_delta(
-        &mut self,
-        tree: &IndexTree,
-        plan: &SlotPlan,
-        num_channels: usize,
-        dirty: &mut [bool],
-        served: &mut CompiledProgram,
-    ) {
-        let k = num_channels;
-        assert_eq!(
-            k, self.num_channels,
-            "channel count changed; full publish required"
-        );
-        assert_eq!(
-            self.channel_of.len(),
-            tree.len(),
-            "tree changed; full publish required"
-        );
-        assert_eq!(dirty.len(), plan.len(), "one dirty flag per slot");
-        assert_eq!(
-            served.cycle_len(),
-            plan.len(),
-            "cycle length is repack-invariant"
-        );
-        self.spare.copy_from(served);
-
-        for offset in 0..plan.len() {
-            if !dirty[offset] {
-                continue;
-            }
-            let slot = offset as u32 + 1;
-            let members = plan.slot(offset);
-            self.ordered.clear();
-            self.ordered.extend_from_slice(members);
-            self.ordered
-                .sort_unstable_by_key(|&m| tree.preorder_rank(m));
-            self.used.fill(false);
-            self.deferred.clear();
-
-            // Pass 1: honor root / parent-channel preferences.
-            for i in 0..self.ordered.len() {
-                let node = self.ordered[i];
-                let preferred = if node == tree.root() {
-                    Some(0usize)
-                } else {
-                    // Parents air strictly earlier, so their patched
-                    // assignment is already final in this ascending sweep.
-                    tree.parent(node)
-                        .map(|p| usize::from(self.channel_of[p.index()]))
-                };
-                match preferred {
-                    Some(c) if c < k && !self.used[c] => {
-                        self.used[c] = true;
-                        self.patch_place(tree, node, c, slot, dirty);
-                    }
-                    _ => self.deferred.push(node),
-                }
-            }
-            // Pass 2: everything else onto the lowest free channels.
-            let mut next_free = 0usize;
-            for i in 0..self.deferred.len() {
-                let node = self.deferred[i];
-                while next_free < k && self.used[next_free] {
-                    next_free += 1;
-                }
-                debug_assert!(next_free < k, "validated repairs never widen a slot past k");
-                self.used[next_free] = true;
-                self.patch_place(tree, node, next_free, slot, dirty);
-            }
-        }
-
-        std::mem::swap(served, &mut self.spare);
-    }
-
-    /// [`republish_delta`]'s placement: recomputes `node`'s
-    /// `(channel, slot, switches)` and, only if the triple moved, updates
-    /// the flat arrays, patches the route record (data nodes), and marks
-    /// the children's slots dirty to carry the cascade.
-    ///
-    /// [`republish_delta`]: PublishPipeline::republish_delta
-    #[inline]
-    fn patch_place(
-        &mut self,
-        tree: &IndexTree,
-        node: NodeId,
-        channel: usize,
-        slot: u32,
-        dirty: &mut [bool],
-    ) {
-        let i = node.index();
-        let switches = match tree.parent(node) {
-            None => 0,
-            Some(p) => {
-                debug_assert!(
-                    self.slot_of[p.index()] != 0 && self.slot_of[p.index()] < slot,
-                    "validated repairs keep parents strictly earlier"
-                );
-                self.switches[p.index()] + u32::from(self.channel_of[p.index()] != channel as u16)
-            }
-        };
-        let ch = u16::try_from(channel).expect("channel fits ChannelId");
-        if self.channel_of[i] == ch && self.slot_of[i] == slot && self.switches[i] == switches {
-            return;
-        }
-        self.channel_of[i] = ch;
-        self.slot_of[i] = slot;
-        self.switches[i] = switches;
-        if tree.is_data(node) {
-            self.spare.patch_data(node, slot, switches);
-        } else {
-            for &c in tree.children(node) {
-                // A moved child's *new* slot is already dirty (the core
-                // engine seeds both endpoints), so marking its possibly
-                // stale stored slot here is safe either way.
-                dirty[self.slot_of[c.index()] as usize - 1] = true;
-            }
-        }
-    }
-
     /// Places `node` on `(channel, slot)`: feasibility checks, switch
     /// accumulation, and the route-table write for data nodes.
     #[inline]
@@ -550,27 +386,9 @@ impl PublishPipeline {
         Ok(())
     }
 
-    /// Channel count of the last successful publish (`0` if none yet, or
-    /// after [`forget_placement`](PublishPipeline::forget_placement)).
+    /// Channel count of the last successful publish (`0` if none yet).
     pub fn num_channels(&self) -> usize {
         self.num_channels
-    }
-
-    /// Forgets the placement of the last publish, for a publisher that
-    /// installs a program it did not derive (a validated snapshot load):
-    /// [`addr`] answers `None` and [`materialize_program`] is unavailable
-    /// until the next full [`publish`] re-derives the placement, so
-    /// neither (nor the delta lane) can trust columns that describe
-    /// another program.
-    ///
-    /// [`addr`]: PublishPipeline::addr
-    /// [`materialize_program`]: PublishPipeline::materialize_program
-    /// [`publish`]: PublishPipeline::publish
-    pub fn forget_placement(&mut self) {
-        self.num_channels = 0;
-        self.channel_of.clear();
-        self.slot_of.clear();
-        self.switches.clear();
     }
 
     /// Reconstructs the full pointer-grid [`BroadcastProgram`] of the last

@@ -32,26 +32,13 @@
 //! at every level (`O(n · depth)`), and it writes the identical plan; the
 //! test module keeps the per-level form as the oracle.
 
-use bcast_index_tree::IndexTree;
-
-/// Slot index at which the procedure's last-level dump begins on `tree`.
-/// Each of the levels `1 .. depth` commits exactly one slot (a node of the
-/// last level is still waiting, so some node is awake), hence the dump
-/// starts at slot `depth − 1`, and slot `s` before it is level `s + 1`'s.
-/// The delta lane (`crate::delta`) guards those inner-level slots and
-/// repairs only dump slots in place.
-pub(crate) fn first_dump_slot(tree: &IndexTree) -> u32 {
-    tree.depth().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::heuristics::sorting::sorted_preorder;
     use crate::schedule::{greedy_pack_into, greedy_schedule_from_order, PackScratch, Schedule};
     use crate::seqset::MinSeqSet;
     use bcast_channel::SlotPlan;
-    use bcast_index_tree::{builders, knary};
+    use bcast_index_tree::{builders, knary, IndexTree};
     use bcast_types::{NodeId, Weight};
     use bcast_workloads::{random_tree, FrequencyDist, RandomTreeConfig};
     use proptest::prelude::*;
@@ -194,7 +181,11 @@ mod tests {
         greedy_pack_into(order, tree, k, &mut PackScratch::new(), &mut plan);
         let (oracle, oracle_dump, oracle_inner) = distribute_oracle(tree, order, k);
         assert_eq!(plan, oracle, "plan");
-        let dump = first_dump_slot(tree);
+        // Each of the levels `1 .. depth` commits exactly one slot (a node
+        // of the last level is still waiting, so some node is awake), hence
+        // the dump starts at slot `depth − 1`, and slot `s` before it is
+        // level `s + 1`'s.
+        let dump = tree.depth().saturating_sub(1);
         assert_eq!(dump, oracle_dump, "first dump slot");
         let inner: Vec<(NodeId, u32, u32)> = (0..dump)
             .flat_map(|s| plan.slot(s as usize).iter().map(move |&n| (n, s + 1, s)))

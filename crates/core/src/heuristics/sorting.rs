@@ -53,17 +53,15 @@ const RADIX_MIN: usize = 64;
 #[derive(Debug, Default)]
 pub struct SortScratch {
     /// Per-node sort key: descending subtree density encoded so plain
-    /// ascending `u64` order gives the paper's `>` order. The delta
-    /// republish lane (`crate::delta`) patches dirty entries in place.
-    pub(crate) keys: Vec<u64>,
+    /// ascending `u64` order gives the paper's `>` order.
+    keys: Vec<u64>,
     /// Working copy of the tree's CSR child table whose per-parent ranges
-    /// are sorted in place. Persistent across publishes: the delta lane
-    /// re-sorts only the dirty parents' ranges.
-    pub(crate) sorted: Vec<NodeId>,
+    /// are sorted in place.
+    sorted: Vec<NodeId>,
     /// DFS emit stack.
-    pub(crate) stack: Vec<NodeId>,
+    stack: Vec<NodeId>,
     /// Radix-scatter buffer for wide ranges.
-    pub(crate) radix: Vec<NodeId>,
+    radix: Vec<NodeId>,
 }
 
 impl SortScratch {
@@ -80,7 +78,7 @@ impl SortScratch {
 /// pattern is monotone in the value; complementing the bits reverses the
 /// order.
 #[inline]
-pub(crate) fn density_key(weight: f64, size: u32) -> u64 {
+fn density_key(weight: f64, size: u32) -> u64 {
     !(weight / f64::from(size)).to_bits()
 }
 
@@ -101,7 +99,7 @@ fn fill_keys(tree: &IndexTree, keys: &mut Vec<u64>) {
 /// ascending id tie-break. The range arrives in ascending id order (a CSR
 /// child range, or all ids), so the stable radix path needs no explicit
 /// tie-break digit.
-pub(crate) fn sort_range(range: &mut [NodeId], keys: &[u64], tmp: &mut Vec<NodeId>) {
+fn sort_range(range: &mut [NodeId], keys: &[u64], tmp: &mut Vec<NodeId>) {
     if range.len() < RADIX_MIN {
         range.sort_unstable_by(|&a, &b| keys[a.index()].cmp(&keys[b.index()]).then(a.cmp(&b)));
         return;

@@ -32,7 +32,6 @@ pub mod best_first;
 pub mod bound;
 pub mod corollary;
 pub mod data_tree;
-pub mod delta;
 pub mod heuristics;
 pub mod optimal;
 pub mod prune;
@@ -42,7 +41,6 @@ pub mod schedule;
 pub mod seqset;
 pub mod topo_tree;
 
-pub use delta::{DeltaLane, DeltaOptions, DeltaReport, FullReason};
 pub use optimal::{find_optimal, OptimalOptions, OptimalResult, SearchError, Strategy};
-pub use publish::{PublishHeuristic, PublishOptions, PublishWorkspace, Publisher};
+pub use publish::{DeltaOptions, PublishHeuristic, PublishOptions, PublishWorkspace, Publisher};
 pub use schedule::Schedule;

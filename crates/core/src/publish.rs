@@ -5,18 +5,12 @@
 //! adaptive controller's rebuild loop, a periodic workload refresh —
 //! performs no heap allocation after warm-up: orders are emitted into a
 //! reused `Vec`, packed into a reused [`SlotPlan`], and compiled into the
-//! pipeline's spare route table in a single traversal. A [`Publisher`]
-//! holds the program it serves and publishes either through a workspace
-//! of its own ([`Publisher::publish`]) or through one it borrows
-//! ([`Publisher::publish_in`]); both run the same code. A serving lane
-//! lends one workspace to every tenant it runs, so each tenant keeps only
-//! its program between republishes.
-//!
-//! A publish builds nothing for the delta lane. A successful `Sorting`
-//! run through the publisher's own workspace only records that its order
-//! and plan can seed the lane's diff state;
-//! [`Publisher::republish_delta`] builds that state on its first call, so
-//! a publisher that never calls it never pays for it.
+//! pipeline's spare route table in a single traversal.
+//! [`PublishWorkspace::publish`] writes into a program the caller keeps,
+//! so one workspace serves any number of programs in turn: a serving lane
+//! lends one to every tenant it runs, and each tenant keeps only its
+//! program between republishes. A [`Publisher`] is a workspace and the
+//! program it serves, for callers that publish one program.
 //!
 //! The output is bit-identical to the legacy three-pass path
 //! (`Schedule` → `Allocation::from_slot_schedule` →
@@ -29,7 +23,7 @@ use crate::heuristics::sorting::{density_rank_into, sorted_preorder_into, SortSc
 use crate::schedule::{greedy_pack_into, PackScratch};
 use bcast_channel::{CompiledProgram, FeasibilityError, PublishPipeline, SlotPlan};
 use bcast_index_tree::IndexTree;
-use bcast_types::NodeId;
+use bcast_types::{NodeId, Weight};
 
 /// Which scheduling policy drives a [`Publisher::publish`] call. Each one
 /// is a node order; [`greedy_pack_into`] turns any of them into the slot
@@ -58,29 +52,37 @@ pub enum PublishHeuristic {
 }
 
 /// Options for a publish call. There are none left: the parameter stays
-/// so existing callers of [`Publisher::publish`] and
-/// [`Publisher::republish_delta`] keep compiling. Build it with
-/// `PublishOptions::default()`.
+/// so existing callers of [`Publisher::publish`] keep compiling. Build it
+/// with `PublishOptions::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct PublishOptions;
+
+/// The argument of [`Publisher::republish_delta`], kept only so its
+/// callers compile: the incremental patch lane it tuned is gone, and
+/// `max_touched` is unread.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaOptions {
+    /// Unread.
+    pub max_touched: f64,
+}
 
 /// Every buffer a publish writes and then leaves idle until the next one:
 /// the heuristics' scratch, the node order, the slot plan, and the fused
 /// pipeline's placement columns and spare route table.
 ///
 /// A publish initializes each buffer before it reads it, so one workspace
-/// serves any number of publishers in turn and carries nothing from one
-/// to the next; a publish abandoned midway (a panic caught above it)
-/// leaves nothing the next one reads. The buffers grow to the largest
-/// catalog published through them and are never shrunk.
+/// serves any number of programs in turn and carries nothing from one to
+/// the next; a publish abandoned midway (a panic caught above it) leaves
+/// nothing the next one reads. The buffers grow to the largest catalog
+/// published through them and are never shrunk.
 #[derive(Debug, Default)]
 pub struct PublishWorkspace {
-    pub(crate) sort: SortScratch,
+    sort: SortScratch,
     pack: PackScratch,
-    pub(crate) order: Vec<NodeId>,
-    pub(crate) plan: SlotPlan,
-    pub(crate) pipeline: PublishPipeline,
+    order: Vec<NodeId>,
+    plan: SlotPlan,
+    pipeline: PublishPipeline,
 }
 
 impl PublishWorkspace {
@@ -90,8 +92,20 @@ impl PublishWorkspace {
     }
 
     /// Schedules `tree` onto `k` channels with `heuristic` and compiles
-    /// the route tables into `served` (see [`Publisher::publish`]).
-    fn publish(
+    /// the route tables into `served`, reusing every buffer of this
+    /// workspace from previous calls. On success the new program replaces
+    /// `served`; on error `served` is left untouched.
+    ///
+    /// # Errors
+    /// Propagates the pipeline's feasibility errors:
+    /// [`FeasibilityError::TreeTooDeep`] for a tree deeper than
+    /// [`MAX_ROUTE_DEPTH`](bcast_channel::MAX_ROUTE_DEPTH) levels.
+    /// Otherwise the built-in heuristics always produce feasible plans, so
+    /// an error indicates a bug.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn publish(
         &mut self,
         tree: &IndexTree,
         k: usize,
@@ -116,9 +130,15 @@ impl PublishWorkspace {
         greedy_pack_into(order, tree, k, &mut self.pack, &mut self.plan);
         self.pipeline.publish(tree, &self.plan, k, served)
     }
+
+    /// The slot plan behind the most recent publish attempt through this
+    /// workspace.
+    pub fn plan(&self) -> &SlotPlan {
+        &self.plan
+    }
 }
 
-/// The program a tenant serves, plus the means to republish it.
+/// A [`PublishWorkspace`] and the program it serves.
 ///
 /// See the [module docs](self) for the allocation discipline. The program
 /// returned by [`publish`](Publisher::publish) stays valid (and served via
@@ -126,19 +146,9 @@ impl PublishWorkspace {
 /// a failed publish leaves it untouched.
 #[derive(Debug, Default)]
 pub struct Publisher {
-    /// The workspace of [`publish`](Publisher::publish) and the delta
-    /// lane. A publisher that only publishes through borrowed workspaces
-    /// never sizes it.
-    pub(crate) work: PublishWorkspace,
+    work: PublishWorkspace,
     /// The program on air: the last successful publish.
-    pub(crate) served: CompiledProgram,
-    /// Channel count of the program on air.
-    channels: usize,
-    /// Diff state of the incremental republish lane
-    /// ([`Publisher::republish_delta`] in [`crate::delta`]). A publish
-    /// only records whether its order and plan can seed it; the lane
-    /// builds it from them on its first call.
-    pub(crate) delta: crate::delta::DeltaState,
+    served: CompiledProgram,
 }
 
 impl Publisher {
@@ -147,17 +157,12 @@ impl Publisher {
         Publisher::default()
     }
 
-    /// Schedules `tree` onto `k` channels with `heuristic` and compiles the
-    /// route tables, reusing every buffer of this publisher's own
-    /// workspace from previous calls.
+    /// [`PublishWorkspace::publish`] through this publisher's workspace
+    /// into the program it serves, which it returns.
     ///
     /// # Errors
-    /// Propagates the pipeline's feasibility errors:
-    /// [`FeasibilityError::TreeTooDeep`] for a tree deeper than
-    /// [`MAX_ROUTE_DEPTH`](bcast_channel::MAX_ROUTE_DEPTH) levels.
-    /// Otherwise the built-in heuristics always produce feasible plans, so
-    /// an error indicates a bug — but the served program (see
-    /// [`current`](Publisher::current)) is left untouched either way.
+    /// As [`PublishWorkspace::publish`]; the served program (see
+    /// [`current`](Publisher::current)) is left untouched.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -168,43 +173,27 @@ impl Publisher {
         heuristic: PublishHeuristic,
         _: PublishOptions,
     ) -> Result<&CompiledProgram, FeasibilityError> {
-        // Only the Sorting heuristic has an incremental twin, so only a
-        // successful Sorting run leaves an order and plan the delta lane
-        // can build its baseline from; anything else, a failure included,
-        // makes the next `republish_delta` fall back cleanly.
-        self.delta.invalidate();
         self.work.publish(tree, k, heuristic, &mut self.served)?;
-        self.channels = k;
-        if heuristic == PublishHeuristic::Sorting {
-            self.delta.mark_seedable(tree, k);
-        }
         Ok(&self.served)
     }
 
-    /// [`publish`](Publisher::publish) through a borrowed workspace: the
-    /// same code and the same program, with every buffer it writes left
-    /// in `work`, so this publisher keeps only the program. That leaves
-    /// no order or plan here for the delta lane to build from, so the
-    /// next [`republish_delta`](Publisher::republish_delta) falls back
-    /// to a full publish.
+    /// A full [`publish`](Publisher::publish) of `tree`, which the caller
+    /// has already reweighted by `changes`. Kept only so its callers
+    /// compile: the incremental patch lane it once ran is gone, and
+    /// `changes` and `delta` are unread.
     ///
     /// # Errors
-    /// As [`publish`](Publisher::publish); a failure leaves the served
-    /// program untouched.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn publish_in(
+    /// As [`publish`](Publisher::publish).
+    pub fn republish_delta(
         &mut self,
-        work: &mut PublishWorkspace,
         tree: &IndexTree,
+        _changes: &[(NodeId, Weight)],
         k: usize,
         heuristic: PublishHeuristic,
-    ) -> Result<&CompiledProgram, FeasibilityError> {
-        self.delta.invalidate();
-        work.publish(tree, k, heuristic, &mut self.served)?;
-        self.channels = k;
-        Ok(&self.served)
+        opts: PublishOptions,
+        _delta: DeltaOptions,
+    ) -> Result<(), FeasibilityError> {
+        self.publish(tree, k, heuristic, opts).map(|_| ())
     }
 
     /// The route tables of the most recent successful publish (empty
@@ -213,40 +202,13 @@ impl Publisher {
         &self.served
     }
 
-    /// Captures the served program into a checksummed snapshot image
-    /// (see [`bcast_channel::snapshot`]). `tree` must be the tree of the
-    /// last publish — its data catalog is stored so a cold-start can
-    /// rebuild the item → node map without the tree.
-    pub fn snapshot_image(&self, tree: &IndexTree) -> bcast_channel::SnapshotImage {
-        bcast_channel::SnapshotImage::capture(&self.served, self.channels, tree.data_nodes())
-    }
-
-    /// Installs a snapshot-loaded program as the served one, bypassing
-    /// the publish path entirely — the microsecond cold-start. The
-    /// incremental delta state is invalidated and the workspace's
-    /// placement forgotten (there is no diff baseline for a program this
-    /// publisher never derived), so the next `republish_delta` falls back
-    /// to a full publish cleanly.
-    ///
-    /// # Panics
-    /// Panics if `channels == 0`.
-    pub fn adopt_snapshot(&mut self, program: CompiledProgram, channels: usize) {
-        assert!(channels > 0, "need at least one channel");
-        self.served = program;
-        self.channels = channels;
-        self.work.pipeline.forget_placement();
-        self.delta.invalidate();
-    }
-
-    /// The slot plan behind the most recent publish attempt through this
-    /// publisher's own workspace.
+    /// The slot plan behind the most recent publish attempt.
     pub fn plan(&self) -> &SlotPlan {
-        &self.work.plan
+        self.work.plan()
     }
 
-    /// The fused pipeline of this publisher's own workspace (bucket
-    /// addresses, program materialization for oracle checks), as its last
-    /// publish left it.
+    /// The fused pipeline (bucket addresses, program materialization for
+    /// oracle checks), as the last publish left it.
     pub fn pipeline(&self) -> &PublishPipeline {
         &self.work.pipeline
     }
@@ -311,8 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn a_borrowed_workspace_publishes_like_an_own_one_and_seeds_no_delta_lane() {
-        use crate::{DeltaLane, DeltaOptions, FullReason};
+    fn a_shared_workspace_publishes_each_program_like_a_fresh_one() {
         use bcast_index_tree::knary;
         use bcast_types::Weight;
         let zipf: Vec<Weight> = (0..300)
@@ -322,18 +283,17 @@ mod tests {
             knary::build_weight_balanced_unlabeled(&zipf, 4).unwrap(),
             builders::paper_example(),
         ];
-        // Two publishers take turns on one workspace, alternating a large
+        // Two programs take turns on one workspace, alternating a large
         // and a small tree: each publish must come out as a fresh
         // publisher's would, whatever the workspace held before. The
         // workspace first holds a publish abandoned midway: a chain too
         // deep to route is ordered and packed, then refused.
         let mut work = PublishWorkspace::new();
-        let mut borrowers = [Publisher::new(), Publisher::new()];
-        let opts = PublishOptions::default();
+        let mut served = [CompiledProgram::default(), CompiledProgram::default()];
         let deep = builders::chain(&vec![Weight::from(1u32); 65_535]).unwrap();
-        let refused = borrowers[0].publish_in(&mut work, &deep, 2, PublishHeuristic::Sorting);
+        let refused = work.publish(&deep, 2, PublishHeuristic::Sorting, &mut served[0]);
         assert_eq!(refused, Err(FeasibilityError::TreeTooDeep(65_536)));
-        assert_eq!(*borrowers[0].current(), CompiledProgram::default());
+        assert_eq!(served[0], CompiledProgram::default());
         for k in [1usize, 3] {
             for h in [
                 PublishHeuristic::Sorting,
@@ -341,33 +301,18 @@ mod tests {
                 PublishHeuristic::Shrink { max_nodes: 6 },
                 PublishHeuristic::Preorder,
             ] {
-                for (p, t) in borrowers.iter_mut().zip(&trees) {
-                    let served = p.publish_in(&mut work, t, k, h).unwrap().clone();
+                for (program, t) in served.iter_mut().zip(&trees) {
+                    work.publish(t, k, h, program).unwrap();
                     let mut fresh = Publisher::new();
+                    let opts = PublishOptions::default();
                     assert_eq!(
-                        served,
+                        *program,
                         *fresh.publish(t, k, h, opts).unwrap(),
                         "{h:?}, k = {k}"
                     );
                 }
             }
         }
-        // The borrowers sized nothing of their own and left the delta lane
-        // no baseline: its next call falls back to a full publish.
-        let [p, _] = &mut borrowers;
-        assert_eq!(p.work.order.capacity(), 0);
-        assert_eq!(p.plan().node_count(), 0);
-        let report = p
-            .republish_delta(
-                &trees[0],
-                &[],
-                3,
-                PublishHeuristic::Sorting,
-                opts,
-                DeltaOptions { max_touched: 1.0 },
-            )
-            .unwrap();
-        assert_eq!(report.lane, DeltaLane::Full(FullReason::ColdState));
     }
 
     #[test]

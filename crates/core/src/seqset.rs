@@ -12,8 +12,10 @@
 //! million keys that is 3 levels and ~200 KB — cache-resident where a heap
 //! of the same keys thrashes.
 //!
-//! All buffers are retained across [`MinSeqSet::reset`] calls, so a
-//! steady-state user performs no heap allocation.
+//! All buffers are retained across [`MinSeqSet::reset`] calls, a
+//! smaller universe's included, so a steady-state user performs no heap
+//! allocation, even when it alternates between universes of different
+//! sizes.
 
 /// A set of `usize` keys drawn from a bounded universe `0..universe`,
 /// supporting `insert` and `pop_min` in `O(levels)` word operations.
@@ -35,8 +37,12 @@
 pub struct MinSeqSet {
     /// `levels[0]` is the bitmap over keys; `levels[l + 1]` holds one
     /// summary bit per word of `levels[l]` (set iff that word is nonzero).
-    /// The last level is always a single word.
+    /// Only the first `live` levels are in use, and the last of them is
+    /// always a single word; the rest keep their capacity for a larger
+    /// universe.
     levels: Vec<Vec<u64>>,
+    /// Levels the current universe uses.
+    live: usize,
     /// Number of keys currently in the set.
     len: usize,
     /// Every `levels[0]` word strictly below this index is zero, so a
@@ -53,7 +59,9 @@ impl MinSeqSet {
     }
 
     /// Clears the set and re-sizes it for keys in `0..universe`. Buffer
-    /// capacity is retained, so shrinking or re-using costs no allocation.
+    /// capacity is retained, levels a smaller universe does not use
+    /// included, so shrinking, re-using or growing back costs no
+    /// allocation.
     pub fn reset(&mut self, universe: usize) {
         self.len = 0;
         self.hint = 0;
@@ -72,7 +80,7 @@ impl MinSeqSet {
             words = words.div_ceil(64);
             level += 1;
         }
-        self.levels.truncate(level + 1);
+        self.live = level + 1;
     }
 
     /// Number of keys in the set.
@@ -98,7 +106,7 @@ impl MinSeqSet {
         self.len += 1;
         self.hint = self.hint.min(key / 64);
         let mut idx = key;
-        for level in &mut self.levels {
+        for level in &mut self.levels[..self.live] {
             let (word, bit) = (idx / 64, idx % 64);
             let was = level[word];
             level[word] = was | 1 << bit;
@@ -125,7 +133,7 @@ impl MinSeqSet {
             // Descend: the single top word locates the nonzero word below
             // it, and so on down to the key bitmap.
             let mut idx = 0usize;
-            for level in self.levels.iter().rev() {
+            for level in self.levels[..self.live].iter().rev() {
                 idx = idx * 64 + level[idx].trailing_zeros() as usize;
             }
             idx
@@ -133,7 +141,7 @@ impl MinSeqSet {
         let key = idx;
         self.hint = key / 64;
         // Clear the bit, cascading summary clears while words empty out.
-        for level in &mut self.levels {
+        for level in &mut self.levels[..self.live] {
             let (word, bit) = (idx / 64, idx % 64);
             level[word] &= !(1 << bit);
             if level[word] != 0 {
@@ -214,6 +222,15 @@ mod tests {
         s.insert(1);
         assert_eq!(s.pop_min(), Some(1));
         assert_eq!(s.pop_min(), Some(99));
+        assert_eq!(s.pop_min(), None);
+        // Grow back: the unused levels kept their buffers, and a stale
+        // summary bit in one must not leak either.
+        s.insert(5);
+        s.reset(200_000);
+        s.insert(150_000);
+        s.insert(70);
+        assert_eq!(s.pop_min(), Some(70));
+        assert_eq!(s.pop_min(), Some(150_000));
         assert_eq!(s.pop_min(), None);
     }
 

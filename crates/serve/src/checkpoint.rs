@@ -84,8 +84,8 @@ pub enum CheckpointError {
     /// skipped by the time this is returned.
     NoValidManifest,
     /// A tenant on the delta rebuild lane cannot be checkpointed: the
-    /// delta lane patches against its live boot tree, which the
-    /// manifest does not carry.
+    /// delta lane reweights its live boot tree, which the manifest does
+    /// not carry.
     DeltaLaneUnsupported,
     /// The manifest belongs to a different scenario spec than the one
     /// supplied to the restore (driver restores only).

@@ -5,8 +5,8 @@
 //! provide (allocation heuristics, compiled serving, fault recovery,
 //! online adaptation) as one long-lived service.
 //!
-//! * [`tenant`] — one tenant: tree + double-buffered publisher + EMA
-//!   estimator + degradation tracker, advanced one time slice at a time;
+//! * [`tenant`] — one tenant: the program on air + EMA estimator +
+//!   degradation tracker, advanced one time slice at a time;
 //! * [`service`] — the [`ServeLoop`]: a roster of tenants advanced in
 //!   lock-step slices across a persistent worker pool with deterministic
 //!   load-balanced lane assignment, SLO-aware overload shedding under a

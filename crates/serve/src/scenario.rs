@@ -132,8 +132,7 @@ impl ScenarioOutcome {
     /// cross-thread-count and cross-rerun determinism check. The
     /// snapshots' `rebuild_wall_ns` side channel is excluded, exactly as
     /// it is from `SloSnapshot`'s equality; the rebuild-lane counters
-    /// (`delta_rebuilds`, `full_rebuilds`, `touched_ppm`) are *included*,
-    /// so the delta/full fallback decision itself is pinned deterministic.
+    /// (`delta_rebuilds`, `full_rebuilds`, `touched_ppm`) are *included*.
     /// `snapshot_loads` is also included (despite being excluded from
     /// snapshot equality): which joins took the boot-image fast path is
     /// deterministic in the scenario script, so churn runs pin it. The
@@ -188,8 +187,9 @@ fn tenant_config(id: u64, spec: &ScenarioSpec) -> TenantConfig {
     let mut config = TenantConfig::new(id, spec.items_per_tenant);
     config.fanout = spec.fanout;
     config.channels = spec.channels;
-    if let Some(max_touched) = spec.delta_max_touched {
-        config.rebuild_lane = RebuildLane::Delta { max_touched };
+    if spec.delta_lane {
+        // The field is unread; any value selects the lane.
+        config.rebuild_lane = RebuildLane::Delta { max_touched: 0.0 };
     }
     config
 }
@@ -503,7 +503,7 @@ fn spec_tag(spec: &ScenarioSpec) -> u64 {
     h = eat(h, spec.items_per_tenant as u64);
     h = eat(h, spec.fanout as u64);
     h = eat(h, spec.channels as u64);
-    h = eat(h, spec.delta_max_touched.map_or(0, f64::to_bits));
+    h = eat(h, u64::from(spec.delta_lane));
     h = eat(h, spec.slice_budget.unwrap_or(u64::MAX));
     h = eat(h, spec.phases.len() as u64);
     for p in &spec.phases {

@@ -30,7 +30,7 @@
 //!   columns, a spare route table) and then leaves them idle until the
 //!   next one. The loop keeps one [`PublishWorkspace`] per lane and lends
 //!   it to each tenant the lane runs, for the boot publish in
-//!   [`join`](ServeLoop::join) and for every full rebuild, so a tenant
+//!   [`join`](ServeLoop::join) and for every rebuild, so a tenant
 //!   keeps only the program it serves. Lanes run their tenants one after
 //!   another, so one set of buffers per lane is all the roster ever uses
 //!   at once.

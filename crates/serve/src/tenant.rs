@@ -1,11 +1,11 @@
 //! One tenant of the serving loop: the program on air, a demand
 //! estimator and a degradation tracker, advanced one time slice at a
-//! time. A tenant keeps only what its rebuild lane reads. The full lane
-//! builds a tree for each rebuild, publishes it through the rebuild
-//! workspace its serving lane lends it, and drops the tree, so between
-//! rebuilds it holds only the program. The delta lane keeps the boot
-//! index tree it reweights, the change lists it diffs by, and a private
-//! publisher whose order and plan its patches start from.
+//! time. A tenant keeps only what its rebuild lane reads, and publishes
+//! every program through the rebuild workspace its serving lane lends
+//! it. The full lane builds a tree for each rebuild, publishes it and
+//! drops it, so between rebuilds it holds only the program. The delta
+//! lane keeps the boot index tree and the change lists it reweights that
+//! tree by.
 //!
 //! The demand sampler is derived state: a phase's demand shape plus the
 //! item → node map. A full republish re-mints node ids, so it re-tags a
@@ -30,8 +30,7 @@ use bcast_channel::{
     hist::{HistMark, LatencyHistogram},
     snapshot::{SnapshotError, SnapshotView},
 };
-use bcast_core::publish::{PublishHeuristic, PublishOptions, PublishWorkspace, Publisher};
-use bcast_core::{DeltaLane, DeltaOptions};
+use bcast_core::publish::{PublishHeuristic, PublishWorkspace};
 use bcast_index_tree::{knary, IndexTree};
 use bcast_types::prefetch::PREFETCH_MIN_LEN;
 use bcast_types::{
@@ -107,28 +106,26 @@ struct Quarantine {
     next_backoff: u64,
 }
 
-/// Which republish machinery a tenant's rebuilds run through.
+/// Which tree a tenant's rebuilds publish.
 ///
-/// The delta lane keeps the boot-time index-tree *structure* and only
-/// repairs weights, schedule order and routes incrementally
-/// ([`bcast_core::delta`]); the full lane re-derives the weight-balanced
-/// tree from scratch every rebuild. Both swap the double-buffered program
-/// atomically, so downtime is zero either way — the lane trades
-/// structural adaptivity for O(changed) rebuild cost.
+/// The full lane re-derives the weight-balanced tree from scratch every
+/// rebuild; the delta lane keeps the boot tree's *structure* and only
+/// reweights it by the estimator's changes. Both publish the whole
+/// program through the serving lane's workspace and swap it in
+/// atomically, so downtime is zero either way.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RebuildLane {
     /// Rebuild the tree and republish everything (the PR6 behavior; the
     /// default, so existing scenario fingerprints replay unchanged).
     #[default]
     Full,
-    /// Diff the estimator's changed weights against the served program
-    /// and patch in place when at most `max_touched` of the schedule
-    /// moved, falling back to a full publish past the threshold. The
-    /// index-tree *structure* stays fixed at its boot shape — only
-    /// weights and the allocation adapt (the documented trade of this
-    /// lane; tenants whose catalog shape must track demand keep `Full`).
+    /// Reweight the boot tree by the estimator's changed weights and
+    /// republish it. The index-tree *structure* stays fixed at its boot
+    /// shape, so node ids never change — only weights and the allocation
+    /// adapt (tenants whose catalog shape must track demand keep `Full`).
     Delta {
-        /// Fallback threshold as a fraction of schedule positions.
+        /// Unread: the incremental patch lane this budgeted is gone. The
+        /// field stays only so existing callers compile.
         max_touched: f64,
     },
 }
@@ -165,7 +162,7 @@ pub struct TenantConfig {
     pub degradation: Option<DegradationPolicy>,
     /// Client recovery budget under channel faults.
     pub recovery: RecoveryPolicy,
-    /// Republish machinery: full rebuilds or the incremental delta lane.
+    /// Republish machinery: full rebuilds or the reweighted boot tree.
     pub rebuild_lane: RebuildLane,
 }
 
@@ -200,7 +197,8 @@ struct Window {
     counts: SloSnapshot,
     hist: LatencyHistogram,
     /// Schedule positions touched / positions total, summed over the
-    /// window's rebuilds (exact integers → deterministic ppm).
+    /// window's rebuilds (exact integers → deterministic ppm). Every
+    /// rebuild publishes in full, touching every position.
     touched_nodes: u64,
     touched_total: u64,
 }
@@ -234,8 +232,8 @@ impl Window {
     }
 }
 
-/// A live tenant: publisher + estimator + degradation tracker (+ the
-/// boot tree and change lists on the delta lane), advanced by
+/// A live tenant: program on air + estimator + degradation tracker (+
+/// the boot tree and change lists on the delta lane), advanced by
 /// [`run_slice_in`](TenantRuntime::run_slice_in).
 #[derive(Debug)]
 pub struct TenantRuntime {
@@ -247,11 +245,9 @@ pub struct TenantRuntime {
     /// program and the item → node map.
     tree: Option<IndexTree>,
     data_nodes: Vec<NodeId>,
-    /// The program on air. A full-lane tenant publishes only through
-    /// borrowed workspaces, so its publisher holds the program alone; a
-    /// delta-lane tenant publishes through its own, whose order and plan
-    /// the lane's patches diff against.
-    publisher: Publisher,
+    /// The program on air: the last successful publish, made through a
+    /// workspace the serving lane lent.
+    program: CompiledProgram,
     estimator: EmaEstimator,
     degradation: Option<DegradationTracker>,
     // Current-phase script.
@@ -316,11 +312,9 @@ impl TenantRuntime {
         Self::new_in(config, service_seed, &mut PublishWorkspace::new())
     }
 
-    /// Boots a tenant cold: uniform weights, first program published. A
-    /// full-lane tenant publishes through `work` (its serving lane's
-    /// rebuild workspace), so it keeps only the program; a delta-lane
-    /// tenant publishes through its private publisher, whose order and
-    /// plan seed the lane.
+    /// Boots a tenant cold: uniform weights, first program published
+    /// through `work` (its serving lane's rebuild workspace), so it keeps
+    /// only the program — and, on the delta lane, the boot tree.
     ///
     /// # Panics
     /// Panics if `config.items == 0` or the catalog cannot be scheduled
@@ -331,17 +325,12 @@ impl TenantRuntime {
         let estimator = EmaEstimator::new(config.items, config.alpha);
         let tree = knary::build_weight_balanced_unlabeled(estimator.published(), config.fanout)
             .expect("uniform weights build a valid tree");
-        let mut publisher = Publisher::new();
-        let (k, heuristic) = (config.channels, config.heuristic);
-        let delta_lane = matches!(config.rebuild_lane, RebuildLane::Delta { .. });
-        let published = if delta_lane {
-            publisher.publish(&tree, k, heuristic, PublishOptions::default())
-        } else {
-            publisher.publish_in(work, &tree, k, heuristic)
-        };
-        published.expect("bundled heuristics produce feasible allocations");
+        let mut program = CompiledProgram::default();
+        work.publish(&tree, config.channels, config.heuristic, &mut program)
+            .expect("bundled heuristics produce feasible allocations");
         let data_nodes = tree.data_nodes().to_vec();
-        let mut t = Self::assemble(service_seed, config, publisher, data_nodes, estimator, None);
+        let delta_lane = config.rebuild_lane != RebuildLane::Full;
+        let mut t = Self::assemble(service_seed, config, program, data_nodes, estimator, None);
         t.tree = delta_lane.then_some(tree);
         t
     }
@@ -363,7 +352,7 @@ impl TenantRuntime {
     /// being skipped), and a full-lane tenant keeps no tree anyway: its
     /// first rebuild derives a fresh one from estimator weights. Only
     /// [`RebuildLane::Full`] tenants may boot this way — the delta lane
-    /// patches against the boot tree's structure.
+    /// reweights the boot tree itself.
     ///
     /// # Errors
     /// [`SnapshotError::Corrupt`] if the image's catalog size or channel
@@ -396,9 +385,14 @@ impl TenantRuntime {
         }
         let estimator = EmaEstimator::new(config.items, config.alpha);
         let data_nodes: Vec<NodeId> = view.data_nodes().collect();
-        let mut publisher = Publisher::new();
-        publisher.adopt_snapshot(view.to_program(), config.channels);
-        let mut t = Self::assemble(service_seed, config, publisher, data_nodes, estimator, None);
+        let mut t = Self::assemble(
+            service_seed,
+            config,
+            view.to_program(),
+            data_nodes,
+            estimator,
+            None,
+        );
         t.pending_snapshot_loads = 1;
         Ok(t)
     }
@@ -412,25 +406,25 @@ impl TenantRuntime {
     ///
     /// The tenant holds no tree: a program installed from an image or a
     /// checkpoint comes without one, and a full-lane tenant needs none.
-    /// [`new`] hands a delta-lane tenant the tree it published from.
+    /// [`new_in`] hands a delta-lane tenant the tree it published from.
     ///
-    /// [`new`]: TenantRuntime::new
+    /// [`new_in`]: TenantRuntime::new_in
     fn assemble(
         service_seed: u64,
         config: TenantConfig,
-        publisher: Publisher,
+        program: CompiledProgram,
         data_nodes: Vec<NodeId>,
         estimator: EmaEstimator,
         window: Option<Window>,
     ) -> Self {
         let window = window.unwrap_or_else(|| {
-            Window::new(PHASE_HIST_CYCLES * (publisher.current().cycle_len() as u32).max(1))
+            Window::new(PHASE_HIST_CYCLES * (program.cycle_len() as u32).max(1))
         });
         TenantRuntime {
             seed: mix2(service_seed, config.id),
             tree: None,
             data_nodes,
-            publisher,
+            program,
             estimator,
             degradation: config.degradation.map(DegradationTracker::new),
             demand: DemandSpec::flat(DemandShape::Zipf { theta: 0.9 }, 0),
@@ -465,11 +459,7 @@ impl TenantRuntime {
     /// including one booted from an image or restored from a checkpoint
     /// before its first rebuild.
     pub fn snapshot_image(&self) -> bcast_channel::SnapshotImage {
-        bcast_channel::SnapshotImage::capture(
-            self.publisher.current(),
-            self.config.channels,
-            &self.data_nodes,
-        )
+        bcast_channel::SnapshotImage::capture(&self.program, self.config.channels, &self.data_nodes)
     }
 
     /// Stable tenant id.
@@ -484,7 +474,7 @@ impl TenantRuntime {
 
     /// Cycle length (slots) of the program currently on air.
     pub fn cycle_len(&self) -> u32 {
-        self.publisher.current().cycle_len() as u32
+        self.program.cycle_len() as u32
     }
 
     /// Lifetime requests offered to this tenant.
@@ -538,12 +528,12 @@ impl TenantRuntime {
     /// Advances the tenant by one time slice: sample the slice's
     /// requests from the scripted demand, serve them against the program
     /// on air, feed the estimator, then run the between-slice control
-    /// actions (degradation feedback, periodic republish). A full-lane
-    /// republish runs in `work`, the rebuild workspace of the serving
-    /// lane running this tenant, and leaves its buffers there. Both rebuild
-    /// paths go through the double-buffered publisher swap, so requests
-    /// are never held while a program compiles — the downtime counter
-    /// stays at zero and the SLO check proves it.
+    /// actions (degradation feedback, periodic republish). A republish
+    /// runs in `work`, the rebuild workspace of the serving lane running
+    /// this tenant, and leaves its buffers there. It swaps the new program
+    /// in only once it is compiled, so requests are never held while a
+    /// program compiles — the downtime counter stays at zero and the SLO
+    /// check proves it.
     ///
     /// The steady-state slice is allocation-free: the alias sampler is
     /// cached across slices (rebuilt only on a demand-shape change),
@@ -646,12 +636,12 @@ impl TenantRuntime {
             self.build_sampler();
             let mut state = mix2(slice_seed, 1);
 
-            // Serve against the program on air. `current()` is always
-            // servable — the publisher swaps buffers atomically between
-            // slices — so the downtime branch is unreachable by
-            // construction; the counter exists to *prove* that to the SLO
-            // check rather than assume it.
-            let program = self.publisher.current();
+            // Serve against the program on air. It is always servable —
+            // a publish swaps programs atomically between slices — so the
+            // downtime branch is unreachable by construction; the counter
+            // exists to *prove* that to the SLO check rather than assume
+            // it.
+            let program = &self.program;
             if program.num_data_nodes() == 0 {
                 // Demand still arrives during downtime: the estimator
                 // sees what was *requested*, exactly as when serving.
@@ -858,30 +848,28 @@ impl TenantRuntime {
         self.total_requests += self.session.requests();
     }
 
-    /// Republishes from the estimator's current weights through the
-    /// double-buffered swap: the old program serves until the new one is
-    /// compiled, then `current()` flips. The configured [`RebuildLane`]
-    /// picks the machinery — a full tree rebuild + publish in `work`, or
-    /// the incremental delta lane patching the served schedule in place
-    /// with its private publisher — and the window's lane counters and
-    /// wall-clock side channel record which path ran and how much of the
-    /// schedule it touched.
+    /// Republishes from the estimator's current weights in `work` and
+    /// swaps the new program in once it is compiled: the old program
+    /// serves until then. The configured [`RebuildLane`] picks the tree —
+    /// a fresh weight-balanced build, or the boot tree reweighted by the
+    /// estimator's changes — and every rebuild publishes it in full.
     fn rebuild(&mut self, work: &mut PublishWorkspace) {
         let started = Instant::now();
+        let (k, heuristic) = (self.config.channels, self.config.heuristic);
         // O(changed) estimator handoff, shared by both lanes: the
         // estimator's published snapshot absorbs only the weights that
         // moved. The full lane builds from that snapshot, the delta lane
-        // also lists the moves to reweight by.
-        match self.config.rebuild_lane {
-            RebuildLane::Full => {
+        // (the one tenant that keeps a tree) also lists the moves to
+        // reweight its tree by.
+        let nodes = match self.tree.as_mut() {
+            None => {
                 self.estimator.publish_changed();
                 let tree = knary::build_weight_balanced_unlabeled(
                     self.estimator.published(),
                     self.config.fanout,
                 )
                 .expect("estimator weights are positive");
-                self.publisher
-                    .publish_in(work, &tree, self.config.channels, self.config.heuristic)
+                work.publish(&tree, k, heuristic, &mut self.program)
                     .expect("bundled heuristics produce feasible allocations");
                 self.data_nodes.clear();
                 self.data_nodes.extend_from_slice(tree.data_nodes());
@@ -895,22 +883,15 @@ impl TenantRuntime {
                     self.sampler.retag(|i| data_nodes[i].0);
                     self.window.counts.alias_rebuilds += 1;
                 }
-                self.window.counts.full_rebuilds += 1;
-                let total = tree.len() as u64;
-                self.window.touched_nodes += total;
-                self.window.touched_total += total;
                 // The tree is dropped here: serving reads only the
                 // program and `data_nodes`.
+                tree.len() as u64
             }
-            RebuildLane::Delta { max_touched } => {
+            Some(tree) => {
                 self.changes.clear();
                 self.estimator.drain_changed(&mut self.changes);
                 // Structure stays at its boot shape: only weights move,
                 // so `data_nodes` keeps mapping item i → leaf i.
-                let tree = self
-                    .tree
-                    .as_mut()
-                    .expect("a delta-lane tenant keeps its boot tree");
                 self.node_changes.clear();
                 self.node_changes.extend(
                     self.changes
@@ -918,25 +899,14 @@ impl TenantRuntime {
                         .map(|&(i, w)| (self.data_nodes[i as usize], w)),
                 );
                 tree.reweight(&self.node_changes);
-                let report = self
-                    .publisher
-                    .republish_delta(
-                        tree,
-                        &self.node_changes,
-                        self.config.channels,
-                        self.config.heuristic,
-                        PublishOptions::default(),
-                        DeltaOptions { max_touched },
-                    )
+                work.publish(tree, k, heuristic, &mut self.program)
                     .expect("bundled heuristics produce feasible allocations");
-                match report.lane {
-                    DeltaLane::Patched => self.window.counts.delta_rebuilds += 1,
-                    DeltaLane::Full(_) => self.window.counts.full_rebuilds += 1,
-                }
-                self.window.touched_nodes += report.touched as u64;
-                self.window.touched_total += report.total as u64;
+                tree.len() as u64
             }
-        }
+        };
+        self.window.counts.full_rebuilds += 1;
+        self.window.touched_nodes += nodes;
+        self.window.touched_total += nodes;
         self.window.counts.rebuilds += 1;
         self.window.counts.max_cycle_len = self.window.counts.max_cycle_len.max(self.cycle_len());
         self.total_rebuilds += 1;
@@ -1145,7 +1115,7 @@ impl TenantRuntime {
             },
         };
         let (items, fanout, channels) = (config.items, config.fanout, config.channels);
-        // The delta lane patches against the live boot tree, which a
+        // The delta lane reweights the live boot tree, which a
         // checkpoint does not carry (documented restore limit).
         if items == 0
             || fanout < 2
@@ -1243,12 +1213,10 @@ impl TenantRuntime {
             _ => return None,
         };
 
-        let mut publisher = Publisher::new();
-        publisher.adopt_snapshot(program, channels);
         let mut t = Self::assemble(
             service_seed,
             config,
-            publisher,
+            program,
             data_nodes,
             estimator,
             Some(window),
@@ -1513,10 +1481,10 @@ mod tests {
         assert_eq!(snap.rebuild_downtime_slots, 0, "swap stays double-buffered");
         assert!(snap.rebuilds >= 2, "periodic republish every 8 slices");
         assert_eq!(
-            snap.delta_rebuilds + snap.full_rebuilds,
-            snap.rebuilds,
-            "every rebuild is attributed to exactly one lane"
+            snap.full_rebuilds, snap.rebuilds,
+            "every rebuild publishes in full"
         );
+        assert_eq!(snap.delta_rebuilds, 0);
         assert!(t.phase_violations().is_empty(), "{snap:?}");
     }
 
@@ -1561,19 +1529,16 @@ mod tests {
     #[test]
     fn only_a_delta_lane_tenant_keeps_a_tree() {
         // The full lane holds no tree after boot, after a rebuild, after
-        // a snapshot boot and after a restore, and never a plan of its
-        // own or a change list: it publishes through lent workspaces and
-        // drains without a list.
+        // a snapshot boot and after a restore, and never a change list:
+        // it drains without a list.
         let mut t = TenantRuntime::new(TenantConfig::new(3, 64), 0x7EE);
         assert!(t.tree.is_none());
-        assert!(t.publisher.plan().is_empty());
         t.begin_phase(demand(200), None, SloSpec::lossless(), 9);
         for _ in 0..9 {
             t.run_slice();
         }
         assert_eq!(t.phase_snapshot().full_rebuilds, 1);
         assert!(t.tree.is_none());
-        assert!(t.publisher.plan().is_empty());
         assert_eq!(t.changes.capacity(), 0);
         let image = t.snapshot_image();
         let warm =
@@ -1598,10 +1563,60 @@ mod tests {
         assert_eq!(d.phase_snapshot().rebuilds, 1);
         let tree = d.tree.as_ref().expect("the delta lane keeps its boot tree");
         assert_eq!(tree.data_nodes(), &d.data_nodes[..]);
-        assert!(
-            !d.publisher.plan().is_empty(),
-            "and its own publisher's plan"
-        );
+    }
+
+    #[test]
+    fn a_delta_lane_rebuild_publishes_its_reweighted_boot_tree_in_full() {
+        // Three cadence rebuilds: each must air exactly what a fresh
+        // workspace publishes from the boot tree reweighted to the
+        // estimator's published weights. Node ids never change, so the
+        // sampler is built once and never re-tagged, and the rebuild's
+        // plan stays in the lent workspace, not in the tenant.
+        for heuristic in [PublishHeuristic::Sorting, PublishHeuristic::Frontier] {
+            for channels in [1usize, 3] {
+                let mut config = TenantConfig::new(4, 96);
+                config.channels = channels;
+                config.heuristic = heuristic;
+                config.degradation = None; // cadence rebuilds only
+                config.rebuild_lane = RebuildLane::Delta { max_touched: 0.05 };
+                let mut work = PublishWorkspace::new();
+                let mut t = TenantRuntime::new_in(config, 0xD17A, &mut work);
+                let boot_nodes = t.data_nodes.clone();
+                t.begin_phase(demand(300), None, SloSpec::lossless(), 24);
+                for slice in 1..=24 {
+                    let before = t.program.clone();
+                    t.run_slice_in(&mut work);
+                    if slice % 8 != 0 {
+                        continue;
+                    }
+                    let what = format!("{heuristic:?}, k = {channels}, slice {slice}");
+                    let tree = t.tree.as_ref().expect("the delta lane keeps its boot tree");
+                    for (item, &node) in t.data_nodes.iter().enumerate() {
+                        assert_eq!(tree.weight(node), t.estimator.published()[item], "{what}");
+                    }
+                    let (mut fresh_work, mut fresh) =
+                        (PublishWorkspace::new(), CompiledProgram::default());
+                    fresh_work
+                        .publish(tree, channels, heuristic, &mut fresh)
+                        .unwrap();
+                    assert_eq!(t.program, fresh, "{what}");
+                    assert_eq!(work.plan(), fresh_work.plan(), "{what}");
+                    if slice == 8 {
+                        assert_ne!(
+                            t.program, before,
+                            "{what}: the first rebuild moves the program"
+                        );
+                    }
+                }
+                let snap = t.phase_snapshot();
+                assert_eq!(
+                    (snap.rebuilds, snap.full_rebuilds, snap.delta_rebuilds),
+                    (3, 3, 0)
+                );
+                assert_eq!(snap.alias_rebuilds, 1, "{heuristic:?}, k = {channels}");
+                assert_eq!(t.data_nodes, boot_nodes);
+            }
+        }
     }
 
     #[test]
@@ -1776,7 +1791,7 @@ mod tests {
             let mut twin = LatencyHistogram::with_bound(PHASE_HIST_CYCLES * boot_cycle);
             let mut clamped = false;
             for _ in 0..16 {
-                let (program, data_nodes) = (t.publisher.current().clone(), t.data_nodes.clone());
+                let (program, data_nodes) = (t.program.clone(), t.data_nodes.clone());
                 let (slice_seed, rate) = (mix2(t.seed, t.slices_run), t.next_rate());
                 t.run_slice();
                 absorb_twin_slice(&t, &program, &data_nodes, slice_seed, rate, &mut twin);

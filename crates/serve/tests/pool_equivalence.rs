@@ -7,10 +7,12 @@
 //! the workspace before it. The `--ignored` soak drives the pool
 //! handshake through ten thousand wake/park cycles.
 
+use bcast_adaptive::EmaEstimator;
+use bcast_channel::SnapshotImage;
 use bcast_core::{PublishHeuristic, PublishOptions, Publisher};
 use bcast_index_tree::knary;
-use bcast_serve::{run_scenario, ServeLoop, TenantConfig};
-use bcast_types::{SloSnapshot, SloSpec};
+use bcast_serve::{run_scenario, RebuildLane, ServeLoop, TenantConfig};
+use bcast_types::{NodeId, SloSnapshot, SloSpec, Weight};
 use bcast_workloads::{canonical_scenarios, DemandShape, DemandSpec};
 use proptest::prelude::*;
 
@@ -95,32 +97,57 @@ fn scenario_fingerprints_are_thread_count_invariant_under_the_pool() {
 }
 
 /// A roster whose tenants differ in every way a republish's buffers are
-/// sized by: catalogs of 64, 512 and 4,096 items, 1 and 3 channels, and
-/// each heuristic. Two tenants share a boot shape, so one of them boots
-/// from the other's image. Every tenant republishes every 2 slices at a
-/// rate of its own, so the lanes' load balance regroups them.
+/// sized by: catalogs of 64, 512 and 4,096 items, 1 and 3 channels, each
+/// heuristic, and both rebuild lanes. Two full-lane tenants share a boot
+/// shape, so one of them boots from the other's image. Every tenant
+/// republishes every 2 slices at a rate of its own, so the lanes' load
+/// balance regroups them.
 fn mixed_roster() -> Vec<TenantConfig> {
     use PublishHeuristic::{Frontier, Preorder, Shrink, Sorting};
+    let delta = RebuildLane::Delta { max_touched: 0.0 };
     let shapes = [
-        (64, 3, Shrink { max_nodes: 6 }),
-        (64, 1, Sorting),
-        (512, 3, Frontier),
-        (512, 3, Frontier),
-        (512, 1, Preorder),
-        (4_096, 1, Frontier),
-        (4_096, 3, Sorting),
+        (64, 3, Shrink { max_nodes: 6 }, RebuildLane::Full),
+        (64, 1, Sorting, RebuildLane::Full),
+        (512, 3, Frontier, RebuildLane::Full),
+        (512, 3, Frontier, RebuildLane::Full),
+        (512, 3, Sorting, delta),
+        (512, 1, Preorder, RebuildLane::Full),
+        (4_096, 1, Frontier, RebuildLane::Full),
+        (4_096, 3, Frontier, delta),
+        (4_096, 3, Sorting, RebuildLane::Full),
     ];
     shapes
         .into_iter()
-        .map(|(items, channels, heuristic)| {
+        .map(|(items, channels, heuristic, rebuild_lane)| {
             let mut c = TenantConfig::new(0, items);
             c.channels = channels;
             c.heuristic = heuristic;
+            c.rebuild_lane = rebuild_lane;
             c.rebuild_every = Some(2);
             c.degradation = None;
             c
         })
         .collect()
+}
+
+/// The tree a tenant's last rebuild published: a weight-balanced build
+/// over its published weights on the full lane; on the delta lane its
+/// boot tree (built over the estimator's boot weights) with every leaf
+/// reweighted to its published weight.
+fn rebuilt_tree(c: &TenantConfig, published: &[Weight]) -> bcast_index_tree::IndexTree {
+    if c.rebuild_lane == RebuildLane::Full {
+        return knary::build_weight_balanced_unlabeled(published, c.fanout).unwrap();
+    }
+    let boot = EmaEstimator::new(c.items, c.alpha);
+    let mut tree = knary::build_weight_balanced_unlabeled(boot.published(), c.fanout).unwrap();
+    let updates: Vec<(NodeId, Weight)> = tree
+        .data_nodes()
+        .iter()
+        .copied()
+        .zip(published.iter().copied())
+        .collect();
+    tree.reweight(&updates);
+    tree
 }
 
 /// Each tenant's phase snapshot after every slice.
@@ -129,8 +156,9 @@ type Trace = Vec<Vec<(u64, SloSnapshot)>>;
 /// Joins `roster` in its order, runs it for 7 slices (3 cadence
 /// rebuilds) on `threads` lanes and returns every slice's snapshots.
 /// After each rebuild, every tenant that republished must air exactly
-/// what a fresh standalone publisher makes of the tree built from its
-/// published weights, with the same item → node map.
+/// what a fresh standalone publisher makes of the tree its lane derives
+/// from its published weights ([`rebuilt_tree`]), with the same
+/// item → node map.
 fn run_mixed(roster: &[TenantConfig], threads: usize) -> Trace {
     let mut svc = ServeLoop::new(0x3A7E, threads);
     for c in roster {
@@ -149,15 +177,14 @@ fn run_mixed(roster: &[TenantConfig], threads: usize) -> Trace {
                 continue;
             }
             let c = t.config();
-            let tree = knary::build_weight_balanced_unlabeled(t.estimator().published(), c.fanout)
-                .unwrap();
+            let tree = rebuilt_tree(c, t.estimator().published());
             let mut fresh = Publisher::new();
             fresh
                 .publish(&tree, c.channels, c.heuristic, PublishOptions::default())
                 .unwrap();
             assert_eq!(
                 t.snapshot_image().words(),
-                fresh.snapshot_image(&tree).words(),
+                SnapshotImage::capture(fresh.current(), c.channels, tree.data_nodes()).words(),
                 "tenant {} on {threads} lanes, slice {}",
                 t.id(),
                 svc.slices_run()

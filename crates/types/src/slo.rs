@@ -122,13 +122,16 @@ pub struct SloSnapshot {
     pub degraded_rebuilds: u64,
     /// Slots spent with requests pending but no servable program.
     pub rebuild_downtime_slots: u64,
-    /// Rebuilds the incremental delta lane patched in place.
+    /// Always `0`: the incremental patch lane that counted here is gone,
+    /// and every rebuild counts in `full_rebuilds`. Kept only so existing
+    /// readers compile.
     pub delta_rebuilds: u64,
-    /// Rebuilds that ran the full publish path (delta fallbacks included).
+    /// Rebuilds that ran the full publish path: every rebuild, on either
+    /// rebuild lane.
     pub full_rebuilds: u64,
     /// Parts-per-million of schedule nodes touched across the window's
-    /// rebuilds (`Σ touched · 10⁶ / Σ total`; a full rebuild touches
-    /// everything, a quiet delta patch close to nothing). `0` when no
+    /// rebuilds (`Σ touched · 10⁶ / Σ total`; a full publish touches
+    /// everything, so this reads 10⁶ once any rebuild ran). `0` when no
     /// rebuild ran.
     pub touched_ppm: u64,
     /// Programs installed from a validated snapshot image instead of a

@@ -285,12 +285,11 @@ pub struct ScenarioSpec {
     pub fanout: usize,
     /// Broadcast channels per tenant.
     pub channels: usize,
-    /// When set, every tenant routes its rebuilds through the serving
-    /// loop's incremental delta lane with this fallback threshold
-    /// (fraction of schedule positions; `None` = full rebuilds, the
-    /// canonical behavior). Plain data here — the serve crate maps it
-    /// onto its `RebuildLane`.
-    pub delta_max_touched: Option<f64>,
+    /// When set, every tenant rebuilds on the serving loop's delta lane,
+    /// which reweights its boot tree instead of building a new one
+    /// (`false` = full rebuilds, the canonical behavior). Plain data here
+    /// — the serve crate maps it onto its `RebuildLane`.
+    pub delta_lane: bool,
     /// When set, the serving loop admits at most this many requests per
     /// slice across the whole roster, shedding the excess from
     /// over-quota tenants first (`None` = admit everything, the
@@ -307,11 +306,10 @@ impl ScenarioSpec {
         self.phases.iter().map(|p| u64::from(p.slices)).sum()
     }
 
-    /// Routes every tenant's rebuilds through the incremental delta lane
-    /// with fallback threshold `max_touched` — the same script replayed
-    /// through the other republish machinery.
-    pub fn with_delta_lane(mut self, max_touched: f64) -> Self {
-        self.delta_max_touched = Some(max_touched);
+    /// Routes every tenant's rebuilds through the delta lane — the same
+    /// script replayed with the boot tree's shape kept.
+    pub fn with_delta_lane(mut self) -> Self {
+        self.delta_lane = true;
         self
     }
 
@@ -382,7 +380,7 @@ pub fn flash_crowd(tenants: usize, items: usize, rate: u32, slices: u32) -> Scen
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
+        delta_lane: false,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("calm", slices, calm(rate), SloSpec::lossless()),
@@ -435,7 +433,7 @@ pub fn diurnal_drift(tenants: usize, items: usize, rate: u32, slices: u32) -> Sc
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
+        delta_lane: false,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform(
@@ -483,7 +481,7 @@ pub fn brownout(tenants: usize, items: usize, rate: u32, slices: u32) -> Scenari
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
+        delta_lane: false,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("clean", slices, calm(rate), SloSpec::lossless()),
@@ -514,7 +512,7 @@ pub fn tenant_churn(tenants: usize, items: usize, rate: u32, slices: u32) -> Sce
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
+        delta_lane: false,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("steady", slices, calm(rate), SloSpec::lossless()),
@@ -555,7 +553,7 @@ pub fn overload_storm(tenants: usize, items: usize, rate: u32, slices: u32) -> S
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
+        delta_lane: false,
         slice_budget: Some(2 * tenants as u64 * u64::from(rate)),
         phases: vec![
             PhaseSpec::uniform("calm", slices, calm(rate), SloSpec::lossless()),
@@ -591,7 +589,7 @@ pub fn poison_pill(tenants: usize, items: usize, rate: u32, slices: u32) -> Scen
         items_per_tenant: items,
         fanout: 4,
         channels: 3,
-        delta_max_touched: None,
+        delta_lane: false,
         slice_budget: None,
         phases: vec![
             PhaseSpec::uniform("calm", slices, calm(rate), SloSpec::lossless()),

@@ -183,11 +183,11 @@ commands:
   serve      multi-tenant scenario service    --scenario flash-crowd|diurnal-drift|brownout|tenant-churn|
                                                          overload-storm|poison-pill|all
                                               [--tenants N] [--items N] [--rate R] [--slices S]
-                                              [--threads T] [--seed S] [--delta MAX_TOUCHED]
+                                              [--threads T] [--seed S] [--delta]
                                               [--budget REQUESTS_PER_SLICE]
                                               [--checkpoint-dir DIR] [--checkpoint-every N] [--restore]
-             --delta routes rebuilds through the incremental republish lane
-             (falls back to a full publish past the MAX_TOUCHED fraction)
+             --delta keeps each tenant's boot tree shape: rebuilds reweight
+             it and publish it in full instead of building a new tree
              --budget caps admitted requests per slice (water-filling shed)
              --checkpoint-dir writes crash-safe manifests every N slices
              (single scenario only); --restore resumes the newest valid
@@ -245,7 +245,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             return Err(format!("unexpected argument '{a}'"));
         };
         // Boolean flags take no value.
-        if key == "demo" || key == "restore" {
+        if key == "demo" || key == "restore" || key == "delta" {
             map.insert(key.to_string(), "true".to_string());
             continue;
         }
@@ -622,12 +622,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     if tenants == 0 || items == 0 || slices == 0 {
         return Err("--tenants, --items and --slices must be positive".into());
     }
-    let delta: Option<f64> = opts.parse("delta")?;
-    if let Some(d) = delta {
-        if !(0.0..=1.0).contains(&d) {
-            return Err("--delta must be a fraction in [0, 1]".into());
-        }
-    }
     let budget: Option<u64> = opts.parse("budget")?;
     if budget == Some(0) {
         return Err("--budget must be positive".into());
@@ -653,11 +647,8 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         "poison-pill" => vec![poison_pill(tenants, items, rate, slices)],
         other => return Err(format!("unknown scenario '{other}' (try `all`)")),
     };
-    if let Some(max_touched) = delta {
-        specs = specs
-            .into_iter()
-            .map(|s| s.with_delta_lane(max_touched))
-            .collect();
+    if opts.get("delta").is_some() {
+        specs = specs.into_iter().map(|s| s.with_delta_lane()).collect();
     }
     if let Some(b) = budget {
         specs = specs.into_iter().map(|s| s.with_slice_budget(b)).collect();
@@ -758,8 +749,9 @@ fn print_outcome(outcome: &ScenarioOutcome) -> bool {
         let rebuilds: u64 = p.tenants.iter().map(|t| t.snapshot.rebuilds).sum();
         let delta: u64 = p.tenants.iter().map(|t| t.snapshot.delta_rebuilds).sum();
         let full: u64 = p.tenants.iter().map(|t| t.snapshot.full_rebuilds).sum();
-        // Worst per-tenant touched fraction: full rebuilds read 10⁶ ppm,
-        // a quiet delta patch a few hundred.
+        // Worst per-tenant touched fraction: every rebuild publishes in
+        // full, so a phase with rebuilds reads 10⁶ ppm. The `delta` column
+        // reads 0: the patch lane it counted is gone.
         let touched_ppm = p
             .tenants
             .iter()
@@ -842,7 +834,8 @@ fn cmd_snapshot_save(opts: &Flags) -> Result<(), String> {
         .publish(&tree, k, heuristic, PublishOptions::default())
         .map_err(|e| e.to_string())?;
     let publish_time = started.elapsed();
-    let image = publisher.snapshot_image(&tree);
+    let image =
+        broadcast_alloc::channel::SnapshotImage::capture(publisher.current(), k, tree.data_nodes());
     image.save(&output).map_err(|e| e.to_string())?;
     outln!(
         "snapshot {}: {} bytes, {} data items over {} channels, cycle {} slots \

@@ -473,6 +473,58 @@ fn serve_runs_the_robustness_scenarios() {
     );
 }
 
+/// `--delta` is a switch: every tenant keeps its boot tree's shape and
+/// each rebuild reweights it and publishes it in full, so the `delta`
+/// column reads 0 and the `full` column counts every rebuild. It takes no
+/// value: a fraction after it is a stray argument, refused with exit 1
+/// before anything is printed.
+#[test]
+fn serve_delta_is_a_switch_and_every_rebuild_publishes_in_full() {
+    let out = run_ok(&[
+        "serve",
+        "--scenario",
+        "all",
+        "--delta",
+        "--tenants",
+        "3",
+        "--items",
+        "32",
+        "--rate",
+        "150",
+        "--slices",
+        "16",
+    ]);
+    let mut rebuilt = 0;
+    for line in out.lines() {
+        let cols: Vec<&str> = line.split_whitespace().collect();
+        // phase rows: phase tenants requests deliver% p99 rebuilds delta
+        // full touch_ppm rebuild_ms downtime alias slo
+        if cols.len() != 13 || cols[0] == "phase" {
+            continue;
+        }
+        assert_eq!(cols[12], "ok", "{line}");
+        assert_eq!(cols[6], "0", "no rebuild patches: {line}");
+        assert_eq!(cols[7], cols[5], "every rebuild is full: {line}");
+        if cols[5] != "0" {
+            assert_eq!(
+                cols[8], "1000000",
+                "a full publish touches everything: {line}"
+            );
+            rebuilt += 1;
+        }
+    }
+    assert!(rebuilt >= 4, "every scenario rebuilds: {out}");
+
+    let refused = bcast()
+        .args(["serve", "--scenario", "brownout", "--delta", "0.5"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(refused.status.code(), Some(1));
+    assert!(refused.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("unexpected argument '0.5'"), "{stderr}");
+}
+
 /// Checkpoint/restore round-trips through the CLI: a checkpointed run
 /// leaves manifests behind, and `--restore` resumes from them and
 /// reports the same fingerprint as the original run. An empty directory

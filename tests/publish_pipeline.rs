@@ -13,7 +13,9 @@
 //!    original, allocation-heavy form, kept here as an oracle.
 //! 3. **Zero heap allocations after warm-up.** This binary installs the
 //!    [`CountingAlloc`] global allocator; once the publisher's scratch
-//!    buffers are sized, a republish must not touch the heap at all.
+//!    buffers are sized, a republish must not touch the heap at all —
+//!    also when one workspace publishes catalogs of different sizes in
+//!    turn, as a serving lane does for its tenants.
 //! 4. **No per-node heap objects in the tree.** Under the same counter, a
 //!    weight-balanced build makes as many allocations at 65,536 items as
 //!    at 4,096, and a reweight of every leaf makes a small constant number.
@@ -22,7 +24,9 @@
 //!    from-scratch build of its shape over the new weights.
 
 use broadcast_alloc::alloc::heuristics::{shrink, sorting};
-use broadcast_alloc::alloc::{baselines, PublishHeuristic, PublishOptions, Publisher, Schedule};
+use broadcast_alloc::alloc::{
+    baselines, PublishHeuristic, PublishOptions, PublishWorkspace, Publisher, Schedule,
+};
 use broadcast_alloc::channel::{BroadcastProgram, CompiledProgram};
 use broadcast_alloc::tree::{knary, IndexTree, TreeBuilder};
 use broadcast_alloc::types::alloc_counter::{allocation_count, CountingAlloc};
@@ -244,6 +248,35 @@ fn fused_hot_path_is_allocation_free_after_warmup() {
                 delta, 0,
                 "fused {h:?} hot path at k = {k} performed {delta} heap allocations"
             );
+        }
+    }
+}
+
+#[test]
+fn a_workspace_shared_by_two_catalog_sizes_is_allocation_free_after_warmup() {
+    // A large and a small catalog take turns on one workspace, each
+    // publishing into a program of its own. Two warm-up rounds size every
+    // buffer for the large catalog: the first the scratch and one route
+    // table, the second the spare table the large program swaps with
+    // (the first round's swaps leave the workspace an empty one). From
+    // then on no publish may allocate: a smaller publish must keep what
+    // the larger one needs.
+    let trees = [4_096usize, 64].map(|items| {
+        knary::build_weight_balanced_unlabeled(&zipf_weights(items, 3), 4).expect("items >= 1")
+    });
+    for h in [PublishHeuristic::Sorting, PublishHeuristic::Frontier] {
+        let mut work = PublishWorkspace::new();
+        let mut served = [CompiledProgram::default(), CompiledProgram::default()];
+        for round in 0..5 {
+            for (tree, program) in trees.iter().zip(&mut served) {
+                let before = allocation_count();
+                work.publish(tree, 3, h, program).expect("feasible");
+                let allocs = allocation_count() - before;
+                let items = tree.data_nodes().len();
+                if round >= 2 {
+                    assert_eq!(allocs, 0, "{h:?}, round {round}, {items} items");
+                }
+            }
         }
     }
 }

@@ -10,7 +10,8 @@
 //! workspace: the lane lends every tenant the same one, so the four
 //! extra tenants keep only their new programs.
 
-use broadcast_alloc::alloc::{PublishHeuristic, PublishWorkspace, Publisher};
+use broadcast_alloc::alloc::{PublishHeuristic, PublishWorkspace};
+use broadcast_alloc::channel::CompiledProgram;
 use broadcast_alloc::serve::{ServeLoop, TenantConfig};
 use broadcast_alloc::tree::knary;
 use broadcast_alloc::types::alloc_counter::{live_bytes, CountingAlloc};
@@ -52,18 +53,17 @@ fn retained_by_the_rebuild_slice(tenants: u64) -> (i64, ServeLoop) {
 }
 
 /// The heap one workspace keeps after publishing `tree` twice for a
-/// publisher that then leaves: every scratch buffer, plus the first
+/// program that is then dropped: every scratch buffer, plus the first
 /// program as its spare route table.
 fn one_workspace(tree: &broadcast_alloc::tree::IndexTree) -> i64 {
     let before = live_bytes();
     let mut work = PublishWorkspace::new();
-    let mut publisher = Publisher::new();
+    let mut program = CompiledProgram::default();
     for _ in 0..2 {
-        publisher
-            .publish_in(&mut work, tree, 3, PublishHeuristic::Sorting)
+        work.publish(tree, 3, PublishHeuristic::Sorting, &mut program)
             .unwrap();
     }
-    drop(publisher);
+    drop(program);
     let kept = live_bytes() - before;
     drop(work);
     kept

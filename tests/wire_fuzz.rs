@@ -130,7 +130,7 @@ fn published_snapshot(items: usize, k: usize, seed: u64) -> (SnapshotImage, Publ
             PublishOptions::default(),
         )
         .expect("feasible");
-    let image = publisher.snapshot_image(&tree);
+    let image = SnapshotImage::capture(publisher.current(), k, tree.data_nodes());
     (image, publisher, tree)
 }
 
